@@ -6,8 +6,13 @@ import pytest
 
 from fouriergit import (
     DiscreteSpectrum,
+    ErrorBudget,
     FourierMomentSet,
+    KernelSpec,
+    _backend,
+    chi_general,
     exact_moments,
+    midpoint_grid,
     moment_error_summary,
     sampled_moments,
 )
@@ -71,6 +76,25 @@ class TestExactMoments:
             want = mp_moment(s, dt, n)
             assert ms.values[n].real == pytest.approx(want.real, abs=1e-13)
             assert ms.values[n].imag == pytest.approx(want.imag, abs=1e-13)
+
+    def test_large_orders_against_high_precision(self):
+        # the n_terms = 42371 norm-bound plan at norm_scale 7987.5: phases
+        # reach n dt |omega| ~ 1.3e5 rad
+        h = 7987.5
+        kernel = KernelSpec.from_resolution(1.0, 0.01, h)
+        budget = ErrorBudget(0.01, 0.01, 0.05, 1.0)
+        dt = 2 * math.pi / chi_general(kernel, budget, mode="nyquist").period
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0.5, 1.5, 512)
+        spectra = (
+            DiscreteSpectrum(midpoint_grid(512, h), w / w.sum(), norm_scale=h),
+            random_spectrum(6, n=512, norm_scale=h, normalized=True),
+        )
+        orders = (40_000, 41_111, 42_371)
+        for s in spectra:
+            ms = exact_moments(s, dt, n_max=max(orders))
+            for n in orders:
+                assert abs(ms.values[n] - mp_moment(s, dt, n)) <= 1e-10 * s.mu0
 
     def test_against_direct_formula(self, model_a):
         dt = 2 * math.pi / 2.02
@@ -253,12 +277,23 @@ class TestMomentErrorSummary:
         assert summ.weighted_aggregate == pytest.approx(rms, rel=1e-10)
 
     def test_truncates_to_common_orders(self, model_a):
-        long = exact_moments(model_a, 27.98, n_max=20)
-        short = exact_moments(model_a, 27.98, n_max=5)
-        summ = moment_error_summary(long, short)
-        assert summ.orders.size == 6
-        assert summ.max_abs_err == 0.0
-        assert summ.weighted_aggregate is None
+        # m_n must not depend on n_max, bitwise, also across the edges of
+        # the phase-power blocks of the moment kernel
+        block = _backend._BLOCK
+        edges = (*range(8), block - 1, block, block + 1, 3 * block + 7)
+        wide = random_spectrum(11, n=4096, normalized=True)
+        for spectrum, n_long, shorts in (
+            (model_a, 20, (5,)),
+            (model_a, 5000, edges),
+            (wide, 5000, edges),
+        ):
+            long = exact_moments(spectrum, 27.98, n_max=n_long)
+            for n_short in shorts:
+                short = exact_moments(spectrum, 27.98, n_max=n_short)
+                summ = moment_error_summary(long, short)
+                assert summ.orders.size == n_short + 1
+                assert summ.max_abs_err == 0.0
+                assert summ.weighted_aggregate is None
 
     def test_dt_mismatch_rejected(self, model_a):
         a = exact_moments(model_a, 27.98, n_max=3)
