@@ -1,52 +1,20 @@
-"""Numerical hot loops with optional numba acceleration.
+"""Numerical kernels: phase moments, Gaussian transforms, series resummation.
 
-The phase-moment sums and the truncated Fourier reconstruction have one
-implementation, a blocked numpy kernel that needs only a few complex
-exponential tables and BLAS products. The plain and periodic Gaussian
-transforms on frequency grids exist twice: in pure numpy and as numba
-``@njit`` loops. The transform implementation is chosen at import time from
-the environment variable ``FOURIERGIT_BACKEND``:
-
-``auto``   use numba when importable, numpy otherwise (default)
-``numba``  require numba, raise if it cannot be imported
-``numpy``  force the pure-numpy path
-
-The numpy variants are always importable under their ``*_numpy`` names so the
-two transform paths can be compared directly (see ``tests/test_backend.py``).
-numba kernels are compiled without fastmath so both backends agree to
-roundoff.
+Each job has one numpy implementation. The phase-moment sums and the
+truncated Fourier reconstruction are blocked kernels that need only a few
+complex exponential tables and BLAS products. The plain and periodic
+Gaussian transforms broadcast one grid chunk against all lines at a time,
+which bounds the temporary memory.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_ENV_VAR = "FOURIERGIT_BACKEND"
 _CHUNK = 256  # grid rows per numpy broadcast block; bounds temp memory
 _BLOCK = 128  # orders per phase-power block; fixed so m_n ignores n_max
-
-_requested = os.environ.get(_ENV_VAR, "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"{_ENV_VAR} must be one of 'auto', 'numba', 'numpy'; got {_requested!r}"
-    )
-
-if _requested == "numpy":
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise RuntimeError(
-                f"{_ENV_VAR}=numba but numba is not importable"
-            ) from None
-        _HAVE_NUMBA = False
 
 
 def _as_f64(x):
@@ -64,7 +32,7 @@ def _expi(phase):
 # phase moment sums: m_n = sum_k w_k exp(-i n dt w_k), n = 0..n_max
 
 
-def phase_moment_sums_numpy(omegas, weights, dt, n_max):
+def phase_moment_sums(omegas, weights, dt, n_max):
     """Fourier phase moments of a weighted point spectrum.
 
     Orders are split as n = n0 + r with n0 a multiple of the block width
@@ -105,7 +73,7 @@ def phase_moment_sums_numpy(omegas, weights, dt, n_max):
 # Gaussian transform on a grid: Phi(nu) = sum_k w_k G(nu - w_k)
 
 
-def gaussian_transform_numpy(nus, omegas, weights, lam):
+def gaussian_transform(nus, omegas, weights, lam):
     """Plain Gaussian-kernel transform of a point spectrum on a nu grid."""
     nus = _as_f64(nus)
     omegas = _as_f64(omegas)
@@ -118,24 +86,11 @@ def gaussian_transform_numpy(nus, omegas, weights, lam):
     return out / (math.sqrt(2.0 * math.pi) * lam)
 
 
-def _gaussian_transform_loop(nus, omegas, weights, lam):
-    c = -0.5 / (lam * lam)
-    pref = 1.0 / (math.sqrt(2.0 * math.pi) * lam)
-    out = np.empty(nus.shape[0])
-    for i in range(nus.shape[0]):
-        acc = 0.0
-        for k in range(omegas.shape[0]):
-            d = nus[i] - omegas[k]
-            acc += weights[k] * math.exp(c * d * d)
-        out[i] = acc * pref
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Periodically extended transform: replicas summed around the nearest image
 
 
-def periodic_transform_numpy(nus, omegas, weights, lam, period, wrap_count):
+def periodic_transform(nus, omegas, weights, lam, period, wrap_count):
     """Periodic Gaussian transform; wrap_count images on each side of the
     nearest replica."""
     nus = _as_f64(nus)
@@ -154,30 +109,12 @@ def periodic_transform_numpy(nus, omegas, weights, lam, period, wrap_count):
     return out / (math.sqrt(2.0 * math.pi) * lam)
 
 
-def _periodic_transform_loop(nus, omegas, weights, lam, period, wrap_count):
-    c = -0.5 / (lam * lam)
-    pref = 1.0 / (math.sqrt(2.0 * math.pi) * lam)
-    out = np.empty(nus.shape[0])
-    for i in range(nus.shape[0]):
-        acc = 0.0
-        for k in range(omegas.shape[0]):
-            d = nus[i] - omegas[k]
-            r = d - period * round(d / period)
-            s = 0.0
-            for j in range(-wrap_count, wrap_count + 1):
-                x = r - j * period
-                s += math.exp(c * x * x)
-            acc += weights[k] * s
-        out[i] = acc * pref
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Truncated Fourier reconstruction:
 # Phi(nu) = (m_0.re + 2 sum_{n=1}^{N} Re[exp(+i n dt nu) env_n m_n]) / P
 
 
-def reconstruct_numpy(nus, moment_values, dt, lam, period, n_terms):
+def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     """Evaluate the conjugate-symmetric truncated Fourier series on a grid.
 
     With g_n = env_n m_n and n = q W + r (block width W = min(_BLOCK,
@@ -204,32 +141,6 @@ def reconstruct_numpy(nus, moment_values, dt, lam, period, n_terms):
     return (moment_values[0].real + 2.0 * out) / period
 
 
-if _HAVE_NUMBA:
-    gaussian_transform_numba = njit(cache=True, nogil=True)(_gaussian_transform_loop)
-    periodic_transform_numba = njit(cache=True, nogil=True)(_periodic_transform_loop)
-
-    def _wrap_gauss(nus, omegas, weights, lam):
-        return gaussian_transform_numba(
-            _as_f64(nus), _as_f64(omegas), _as_f64(weights), lam
-        )
-
-    def _wrap_periodic(nus, omegas, weights, lam, period, wrap_count):
-        return periodic_transform_numba(
-            _as_f64(nus), _as_f64(omegas), _as_f64(weights), lam, period, wrap_count
-        )
-
-    ACTIVE_BACKEND = "numba"
-    gaussian_transform = _wrap_gauss
-    periodic_transform = _wrap_periodic
-else:
-    ACTIVE_BACKEND = "numpy"
-    gaussian_transform = gaussian_transform_numpy
-    periodic_transform = periodic_transform_numpy
-
-phase_moment_sums = phase_moment_sums_numpy
-reconstruct_series = reconstruct_numpy
-
-
 def active_backend():
-    """Name of the implementation in use: 'numba' or 'numpy'."""
-    return ACTIVE_BACKEND
+    """Name of the kernel implementation, kept for output metadata."""
+    return "numpy"

@@ -41,7 +41,7 @@ from .spectrum import (
     make_model,
     summarize,
 )
-from .transform import error_report, exact_transform, reconstruct
+from .transform import _measure, exact_transform, reconstruct
 from . import serialize
 
 
@@ -407,8 +407,7 @@ def cmd_reconstruct(args) -> int:
     mset = exact_moments(spectrum, periodic.dt, plan.n_terms)
     rec = reconstruct(mset, kernel, periodic, plan.n_terms, grid)
     curves = [plain, wrapped, rec]
-    report = error_report(spectrum, plan, kernel, window, budget,
-                          n_grid=eff["grid_points"])
+    report = _measure(plain, wrapped, rec, budget)
     lines = {
         "eps_p_measured": report.eps_p_measured,
         "eps_n_measured": report.eps_n_measured,

@@ -27,8 +27,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from scipy.special import erfc
-
 from .kernel import KernelSpec
 from .spectrum import MomentSummary
 
@@ -550,7 +548,7 @@ def truncation_bound(
     if not (period > 0 and lam > 0 and mu0 > 0):
         raise ValueError("period, lam and mu0 must be positive")
     x = math.sqrt(2.0) * math.pi * lam * n_terms / period
-    return mu0 / (_SQRT_2PI * lam) * float(erfc(x))
+    return mu0 / (_SQRT_2PI * lam) * math.erfc(x)
 
 
 def _shots_raw(

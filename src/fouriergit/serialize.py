@@ -61,18 +61,30 @@ def write_keyvalues(path, d: dict) -> None:
             fh.write(line + "\n")
 
 
-def read_keyvalues(path) -> dict:
+def _read_pairs(lines, source) -> dict:
+    """Raw key -> value strings of key=value lines; '#' comments and blank
+    lines are skipped, a line without '=' raises naming source:lineno."""
     out = {}
-    with open(path, "r") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed key=value line: {line!r}")
-            key, _, val = line.partition("=")
-            out[key.strip()] = parse_value(val)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(
+                f"{source}:{lineno}: expected key=value, got {line!r}"
+            )
+        key, _, val = line.partition("=")
+        out[key.strip()] = val.strip()
     return out
+
+
+def _typed(pairs: dict) -> dict:
+    return {key: parse_value(val) for key, val in pairs.items()}
+
+
+def read_keyvalues(path) -> dict:
+    with open(path, "r") as fh:
+        return _typed(_read_pairs(fh, path))
 
 
 def plan_to_text(plan: ExtensionPlan) -> str:
@@ -80,16 +92,8 @@ def plan_to_text(plan: ExtensionPlan) -> str:
 
 
 def plan_from_text(text: str) -> ExtensionPlan:
-    d = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed key=value line: {line!r}")
-        key, _, val = line.partition("=")
-        d[key.strip()] = parse_value(val)
-    return ExtensionPlan.from_dict(d)
+    pairs = _read_pairs(text.splitlines(), "<plan text>")
+    return ExtensionPlan.from_dict(_typed(pairs))
 
 
 def write_plan(path, plan: ExtensionPlan) -> None:
@@ -99,7 +103,8 @@ def write_plan(path, plan: ExtensionPlan) -> None:
 
 def read_plan(path) -> ExtensionPlan:
     with open(path, "r") as fh:
-        return plan_from_text(fh.read())
+        lines = fh.read().splitlines()
+    return ExtensionPlan.from_dict(_typed(_read_pairs(lines, path)))
 
 
 def _open_csv_writer(fh, metadata: dict | None):
@@ -229,16 +234,5 @@ def read_config(path) -> dict:
     Values are returned as raw strings; the CLI validates and converts
     them against each command's known options.
     """
-    out = {}
     with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
+        return _read_pairs(fh, path)

@@ -201,8 +201,6 @@ def error_report(
     Uses exact moments unless a (possibly sampled) moment set is passed,
     in which case eps_n_measured includes its statistical error too.
     """
-    if n_grid < 2:
-        raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     grid = np.linspace(window.nu_min, window.nu_max, n_grid)
     periodic = PeriodicKernelParams.from_period(plan.period, kernel)
     plain = exact_transform(spectrum, kernel.lam, grid)
@@ -210,6 +208,20 @@ def error_report(
     if moments is None:
         moments = exact_moments(spectrum, periodic.dt, plan.n_terms)
     rec = reconstruct(moments, kernel, periodic, plan.n_terms, grid)
+    return _measure(plain, wrapped, rec, budget)
+
+
+def _measure(
+    plain: TransformCurve,
+    wrapped: TransformCurve,
+    rec: TransformCurve,
+    budget: ErrorBudget,
+) -> ErrorReport:
+    """Error report of already-evaluated plain, periodic and reconstructed
+    curves on one grid."""
+    n_grid = plain.grid.size
+    if n_grid < 2:
+        raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     omega = budget.omega_scale
     eps_p = omega * float(np.abs(wrapped.values - plain.values).max())
     eps_n = omega * float(np.abs(rec.values - wrapped.values).max())

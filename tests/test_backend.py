@@ -1,9 +1,7 @@
-import os
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from fouriergit import (
     FourierMomentSet,
@@ -14,17 +12,13 @@ from fouriergit import (
 )
 from fouriergit._backend import (
     active_backend,
-    gaussian_transform_numpy,
-    periodic_transform_numpy,
-    phase_moment_sums_numpy,
-    reconstruct_numpy,
+    gaussian_transform,
+    periodic_transform,
+    phase_moment_sums,
+    reconstruct_series,
 )
 
 from conftest import random_spectrum
-
-numba_only = pytest.mark.skipif(
-    active_backend() != "numba", reason="numba backend not active"
-)
 
 # orders spanning several phase-power blocks, with a partial last block
 N_MULTI = 3 * _backend._BLOCK + 7
@@ -41,7 +35,7 @@ class TestNumpyKernels:
     def test_phase_moments_match_direct_sum(self):
         s = random_spectrum(0, n=16, normalized=True)
         dt = 5.7
-        vals = phase_moment_sums_numpy(s.eigenfrequencies, s.weights, dt, N_MULTI)
+        vals = phase_moment_sums(s.eigenfrequencies, s.weights, dt, N_MULTI)
         eps = np.finfo(np.float64).eps
         om_max = np.abs(s.eigenfrequencies).max()
         for n in range(N_MULTI + 1):
@@ -54,7 +48,7 @@ class TestNumpyKernels:
     def test_gaussian_transform_matches_broadcast(self):
         s = random_spectrum(1, n=32)
         nus = np.linspace(-1, 1, 27)
-        got = gaussian_transform_numpy(nus, s.eigenfrequencies, s.weights, 0.08)
+        got = gaussian_transform(nus, s.eigenfrequencies, s.weights, 0.08)
         direct = (
             np.exp(-0.5 * ((nus[:, None] - s.eigenfrequencies[None, :]) / 0.08) ** 2)
             / (0.08 * np.sqrt(2 * np.pi))
@@ -66,7 +60,7 @@ class TestNumpyKernels:
         s = random_spectrum(2, n=8)
         nus = np.linspace(-0.4, 0.4, 9)
         lam, period, wrap = 0.05, 0.8, 3
-        got = periodic_transform_numpy(
+        got = periodic_transform(
             nus, s.eigenfrequencies, s.weights, lam, period, wrap
         )
         # a wide enough centered image sum agrees: all images that differ
@@ -84,10 +78,10 @@ class TestNumpyKernels:
         # lam small enough that the envelope keeps every block: env_N ~ 0.37
         lam, period, n_terms = 0.004, 7.0, N_MULTI
         dt = 2 * np.pi / period
-        moments = phase_moment_sums_numpy(
+        moments = phase_moment_sums(
             s.eigenfrequencies, s.weights, dt, n_terms + 2
         )
-        got = reconstruct_numpy(nus, moments, dt, lam, period, n_terms)
+        got = reconstruct_series(nus, moments, dt, lam, period, n_terms)
         n = np.arange(1, n_terms + 1)
         env = np.exp(-0.5 * (dt * lam) ** 2 * n**2)
         series = moments[0].real + 2 * (
@@ -108,94 +102,30 @@ class TestNumpyKernels:
         s = random_spectrum(4, n=40, normalized=True)
         om = s.eigenfrequencies[::2]
         w = s.weights[::2]
-        a = _backend.phase_moment_sums(om, w, 3.0, N_MULTI)
-        b = _backend.phase_moment_sums(om.copy(), w.copy(), 3.0, N_MULTI)
+        a = phase_moment_sums(om, w, 3.0, N_MULTI)
+        b = phase_moment_sums(om.copy(), w.copy(), 3.0, N_MULTI)
         assert np.array_equal(a, b)
         nus = np.linspace(-1.0, 1.0, 61)[::3]
         strided = np.stack([a, b], axis=1)[:, 0]
         period = 2 * np.pi / 3.0
-        c = _backend.reconstruct_series(nus, strided, 3.0, 0.01, period, N_MULTI)
-        d = _backend.reconstruct_series(nus.copy(), a, 3.0, 0.01, period, N_MULTI)
+        c = reconstruct_series(nus, strided, 3.0, 0.01, period, N_MULTI)
+        d = reconstruct_series(nus.copy(), a, 3.0, 0.01, period, N_MULTI)
         assert np.array_equal(c, d)
-
-
-@numba_only
-class TestBackendEquivalence:
-    def test_gaussian_transform(self):
-        for seed in range(3):
-            s, nus = _case(seed)
-            a = gaussian_transform_numpy(nus, s.eigenfrequencies, s.weights, 0.04)
-            b = _backend.gaussian_transform(nus, s.eigenfrequencies, s.weights, 0.04)
-            assert np.allclose(a, b, rtol=1e-13)
-
-    def test_periodic_transform(self):
-        for seed in range(3):
-            s, nus = _case(seed)
-            a = periodic_transform_numpy(
-                nus, s.eigenfrequencies, s.weights, 0.04, 0.31, 4
-            )
-            b = _backend.periodic_transform(
-                nus, s.eigenfrequencies, s.weights, 0.04, 0.31, 4
-            )
-            assert np.allclose(a, b, rtol=1e-13)
 
 
 class TestDispatch:
     def test_active_backend_consistent(self):
-        assert active_backend() in ("numba", "numpy")
-        assert active_backend() == _backend.ACTIVE_BACKEND
+        assert active_backend() == "numpy"
 
-    def test_env_forces_numpy(self):
+    def test_import_loads_numpy_only(self):
+        # numpy is the only runtime dependency; no optional accelerator or
+        # special-function package is pulled in at import
         code = (
-            "from fouriergit._backend import active_backend; "
-            "print(active_backend())"
+            "import sys, fouriergit; "
+            "print(','.join(m for m in ('scipy', 'numba') if m in sys.modules))"
         )
-        env = dict(os.environ, FOURIERGIT_BACKEND="numpy")
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            [sys.executable, "-c", code], capture_output=True, text=True
         )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
-    def test_env_rejects_unknown_value(self):
-        code = "import fouriergit"
-        env = dict(os.environ, FOURIERGIT_BACKEND="cuda")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode != 0
-
-    def test_results_identical_across_backends(self, model_a):
-        # the full pipeline gives bitwise-comparable results (1e-13) under
-        # FOURIERGIT_BACKEND=numpy in a fresh interpreter
-        code = """
-import json
-import numpy as np
-from fouriergit import (KernelSpec, ErrorBudget, FrequencyWindow, make_model,
-                        make_plan, summarize, exact_moments, reconstruct,
-                        PeriodicKernelParams)
-kernel = KernelSpec.from_resolution(0.02, 0.01, 1.0)
-budget = ErrorBudget(0.01, 0.01, 0.05, 2.0 / 512.0)
-window = FrequencyWindow(-1.0, -0.8)
-s = make_model("A")
-plan = make_plan("variance", kernel, budget, window=window, moments=summarize(s))
-params = PeriodicKernelParams.from_period(plan.period, kernel)
-m = exact_moments(s, params.dt, plan.n_terms)
-grid = np.linspace(-1.0, -0.8, 64)
-rec = reconstruct(m, kernel, params, plan.n_terms, grid)
-print(json.dumps([float(v) for v in rec.values]))
-"""
-        results = {}
-        for backend in ("numpy", "auto"):
-            env = dict(os.environ, FOURIERGIT_BACKEND=backend)
-            out = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True,
-                text=True,
-            )
-            assert out.returncode == 0, out.stderr
-            import json
-
-            results[backend] = np.array(json.loads(out.stdout))
-        assert np.allclose(
-            results["numpy"], results["auto"], rtol=1e-12, atol=1e-15
-        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == ""

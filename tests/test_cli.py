@@ -274,11 +274,23 @@ class TestReconstructCommand:
         assert all(c.grid.size == 129 for c in curves)
         assert meta["method"] == "variance"
         assert meta["n_terms"] == 25
-        assert meta["backend"] in ("numba", "numpy")
+        assert meta["backend"] == "numpy"
         saved = serialize.read_keyvalues(report_out)
         assert saved["eps_p_measured"] == pytest.approx(
             info["eps_p_measured"], rel=1e-15
         )
+
+    def test_malformed_plan_line(self, tmp_path, capsys, model_a_csv, plan_path):
+        lines = plan_path.read_text().splitlines()
+        lines.insert(2, "period 0.5")
+        plan_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 1
+        assert f"{plan_path}:3:" in err
+        assert "'period 0.5'" in err
 
     def test_reconstruction_tracks_exact_curve(
         self, tmp_path, capsys, model_a_csv, plan_path

@@ -20,23 +20,30 @@ from fouriergit import (
 from conftest import random_spectrum
 
 
-def mp_peak(omega, xi=-0.95, beta=0.05, alpha=5.0):
-    with mp.workdps(50):
-        z = (mp.mpf(omega) - mp.mpf(xi)) / mp.mpf(beta)
-        val = (
-            mp.exp(-z * z / 2)
-            / (mp.mpf(beta) * mp.sqrt(2 * mp.pi))
-            * (1 + mp.erf(mp.mpf(alpha) * z / mp.sqrt(2)))
-        )
-        return float(val)
+def _mp_peak(omega, xi=-0.95, beta=0.05, alpha=5.0):
+    z = (mp.mpf(omega) - mp.mpf(xi)) / mp.mpf(beta)
+    return (
+        mp.exp(-z * z / 2)
+        / (mp.mpf(beta) * mp.sqrt(2 * mp.pi))
+        * (1 + mp.erf(mp.mpf(alpha) * z / mp.sqrt(2)))
+    )
 
 
-def mp_tail(omega, thr=-0.95, lam=1.0, rho=0.002, gamma=1.0):
+def _mp_tail(omega, thr=-0.95, lam=1.0, rho=0.002, gamma=1.0):
+    if omega < thr:
+        return mp.mpf(0)
+    d = abs(mp.mpf(omega) - mp.mpf(thr))
+    return mp.mpf(lam) * mp.mpf(rho) / (d ** mp.mpf(gamma) + mp.mpf(rho))
+
+
+def mp_peak(omega):
     with mp.workdps(50):
-        if omega < thr:
-            return 0.0
-        d = abs(mp.mpf(omega) - mp.mpf(thr))
-        return float(mp.mpf(lam) * mp.mpf(rho) / (d ** mp.mpf(gamma) + mp.mpf(rho)))
+        return float(_mp_peak(omega))
+
+
+def mp_tail(omega):
+    with mp.workdps(50):
+        return float(_mp_tail(omega))
 
 
 class TestProfiles:
@@ -83,6 +90,19 @@ class TestMakeModel:
         assert stats_a.sigma == pytest.approx(0.031, abs=5e-3)
         assert stats_b.mu1 == pytest.approx(-0.907, abs=5e-3)
         assert stats_b.sigma == pytest.approx(0.067, abs=5e-3)
+
+    def test_weights_against_high_precision_profiles(self, model_a, model_b):
+        # the normalized profiles at 50 digits, against the weights that
+        # make_model evaluates on the whole grid at once
+        for s, with_tail in ((model_a, False), (model_b, True)):
+            with mp.workdps(50):
+                vals = [
+                    _mp_peak(om) + (_mp_tail(om) if with_tail else 0)
+                    for om in s.eigenfrequencies
+                ]
+                total = mp.fsum(vals)
+                ref = np.array([float(v / total) for v in vals])
+            assert np.abs(s.weights - ref).max() <= 4e-15 * s.weights.max()
 
     def test_normalization_and_positivity(self, model_a, model_b):
         for s in (model_a, model_b):
