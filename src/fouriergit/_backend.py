@@ -3,8 +3,9 @@
 Each job has one numpy implementation. The phase-moment sums and the
 truncated Fourier reconstruction are blocked kernels that need only a few
 complex exponential tables and BLAS products. The plain and periodic
-Gaussian transforms broadcast one grid chunk against all lines at a time,
-which bounds the temporary memory.
+Gaussian transforms broadcast one grid chunk at a time, which bounds the
+temporary memory, against the lines within reach of the chunk only: they
+cost O(grid x lines within reach) and skip just terms that are exactly 0.0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 _CHUNK = 256  # grid rows per numpy broadcast block; bounds temp memory
 _BLOCK = 128  # orders per phase-power block; fixed so m_n ignores n_max
+_UNDERFLOW = 750.0  # exp(-x) is 0.0 in float64 beyond 745.2; margin for rounding
 
 
 def _as_f64(x):
@@ -73,6 +75,18 @@ def phase_moment_sums(omegas, weights, dt, n_max):
 # Gaussian transform on a grid: Phi(nu) = sum_k w_k G(nu - w_k)
 
 
+def _within_reach(chunk, omegas, lam, period=None):
+    """Indices, in line order, of the lines whose nearest image (per period, if
+    given) may come within sqrt(2 _UNDERFLOW) lam of a chunk point; every term
+    of the others is 0.0. Any chunk order works; a NaN keeps every line."""
+    lo, hi = chunk.min(), chunk.max()
+    d = 0.5 * (lo + hi) - omegas
+    if period is not None:
+        d -= period * np.round(d / period)
+    reach = math.sqrt(2.0 * _UNDERFLOW) * lam + 0.5 * (hi - lo)
+    return np.flatnonzero(~(np.abs(d) > reach))
+
+
 def gaussian_transform(nus, omegas, weights, lam):
     """Plain Gaussian-kernel transform of a point spectrum on a nu grid."""
     nus = _as_f64(nus)
@@ -81,8 +95,9 @@ def gaussian_transform(nus, omegas, weights, lam):
     c = -0.5 / (lam * lam)
     out = np.empty(nus.shape[0])
     for i in range(0, nus.shape[0], _CHUNK):
-        d = nus[i : i + _CHUNK, None] - omegas[None, :]
-        out[i : i + _CHUNK] = np.exp(c * d * d) @ weights
+        k = _within_reach(nus[i : i + _CHUNK], omegas, lam)
+        d = nus[i : i + _CHUNK, None] - omegas[None, k]
+        out[i : i + _CHUNK] = np.exp(c * d * d) @ weights[k]
     return out / (math.sqrt(2.0 * math.pi) * lam)
 
 
@@ -99,13 +114,14 @@ def periodic_transform(nus, omegas, weights, lam, period, wrap_count):
     c = -0.5 / (lam * lam)
     out = np.empty(nus.shape[0])
     for i in range(0, nus.shape[0], _CHUNK):
-        d = nus[i : i + _CHUNK, None] - omegas[None, :]
+        k = _within_reach(nus[i : i + _CHUNK], omegas, lam, period)
+        d = nus[i : i + _CHUNK, None] - omegas[None, k]
         r = d - period * np.round(d / period)
         acc = np.zeros_like(r)
         for j in range(-wrap_count, wrap_count + 1):
             x = r - j * period
             acc += np.exp(c * x * x)
-        out[i : i + _CHUNK] = acc @ weights
+        out[i : i + _CHUNK] = acc @ weights[k]
     return out / (math.sqrt(2.0 * math.pi) * lam)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _WEIGHT_FLOOR = 1e-300  # weights below this underflow to 0 in the models
-_erf = np.vectorize(math.erf, otypes=[float])
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ def eval_peak(omega, params: PeakParams = PeakParams()):
     omega = np.asarray(omega, dtype=np.float64)
     z = (omega - params.xi) / params.beta
     pref = 1.0 / (params.beta * math.sqrt(2.0 * math.pi))
-    val = pref * np.exp(-0.5 * z * z) * (1.0 + _erf(params.alpha * z / math.sqrt(2.0)))
+    # erfc(-x) = 1 + erf(x) without the cancellation where erf(x) is near -1
+    val = pref * np.exp(-0.5 * z * z) * _erfc(-params.alpha * z / math.sqrt(2.0))
     return val if val.ndim else float(val)
 
 

@@ -201,6 +201,8 @@ def error_report(
     Uses exact moments unless a (possibly sampled) moment set is passed,
     in which case eps_n_measured includes its statistical error too.
     """
+    if n_grid < 2:
+        raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     grid = np.linspace(window.nu_min, window.nu_max, n_grid)
     periodic = PeriodicKernelParams.from_period(plan.period, kernel)
     plain = exact_transform(spectrum, kernel.lam, grid)

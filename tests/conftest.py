@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fouriergit
 from fouriergit import (
     ErrorBudget,
     FrequencyWindow,
@@ -59,3 +63,12 @@ def random_spectrum(seed, n=24, norm_scale=1.0, normalized=False):
     from fouriergit import DiscreteSpectrum
 
     return DiscreteSpectrum(om, w, norm_scale=norm_scale)
+
+
+def package_env():
+    """Environment for a child interpreter that imports the same fouriergit
+    as this session, also when pytest's pythonpath setting found it."""
+    src = str(Path(fouriergit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -8,6 +8,8 @@ import pytest
 from fouriergit import serialize
 from fouriergit.cli import main
 
+from conftest import package_env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -486,7 +488,7 @@ class TestEntryPoints:
     def test_module_help(self):
         out = subprocess.run(
             [sys.executable, "-m", "fouriergit", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert out.returncode == 0
         assert "plan" in out.stdout

@@ -55,6 +55,23 @@ class TestProfiles:
         for omega in (-0.999, -0.97, -0.95, -0.90, -0.85, -0.5):
             assert eval_peak(omega) == pytest.approx(mp_peak(omega), rel=1e-13)
 
+    def test_peak_on_model_grid_against_high_precision(self):
+        # on the left flank erf(alpha z / sqrt 2) is near -1, where 1 + erf
+        # cancels; exp(-z^2/2) of a rounded z carries about z^2 eps, so the
+        # gate grows with z^2 and stays a few ulp near the peak
+        om = midpoint_grid(512)
+        vals = eval_peak(om)
+        z = (om + 0.95) / 0.05
+        gate = (8 + z * z) * np.finfo(np.float64).eps
+        with mp.workdps(50):
+            ref = [_mp_peak(o) for o in om]
+        checked = 0
+        for v, r, g in zip(vals, ref, gate):
+            if r > 1e-300:
+                assert abs(v - r) <= g * r
+                checked += 1
+        assert checked > 100
+
     def test_peak_far_left_underflows(self):
         assert eval_peak(-50.0) == 0.0
 

@@ -266,15 +266,23 @@ class TestErrorReport:
         assert noisy_rep.eps_n_measured > exact_rep.eps_n_measured
 
     def test_grid_validation(
-        self, model_a, kernel001, budget001, stats_a, window_model
+        self, model_a, kernel001, budget001, stats_a, window_model, monkeypatch
     ):
         plan = make_plan(
             "variance", kernel001, budget001, window=window_model, moments=stats_a
         )
-        with pytest.raises(ValueError):
-            error_report(
-                model_a, plan, kernel001, window_model, budget001, n_grid=1
-            )
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("error_report did work before checking n_grid")
+
+        # a bad grid is refused before any transform or moment is computed
+        monkeypatch.setattr("fouriergit.transform.exact_transform", no_work)
+        monkeypatch.setattr("fouriergit.transform.exact_moments", no_work)
+        for n_grid in (-1, 0, 1):
+            with pytest.raises(ValueError, match=f"n_grid must be >= 2, got {n_grid}"):
+                error_report(
+                    model_a, plan, kernel001, window_model, budget001, n_grid=n_grid
+                )
 
 
 class TestSampledReconstruction:
