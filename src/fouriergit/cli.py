@@ -6,10 +6,14 @@ reconstruct transforms with an error report, sweep the period-error bound
 against measurement, run the shot-noise coverage demo, and check the
 built-in reference values.
 
+Each subcommand declares its options once, in its schema table (config
+converter, default, and optional argparse choices and help); the flags
+are generated from it, so flag --grid-points is config key grid_points.
 Options may come from a key=value config file (--config); explicit flags
 override the file, the file overrides built-in defaults, and every output
-embeds the effective values. Exit codes: 0 success, 1 invalid input,
-2 formula used outside its validity range, 3 I/O failure.
+embeds the effective values. Counts (grid points, seeds, sweep points)
+and shot scales are validated before any work. Exit codes: 0 success,
+1 invalid input, 2 formula used outside its validity range, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .planner import (
     ErrorBudget,
     FormulaValidityError,
     FrequencyWindow,
+    _plan_kernel,
     chi_general,
     chi_with_variance,
     make_plan,
@@ -78,10 +83,26 @@ def _float_list_opt(s: str):
     return [float(p) for p in s.replace(",", " ").split() if p]
 
 
+# Flag form of each converter that is not a plain type=conv.
+_FLAG_FORMS = {
+    _bool_opt: {"action": "store_const", "const": True},
+    _pair_opt: {"type": float, "nargs": 2, "metavar": ("MIN", "MAX")},
+    _float_list_opt: {"type": float, "nargs": "+"},
+}
+
+_WINDOW_TERMS = {"choices": ["max", "min", "upper", "lower", "span"]}
+_SHOTS_MODES = {"choices": ["conservative", "uncorrelated", "chebyshev"]}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _merge(args, schema: dict) -> dict:
     """Effective option values: flags override config overrides defaults.
 
-    schema maps option key -> (config converter, default).
+    schema maps option key -> (config converter, default[, argparse
+    extras such as choices and help]). Degenerate counts are refused.
     """
     from_file = {}
     config_path = getattr(args, "config", None)
@@ -99,18 +120,28 @@ def _merge(args, schema: dict) -> dict:
             except ValueError as exc:
                 raise CliError(f"config key {key}: {exc}") from None
     eff = {}
-    for key, (_conv, default) in schema.items():
+    for key, (_conv, default, *_extras) in schema.items():
         val = getattr(args, key, None)
         if val is None:
             val = from_file.get(key, default)
         eff[key] = val
+    _check_counts(eff)
     return eff
+
+
+def _check_counts(eff: dict):
+    for key, least in (("grid_points", 2), ("seeds", 1), ("points", 1)):
+        if key in eff and eff[key] < least:
+            raise CliError(f"{_flag(key)} must be >= {least}, got {eff[key]}")
+    for scale in eff.get("scales", ()):
+        if not scale > 0:
+            raise CliError(f"--scales must be positive, got {scale}")
 
 
 def _require(eff: dict, *keys):
     for key in keys:
         if eff[key] is None:
-            raise CliError(f"--{key.replace('_', '-')} is required")
+            raise CliError(f"{_flag(key)} is required")
 
 
 def _echo(eff: dict) -> dict:
@@ -133,7 +164,8 @@ def _print_block(d: dict):
 
 
 _MODEL_SCHEMA = {
-    "kind": (str, None),
+    "kind": (str, None, {"choices": ["A", "B", "a", "b"],
+                         "help": "model family: A peak, B threshold tail"}),
     "n_eigen": (int, 512),
     "norm_scale": (float, 1.0),
     "placement": (str, "uniform"),
@@ -177,30 +209,32 @@ def cmd_model(args) -> int:
 
 
 _PLAN_SCHEMA = {
-    "method": (str, "general"),
+    "method": (str, "general", {"choices": ["general", "variance", "central"]}),
     "delta": (float, 0.02),
     "sigma_leak": (float, 0.01),
     "lam": (float, None),
     "norm_scale": (float, 1.0),
-    "eps": (float, None),
+    "eps": (float, None,
+            {"help": "total budget, split equally over the three sources"}),
     "eps_p": (float, None),
     "eps_n": (float, None),
     "eps_s": (float, None),
     "confidence_delta": (float, 0.05),
-    "omega_scale": (float, None),
-    "spectrum": (str, None),
+    "omega_scale": (float, None,
+                    {"help": "window scale (default: model level spacing)"}),
+    "spectrum": (str, None, {"help": "spectrum CSV to take moments from"}),
     "mu0": (float, None),
     "mu1": (float, None),
     "sigma": (float, None),
     "central_order": (int, None),
     "central_value": (float, None),
     "window": (_pair_opt, None),
-    "chi_mode": (str, "main"),
-    "n_mode": (str, "main"),
-    "shots_mode": (str, "conservative"),
-    "window_term": (str, "max"),
+    "chi_mode": (str, "main", {"choices": ["main", "nyquist", "full"]}),
+    "n_mode": (str, "main", {"choices": ["main", "appendix"]}),
+    "shots_mode": (str, "conservative", _SHOTS_MODES),
+    "window_term": (str, "max", _WINDOW_TERMS),
     "simplified": (_bool_opt, False),
-    "out": (str, None),
+    "out": (str, None, {"help": "write the plan to this key=value file"}),
 }
 
 
@@ -291,11 +325,11 @@ def cmd_plan(args) -> int:
 
 _MOMENTS_SCHEMA = {
     "spectrum": (str, None),
-    "plan": (str, None),
+    "plan": (str, None, {"help": "plan file for dt and n_max"}),
     "period": (float, None),
     "n_max": (int, None),
     "sampled": (_bool_opt, None),
-    "shots": (int, None),
+    "shots": (int, None, {"help": "shots per moment part"}),
     "seed": (int, 12345),
     "clamp": (_bool_opt, False),
     "out": (str, None),
@@ -353,22 +387,9 @@ _RECONSTRUCT_SCHEMA = {
     "shots": (int, None),
     "seed": (int, 12345),
     "clamp": (_bool_opt, False),
-    "out": (str, None),
+    "out": (str, None, {"help": "curves CSV"}),
     "report_out": (str, None),
 }
-
-
-def _kernel_from_plan(plan) -> KernelSpec:
-    echo = plan.inputs_echo
-    try:
-        return KernelSpec(
-            delta=echo["delta"],
-            sigma_leak=echo["sigma_leak"],
-            lam=echo["lam"],
-            norm_scale=echo["norm_scale"],
-        )
-    except KeyError as exc:
-        raise CliError(f"plan file lacks kernel field {exc}") from None
 
 
 def _budget_from_plan(plan) -> ErrorBudget:
@@ -390,7 +411,7 @@ def cmd_reconstruct(args) -> int:
     _require(eff, "spectrum", "plan", "out")
     spectrum = serialize.read_spectrum(eff["spectrum"])
     plan = serialize.read_plan(eff["plan"])
-    kernel = _kernel_from_plan(plan)
+    kernel = _plan_kernel(plan)
     budget = _budget_from_plan(plan)
     if eff["range"] is not None:
         window = FrequencyWindow(eff["range"][0], eff["range"][1])
@@ -465,7 +486,7 @@ _SWEEP_SCHEMA = {
     "sigma_leak": (float, 0.01),
     "eps_s": (float, 0.05),
     "confidence_delta": (float, 0.05),
-    "window_term": (str, "max"),
+    "window_term": (str, "max", _WINDOW_TERMS),
     "out": (str, None),
 }
 
@@ -547,7 +568,7 @@ _SHOTS_DEMO_SCHEMA = {
     "eps_n": (float, 0.01),
     "eps_s": (float, 0.05),
     "confidence_delta": (float, 0.05),
-    "shots_mode": (str, "conservative"),
+    "shots_mode": (str, "conservative", _SHOTS_MODES),
     "out": (str, None),
 }
 
@@ -718,6 +739,21 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = (
+    ("model", "generate a benchmark spectrum CSV", _MODEL_SCHEMA, cmd_model),
+    ("plan", "plan period, harmonics and shot counts", _PLAN_SCHEMA, cmd_plan),
+    ("moments", "exact or shot-sampled phase moments", _MOMENTS_SCHEMA,
+     cmd_moments),
+    ("reconstruct", "reconstruct transforms and report errors",
+     _RECONSTRUCT_SCHEMA, cmd_reconstruct),
+    ("sweep", "period-error bound vs measurement over budgets",
+     _SWEEP_SCHEMA, cmd_sweep),
+    ("shots-demo", "statistical coverage at planned shot counts",
+     _SHOTS_DEMO_SCHEMA, cmd_shots_demo),
+    ("report", "check built-in reference values", _REPORT_SCHEMA, cmd_report),
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="fouriergit",
@@ -727,136 +763,13 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, help_text, schema, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value option file")
-
-    p = sub.add_parser("model", help="generate a benchmark spectrum CSV")
-    add_common(p)
-    p.add_argument("--kind", choices=["A", "B", "a", "b"],
-                   help="model family: A peak, B threshold tail")
-    p.add_argument("--n-eigen", type=int, dest="n_eigen")
-    p.add_argument("--norm-scale", type=float, dest="norm_scale")
-    p.add_argument("--placement")
-    p.add_argument("--peak-xi", type=float, dest="peak_xi")
-    p.add_argument("--peak-beta", type=float, dest="peak_beta")
-    p.add_argument("--peak-alpha", type=float, dest="peak_alpha")
-    p.add_argument("--tail-thr", type=float, dest="tail_thr")
-    p.add_argument("--tail-lam", type=float, dest="tail_lam")
-    p.add_argument("--tail-rho", type=float, dest="tail_rho")
-    p.add_argument("--tail-gamma", type=float, dest="tail_gamma")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_model)
-
-    p = sub.add_parser("plan", help="plan period, harmonics and shot counts")
-    add_common(p)
-    p.add_argument("--method", choices=["general", "variance", "central"])
-    p.add_argument("--delta", type=float)
-    p.add_argument("--sigma-leak", type=float, dest="sigma_leak")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--norm-scale", type=float, dest="norm_scale")
-    p.add_argument("--eps", type=float,
-                   help="total budget, split equally over the three sources")
-    p.add_argument("--eps-p", type=float, dest="eps_p")
-    p.add_argument("--eps-n", type=float, dest="eps_n")
-    p.add_argument("--eps-s", type=float, dest="eps_s")
-    p.add_argument("--confidence-delta", type=float, dest="confidence_delta")
-    p.add_argument("--omega-scale", type=float, dest="omega_scale",
-                   help="window scale (default: model level spacing)")
-    p.add_argument("--spectrum", help="spectrum CSV to take moments from")
-    p.add_argument("--mu0", type=float)
-    p.add_argument("--mu1", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--central-order", type=int, dest="central_order")
-    p.add_argument("--central-value", type=float, dest="central_value")
-    p.add_argument("--window", type=float, nargs=2, metavar=("MIN", "MAX"))
-    p.add_argument("--chi-mode", choices=["main", "nyquist", "full"],
-                   dest="chi_mode")
-    p.add_argument("--n-mode", choices=["main", "appendix"], dest="n_mode")
-    p.add_argument("--shots-mode",
-                   choices=["conservative", "uncorrelated", "chebyshev"],
-                   dest="shots_mode")
-    p.add_argument("--window-term",
-                   choices=["max", "min", "upper", "lower", "span"],
-                   dest="window_term")
-    p.add_argument("--simplified", action="store_const", const=True)
-    p.add_argument("--out", help="write the plan to this key=value file")
-    p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("moments", help="exact or shot-sampled phase moments")
-    add_common(p)
-    p.add_argument("--spectrum")
-    p.add_argument("--plan", help="plan file for dt and n_max")
-    p.add_argument("--period", type=float)
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--sampled", action="store_const", const=True)
-    p.add_argument("--shots", type=int, help="shots per moment part")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--clamp", action="store_const", const=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("reconstruct",
-                       help="reconstruct transforms and report errors")
-    add_common(p)
-    p.add_argument("--spectrum")
-    p.add_argument("--plan")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.add_argument("--range", type=float, nargs=2, metavar=("MIN", "MAX"))
-    p.add_argument("--sampled", action="store_const", const=True)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--clamp", action="store_const", const=True)
-    p.add_argument("--out", help="curves CSV")
-    p.add_argument("--report-out", dest="report_out")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("sweep",
-                       help="period-error bound vs measurement over budgets")
-    add_common(p)
-    p.add_argument("--models")
-    p.add_argument("--eps-min", type=float, dest="eps_min")
-    p.add_argument("--eps-max", type=float, dest="eps_max")
-    p.add_argument("--points", type=int)
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.add_argument("--window", type=float, nargs=2, metavar=("MIN", "MAX"))
-    p.add_argument("--n-eigen", type=int, dest="n_eigen")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--sigma-leak", type=float, dest="sigma_leak")
-    p.add_argument("--eps-s", type=float, dest="eps_s")
-    p.add_argument("--confidence-delta", type=float, dest="confidence_delta")
-    p.add_argument("--window-term",
-                   choices=["max", "min", "upper", "lower", "span"],
-                   dest="window_term")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("shots-demo",
-                       help="statistical coverage at planned shot counts")
-    add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--seed0", type=int)
-    p.add_argument("--scales", type=float, nargs="+")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.add_argument("--window", type=float, nargs=2, metavar=("MIN", "MAX"))
-    p.add_argument("--delta", type=float)
-    p.add_argument("--sigma-leak", type=float, dest="sigma_leak")
-    p.add_argument("--eps-p", type=float, dest="eps_p")
-    p.add_argument("--eps-n", type=float, dest="eps_n")
-    p.add_argument("--eps-s", type=float, dest="eps_s")
-    p.add_argument("--confidence-delta", type=float, dest="confidence_delta")
-    p.add_argument("--shots-mode",
-                   choices=["conservative", "uncorrelated", "chebyshev"],
-                   dest="shots_mode")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_shots_demo)
-
-    p = sub.add_parser("report", help="check built-in reference values")
-    add_common(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
-
+        for key, (conv, _default, *extras) in schema.items():
+            form = _FLAG_FORMS.get(conv, {"type": conv})
+            p.add_argument(_flag(key), **form, **dict(*extras))
+        p.set_defaults(func=func)
     return parser
 
 

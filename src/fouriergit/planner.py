@@ -551,35 +551,6 @@ def truncation_bound(
     return mu0 / (_SQRT_2PI * lam) * math.erfc(x)
 
 
-def _shots_raw(
-    n_terms: int,
-    chi: float,
-    lam: float,
-    norm_scale: float,
-    budget: ErrorBudget,
-    mu0: float,
-    mode: str,
-) -> float:
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    if not chi > 0:
-        raise ValueError(f"chi must be positive, got {chi}")
-    if not mu0 > 0:
-        raise ValueError(f"mu0 must be positive, got {mu0}")
-    omega = budget.omega_scale
-    eps = budget.eps_s
-    log_conf = math.log(2.0 / budget.confidence_delta)
-    if mode == "conservative":
-        return n_terms * omega**2 * mu0**2 / (lam**2 * eps**2) * log_conf
-    if mode == "uncorrelated":
-        return (
-            n_terms * omega**2 * mu0**2 / (chi * norm_scale * lam * eps**2) * log_conf
-        )
-    if mode == "chebyshev":
-        return 2.0 * n_terms * omega**2 / (lam**2 * eps**2) * log_conf
-    raise ValueError(f"unknown shots mode {mode!r}")
-
-
 def shots_value(
     n_terms: int,
     chi: float,
@@ -597,9 +568,37 @@ def shots_value(
     quadrature; 'chebyshev' replaces the Hoeffding tail with a Chebyshev
     one (no exponential concentration, different delta scaling).
     """
-    return _shots_raw(
-        n_terms, chi, kernel.lam, kernel.norm_scale, budget, mu0, mode
-    )
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    if not chi > 0:
+        raise ValueError(f"chi must be positive, got {chi}")
+    if not mu0 > 0:
+        raise ValueError(f"mu0 must be positive, got {mu0}")
+    lam = kernel.lam
+    omega = budget.omega_scale
+    eps = budget.eps_s
+    log_conf = math.log(2.0 / budget.confidence_delta)
+    if mode == "conservative":
+        return n_terms * omega**2 * mu0**2 / (lam**2 * eps**2) * log_conf
+    if mode == "uncorrelated":
+        return (
+            n_terms * omega**2 * mu0**2
+            / (chi * kernel.norm_scale * lam * eps**2) * log_conf
+        )
+    if mode == "chebyshev":
+        return 2.0 * n_terms * omega**2 / (lam**2 * eps**2) * log_conf
+    raise ValueError(f"unknown shots mode {mode!r}")
+
+
+def _plan_kernel(plan: ExtensionPlan) -> KernelSpec:
+    """The kernel a plan was made with, rebuilt from its inputs echo."""
+    echo = plan.inputs_echo
+    try:
+        return KernelSpec(
+            echo["delta"], echo["sigma_leak"], echo["lam"], echo["norm_scale"]
+        )
+    except KeyError as exc:
+        raise ValueError(f"plan lacks kernel field {exc}") from None
 
 
 def shots(
@@ -609,13 +608,8 @@ def shots(
     mode: str = "conservative",
 ) -> int:
     """Integer total shot count for a plan (ceiling of shots_value)."""
-    lam = plan.inputs_echo.get("lam")
-    h = plan.inputs_echo.get("norm_scale")
-    if lam is None or h is None:
-        raise ValueError("plan echo lacks lam/norm_scale; build it with make_plan")
-    return int(
-        math.ceil(_shots_raw(plan.n_terms, plan.chi, lam, h, budget, mu0, mode))
-    )
+    value = shots_value(plan.n_terms, plan.chi, _plan_kernel(plan), budget, mu0, mode)
+    return int(math.ceil(value))
 
 
 def tail_leakage_bound(plan_or_choice, budget: ErrorBudget | None = None) -> float:

@@ -1,3 +1,4 @@
+import re
 import shutil
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fouriergit import serialize
+from fouriergit import cli, serialize
 from fouriergit.cli import main
 
 from conftest import package_env
@@ -338,6 +339,36 @@ class TestReconstructCommand:
         assert curves[0].grid[0] == pytest.approx(-0.98)
         assert curves[0].grid[-1] == pytest.approx(-0.9)
 
+    @pytest.mark.parametrize("points", ["-1", "0", "1"])
+    def test_degenerate_grid_refused_before_work(
+        self, tmp_path, capsys, monkeypatch, model_a_csv, plan_path, points
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact_transform called")
+
+        monkeypatch.setattr(cli, "exact_transform", forbidden)
+        code, _, err = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--grid-points", points,
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 1
+        assert "--grid-points" in err
+
+    def test_plan_without_kernel_field(
+        self, tmp_path, capsys, model_a_csv, plan_path
+    ):
+        lines = plan_path.read_text().splitlines()
+        plan_path.write_text(
+            "\n".join(x for x in lines if not x.startswith("lam=")) + "\n"
+        )
+        code, _, err = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 1
+        assert "'lam'" in err
+
     def test_plan_without_window_needs_range(
         self, tmp_path, capsys, model_a_csv
     ):
@@ -415,6 +446,52 @@ class TestShotsDemoCommand:
         assert float(rows[0][4]) >= float(rows[1][4])
 
 
+class TestCountValidation:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("sweep", "--models", "A", "--points", "2", "--grid-points", "1"),
+             "--grid-points"),
+            (("sweep", "--models", "A", "--points", "2", "--grid-points", "-1"),
+             "--grid-points"),
+            (("sweep", "--models", "A", "--points", "0"), "--points"),
+            (("shots-demo", "--seeds", "2", "--grid-points", "1"),
+             "--grid-points"),
+            (("shots-demo", "--seeds", "0"), "--seeds"),
+            (("shots-demo", "--seeds", "-2"), "--seeds"),
+            (("shots-demo", "--seeds", "2", "--scales", "0"), "--scales"),
+            (("shots-demo", "--seeds", "2", "--scales", "1.0", "-0.5"),
+             "--scales"),
+        ],
+    )
+    def test_flag_rejected(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, line, flag",
+        [
+            ("sweep", "grid_points=1", "--grid-points"),
+            ("sweep", "points=0", "--points"),
+            ("shots-demo", "seeds=0", "--seeds"),
+            ("shots-demo", "scales=1.0 0", "--scales"),
+        ],
+    )
+    def test_config_value_rejected(self, tmp_path, capsys, command, line, flag):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(
+            capsys, command, "--config", str(cfg), "--out", str(out)
+        )
+        assert code == 1
+        assert flag in err
+        assert not out.exists()
+
+
 class TestReportCommand:
     def test_all_reference_values_hold(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -479,6 +556,67 @@ class TestConfigFile:
             str(tmp_path / "x.csv"),
         )
         assert code == 0
+
+
+SCHEMAS = {name: schema for name, _help, schema, _func in cli._COMMANDS}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _option_text(conv, extras):
+    """Text values, different from the default, for one option."""
+    if "choices" in extras:
+        return [extras["choices"][-1]]
+    if conv is cli._bool_opt:
+        return ["1"]
+    if conv is cli._pair_opt:
+        return ["-0.9", "-0.7"]
+    if conv is cli._float_list_opt:
+        return ["0.5", "2"]
+    return {int: ["3"], float: ["0.25"], str: ["x.txt"]}[conv]
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize(
+        "name, key",
+        [(name, key) for name, schema in SCHEMAS.items() for key in schema],
+    )
+    def test_flag_and_config_agree(self, tmp_path, name, key):
+        schema = SCHEMAS[name]
+        conv, default, *extras = schema[key]
+        text = _option_text(conv, dict(*extras))
+        flag_argv = [_flag(key)] + ([] if conv is cli._bool_opt else text)
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"{key}={' '.join(text)}\n")
+        parser = cli.build_parser()
+        from_flag = cli._merge(parser.parse_args([name, *flag_argv]), schema)
+        from_config = cli._merge(
+            parser.parse_args([name, "--config", str(cfg)]), schema
+        )
+        assert from_flag == from_config
+        assert from_flag[key] != default
+
+    @pytest.mark.parametrize("name", list(SCHEMAS))
+    def test_parser_dests_match_schema(self, name):
+        args = cli.build_parser().parse_args([name])
+        assert set(vars(args)) - {"command", "func", "config"} == set(
+            SCHEMAS[name]
+        )
+
+    @pytest.mark.parametrize("name", list(SCHEMAS))
+    def test_subcommand_help_lists_every_flag(self, capsys, name):
+        code, text, _ = run_cli(capsys, name, "--help")
+        assert code == 0
+        words = " ".join(text.split())
+        for key, (_conv, _default, *extras) in SCHEMAS[name].items():
+            assert re.search(re.escape(_flag(key)) + r"(?![\w-])", text), key
+            extras = dict(*extras)
+            if "choices" in extras:
+                assert "{" + ",".join(extras["choices"]) + "}" in text, key
+            if "help" in extras:
+                assert " ".join(extras["help"].split()) in words, key
 
 
 class TestEntryPoints:

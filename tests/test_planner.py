@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -430,6 +431,11 @@ class TestShots:
             shots_value(0, 2.0, kernel001, budget001)
         with pytest.raises(ValueError):
             shots_value(10, 2.0, kernel001, budget001, mode="bogus")
+        plan = make_plan("general", kernel001, budget001)
+        echo = {k: v for k, v in plan.inputs_echo.items() if k != "lam"}
+        bare = dataclasses.replace(plan, inputs_echo=echo)
+        with pytest.raises(ValueError, match="'lam'"):
+            shots(bare, budget001)
 
 
 class TestTailLeakageBound:
