@@ -13,7 +13,6 @@ from .kernel import (
     fourier_coefficient,
     gaussian_kernel,
     lambda_from_resolution,
-    periodic_kernel,
     replica_wrap_count,
 )
 from .moments import (
@@ -59,7 +58,6 @@ from .transform import (
     error_report,
     exact_transform,
     reconstruct,
-    rescale_to_dimensionless,
     sampled_reconstruction,
 )
 
@@ -101,10 +99,8 @@ __all__ = [
     "midpoint_grid",
     "moment_error_summary",
     "n_terms",
-    "periodic_kernel",
     "reconstruct",
     "replica_wrap_count",
-    "rescale_to_dimensionless",
     "sampled_moments",
     "sampled_reconstruction",
     "shots",

@@ -11,9 +11,10 @@ converter, default, and optional argparse choices and help); the flags
 are generated from it, so flag --grid-points is config key grid_points.
 Options may come from a key=value config file (--config); explicit flags
 override the file, the file overrides built-in defaults, and every output
-embeds the effective values. Counts (grid points, seeds, sweep points)
-and shot scales are validated before any work. Exit codes: 0 success,
-1 invalid input, 2 formula used outside its validity range, 3 I/O failure.
+embeds the effective values. Counts (grid points, seeds, sweep points),
+shot scales and the sweep target range are validated before any work.
+Exit codes: 0 success, 1 invalid input, 2 formula used outside its
+validity range, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,7 +33,9 @@ from .planner import (
     ErrorBudget,
     FormulaValidityError,
     FrequencyWindow,
+    _plan_budget,
     _plan_kernel,
+    _plan_window,
     chi_general,
     chi_with_variance,
     make_plan,
@@ -46,7 +50,14 @@ from .spectrum import (
     make_model,
     summarize,
 )
-from .transform import _measure, exact_transform, reconstruct
+from .transform import (
+    _curves,
+    _deviation,
+    _measure,
+    exact_transform,
+    reconstruct,
+    sampled_reconstruction,
+)
 from . import serialize
 
 
@@ -133,9 +144,19 @@ def _check_counts(eff: dict):
     for key, least in (("grid_points", 2), ("seeds", 1), ("points", 1)):
         if key in eff and eff[key] < least:
             raise CliError(f"{_flag(key)} must be >= {least}, got {eff[key]}")
+    if "scales" in eff and not eff["scales"]:
+        raise CliError("--scales must name at least one scale")
     for scale in eff.get("scales", ()):
         if not scale > 0:
             raise CliError(f"--scales must be positive, got {scale}")
+    if "eps_min" in eff:
+        lo, hi = eff["eps_min"], eff["eps_max"]
+        if not lo > 0:
+            raise CliError(f"--eps-min must be positive, got {lo}")
+        if not lo <= hi < math.inf:
+            raise CliError(
+                f"--eps-max must be finite and >= --eps-min ({lo}), got {hi}"
+            )
 
 
 def _require(eff: dict, *keys):
@@ -392,63 +413,29 @@ _RECONSTRUCT_SCHEMA = {
 }
 
 
-def _budget_from_plan(plan) -> ErrorBudget:
-    echo = plan.inputs_echo
-    try:
-        return ErrorBudget(
-            eps_p=echo["eps_p"],
-            eps_n=echo["eps_n"],
-            eps_s=echo["eps_s"],
-            omega_scale=echo["omega_scale"],
-            confidence_delta=echo["confidence_delta"],
-        )
-    except KeyError as exc:
-        raise CliError(f"plan file lacks budget field {exc}") from None
-
-
 def cmd_reconstruct(args) -> int:
     eff = _merge(args, _RECONSTRUCT_SCHEMA)
     _require(eff, "spectrum", "plan", "out")
     spectrum = serialize.read_spectrum(eff["spectrum"])
     plan = serialize.read_plan(eff["plan"])
     kernel = _plan_kernel(plan)
-    budget = _budget_from_plan(plan)
-    if eff["range"] is not None:
-        window = FrequencyWindow(eff["range"][0], eff["range"][1])
-    elif "nu_min" in plan.inputs_echo:
-        window = FrequencyWindow(
-            plan.inputs_echo["nu_min"], plan.inputs_echo["nu_max"]
-        )
-    else:
+    budget = _plan_budget(plan)
+    window = FrequencyWindow(*eff["range"]) if eff["range"] else _plan_window(plan)
+    if window is None:
         raise CliError("plan has no window; pass --range MIN,MAX")
     grid = np.linspace(window.nu_min, window.nu_max, eff["grid_points"])
-    periodic = PeriodicKernelParams.from_period(plan.period, kernel)
-    plain = exact_transform(spectrum, kernel.lam, grid)
-    wrapped = exact_transform(spectrum, kernel.lam, grid, periodic=periodic)
-    mset = exact_moments(spectrum, periodic.dt, plan.n_terms)
-    rec = reconstruct(mset, kernel, periodic, plan.n_terms, grid)
-    curves = [plain, wrapped, rec]
-    report = _measure(plain, wrapped, rec, budget)
-    lines = {
-        "eps_p_measured": report.eps_p_measured,
-        "eps_n_measured": report.eps_n_measured,
-        "eps_total_measured": report.eps_total_measured,
-        "eps_p_target": report.eps_p_target,
-        "eps_n_target": report.eps_n_target,
-        "within_period_budget": report.within_period_budget,
-        "within_truncation_budget": report.within_truncation_budget,
-    }
+    curves = list(_curves(spectrum, plan, kernel, grid))
+    lines = asdict(_measure(*curves, budget))
+    del lines["n_grid"]
     if eff["sampled"]:
         shots = eff["shots"] if eff["shots"] is not None else plan.shots_per_moment
         if shots is None:
             raise CliError("--shots is required for --sampled with this plan")
-        smset = sampled_moments(
-            spectrum, periodic.dt, plan.n_terms, shots, eff["seed"],
-            clamp=eff["clamp"],
+        srec = sampled_reconstruction(
+            spectrum, plan, kernel, grid, eff["seed"], shots, clamp=eff["clamp"]
         )
-        srec = reconstruct(smset, kernel, periodic, plan.n_terms, grid)
+        dev = _deviation(srec, curves[2], budget.omega_scale)
         curves.append(srec)
-        dev = budget.omega_scale * float(np.abs(srec.values - rec.values).max())
         lines["eps_s_measured"] = dev
         lines["eps_s_target"] = budget.eps_s
         lines["within_shot_budget"] = dev <= budget.eps_s
@@ -523,9 +510,7 @@ def cmd_sweep(args) -> int:
             wrapped = exact_transform(
                 spectrum, kernel.lam, grid, periodic=periodic
             )
-            measured = omega * float(
-                np.abs(wrapped.values - plain.values).max()
-            )
+            measured = _deviation(wrapped, plain, omega)
             bound = tail_leakage_bound(plan)
             bounded += bound >= measured
             rows.append(
@@ -595,12 +580,10 @@ def cmd_shots_demo(args) -> int:
         shots = max(1, int(math.ceil(plan.shots_per_moment * scale)))
         within = 0
         for i in range(eff["seeds"]):
-            mset = sampled_moments(
-                spectrum, periodic.dt, plan.n_terms, shots, eff["seed0"] + i
+            rec = sampled_reconstruction(
+                spectrum, plan, kernel, grid, eff["seed0"] + i, shots
             )
-            rec = reconstruct(mset, kernel, periodic, plan.n_terms, grid)
-            dev = omega * float(np.abs(rec.values - baseline.values).max())
-            within += dev <= budget.eps_s
+            within += _deviation(rec, baseline, omega) <= budget.eps_s
         coverage = within / eff["seeds"]
         rows.append((scale, shots, eff["seeds"], within, coverage))
         print(

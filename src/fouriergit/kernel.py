@@ -8,8 +8,10 @@ mass lies outside [-delta, delta]; the widest admissible Gaussian has
 
 computed by :func:`lambda_from_resolution`. Periodizing the kernel with
 period P makes it an exact Fourier series in n/P with Gaussian-damped
-coefficients; :func:`fourier_coefficient` evaluates them and
-:func:`periodic_kernel` the resummed series via image sums.
+coefficients; :func:`fourier_coefficient` evaluates them, and
+:class:`PeriodicKernelParams` holds the period, the conjugate time step and
+the image count with which transform.exact_transform sums the periodic
+kernel directly.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._backend import periodic_transform
 
 _TWO_PI = 2.0 * math.pi
 
@@ -153,35 +153,14 @@ class PeriodicKernelParams:
         )
 
 
-def periodic_kernel(nu, omega, lam: float, params: PeriodicKernelParams):
-    """Periodically extended Gaussian kernel sum_j G(nu - omega - j P).
-
-    Image terms are counted outward from the nearest replica, wrap_count on
-    each side, which keeps the omitted tail below 1e-16 relative. Returns a
-    scalar for scalar nu, else an array of nu's shape; omega must be scalar.
-    """
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    omega = float(omega)
-    nu_arr = np.atleast_1d(np.asarray(nu, dtype=np.float64))
-    vals = periodic_transform(
-        nu_arr.ravel(),
-        np.array([omega]),
-        np.array([1.0]),
-        lam,
-        params.period,
-        params.wrap_count,
-    ).reshape(nu_arr.shape)
-    return float(vals[0]) if np.ndim(nu) == 0 else vals.reshape(np.shape(nu))
-
-
 def fourier_coefficient(n, nu, lam: float, params: PeriodicKernelParams):
     """Fourier-series coefficient of the periodic kernel at harmonic n.
 
     Equals exp(+i n dt nu) exp(-(dt lam n)^2 / 2): a pure phase in the
     evaluation point nu times a Gaussian damping of the harmonic index.
     The period-normalized resummation (1/P) sum_n coeff_n(nu) exp(-i n dt
-    omega) over all integers n reproduces periodic_kernel(nu, omega).
+    omega) over all integers n reproduces the periodic kernel
+    sum_j G(nu - omega - j P).
     n and nu may be scalars or broadcastable arrays.
     """
     if not lam > 0:

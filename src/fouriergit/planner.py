@@ -601,6 +601,26 @@ def _plan_kernel(plan: ExtensionPlan) -> KernelSpec:
         raise ValueError(f"plan lacks kernel field {exc}") from None
 
 
+def _plan_budget(plan: ExtensionPlan) -> ErrorBudget:
+    """The error budget a plan was made for, rebuilt from its inputs echo."""
+    echo = plan.inputs_echo
+    try:
+        return ErrorBudget(
+            echo["eps_p"], echo["eps_n"], echo["eps_s"], echo["omega_scale"],
+            echo["confidence_delta"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"plan lacks budget field {exc}") from None
+
+
+def _plan_window(plan: ExtensionPlan) -> FrequencyWindow | None:
+    """The window a plan was made for, or None if it was made without one."""
+    echo = plan.inputs_echo
+    if "nu_min" not in echo:
+        return None
+    return FrequencyWindow(echo["nu_min"], echo["nu_max"])
+
+
 def shots(
     plan: ExtensionPlan,
     budget: ErrorBudget,

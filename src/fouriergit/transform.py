@@ -7,14 +7,13 @@ harmonics it converges to the periodic transform, whose distance to the
 plain transform is the period (aliasing) error. error_report measures both
 gaps against a plan's budget.
 
-Transform values carry units 1/energy; multiplying by a window scale (for
-example the eigenfrequency spacing) makes them dimensionless, see
-rescale_to_dimensionless.
+Transform values carry units 1/energy; error_report multiplies their
+differences by the budget's window scale (for example the eigenfrequency
+spacing) to make them dimensionless.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +31,13 @@ _KINDS = ("exact_gaussian", "exact_periodic", "reconstructed", "sampled_reconstr
 class TransformCurve:
     """A transform evaluated on a frequency grid.
 
-    kind records how the values were produced. scale_note is the
-    cumulative dimensionless rescaling factor applied so far (None for raw
-    1/energy values). Exact kinds must be nonnegative.
+    kind records how the values were produced. Exact kinds must be
+    nonnegative.
     """
 
     grid: np.ndarray
     values: np.ndarray
     kind: str
-    scale_note: float | None = None
 
     def __post_init__(self):
         g = np.array(self.grid, dtype=np.float64)
@@ -155,18 +152,6 @@ def reconstruct(
     return TransformCurve(grid, cvals.real, kind)
 
 
-def rescale_to_dimensionless(curve: TransformCurve, d_omega: float) -> TransformCurve:
-    """Multiply a curve by a frequency scale (e.g. level spacing).
-
-    Applying d_omega and then 1/d_omega returns the original values; the
-    cumulative factor is tracked in scale_note.
-    """
-    if not d_omega > 0:
-        raise ValueError(f"d_omega must be positive, got {d_omega}")
-    note = d_omega if curve.scale_note is None else curve.scale_note * d_omega
-    return TransformCurve(curve.grid, curve.values * d_omega, curve.kind, note)
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     """Measured reconstruction errors for one plan, all dimensionless
@@ -204,13 +189,32 @@ def error_report(
     if n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     grid = np.linspace(window.nu_min, window.nu_max, n_grid)
+    return _measure(*_curves(spectrum, plan, kernel, grid, moments), budget)
+
+
+def _curves(
+    spectrum: DiscreteSpectrum,
+    plan: ExtensionPlan,
+    kernel: KernelSpec,
+    grid,
+    moments: FourierMomentSet | None = None,
+) -> tuple[TransformCurve, TransformCurve, TransformCurve]:
+    """Plain, periodic and reconstructed transforms of a plan on a grid.
+
+    The reconstruction resums exact moments unless a moment set is passed.
+    """
     periodic = PeriodicKernelParams.from_period(plan.period, kernel)
     plain = exact_transform(spectrum, kernel.lam, grid)
     wrapped = exact_transform(spectrum, kernel.lam, grid, periodic=periodic)
     if moments is None:
         moments = exact_moments(spectrum, periodic.dt, plan.n_terms)
     rec = reconstruct(moments, kernel, periodic, plan.n_terms, grid)
-    return _measure(plain, wrapped, rec, budget)
+    return plain, wrapped, rec
+
+
+def _deviation(a: TransformCurve, b: TransformCurve, omega_scale: float) -> float:
+    """Dimensionless distance omega_scale * max |a - b| of two curves."""
+    return omega_scale * float(np.abs(a.values - b.values).max())
 
 
 def _measure(
@@ -225,9 +229,9 @@ def _measure(
     if n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     omega = budget.omega_scale
-    eps_p = omega * float(np.abs(wrapped.values - plain.values).max())
-    eps_n = omega * float(np.abs(rec.values - wrapped.values).max())
-    eps_tot = omega * float(np.abs(rec.values - plain.values).max())
+    eps_p = _deviation(wrapped, plain, omega)
+    eps_n = _deviation(rec, wrapped, omega)
+    eps_tot = _deviation(rec, plain, omega)
     return ErrorReport(
         eps_p_measured=eps_p,
         eps_n_measured=eps_n,
@@ -249,7 +253,8 @@ def sampled_reconstruction(
     shots_per_part: int | None = None,
     clamp: bool = False,
 ) -> TransformCurve:
-    """One shot-noise reconstruction of a plan (convenience pipeline)."""
+    """One shot-noise reconstruction of a plan, at shots_per_part shots per
+    moment part (default: the plan's)."""
     periodic = PeriodicKernelParams.from_period(plan.period, kernel)
     shots = plan.shots_per_moment if shots_per_part is None else shots_per_part
     if shots is None:

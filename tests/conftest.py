@@ -12,6 +12,7 @@ from fouriergit import (
     make_model,
     summarize,
 )
+from fouriergit._backend import periodic_transform
 
 OMEGA_MODEL = 2.0 / 512.0  # level spacing of the 512-point benchmark models
 
@@ -72,3 +73,12 @@ def package_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def periodic_line(nu, omega, lam, params):
+    """Periodic kernel sum_j G(nu - omega - j P) of one unit line at omega,
+    from periodic_transform, on a 1-d array of nu (a scalar gives one
+    element)."""
+    return periodic_transform(
+        np.atleast_1d(nu), [omega], [1.0], lam, params.period, params.wrap_count
+    )

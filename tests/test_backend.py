@@ -8,7 +8,6 @@ from fouriergit import (
     KernelSpec,
     PeriodicKernelParams,
     _backend,
-    periodic_kernel,
     reconstruct,
 )
 from fouriergit._backend import (
@@ -19,7 +18,7 @@ from fouriergit._backend import (
     reconstruct_series,
 )
 
-from conftest import package_env, random_spectrum
+from conftest import package_env, periodic_line, random_spectrum
 
 # orders spanning several phase-power blocks, with a partial last block
 N_MULTI = 3 * _backend._BLOCK + 7
@@ -213,7 +212,7 @@ class TestPrunedTransforms:
         params = PeriodicKernelParams.from_period(1.0, kernel)
         nus = np.linspace(-0.5, 0.5, 3 * _backend._CHUNK + 1)
         omega = 0.4985
-        got = periodic_kernel(nus, omega, kernel.lam, params)
+        got = periodic_line(nus, omega, kernel.lam, params)
         ref = _dense_periodic(
             nus, np.array([omega]), np.array([1.0]), kernel.lam,
             params.period, params.wrap_count,

@@ -6,7 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from fouriergit import cli, serialize
+from fouriergit import (
+    ErrorBudget,
+    FrequencyWindow,
+    KernelSpec,
+    cli,
+    error_report,
+    sampled_reconstruction,
+    serialize,
+    transform,
+)
 from fouriergit.cli import main
 
 from conftest import package_env
@@ -257,6 +266,63 @@ class TestReconstructCommand:
         assert code == 0
         return path
 
+    @staticmethod
+    def _plan_and_kernel(plan_path):
+        plan = serialize.read_plan(plan_path)
+        echo = plan.inputs_echo
+        kernel = KernelSpec(
+            echo["delta"], echo["sigma_leak"], echo["lam"], echo["norm_scale"]
+        )
+        return plan, kernel
+
+    def test_report_equals_error_report(
+        self, tmp_path, capsys, model_a_csv, plan_path
+    ):
+        report_out = tmp_path / "report.txt"
+        code, _, _ = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--grid-points", "129",
+            "--out", str(tmp_path / "c.csv"), "--report-out", str(report_out),
+        )
+        assert code == 0
+        plan, kernel = self._plan_and_kernel(plan_path)
+        echo = plan.inputs_echo
+        budget = ErrorBudget(
+            echo["eps_p"], echo["eps_n"], echo["eps_s"], echo["omega_scale"],
+            echo["confidence_delta"],
+        )
+        want = error_report(
+            serialize.read_spectrum(model_a_csv), plan, kernel,
+            FrequencyWindow(-1.0, -0.8), budget, n_grid=129,
+        )
+        saved = serialize.read_keyvalues(report_out)
+        fields = [f for f in vars(want) if f != "n_grid"]
+        assert list(saved) == fields
+        for field in fields:
+            assert saved[field] == getattr(want, field), field
+
+    # at 5 shots the clamp changes some moments of this plan, at 50 none
+    @pytest.mark.parametrize("shots", [50, 5])
+    def test_sampled_curve_equals_sampled_reconstruction(
+        self, tmp_path, capsys, model_a_csv, plan_path, shots
+    ):
+        out = tmp_path / "curves.csv"
+        code, _, _ = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--grid-points", "65", "--sampled",
+            "--clamp", "--seed", "7", "--shots", str(shots), "--out", str(out),
+        )
+        assert code == 0
+        curves, _ = serialize.read_curves(out)
+        assert curves[-1].kind == "sampled_reconstructed"
+        plan, kernel = self._plan_and_kernel(plan_path)
+        want = sampled_reconstruction(
+            serialize.read_spectrum(model_a_csv), plan, kernel,
+            np.linspace(-1.0, -0.8, 65), seed=7, shots_per_part=shots,
+            clamp=True,
+        )
+        assert np.array_equal(curves[-1].values, want.values)
+
     def test_curves_and_report(self, tmp_path, capsys, model_a_csv, plan_path):
         out = tmp_path / "curves.csv"
         report_out = tmp_path / "report.txt"
@@ -346,7 +412,7 @@ class TestReconstructCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("exact_transform called")
 
-        monkeypatch.setattr(cli, "exact_transform", forbidden)
+        monkeypatch.setattr(transform, "exact_transform", forbidden)
         code, _, err = run_cli(
             capsys, "reconstruct", "--spectrum", str(model_a_csv),
             "--plan", str(plan_path), "--grid-points", points,
@@ -368,6 +434,20 @@ class TestReconstructCommand:
         )
         assert code == 1
         assert "'lam'" in err
+
+    def test_plan_without_budget_field(
+        self, tmp_path, capsys, model_a_csv, plan_path
+    ):
+        lines = plan_path.read_text().splitlines()
+        plan_path.write_text(
+            "\n".join(x for x in lines if not x.startswith("eps_p=")) + "\n"
+        )
+        code, _, err = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 1
+        assert "'eps_p'" in err
 
     def test_plan_without_window_needs_range(
         self, tmp_path, capsys, model_a_csv
@@ -462,6 +542,12 @@ class TestCountValidation:
             (("shots-demo", "--seeds", "2", "--scales", "0"), "--scales"),
             (("shots-demo", "--seeds", "2", "--scales", "1.0", "-0.5"),
              "--scales"),
+            (("sweep", "--models", "A", "--eps-min", "0"), "--eps-min"),
+            (("sweep", "--models", "A", "--eps-min", "nan"), "--eps-min"),
+            (("sweep", "--models", "A", "--eps-min", "0.1", "--eps-max",
+              "0.001"), "--eps-max"),
+            (("sweep", "--models", "A", "--eps-max", "nan"), "--eps-max"),
+            (("sweep", "--models", "A", "--eps-max", "inf"), "--eps-max"),
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, argv, flag):
@@ -478,6 +564,9 @@ class TestCountValidation:
             ("sweep", "points=0", "--points"),
             ("shots-demo", "seeds=0", "--seeds"),
             ("shots-demo", "scales=1.0 0", "--scales"),
+            ("shots-demo", "scales=", "--scales"),
+            ("sweep", "eps_min=0", "--eps-min"),
+            ("sweep", "eps_min=0.1\neps_max=0.001", "--eps-max"),
         ],
     )
     def test_config_value_rejected(self, tmp_path, capsys, command, line, flag):
@@ -565,8 +654,10 @@ def _flag(key):
     return "--" + key.replace("_", "-")
 
 
-def _option_text(conv, extras):
+def _option_text(key, conv, extras):
     """Text values, different from the default, for one option."""
+    if key == "eps_min":
+        return ["0.001"]  # must stay at or below the default eps_max
     if "choices" in extras:
         return [extras["choices"][-1]]
     if conv is cli._bool_opt:
@@ -586,7 +677,7 @@ class TestOptionTables:
     def test_flag_and_config_agree(self, tmp_path, name, key):
         schema = SCHEMAS[name]
         conv, default, *extras = schema[key]
-        text = _option_text(conv, dict(*extras))
+        text = _option_text(key, conv, dict(*extras))
         flag_argv = [_flag(key)] + ([] if conv is cli._bool_opt else text)
         cfg = tmp_path / "opts.cfg"
         cfg.write_text(f"{key}={' '.join(text)}\n")

@@ -10,9 +10,10 @@ from fouriergit import (
     fourier_coefficient,
     gaussian_kernel,
     lambda_from_resolution,
-    periodic_kernel,
     replica_wrap_count,
 )
+
+from conftest import periodic_line
 
 
 def mp_gaussian(nu, omega, lam):
@@ -154,23 +155,23 @@ class TestPeriodicKernel:
         lam, period = 0.05, 0.4
         params = PeriodicKernelParams.from_period(period, spec_with_width(lam))
         for nu, om in ((0.0, 0.0), (0.1, 0.35), (-0.2, 0.19), (0.2, -0.2)):
-            assert periodic_kernel(nu, om, lam, params) == pytest.approx(
+            assert periodic_line(nu, om, lam, params)[0] == pytest.approx(
                 mp_periodic(nu, om, lam, period), rel=1e-12
             )
 
     def test_periodicity(self):
         lam = 0.03
         params = PeriodicKernelParams.from_period(0.7, spec_with_width(lam))
-        base = periodic_kernel(0.1, 0.0, lam, params)
+        base = periodic_line(0.1, 0.0, lam, params)[0]
         for j in (-3, -1, 1, 2):
-            assert periodic_kernel(0.1 + j * 0.7, 0.0, lam, params) == pytest.approx(
+            assert periodic_line(0.1 + j * 0.7, 0.0, lam, params)[0] == pytest.approx(
                 base, rel=1e-12
             )
 
     def test_narrow_limit_matches_plain_gaussian(self):
         lam = 0.006
         params = PeriodicKernelParams.from_period(3.0, spec_with_width(lam))
-        assert periodic_kernel(0.01, 0.0, lam, params) == pytest.approx(
+        assert periodic_line(0.01, 0.0, lam, params)[0] == pytest.approx(
             gaussian_kernel(0.01, 0.0, lam), rel=1e-13
         )
 
@@ -178,7 +179,7 @@ class TestPeriodicKernel:
         lam = 0.05
         params = PeriodicKernelParams.from_period(0.5, spec_with_width(lam))
         nu = np.linspace(-1, 1, 31)
-        vals = periodic_kernel(nu, 0.2, lam, params)
+        vals = periodic_line(nu, 0.2, lam, params)
         assert vals.shape == nu.shape
         assert np.all(vals > 0)
 
@@ -232,7 +233,7 @@ class TestFourierCoefficient:
                 total += 2 * (cn * np.exp(-1j * params.dt * n * omega)).real
             total /= params.period
             assert total.real == pytest.approx(
-                periodic_kernel(nu, omega, lam, params), rel=1e-10
+                periodic_line(nu, omega, lam, params)[0], rel=1e-10
             )
 
     def test_vectorized_orders(self):

@@ -18,7 +18,6 @@ from fouriergit import (
     gaussian_kernel,
     make_plan,
     reconstruct,
-    rescale_to_dimensionless,
     sampled_moments,
     sampled_reconstruction,
     truncation_bound,
@@ -197,25 +196,6 @@ class TestReconstruct:
         other = PeriodicKernelParams.from_period(0.31, kernel001)
         with pytest.raises(ValueError):
             reconstruct(moments, kernel001, other, 10, [0.0])
-
-
-class TestRescale:
-    def test_round_trip_and_note(self, model_a, kernel001):
-        grid = np.linspace(-1, -0.8, 9)
-        curve = exact_transform(model_a, kernel001.lam, grid)
-        d = 2.0 / 512.0
-        scaled = rescale_to_dimensionless(curve, d)
-        assert scaled.scale_note == d
-        assert np.allclose(scaled.values, curve.values * d, rtol=1e-15)
-        double = rescale_to_dimensionless(scaled, 10.0)
-        assert double.scale_note == pytest.approx(10 * d)
-        back = rescale_to_dimensionless(scaled, 1.0 / d)
-        assert np.allclose(back.values, curve.values, rtol=1e-15)
-
-    def test_validation(self, model_a, kernel001):
-        curve = exact_transform(model_a, kernel001.lam, [0.0])
-        with pytest.raises(ValueError):
-            rescale_to_dimensionless(curve, 0.0)
 
 
 class TestErrorReport:
