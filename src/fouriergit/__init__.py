@@ -34,7 +34,6 @@ from .planner import (
     chi_with_variance,
     make_plan,
     n_terms,
-    shots,
     shots_value,
     tail_leakage_bound,
     truncation_bound,
@@ -103,7 +102,6 @@ __all__ = [
     "replica_wrap_count",
     "sampled_moments",
     "sampled_reconstruction",
-    "shots",
     "shots_value",
     "summarize",
     "tail_leakage_bound",

@@ -2,10 +2,10 @@
 
 Each job has one numpy implementation. The phase-moment sums and the
 truncated Fourier reconstruction are blocked kernels that need only a few
-complex exponential tables and BLAS products. The plain and periodic
-Gaussian transforms broadcast one grid chunk at a time, which bounds the
-temporary memory, against the lines within reach of the chunk only: they
-cost O(grid x lines within reach) and skip just terms that are exactly 0.0.
+complex exponential tables and BLAS products. One Gaussian-transform kernel
+serves the plain and the periodic transform; it broadcasts one grid chunk
+at a time, which bounds the temporary memory, against the lines within
+reach of the chunk only, and skips just terms that are exactly 0.0.
 """
 
 from __future__ import annotations
@@ -87,27 +87,10 @@ def _within_reach(chunk, omegas, lam, period=None):
     return np.flatnonzero(~(np.abs(d) > reach))
 
 
-def gaussian_transform(nus, omegas, weights, lam):
-    """Plain Gaussian-kernel transform of a point spectrum on a nu grid."""
-    nus = _as_f64(nus)
-    omegas = _as_f64(omegas)
-    weights = _as_f64(weights)
-    c = -0.5 / (lam * lam)
-    out = np.empty(nus.shape[0])
-    for i in range(0, nus.shape[0], _CHUNK):
-        k = _within_reach(nus[i : i + _CHUNK], omegas, lam)
-        d = nus[i : i + _CHUNK, None] - omegas[None, k]
-        out[i : i + _CHUNK] = np.exp(c * d * d) @ weights[k]
-    return out / (math.sqrt(2.0 * math.pi) * lam)
-
-
-# ---------------------------------------------------------------------------
-# Periodically extended transform: replicas summed around the nearest image
-
-
-def periodic_transform(nus, omegas, weights, lam, period, wrap_count):
-    """Periodic Gaussian transform; wrap_count images on each side of the
-    nearest replica."""
+def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
+    """Gaussian-kernel transform of a point spectrum on a nu grid; given a
+    period, each line enters through its nearest image and wrap_count
+    images on each side, summed in order j = -wrap_count..wrap_count."""
     nus = _as_f64(nus)
     omegas = _as_f64(omegas)
     weights = _as_f64(weights)
@@ -116,11 +99,15 @@ def periodic_transform(nus, omegas, weights, lam, period, wrap_count):
     for i in range(0, nus.shape[0], _CHUNK):
         k = _within_reach(nus[i : i + _CHUNK], omegas, lam, period)
         d = nus[i : i + _CHUNK, None] - omegas[None, k]
-        r = d - period * np.round(d / period)
-        acc = np.zeros_like(r)
+        if period is not None:
+            d -= period * np.round(d / period)
+        acc = np.zeros_like(d)
+        term = np.empty_like(d)  # reused by every image: no temporaries per image
         for j in range(-wrap_count, wrap_count + 1):
-            x = r - j * period
-            acc += np.exp(c * x * x)
+            x = d - j * period if j else d
+            np.multiply(x, c, out=term)
+            term *= x
+            acc += np.exp(term, out=term)
         out[i : i + _CHUNK] = acc @ weights[k]
     return out / (math.sqrt(2.0 * math.pi) * lam)
 

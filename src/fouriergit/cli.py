@@ -189,7 +189,6 @@ _MODEL_SCHEMA = {
                          "help": "model family: A peak, B threshold tail"}),
     "n_eigen": (int, 512),
     "norm_scale": (float, 1.0),
-    "placement": (str, "uniform"),
     "peak_xi": (float, -0.95),
     "peak_beta": (float, 0.05),
     "peak_alpha": (float, 5.0),
@@ -207,7 +206,6 @@ def cmd_model(args) -> int:
     spectrum = make_model(
         eff["kind"],
         n_eigen=eff["n_eigen"],
-        placement=eff["placement"],
         peak=PeakParams(eff["peak_xi"], eff["peak_beta"], eff["peak_alpha"]),
         tail=TailParams(
             eff["tail_thr"], eff["tail_lam"], eff["tail_rho"], eff["tail_gamma"]
@@ -263,31 +261,21 @@ def _build_budget(eff) -> ErrorBudget:
     omega = eff["omega_scale"]
     if omega is None:
         omega = 2.0 * eff["norm_scale"] / 512.0
-        eff["omega_scale"] = omega
     if eff["eps"] is not None:
         if any(eff[k] is not None for k in ("eps_p", "eps_n", "eps_s")):
             raise CliError("--eps cannot be combined with --eps-p/--eps-n/--eps-s")
-        budget = ErrorBudget.equal_split(eff["eps"], omega, eff["confidence_delta"])
-        eff["eps_p"], eff["eps_n"], eff["eps_s"] = (
-            budget.eps_p,
-            budget.eps_n,
-            budget.eps_s,
-        )
-        return budget
+        return ErrorBudget.equal_split(eff["eps"], omega, eff["confidence_delta"])
     eps_p = eff["eps_p"] if eff["eps_p"] is not None else 0.01
     eps_n = eff["eps_n"] if eff["eps_n"] is not None else 0.01
     eps_s = eff["eps_s"] if eff["eps_s"] is not None else 0.05
-    eff["eps_p"], eff["eps_n"], eff["eps_s"] = eps_p, eps_n, eps_s
     return ErrorBudget(eps_p, eps_n, eps_s, omega, eff["confidence_delta"])
 
 
 def _build_kernel(eff) -> KernelSpec:
     if eff["lam"] is None:
-        kernel = KernelSpec.from_resolution(
+        return KernelSpec.from_resolution(
             eff["delta"], eff["sigma_leak"], eff["norm_scale"]
         )
-        eff["lam"] = kernel.lam
-        return kernel
     return KernelSpec(
         eff["delta"], eff["sigma_leak"], eff["lam"], eff["norm_scale"]
     )

@@ -24,6 +24,7 @@ used outside them rather than returning silently wrong numbers.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -122,6 +123,14 @@ class PeriodChoice:
             raise ValueError(f"period must be positive, got {self.period}")
 
 
+def _check_type(name: str, value, integral: bool = False) -> None:
+    """Refuse a value that is not a real number, or not an integer."""
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExtensionPlan:
     """Complete plan: period, harmonic count and shot counts.
@@ -141,6 +150,11 @@ class ExtensionPlan:
     inputs_echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("period", "chi", "n_terms"):
+            _check_type(name, getattr(self, name), integral=name == "n_terms")
+        for name in ("shots_per_moment", "total_shots"):
+            if getattr(self, name) is not None:
+                _check_type(name, getattr(self, name), integral=True)
         if not self.period > 0:
             raise ValueError(f"period must be positive, got {self.period}")
         if self.n_terms < 1:
@@ -590,49 +604,36 @@ def shots_value(
     raise ValueError(f"unknown shots mode {mode!r}")
 
 
+def _echo_numbers(plan: ExtensionPlan, keys, what: str) -> list:
+    """The numbers a plan's inputs echo holds under keys; a missing or
+    non-numeric field raises naming its key."""
+    for key in keys:
+        if key not in plan.inputs_echo:
+            raise ValueError(f"plan lacks {what} field {key!r}")
+        _check_type(f"plan field {key!r}", plan.inputs_echo[key])
+    return [plan.inputs_echo[key] for key in keys]
+
+
 def _plan_kernel(plan: ExtensionPlan) -> KernelSpec:
     """The kernel a plan was made with, rebuilt from its inputs echo."""
-    echo = plan.inputs_echo
-    try:
-        return KernelSpec(
-            echo["delta"], echo["sigma_leak"], echo["lam"], echo["norm_scale"]
-        )
-    except KeyError as exc:
-        raise ValueError(f"plan lacks kernel field {exc}") from None
+    keys = ("delta", "sigma_leak", "lam", "norm_scale")
+    return KernelSpec(*_echo_numbers(plan, keys, "kernel"))
 
 
 def _plan_budget(plan: ExtensionPlan) -> ErrorBudget:
     """The error budget a plan was made for, rebuilt from its inputs echo."""
-    echo = plan.inputs_echo
-    try:
-        return ErrorBudget(
-            echo["eps_p"], echo["eps_n"], echo["eps_s"], echo["omega_scale"],
-            echo["confidence_delta"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"plan lacks budget field {exc}") from None
+    keys = ("eps_p", "eps_n", "eps_s", "omega_scale", "confidence_delta")
+    return ErrorBudget(*_echo_numbers(plan, keys, "budget"))
 
 
 def _plan_window(plan: ExtensionPlan) -> FrequencyWindow | None:
     """The window a plan was made for, or None if it was made without one."""
-    echo = plan.inputs_echo
-    if "nu_min" not in echo:
+    if "nu_min" not in plan.inputs_echo:
         return None
-    return FrequencyWindow(echo["nu_min"], echo["nu_max"])
+    return FrequencyWindow(*_echo_numbers(plan, ("nu_min", "nu_max"), "window"))
 
 
-def shots(
-    plan: ExtensionPlan,
-    budget: ErrorBudget,
-    mu0: float = 1.0,
-    mode: str = "conservative",
-) -> int:
-    """Integer total shot count for a plan (ceiling of shots_value)."""
-    value = shots_value(plan.n_terms, plan.chi, _plan_kernel(plan), budget, mu0, mode)
-    return int(math.ceil(value))
-
-
-def tail_leakage_bound(plan_or_choice, budget: ErrorBudget | None = None) -> float:
+def tail_leakage_bound(plan: ExtensionPlan) -> float:
     """Dimensionless a-priori bound on the weight-aliasing part of the
     period error for moment-anchored plans:
 
@@ -642,22 +643,13 @@ def tail_leakage_bound(plan_or_choice, budget: ErrorBudget | None = None) -> flo
     spread over one period. Raises for general-method or simplified plans,
     which do not carry an alpha.
     """
-    if isinstance(plan_or_choice, ExtensionPlan):
-        info = plan_or_choice.inputs_echo
-        period = plan_or_choice.period
-        omega = info.get("omega_scale")
-    else:
-        info = plan_or_choice.details
-        period = plan_or_choice.period
-        if budget is None:
-            raise ValueError("tail_leakage_bound needs a budget for a PeriodChoice")
-        omega = budget.omega_scale
+    info = plan.inputs_echo
     if info.get("alpha_spread") is None:
         raise ValueError(
             "tail leakage bound requires a non-simplified moment-anchored plan"
         )
-    n = info["central_order"]
-    return omega * info["central_value"] / (period * info["alpha_spread"] ** n)
+    n, omega = info["central_order"], info["omega_scale"]
+    return omega * info["central_value"] / (plan.period * info["alpha_spread"] ** n)
 
 
 def make_plan(

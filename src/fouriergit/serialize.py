@@ -119,7 +119,7 @@ def _read_csv_with_metadata(path):
     rows = []
     with open(path, "r", newline="") as fh:
         header = None
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
                 continue
@@ -132,6 +132,11 @@ def _read_csv_with_metadata(path):
             cells = next(csv.reader([line]))
             if header is None:
                 header = cells
+            elif len(cells) != len(header):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} cells as in the "
+                    f"header, got {len(cells)}"
+                )
             else:
                 rows.append(cells)
     if header is None:

@@ -202,7 +202,6 @@ def midpoint_grid(n_eigen: int, norm_scale: float = 1.0) -> np.ndarray:
 def make_model(
     kind: str,
     n_eigen: int = 512,
-    placement: str = "uniform",
     peak: PeakParams = PeakParams(),
     tail: TailParams = TailParams(),
     norm_scale: float = 1.0,
@@ -215,10 +214,8 @@ def make_model(
         'A' is the skewed Gaussian peak alone, 'B' the peak plus the
         power-law threshold tail (case-insensitive).
     n_eigen : int
-        Number of eigenfrequencies.
-    placement : {'uniform'}
-        Eigenfrequency placement rule. 'uniform' puts omega_k at the
-        midpoints of n_eigen equal bins spanning [-norm_scale, norm_scale].
+        Number of eigenfrequencies, placed at the midpoints of n_eigen
+        equal bins spanning [-norm_scale, norm_scale].
     peak, tail : profile parameters for the respective family.
     norm_scale : float
         Half-width of the eigenfrequency interval (the spectral norm bound).
@@ -227,8 +224,6 @@ def make_model(
     -------
     DiscreteSpectrum with weights summing to 1.
     """
-    if placement != "uniform":
-        raise ValueError(f"unknown placement rule {placement!r}")
     key = str(kind).strip().upper()
     grid = midpoint_grid(n_eigen, norm_scale)
     if key == "A":

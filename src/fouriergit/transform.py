@@ -1,11 +1,12 @@
 """Smoothed transforms of discrete spectra and their reconstruction.
 
 exact_transform convolves a spectrum with the plain or periodically
-extended Gaussian kernel on a frequency grid. reconstruct resums a
-truncated Fourier series from phase moments; with exact moments and enough
-harmonics it converges to the periodic transform, whose distance to the
-plain transform is the period (aliasing) error. error_report measures both
-gaps against a plan's budget.
+extended Gaussian kernel on a frequency grid, through one kernel: the
+periodic transform is the plain one summed over images of each line.
+reconstruct resums a truncated Fourier series from phase moments; with
+exact moments and enough harmonics it converges to the periodic transform,
+whose distance to the plain transform is the period (aliasing) error.
+error_report measures both gaps against a plan's budget.
 
 Transform values carry units 1/energy; error_report multiplies their
 differences by the budget's window scale (for example the eigenfrequency
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import gaussian_transform, periodic_transform, reconstruct_series
+from ._backend import gaussian_transform, reconstruct_series
 from .kernel import KernelSpec, PeriodicKernelParams
 from .moments import FourierMomentSet, exact_moments, sampled_moments
 from .planner import ErrorBudget, ExtensionPlan, FrequencyWindow
@@ -77,20 +78,13 @@ def exact_transform(
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     grid = np.ascontiguousarray(grid, dtype=np.float64)
-    if periodic is None:
-        vals = gaussian_transform(
-            grid, spectrum.eigenfrequencies, spectrum.weights, float(lam)
-        )
-        return TransformCurve(grid, vals, "exact_gaussian")
-    vals = periodic_transform(
-        grid,
-        spectrum.eigenfrequencies,
-        spectrum.weights,
-        float(lam),
-        periodic.period,
-        periodic.wrap_count,
+    period, wraps, kind = None, 0, "exact_gaussian"
+    if periodic is not None:
+        period, wraps, kind = periodic.period, periodic.wrap_count, "exact_periodic"
+    vals = gaussian_transform(
+        grid, spectrum.eigenfrequencies, spectrum.weights, float(lam), period, wraps
     )
-    return TransformCurve(grid, vals, "exact_periodic")
+    return TransformCurve(grid, vals, kind)
 
 
 def reconstruct(

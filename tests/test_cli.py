@@ -182,6 +182,14 @@ class TestPlanCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("row", ["0.5", "0.5,0.1,7"])
+    def test_spectrum_row_width_checked(self, capsys, model_a_csv, row):
+        lines = model_a_csv.read_text().splitlines() + [row]
+        model_a_csv.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "plan", "--spectrum", str(model_a_csv))
+        assert code == 1
+        assert err.startswith(f"error: {model_a_csv}:{len(lines)}: expected 2 cells")
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "plan", "--bogus", "1")
         assert code == 1
@@ -448,6 +456,28 @@ class TestReconstructCommand:
         )
         assert code == 1
         assert "'eps_p'" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("period", "abc"), ("chi", "abc"), ("n_terms", "2.5"),
+         ("shots_per_moment", "2.5"), ("lam", "x"), ("eps_p", "abc"),
+         ("nu_max", "abc")],
+    )
+    def test_non_numeric_plan_field(
+        self, tmp_path, capsys, model_a_csv, plan_path, key, value
+    ):
+        lines = [
+            f"{key}={value}" if x.startswith(f"{key}=") else x
+            for x in plan_path.read_text().splitlines()
+        ]
+        plan_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert key in err and "must be a" in err
 
     def test_plan_without_window_needs_range(
         self, tmp_path, capsys, model_a_csv

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath as mp
@@ -18,7 +17,6 @@ from fouriergit import (
     chi_with_variance,
     make_plan,
     n_terms,
-    shots,
     shots_value,
     summarize,
     tail_leakage_bound,
@@ -260,7 +258,11 @@ class TestChiWithCentralMoment:
         assert math.isfinite(choice.period)
         assert choice.period > 0
         assert choice.details["spread"] == 0.0
-        assert tail_leakage_bound(choice, budget001) == 0.0
+        plan = make_plan(
+            "central", kernel001, budget001, window=window_model,
+            central_order=4, central_value=0.0, mu1=-0.9,
+        )
+        assert tail_leakage_bound(plan) == 0.0
 
     def test_higher_moment_on_peaked_spectrum_shrinks_period(
         self, kernel001, budget001, model_a, stats_a, window_model
@@ -391,7 +393,6 @@ class TestShots:
         plan = make_plan("general", kernel001, budget001)
         cons = shots_value(plan.n_terms, plan.chi, kernel001, budget001)
         assert cons == pytest.approx(113017.76289764755, rel=1e-12)
-        assert shots(plan, budget001) == 113018
         assert plan.total_shots == 113018
         assert plan.shots_per_moment == 260
 
@@ -431,11 +432,6 @@ class TestShots:
             shots_value(0, 2.0, kernel001, budget001)
         with pytest.raises(ValueError):
             shots_value(10, 2.0, kernel001, budget001, mode="bogus")
-        plan = make_plan("general", kernel001, budget001)
-        echo = {k: v for k, v in plan.inputs_echo.items() if k != "lam"}
-        bare = dataclasses.replace(plan, inputs_echo=echo)
-        with pytest.raises(ValueError, match="'lam'"):
-            shots(bare, budget001)
 
 
 class TestTailLeakageBound:
@@ -448,16 +444,6 @@ class TestTailLeakageBound:
         assert tail_leakage_bound(plan) == pytest.approx(
             0.0019889669900439748, rel=1e-12
         )
-
-    def test_period_choice_needs_budget(
-        self, kernel001, budget001, stats_a, window_model
-    ):
-        choice = chi_with_variance(kernel001, budget001, stats_a, window_model)
-        assert tail_leakage_bound(choice, budget001) == pytest.approx(
-            0.0019889669900439748, rel=1e-12
-        )
-        with pytest.raises(ValueError):
-            tail_leakage_bound(choice)
 
     def test_rejected_for_general_and_simplified(
         self, kernel001, budget001, stats_a, window_model

@@ -146,11 +146,9 @@ class TestMakeModel:
         with pytest.raises(ValueError):
             make_model("A", peak=PeakParams(xi=100.0))
 
-    def test_unknown_kind_and_placement(self):
+    def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_model("C")
-        with pytest.raises(ValueError):
-            make_model("A", placement="random")
 
 
 class TestDiscreteSpectrum:
