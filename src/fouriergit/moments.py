@@ -7,9 +7,11 @@ The moment of order n at time step dt is
 with m_0 equal to the total weight and m_{-n} = conj(m_n). A hardware run
 estimates Re m_n and Im m_n separately from two-outcome measurements whose
 success probability is (1 + x)/2 for the true part value x; the sampler
-here reproduces that Bernoulli statistics exactly with a counter-based
-seeding scheme, so every (order, part) pair has its own reproducible
-stream regardless of how many moments are requested.
+here reproduces that Bernoulli statistics exactly. Each part (real,
+imaginary) has one reproducible random stream per seed, from which the
+orders n = 1, 2, ... draw their shot counts in sequence, so the estimate
+of order n depends only on the seed and orders 1..n, never on how many
+moments are requested.
 """
 
 from __future__ import annotations
@@ -92,10 +94,59 @@ def exact_moments(
     )
 
 
-def _part_stream(seed: int, n: int, part: int) -> np.random.Generator:
-    # One independent, reproducible stream per (order, part) pair.
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(n, part))
+def _check_sampling(mu0: float, shots_per_part: int, seed: int) -> None:
+    if shots_per_part < 1:
+        raise ValueError(f"shots_per_part must be >= 1, got {shots_per_part}")
+    if seed < 0 or seed != int(seed):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    if abs(mu0 - 1.0) > 1e-9:
+        raise ValueError(
+            f"sampled_moments requires a normalized spectrum (mu0 = 1), "
+            f"got mu0 = {mu0}"
+        )
+
+
+def _sample_around(
+    exact: FourierMomentSet, shots_per_part: int, seed: int, clamp: bool
+) -> FourierMomentSet:
+    """Shot-noise estimates of the orders 1..n_max of an exact moment set;
+    the sampling contract is the one documented in sampled_moments."""
+    _check_sampling(exact.mu0, shots_per_part, seed)
+    if exact.provenance != "exact":
+        raise ValueError("shot noise is sampled around an exact moment set")
+    parts = np.stack((exact.values[1:].real, exact.values[1:].imag))
+    largest = float(np.abs(parts).max(initial=0.0))
+    if largest > 1.0 + 1e-12:
+        raise ValueError(
+            f"|moment part| = {largest} exceeds 1; spectrum is not normalized"
+        )
+    p = np.clip(0.5 * (1.0 + parts), 0.0, 1.0)
+    shots = int(shots_per_part)
+    est = np.empty_like(p)
+    for part in (0, 1):
+        # one stream per (seed, part); orders draw from it in sequence
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=int(seed), spawn_key=(part,))
+        )
+        est[part] = 2.0 * rng.binomial(shots, p[part]) / shots - 1.0
+    if clamp:
+        np.clip(est, -1.0, 1.0, out=est)
+    mu0 = exact.mu0
+    vals = np.empty(exact.values.size, dtype=np.complex128)
+    vals[0] = mu0
+    vals.real[1:] = est[0]
+    vals.imag[1:] = est[1]
+    if clamp:
+        mod = np.abs(vals)
+        over = mod > mu0
+        vals[over] *= mu0 / mod[over]
+    return FourierMomentSet(
+        dt=exact.dt,
+        values=vals,
+        provenance="sampled",
+        mu0=mu0,
+        shots_per_part=shots,
+        seed=int(seed),
     )
 
 
@@ -113,9 +164,12 @@ def sampled_moments(
     shots_per_part two-outcome measurements with success probability
     (1 + x)/2, where x is the exact part value; the estimate is
     2 * successes / shots - 1, which is unbiased. m_0 is stored exactly
-    (the normalization is assumed known). The generator for order n, part
-    p is seeded from (seed, spawn_key=(n, p)), so estimates for a given
-    order do not depend on n_max and a longer run extends a shorter one.
+    (the normalization is assumed known). Each part p (0 real, 1
+    imaginary) has one generator seeded from (seed, spawn_key=(p,)); the
+    orders 1..n_max draw their binomial counts from it in sequence. The
+    draws of orders 1..n consume the same stream whatever follows, so an
+    order's estimate does not depend on n_max and a longer run extends a
+    shorter one.
 
     clamp=True clips each part to [-1, 1] and then rescales any estimate
     with |m_n| > mu0 back to that modulus; the default leaves raw
@@ -124,44 +178,9 @@ def sampled_moments(
     Requires mu0 = 1: the two-outcome encoding bounds each part by the
     total weight, and the success-probability map assumes unit scale.
     """
-    if shots_per_part < 1:
-        raise ValueError(f"shots_per_part must be >= 1, got {shots_per_part}")
-    if seed < 0 or seed != int(seed):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    exact = exact_moments(spectrum, dt, n_max)
-    mu0 = spectrum.mu0
-    if abs(mu0 - 1.0) > 1e-9:
-        raise ValueError(
-            f"sampled_moments requires a normalized spectrum (mu0 = 1), "
-            f"got mu0 = {mu0}"
-        )
-    vals = np.empty(n_max + 1, dtype=np.complex128)
-    vals[0] = mu0
-    shots = int(shots_per_part)
-    for n in range(1, n_max + 1):
-        est = [0.0, 0.0]
-        for part, x in ((0, exact.values[n].real), (1, exact.values[n].imag)):
-            if abs(x) > 1.0 + 1e-12:
-                raise ValueError(
-                    f"|moment part| = {abs(x)} exceeds 1; spectrum is not "
-                    "normalized"
-                )
-            p = min(max(0.5 * (1.0 + x), 0.0), 1.0)
-            k = _part_stream(int(seed), n, part).binomial(shots, p)
-            est[part] = 2.0 * k / shots - 1.0
-        if clamp:
-            est = [min(max(e, -1.0), 1.0) for e in est]
-        m = complex(est[0], est[1])
-        if clamp and abs(m) > mu0:
-            m *= mu0 / abs(m)
-        vals[n] = m
-    return FourierMomentSet(
-        dt=float(dt),
-        values=vals,
-        provenance="sampled",
-        mu0=mu0,
-        shots_per_part=shots,
-        seed=int(seed),
+    _check_sampling(spectrum.mu0, shots_per_part, seed)
+    return _sample_around(
+        exact_moments(spectrum, dt, n_max), shots_per_part, seed, clamp
     )
 
 

@@ -114,7 +114,14 @@ def _open_csv_writer(fh, metadata: dict | None):
     return csv.writer(fh, lineterminator="\n")
 
 
-def _read_csv_with_metadata(path):
+def _read_csv_with_metadata(path, columns=None):
+    """Header, rows and '# key=value' metadata of a CSV file.
+
+    columns, when given, is a sequence of (name, converter) pairs: the
+    header must start with those names, and each row is returned as its
+    converted leading cells. A row of the wrong width or a cell that does
+    not convert raises ValueError naming path:line.
+    """
     metadata = {}
     rows = []
     with open(path, "r", newline="") as fh:
@@ -132,13 +139,25 @@ def _read_csv_with_metadata(path):
             cells = next(csv.reader([line]))
             if header is None:
                 header = cells
+                if columns is not None:
+                    names = [name for name, _ in columns]
+                    if header[: len(names)] != names:
+                        raise ValueError(
+                            f"{path}: expected header {','.join(names)}, "
+                            f"got {header}"
+                        )
             elif len(cells) != len(header):
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(header)} cells as in the "
                     f"header, got {len(cells)}"
                 )
-            else:
+            elif columns is None:
                 rows.append(cells)
+            else:
+                try:
+                    rows.append([conv(c) for (_, conv), c in zip(columns, cells)])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no CSV header found")
     return header, rows, metadata
@@ -162,11 +181,11 @@ def write_spectrum(path, spectrum: DiscreteSpectrum) -> None:
 
 
 def read_spectrum(path) -> DiscreteSpectrum:
-    header, rows, metadata = _read_csv_with_metadata(path)
-    if header[:2] != ["omega", "weight"]:
-        raise ValueError(f"{path}: expected header omega,weight, got {header}")
-    om = np.array([float(r[0]) for r in rows])
-    w = np.array([float(r[1]) for r in rows])
+    _, rows, metadata = _read_csv_with_metadata(
+        path, (("omega", float), ("weight", float))
+    )
+    om = np.array([r[0] for r in rows], dtype=np.float64)
+    w = np.array([r[1] for r in rows], dtype=np.float64)
     norm_scale = float(metadata.get("norm_scale", 1.0))
     return DiscreteSpectrum(om, w, norm_scale=norm_scale)
 
@@ -187,13 +206,13 @@ def write_moments(path, moments: FourierMomentSet) -> None:
 
 
 def read_moments(path) -> FourierMomentSet:
-    header, rows, metadata = _read_csv_with_metadata(path)
-    if header[:3] != ["n", "re", "im"]:
-        raise ValueError(f"{path}: expected header n,re,im, got {header}")
-    order = [int(r[0]) for r in rows]
+    _, rows, metadata = _read_csv_with_metadata(
+        path, (("n", int), ("re", float), ("im", float))
+    )
+    order = [r[0] for r in rows]
     if order != list(range(len(order))):
         raise ValueError(f"{path}: moment orders must run 0..n_max contiguously")
-    vals = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+    vals = np.array([complex(r[1], r[2]) for r in rows])
     return FourierMomentSet(
         dt=float(metadata["dt"]),
         values=vals,
@@ -215,17 +234,16 @@ def write_curves(path, curves, metadata: dict | None = None) -> None:
 
 def read_curves(path):
     """Returns (curves, metadata); rows are regrouped by kind in file order."""
-    header, rows, metadata = _read_csv_with_metadata(path)
-    if header[:3] != ["nu", "value", "kind"]:
-        raise ValueError(f"{path}: expected header nu,value,kind, got {header}")
+    _, rows, metadata = _read_csv_with_metadata(
+        path, (("nu", float), ("value", float), ("kind", str))
+    )
     groups: dict[str, list] = {}
     order = []
-    for r in rows:
-        kind = r[2]
+    for nu, val, kind in rows:
         if kind not in groups:
             groups[kind] = []
             order.append(kind)
-        groups[kind].append((float(r[0]), float(r[1])))
+        groups[kind].append((nu, val))
     curves = []
     for kind in order:
         pts = np.array(groups[kind])

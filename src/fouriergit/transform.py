@@ -21,7 +21,12 @@ import numpy as np
 
 from ._backend import gaussian_transform, reconstruct_series
 from .kernel import KernelSpec, PeriodicKernelParams
-from .moments import FourierMomentSet, exact_moments, sampled_moments
+from .moments import (
+    FourierMomentSet,
+    _sample_around,
+    exact_moments,
+    sampled_moments,
+)
 from .planner import ErrorBudget, ExtensionPlan, FrequencyWindow
 from .spectrum import DiscreteSpectrum
 
@@ -246,14 +251,22 @@ def sampled_reconstruction(
     seed: int,
     shots_per_part: int | None = None,
     clamp: bool = False,
+    exact: FourierMomentSet | None = None,
 ) -> TransformCurve:
     """One shot-noise reconstruction of a plan, at shots_per_part shots per
-    moment part (default: the plan's)."""
+    moment part (default: the plan's).
+
+    The shots are sampled around exact, the plan's exact moment set, when
+    the caller already has it; otherwise it is computed from spectrum.
+    """
     periodic = PeriodicKernelParams.from_period(plan.period, kernel)
     shots = plan.shots_per_moment if shots_per_part is None else shots_per_part
     if shots is None:
         raise ValueError("plan carries no shot counts; pass shots_per_part")
-    m = sampled_moments(
-        spectrum, periodic.dt, plan.n_terms, int(shots), seed, clamp=clamp
-    )
+    if exact is None:
+        m = sampled_moments(
+            spectrum, periodic.dt, plan.n_terms, int(shots), seed, clamp=clamp
+        )
+    else:
+        m = _sample_around(exact, int(shots), seed, clamp)
     return reconstruct(m, kernel, periodic, plan.n_terms, grid)

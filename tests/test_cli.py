@@ -37,6 +37,23 @@ def kv(text):
 
 
 @pytest.fixture()
+def exact_moment_calls(monkeypatch):
+    """Counts exact_moments calls through every module that binds it."""
+    from fouriergit import moments
+
+    calls = []
+    original = moments.exact_moments
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in ("cli", "transform", "moments"):
+        monkeypatch.setattr(f"fouriergit.{module}.exact_moments", counting)
+    return calls
+
+
+@pytest.fixture()
 def model_a_csv(tmp_path, capsys):
     path = tmp_path / "model_a.csv"
     code, _, _ = run_cli(capsys, "model", "--kind", "A", "--out", str(path))
@@ -190,6 +207,14 @@ class TestPlanCommand:
         assert code == 1
         assert err.startswith(f"error: {model_a_csv}:{len(lines)}: expected 2 cells")
 
+    def test_spectrum_cell_checked(self, capsys, model_a_csv):
+        lines = model_a_csv.read_text().splitlines() + ["0.5,abc"]
+        model_a_csv.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "plan", "--spectrum", str(model_a_csv))
+        assert code == 1
+        assert err.startswith(f"error: {model_a_csv}:{len(lines)}: ")
+        assert "'abc'" in err
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "plan", "--bogus", "1")
         assert code == 1
@@ -254,6 +279,21 @@ class TestMomentsCommand:
         assert mset.provenance == "sampled"
         assert mset.shots_per_part == 100
         assert mset.seed == 7
+
+    def test_moments_cell_checked(self, tmp_path, capsys, model_a_csv):
+        out = tmp_path / "m.csv"
+        code, _, _ = run_cli(
+            capsys, "moments", "--spectrum", str(model_a_csv),
+            "--period", "0.3", "--n-max", "4", "--out", str(out),
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        lines[-2] = "3,0.5,abc"
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(out))}:{len(lines) - 1}: .*'abc'"
+        ):
+            serialize.read_moments(out)
 
     def test_requires_plan_or_period(self, tmp_path, capsys, model_a_csv):
         code, _, _ = run_cli(
@@ -330,6 +370,31 @@ class TestReconstructCommand:
             clamp=True,
         )
         assert np.array_equal(curves[-1].values, want.values)
+
+    def test_sampled_computes_exact_moments_once(
+        self, tmp_path, capsys, model_a_csv, plan_path, exact_moment_calls
+    ):
+        code, _, _ = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--grid-points", "33", "--sampled",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 0
+        assert len(exact_moment_calls) == 1
+
+    def test_curves_cell_checked(self, tmp_path, capsys, model_a_csv, plan_path):
+        out = tmp_path / "curves.csv"
+        code, _, _ = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--grid-points", "5", "--out", str(out),
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        lineno = len(lines) - 1
+        lines[lineno - 1] = "-0.9,,reconstructed"
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(out))}:{lineno}: "):
+            serialize.read_curves(out)
 
     def test_curves_and_report(self, tmp_path, capsys, model_a_csv, plan_path):
         out = tmp_path / "curves.csv"
@@ -543,6 +608,14 @@ class TestShotsDemoCommand:
         assert len(rows) == 1
         assert float(rows[0][4]) == 1.0  # all seeds within eps_s
         assert int(rows[0][1]) == 260
+
+    def test_computes_exact_moments_once(self, capsys, exact_moment_calls):
+        code, _, _ = run_cli(
+            capsys, "shots-demo", "--seeds", "4", "--scales", "1.0", "0.5",
+            "--grid-points", "33",
+        )
+        assert code == 0
+        assert len(exact_moment_calls) == 1
 
     def test_starved_shots_fail_more(self, tmp_path, capsys):
         out = tmp_path / "demo.csv"

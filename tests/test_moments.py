@@ -20,6 +20,31 @@ from fouriergit import (
 from conftest import random_spectrum
 
 
+def scalar_sampled_values(spectrum, dt, n_max, shots, seed, clamp=False):
+    """Reference sampler: one generator per part, one scalar binomial draw
+    per order in sequence, and the clamp written out per estimate."""
+    exact = exact_moments(spectrum, dt, n_max)
+    gens = [
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
+        for p in (0, 1)
+    ]
+    mu0 = spectrum.mu0
+    vals = np.empty(n_max + 1, dtype=np.complex128)
+    vals[0] = mu0
+    for n in range(1, n_max + 1):
+        est = []
+        for gen, x in zip(gens, (exact.values[n].real, exact.values[n].imag)):
+            p = min(max(0.5 * (1.0 + x), 0.0), 1.0)
+            est.append(2.0 * gen.binomial(shots, p) / shots - 1.0)
+        if clamp:
+            est = [min(max(e, -1.0), 1.0) for e in est]
+        m = complex(est[0], est[1])
+        if clamp and abs(m) > mu0:
+            m *= mu0 / abs(m)
+        vals[n] = m
+    return vals
+
+
 def mp_moment(spectrum, dt, n):
     with mp.workdps(40):
         total = mp.mpc(0)
@@ -142,8 +167,8 @@ class TestSampledMoments:
         assert a.seed == 42
 
     def test_prefix_stable_under_longer_runs(self, model_a):
-        # order n draws from its own stream, so asking for more orders
-        # leaves earlier estimates untouched
+        # orders draw from each part's stream in sequence, so asking for
+        # more orders leaves earlier estimates untouched
         short = sampled_moments(model_a, 27.98, n_max=6, shots_per_part=64, seed=3)
         long = sampled_moments(model_a, 27.98, n_max=20, shots_per_part=64, seed=3)
         assert np.array_equal(short.values, long.values[:7])
@@ -209,11 +234,41 @@ class TestSampledMoments:
             np.angle(clamped.values[1:][keep]), np.angle(raw.values[1:][keep])
         )
 
-    def test_requires_normalized_spectrum(self):
+    def test_requires_normalized_spectrum(self, monkeypatch):
         s = random_spectrum(1, normalized=False)
         assert abs(s.mu0 - 1.0) > 1e-6
-        with pytest.raises(ValueError):
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("exact moments computed before the mu0 check")
+
+        # the normalization is refused before any moment is computed
+        monkeypatch.setattr("fouriergit.moments.exact_moments", no_work)
+        with pytest.raises(ValueError, match="normalized spectrum"):
             sampled_moments(s, 10.0, 3, shots_per_part=10, seed=0)
+
+    @pytest.mark.parametrize("shots", [1, 3, 29, 31, 260, 5000, 10**7])
+    def test_matches_scalar_draws_per_part_stream(self, model_a, shots):
+        # all orders of a part come from one binomial call on one stream;
+        # bitwise the same as scalar draws from that stream in order
+        got = sampled_moments(model_a, 27.98, 60, shots, seed=17).values
+        want = scalar_sampled_values(model_a, 27.98, 60, shots, 17)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("shots", [1, 3, 29, 31, 260, 5000, 10**7])
+    def test_prefix_stable_across_binomial_algorithms(self, model_a, shots):
+        # numpy draws by inversion below n*p = 30 and by BTPE above, with
+        # different numbers of uniforms per draw; either way the first 25
+        # orders do not see how many follow
+        short = sampled_moments(model_a, 27.98, 25, shots, seed=8)
+        long = sampled_moments(model_a, 27.98, 400, shots, seed=8)
+        assert np.array_equal(short.values, long.values[:26])
+
+    def test_vectorized_clamp_matches_scalar_formula(self, model_a):
+        got = sampled_moments(
+            model_a, 27.98, 40, shots_per_part=1, seed=9, clamp=True
+        ).values
+        want = scalar_sampled_values(model_a, 27.98, 40, 1, 9, clamp=True)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_validation(self, model_a):
         with pytest.raises(ValueError):
