@@ -1,11 +1,18 @@
 """Numerical kernels: phase moments, Gaussian transforms, series resummation.
 
 Each job has one numpy implementation. The phase-moment sums and the
-truncated Fourier reconstruction are blocked kernels that need only a few
-complex exponential tables and BLAS products. One Gaussian-transform kernel
-serves the plain and the periodic transform; it broadcasts one grid chunk
-at a time, which bounds the temporary memory, against the lines within
-reach of the chunk only, and skips just terms that are exactly 0.0.
+truncated Fourier reconstruction are blocked kernels built from factored
+complex exponential tables and BLAS products: every table row exp(i k phase)
+is the product of two fresh exponentials, so a table of K rows costs about
+_STEP + K/_STEP exponentials per phase, and no roundoff accumulates along k.
+The moment kernel contracts tiles of _TILE blocks in one matrix product each,
+so the low-order table is read once per tile, not per block; every tile has
+the same shape whatever n_max, so BLAS sums each m_n in the same order and
+m_n is bitwise independent of n_max.
+One Gaussian-transform kernel serves the plain and the periodic transform;
+it broadcasts one grid chunk at a time, which bounds the temporary memory,
+against the lines within reach of the chunk only, and skips just terms that
+are exactly 0.0.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import numpy as np
 
 _CHUNK = 256  # grid rows per numpy broadcast block; bounds temp memory
 _BLOCK = 128  # orders per phase-power block; fixed so m_n ignores n_max
+_TILE = 32  # blocks per moment matrix product; fixed so m_n ignores n_max
+_STEP = 16  # rows per low factor of a phase table
 _UNDERFLOW = 750.0  # exp(-x) is 0.0 in float64 beyond 745.2; margin for rounding
 
 
@@ -30,6 +39,18 @@ def _expi(phase):
     return np.exp(z, out=z)
 
 
+def _phase_table(phase, count):
+    """exp(i k phase) for k < count, shape (count,) + phase.shape.
+
+    Row a _STEP + b is exp(i a _STEP phase) exp(i b phase), a product of two
+    fresh exponentials; the high factor of rows 0.._STEP - 1 is exp(0) = 1,
+    so those rows equal _expi(k phase) exactly, whatever count is.
+    """
+    low = _expi(np.multiply.outer(np.arange(min(_STEP, count)), phase))
+    high = _expi(np.multiply.outer(np.arange(0, count, _STEP), phase))
+    return (high[:, None] * low).reshape((-1,) + phase.shape)[:count]
+
+
 # ---------------------------------------------------------------------------
 # phase moment sums: m_n = sum_k w_k exp(-i n dt w_k), n = 0..n_max
 
@@ -39,34 +60,46 @@ def phase_moment_sums(omegas, weights, dt, n_max):
 
     Orders are split as n = n0 + r with n0 a multiple of the block width
     _BLOCK and 0 <= r < _BLOCK, so that exp(-i n dt w) factors into
-    exp(-i r dt w) exp(-i n0 dt w). One table exp(-i r dt w_k) serves
-    every block; each block adds one fresh weighted exponential row
-    w_k exp(-i n0 dt w_k) and one matrix-vector product. That is
-    O((_BLOCK + n_max/_BLOCK) L) exponentials for L lines instead of
-    O(n_max L), and every factor is a fresh exponential, so no phase
-    roundoff accumulates along n.
+    exp(-i r dt w) exp(-i n0 dt w). One low table exp(-i r dt w_k) serves
+    every block. The block rows w_k exp(-i n0 dt w_k) are formed _TILE at a
+    time in one reused (_TILE, L) buffer, as a table of the first _TILE block
+    rows times one fresh exponential row per tile, and each tile meets the
+    low table in one matrix product, so the low table is read once per tile
+    and the (N/_BLOCK, L) matrix of all block rows never exists. Both tables
+    are factored phase tables: L lines up to order N cost about
+    (42 + N/(_TILE _BLOCK)) L complex exponentials instead of N L, and every
+    factor is a fresh exponential, so no phase roundoff accumulates along n.
 
-    m_n is bitwise independent of n_max. The table has min(_BLOCK,
-    n_max + 1) rows, but each row is a fresh exponential of the same phase
-    whatever the row count, and each entry of a matrix-vector product is
-    one row's dot product with the block row, summed in an order set by L
-    alone (tests compare n_max = 0..7, _BLOCK - 1.._BLOCK + 1 and 3 _BLOCK
-    + 7 against n_max = 5000, bitwise). The block starts do not depend on
-    n_max either. The block width is a fixed constant for that reason;
-    deriving it from n_max, or contracting all blocks in one matrix
-    product whose shape grows with n_max, changes the BLAS summation order
-    and with it the last bits. m_0 is the plain weight sum: at n_max = 0
-    the one-row product would take another BLAS code path and round
-    differently.
+    m_n is bitwise independent of n_max. Each table row is the same product
+    of the same fresh exponentials whatever the row count, and the block and
+    tile starts do not depend on n_max either. Every tile has _TILE rows, the
+    unused rows of the last one zero, so the tile side of every product has
+    one shape whatever n_max, and the BLAS sums each entry, one tile row
+    against one low row, in an order set by L alone (tests compare n_max =
+    0..7 and the edges of _STEP orders, of _BLOCK orders, of _STEP blocks and
+    of _TILE blocks against a longer n_max, bitwise). The constants are fixed
+    for that reason: a tile height that follows n_max, or one product over
+    all blocks whose shape grows with n_max, changes the BLAS summation order
+    and with it the last bits. m_0 is the plain weight sum: at n_max = 0 the
+    one-row product would take another BLAS code path and round differently.
     """
     omegas = _as_f64(omegas)
     weights = _as_f64(weights)
-    r = np.arange(min(_BLOCK, n_max + 1))
-    low = _expi(np.multiply.outer(-dt * r, omegas))
+    phase = -dt * omegas
+    n_blocks = -(-(n_max + 1) // _BLOCK)
+    span = _TILE * _BLOCK
+    used = min(_TILE, n_blocks)
+    # in place and before the large low table, to keep the peak memory low
+    rows = np.zeros((_TILE, omegas.size), dtype=np.complex128)
+    rows[:used] = _phase_table(_BLOCK * phase, used)
+    rows[:used] *= weights
+    low = _phase_table(phase, min(_BLOCK, n_max + 1))
+    tile = np.empty_like(rows)
     out = np.empty(n_max + 1, dtype=np.complex128)
-    for n0 in range(0, n_max + 1, _BLOCK):
-        row = weights * _expi((-dt * n0) * omegas)
-        out[n0 : n0 + _BLOCK] = (low @ row)[: n_max + 1 - n0]
+    for n0 in range(0, n_max + 1, span):
+        np.multiply(rows, _expi(n0 * phase), out=tile)
+        tile[n_blocks - n0 // _BLOCK :] = 0.0
+        out[n0 : n0 + span] = (tile @ low.T).ravel()[: n_max + 1 - n0]
     out[0] = weights.sum()
     return out
 
@@ -122,8 +155,8 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
 
     With g_n = env_n m_n and n = q W + r (block width W = min(_BLOCK,
     n_terms + 1)), the series is sum_q exp(i q W dt nu) sum_r exp(i r dt nu)
-    g_{qW+r}. Per grid chunk this is one exponential table per factor and
-    one matrix product with the W x Q block matrix of g, never a grid x
+    g_{qW+r}. Per grid chunk this is one factored phase table per factor and
+    one matrix product with the Q x W block matrix of g, never a grid x
     n_terms phase matrix.
     """
     nus = _as_f64(nus)
@@ -133,14 +166,13 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     env = np.exp(-0.5 * (dt * lam) ** 2 * n * n)
     g = np.zeros(n_blocks * width, dtype=np.complex128)
     g[1 : n_terms + 1] = env * moment_values[1 : n_terms + 1]
-    g = g.reshape(n_blocks, width).T  # g[r, q] = g_{qW+r}, g_0 = 0
-    r = np.arange(width)
-    starts = np.arange(n_blocks) * width
+    g = g.reshape(n_blocks, width)  # g[q, r] = g_{qW+r}, g_0 = 0
     out = np.empty(nus.shape[0])
     for i in range(0, nus.shape[0], _CHUNK):
-        x = dt * nus[i : i + _CHUNK, None]
-        s = (_expi(x * r) @ g) * _expi(x * starts)
-        out[i : i + _CHUNK] = s.sum(axis=1).real
+        x = dt * nus[i : i + _CHUNK]
+        s = g @ _phase_table(x, width)
+        s *= _phase_table(width * x, n_blocks)
+        out[i : i + _CHUNK] = s.sum(axis=0).real
     return (moment_values[0].real + 2.0 * out) / period
 
 

@@ -163,6 +163,29 @@ def _read_csv_with_metadata(path, columns=None):
     return header, rows, metadata
 
 
+def _number(value) -> float:
+    """float of a parsed metadata value; true/false are not numbers."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
+def _metadata(metadata: dict, path, key, convert=_number, default=None):
+    """metadata[key] through convert, or default when the key is missing and
+    a default is given; otherwise a missing key or a value that does not
+    convert raises ValueError naming path and key."""
+    if key not in metadata:
+        if default is None:
+            raise ValueError(f"{path}: missing metadata line '# {key}=...'")
+        return default
+    try:
+        return convert(metadata[key])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{path}: metadata {key}={metadata[key]!r} is not a number"
+        ) from None
+
+
 def write_table(path, columns, rows, metadata: dict | None = None) -> None:
     """Generic CSV table with an optional metadata comment block."""
     with open(path, "w", newline="\n") as fh:
@@ -186,7 +209,7 @@ def read_spectrum(path) -> DiscreteSpectrum:
     )
     om = np.array([r[0] for r in rows], dtype=np.float64)
     w = np.array([r[1] for r in rows], dtype=np.float64)
-    norm_scale = float(metadata.get("norm_scale", 1.0))
+    norm_scale = _metadata(metadata, path, "norm_scale", default=1.0)
     return DiscreteSpectrum(om, w, norm_scale=norm_scale)
 
 
@@ -214,10 +237,10 @@ def read_moments(path) -> FourierMomentSet:
         raise ValueError(f"{path}: moment orders must run 0..n_max contiguously")
     vals = np.array([complex(r[1], r[2]) for r in rows])
     return FourierMomentSet(
-        dt=float(metadata["dt"]),
+        dt=_metadata(metadata, path, "dt"),
         values=vals,
-        provenance=str(metadata["provenance"]),
-        mu0=float(metadata["mu0"]),
+        provenance=_metadata(metadata, path, "provenance", str),
+        mu0=_metadata(metadata, path, "mu0"),
         shots_per_part=metadata.get("shots_per_part"),
         seed=metadata.get("seed"),
     )

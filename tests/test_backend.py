@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from conftest import package_env, periodic_line, random_spectrum
 
 # orders spanning several phase-power blocks, with a partial last block
 N_MULTI = 3 * _backend._BLOCK + 7
+# orders spanning several tiles of blocks, past the second high row of the
+# block table (_STEP blocks), with a partial last tile
+N_TILES = 2 * _backend._TILE * _backend._BLOCK + 7
 
 
 def _case(seed):
@@ -34,15 +38,33 @@ class TestNumpyKernels:
     def test_phase_moments_match_direct_sum(self):
         s = random_spectrum(0, n=16, normalized=True)
         dt = 5.7
-        vals = phase_moment_sums(s.eigenfrequencies, s.weights, dt, N_MULTI)
         eps = np.finfo(np.float64).eps
         om_max = np.abs(s.eigenfrequencies).max()
-        for n in range(N_MULTI + 1):
-            direct = np.sum(s.weights * np.exp(-1j * n * dt * s.eigenfrequencies))
-            # past the old orders both sums round a phase argument of size
-            # n dt |omega|, so the bound grows with n there
-            tol = 1e-14 if n <= 12 else 4 * eps * (1 + n * dt * om_max) * s.mu0
-            assert abs(vals[n] - direct) <= tol
+        for n_max in (N_MULTI, N_TILES):
+            vals = phase_moment_sums(s.eigenfrequencies, s.weights, dt, n_max)
+            for n in range(n_max + 1):
+                direct = np.sum(s.weights * np.exp(-1j * n * dt * s.eigenfrequencies))
+                # past the old orders both sums round a phase argument of
+                # size n dt |omega|, so the bound grows with n there
+                tol = 1e-14 if n <= 12 else 4 * eps * (1 + n * dt * om_max) * s.mu0
+                assert abs(vals[n] - direct) <= tol
+
+    def test_phase_table_rows(self):
+        # rows below _STEP are fresh exponentials, bitwise, whatever the row
+        # count; every row is a product of fresh exponentials, so its error
+        # is that of rounding its own phase, not accumulated along k
+        rng = np.random.default_rng(12)
+        phase = rng.uniform(-5.0, 5.0, 33)
+        step = _backend._STEP
+        eps = np.finfo(np.float64).eps
+        for count in (1, step - 1, step, step + 1, 20 * step + 3):
+            table = _backend._phase_table(phase, count)
+            assert table.shape == (count, phase.size)
+            for k in range(min(step, count)):
+                assert np.array_equal(table[k], _backend._expi(k * phase))
+            for k in range(count):
+                err = np.abs(table[k] - np.exp(1j * k * phase))
+                assert np.all(err <= 4 * eps * (1 + np.abs(k * phase)))
 
     def test_gaussian_transform_matches_broadcast(self):
         s = random_spectrum(1, n=32)
@@ -74,28 +96,50 @@ class TestNumpyKernels:
 
     def test_reconstruct_matches_explicit_series(self):
         s, nus = _case(3)
-        # lam small enough that the envelope keeps every block: env_N ~ 0.37
-        lam, period, n_terms = 0.004, 7.0, N_MULTI
-        dt = 2 * np.pi / period
-        moments = phase_moment_sums(
-            s.eigenfrequencies, s.weights, dt, n_terms + 2
-        )
-        got = reconstruct_series(nus, moments, dt, lam, period, n_terms)
-        n = np.arange(1, n_terms + 1)
-        env = np.exp(-0.5 * (dt * lam) ** 2 * n**2)
-        series = moments[0].real + 2 * (
-            np.exp(1j * dt * nus[:, None] * n[None, :])
-            * (env * moments[1 : n_terms + 1])
-        ).real.sum(axis=1)
-        assert np.allclose(got, series / period, rtol=1e-12, atol=1e-15)
-        # the two-sided complex sum of transform.reconstruct agrees too
-        mset = FourierMomentSet(dt, moments, "exact", s.mu0)
-        kernel = KernelSpec(delta=0.02, sigma_leak=0.01, lam=lam)
-        params = PeriodicKernelParams.from_period(period, kernel)
-        fast = reconstruct(mset, kernel, params, n_terms, nus)
-        full = reconstruct(mset, kernel, params, n_terms, nus, full_series=True)
-        assert np.array_equal(fast.values, got)
-        assert np.allclose(fast.values, full.values, rtol=1e-12, atol=1e-15)
+        # lam small enough that the envelope keeps every block: env_N ~ 0.37;
+        # the long series takes a long period, because the explicit float64
+        # reference rounds phases of size n dt |nu| too, and past a few
+        # hundred radians its own error exceeds the tolerance
+        cases = ((N_MULTI, 0.004, 7.0), (N_TILES, 0.0055, 200.0))
+        for n_terms, lam, period in cases:
+            dt = 2 * np.pi / period
+            moments = phase_moment_sums(
+                s.eigenfrequencies, s.weights, dt, n_terms + 2
+            )
+            got = reconstruct_series(nus, moments, dt, lam, period, n_terms)
+            n = np.arange(1, n_terms + 1)
+            env = np.exp(-0.5 * (dt * lam) ** 2 * n**2)
+            series = moments[0].real + 2 * (
+                np.exp(1j * dt * nus[:, None] * n[None, :])
+                * (env * moments[1 : n_terms + 1])
+            ).real.sum(axis=1)
+            assert np.allclose(got, series / period, rtol=1e-12, atol=1e-15)
+            # the two-sided complex sum of transform.reconstruct agrees too
+            mset = FourierMomentSet(dt, moments, "exact", s.mu0)
+            kernel = KernelSpec(delta=0.02, sigma_leak=0.01, lam=lam)
+            params = PeriodicKernelParams.from_period(period, kernel)
+            fast = reconstruct(mset, kernel, params, n_terms, nus)
+            full = reconstruct(mset, kernel, params, n_terms, nus, full_series=True)
+            assert np.array_equal(fast.values, got)
+            assert np.allclose(fast.values, full.values, rtol=1e-12, atol=1e-15)
+
+    def test_moment_memory_stays_per_tile(self):
+        # the block rows are built one fixed-shape tile at a time: the peak
+        # of a long call exceeds that of a one-tile call by at most one
+        # tile buffer, never by a row matrix that grows with n_max
+        s = random_spectrum(13, n=4096, normalized=True)
+        tile_bytes = _backend._TILE * s.n_eigen * 16
+
+        def peak(n_max):
+            tracemalloc.start()
+            try:
+                phase_moment_sums(s.eigenfrequencies, s.weights, 27.98, n_max)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_tile = peak(_backend._TILE * _backend._BLOCK - 1)
+        assert peak(42371) <= one_tile + tile_bytes
 
     def test_noncontiguous_input_accepted(self):
         s = random_spectrum(4, n=40, normalized=True)

@@ -215,6 +215,18 @@ class TestPlanCommand:
         assert err.startswith(f"error: {model_a_csv}:{len(lines)}: ")
         assert "'abc'" in err
 
+    @pytest.mark.parametrize(
+        "line", ["# norm_scale=abc", "# norm_scale=", "# norm_scale=true"]
+    )
+    def test_spectrum_metadata_checked(self, capsys, model_a_csv, line):
+        lines = model_a_csv.read_text().splitlines()
+        assert lines[0].startswith("# norm_scale=")
+        model_a_csv.write_text("\n".join([line, *lines[1:]]) + "\n")
+        code, _, err = run_cli(capsys, "plan", "--spectrum", str(model_a_csv))
+        assert code == 1
+        assert err.startswith(f"error: {model_a_csv}: metadata norm_scale=")
+        assert "not a number" in err
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "plan", "--bogus", "1")
         assert code == 1

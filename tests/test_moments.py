@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -333,14 +334,21 @@ class TestMomentErrorSummary:
 
     def test_truncates_to_common_orders(self, model_a):
         # m_n must not depend on n_max, bitwise, also across the edges of
-        # the phase-power blocks of the moment kernel
-        block = _backend._BLOCK
-        edges = (*range(8), block - 1, block, block + 1, 3 * block + 7)
+        # the phase-power blocks, of the factored phase tables (_STEP rows)
+        # and of the fixed-shape tiles (_TILE blocks) of the moment kernel
+        block, step, tile = _backend._BLOCK, _backend._STEP, _backend._TILE
+        edges = (
+            *range(8), step - 1, step, step + 1,
+            block - 1, block, block + 1, 3 * block + 7,
+            step * block - 1, step * block, step * block + 1,
+            tile * block - 1, tile * block, tile * block + 1,
+            2 * tile * block + 7,
+        )
         wide = random_spectrum(11, n=4096, normalized=True)
         for spectrum, n_long, shorts in (
             (model_a, 20, (5,)),
-            (model_a, 5000, edges),
-            (wide, 5000, edges),
+            (model_a, 3 * tile * block, edges),
+            (wide, 3 * tile * block, edges),
         ):
             long = exact_moments(spectrum, 27.98, n_max=n_long)
             for n_short in shorts:
@@ -378,3 +386,23 @@ class TestMomentsCsv:
             assert back.provenance == ms.provenance
             assert back.shots_per_part == ms.shots_per_part
             assert back.seed == ms.seed
+
+    @pytest.mark.parametrize(
+        "key, line",
+        [("dt", None), ("mu0", None), ("provenance", None),
+         ("dt", "# dt=abc"), ("mu0", "# mu0=abc"), ("dt", "# dt="),
+         ("mu0", "# mu0=false")],
+    )
+    def test_metadata_checked(self, tmp_path, model_a, key, line):
+        # a missing or non-numeric metadata value names the file and the key
+        from fouriergit.serialize import read_moments, write_moments
+
+        path = tmp_path / "m.csv"
+        write_moments(path, exact_moments(model_a, 27.98, n_max=3))
+        lines = [
+            line if raw.startswith(f"# {key}=") else raw
+            for raw in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(x for x in lines if x is not None) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*\\b{key}\\b"):
+            read_moments(path)
