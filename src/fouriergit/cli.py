@@ -30,16 +30,18 @@ from ._backend import active_backend
 from .kernel import KernelSpec, PeriodicKernelParams
 from .moments import exact_moments, sampled_moments
 from .planner import (
+    _CHI_MODES,
+    _METHODS,
+    _N_MODES,
+    _SHOTS_MODES,
+    _WINDOW_TERM_MODES,
     ErrorBudget,
     FormulaValidityError,
     FrequencyWindow,
     _plan_budget,
     _plan_kernel,
     _plan_window,
-    chi_general,
-    chi_with_variance,
     make_plan,
-    n_terms,
     shots_value,
     tail_leakage_bound,
 )
@@ -101,9 +103,6 @@ _FLAG_FORMS = {
     _float_list_opt: {"type": float, "nargs": "+"},
 }
 
-_WINDOW_TERMS = {"choices": ["max", "min", "upper", "lower", "span"]}
-_SHOTS_MODES = {"choices": ["conservative", "uncorrelated", "chebyshev"]}
-
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
@@ -113,7 +112,8 @@ def _merge(args, schema: dict) -> dict:
     """Effective option values: flags override config overrides defaults.
 
     schema maps option key -> (config converter, default[, argparse
-    extras such as choices and help]). Degenerate counts are refused.
+    extras such as choices and help]). A config value outside the
+    option's choices and degenerate counts are refused.
     """
     from_file = {}
     config_path = getattr(args, "config", None)
@@ -125,11 +125,15 @@ def _merge(args, schema: dict) -> dict:
                 f"unknown config key(s) for this command: {', '.join(unknown)}"
             )
         for key, text in raw.items():
-            conv = schema[key][0]
+            conv, _default, *extras = schema[key]
             try:
-                from_file[key] = conv(text)
+                val = conv(text)
             except ValueError as exc:
                 raise CliError(f"config key {key}: {exc}") from None
+            choices = dict(*extras).get("choices")
+            if choices and val not in choices:
+                raise CliError(f"config key {key}: {val!r} is not one of {choices}")
+            from_file[key] = val
     eff = {}
     for key, (_conv, default, *_extras) in schema.items():
         val = getattr(args, key, None)
@@ -147,8 +151,11 @@ def _check_counts(eff: dict):
     if "scales" in eff and not eff["scales"]:
         raise CliError("--scales must name at least one scale")
     for scale in eff.get("scales", ()):
-        if not scale > 0:
-            raise CliError(f"--scales must be positive, got {scale}")
+        if not 0 < scale < math.inf:
+            raise CliError(f"--scales must be positive and finite, got {scale}")
+    period = eff.get("period")
+    if period is not None and not 0 < period < math.inf:
+        raise CliError(f"--period must be positive and finite, got {period}")
     if "eps_min" in eff:
         lo, hi = eff["eps_min"], eff["eps_max"]
         if not lo > 0:
@@ -228,7 +235,7 @@ def cmd_model(args) -> int:
 
 
 _PLAN_SCHEMA = {
-    "method": (str, "general", {"choices": ["general", "variance", "central"]}),
+    "method": (str, "general", {"choices": _METHODS}),
     "delta": (float, 0.02),
     "sigma_leak": (float, 0.01),
     "lam": (float, None),
@@ -248,10 +255,10 @@ _PLAN_SCHEMA = {
     "central_order": (int, None),
     "central_value": (float, None),
     "window": (_pair_opt, None),
-    "chi_mode": (str, "main", {"choices": ["main", "nyquist", "full"]}),
-    "n_mode": (str, "main", {"choices": ["main", "appendix"]}),
-    "shots_mode": (str, "conservative", _SHOTS_MODES),
-    "window_term": (str, "max", _WINDOW_TERMS),
+    "chi_mode": (str, "main", {"choices": _CHI_MODES}),
+    "n_mode": (str, "main", {"choices": _N_MODES}),
+    "shots_mode": (str, "conservative", {"choices": _SHOTS_MODES}),
+    "window_term": (str, "max", {"choices": _WINDOW_TERM_MODES}),
     "simplified": (_bool_opt, False),
     "out": (str, None, {"help": "write the plan to this key=value file"}),
 }
@@ -464,7 +471,7 @@ _SWEEP_SCHEMA = {
     "sigma_leak": (float, 0.01),
     "eps_s": (float, 0.05),
     "confidence_delta": (float, 0.05),
-    "window_term": (str, "max", _WINDOW_TERMS),
+    "window_term": (str, "max", {"choices": _WINDOW_TERM_MODES}),
     "out": (str, None),
 }
 
@@ -544,7 +551,7 @@ _SHOTS_DEMO_SCHEMA = {
     "eps_n": (float, 0.01),
     "eps_s": (float, 0.05),
     "confidence_delta": (float, 0.05),
-    "shots_mode": (str, "conservative", _SHOTS_MODES),
+    "shots_mode": (str, "conservative", {"choices": _SHOTS_MODES}),
     "out": (str, None),
 }
 
@@ -598,82 +605,67 @@ def cmd_shots_demo(args) -> int:
 
 
 def _reference_rows():
-    """Reference values reproduced by the standard workflows, with the
-    settings that generate them."""
+    """Reference values reproduced by the standard workflows, and the
+    conventions of the plans that generate them."""
     rows = []
 
     kernel = KernelSpec.from_resolution(0.02, 0.01, 1.0)
     rows.append(("kernel_width", kernel.lam, 0.0065901, 1e-6))
 
-    omega = 2.0 / 512.0
-    budget = ErrorBudget(0.01, 0.01, 0.05, omega)
-    general = chi_general(kernel, budget)
+    budget = ErrorBudget(0.01, 0.01, 0.05, 2.0 / 512.0)
+    general = make_plan("general", kernel, budget)
     rows.append(("chi_general", general.chi, 2.0204, 1e-3))
-    n_general = n_terms(general.chi, kernel, budget)
-    rows.append(("n_terms_general", n_general, 218, 0))
+    rows.append(("n_terms_general", general.n_terms, 218, 0))
 
     window = FrequencyWindow(-1.0, -0.8)
-    stats = {}
     for kind, mu_ref, sigma_ref, ratio_ref, ratio_tol, n_ref in (
         ("A", -0.911, 0.031, 0.111, 0.003, 25),
         ("B", -0.907, 0.067, 0.14, 0.005, 31),
     ):
-        spectrum = make_model(kind)
-        summ = summarize(spectrum)
-        stats[kind] = summ
+        summ = summarize(make_model(kind))
         rows.append((f"model_{kind}_mu1", summ.mu1, mu_ref, 0.005))
         rows.append((f"model_{kind}_sigma", summ.sigma, sigma_ref, 0.005))
-        choice = chi_with_variance(kernel, budget, summ, window)
-        rows.append(
-            (f"period_ratio_{kind}", choice.period / general.period,
-             ratio_ref, ratio_tol)
-        )
-        rows.append(
-            (f"n_terms_{kind}", n_terms(choice.chi, kernel, budget), n_ref, 0)
-        )
+        plan = make_plan("variance", kernel, budget, window=window, moments=summ)
+        rows.append((f"period_ratio_{kind}", plan.period / general.period,
+                     ratio_ref, ratio_tol))
+        rows.append((f"n_terms_{kind}", plan.n_terms, n_ref, 0))
 
-    nuc_kernel = KernelSpec.from_resolution(1.0, 0.01, 100.0)
     nuc_budget = ErrorBudget(0.01, 0.01, 0.05, 1.0)
-    nuc_window = FrequencyWindow(0.0, 100.0)
-    gt = chi_with_variance(
-        nuc_kernel, nuc_budget,
-        MomentSummary(mu0=1.0, mu1=20.0, sigma=22.0, central={2: 22.0**2}),
-        nuc_window,
+    resonance = make_plan(
+        "variance", KernelSpec.from_resolution(1.0, 0.01, 100.0), nuc_budget,
+        window=FrequencyWindow(0.0, 100.0),
+        moments=MomentSummary(mu0=1.0, mu1=20.0, sigma=22.0,
+                              central={2: 22.0**2}),
     )
-    rows.append(("n_terms_resonance", n_terms(gt.chi, nuc_kernel, nuc_budget),
-                 339, 0))
+    rows.append(("n_terms_resonance", resonance.n_terms, 339, 0))
 
-    big_kernel = KernelSpec.from_resolution(1.0, 0.01, 7987.5)
-    nyq = chi_general(big_kernel, nuc_budget, mode="nyquist")
-    rows.append(
-        ("n_terms_norm_bound", n_terms(nyq.chi, big_kernel, nuc_budget),
-         42372, 1)
+    norm_bound = make_plan(
+        "general", KernelSpec.from_resolution(1.0, 0.01, 7987.5), nuc_budget,
+        chi_mode="nyquist",
     )
+    rows.append(("n_terms_norm_bound", norm_bound.n_terms, 42372, 1))
 
-    qe_kernel = KernelSpec.from_resolution(1.0, 0.01, 400.0)
-    qe_window = FrequencyWindow(0.0, 400.0)
-    qe_mu1 = 400.0**2 / (2.0 * 939.0)
-    qe_moments = MomentSummary(
-        mu0=1.0, mu1=qe_mu1, sigma=250.0, central={2: 250.0**2}
+    quasielastic = make_plan(
+        "variance", KernelSpec.from_resolution(1.0, 0.01, 400.0), nuc_budget,
+        window=FrequencyWindow(0.0, 400.0),
+        moments=MomentSummary(mu0=1.0, mu1=400.0**2 / (2.0 * 939.0),
+                              sigma=250.0, central={2: 250.0**2}),
+        window_term="min",
     )
-    qe = chi_with_variance(
-        qe_kernel, nuc_budget, qe_moments, qe_window, window_term="min"
-    )
-    rows.append(
-        ("n_terms_quasielastic_window_min",
-         n_terms(qe.chi, qe_kernel, nuc_budget), 838, 84)
-    )
+    rows.append(("n_terms_quasielastic_window_min", quasielastic.n_terms,
+                 838, 84))
 
-    plan = make_plan("general", kernel, budget)
-    s_cons = shots_value(plan.n_terms, plan.chi, kernel, budget,
-                         mode="conservative")
-    s_cheb = shots_value(plan.n_terms, plan.chi, kernel, budget,
-                         mode="chebyshev")
-    s_unc = shots_value(plan.n_terms, plan.chi, kernel, budget,
-                        mode="uncorrelated")
-    rows.append(("shots_ratio_chebyshev", s_cheb / s_cons, 2.0, 1e-12))
-    rows.append(("shots_uncorrelated_saves", float(s_unc < s_cons), 1.0, 0))
-    return rows
+    shots = {mode: shots_value(general.n_terms, general.chi, kernel, budget,
+                               mode=mode) for mode in _SHOTS_MODES}
+    rows.append(("shots_ratio_chebyshev",
+                 shots["chebyshev"] / shots["conservative"], 2.0, 1e-12))
+    rows.append(("shots_uncorrelated_saves",
+                 float(shots["uncorrelated"] < shots["conservative"]), 1.0, 0))
+    conventions = {
+        "norm_bound_chi_mode": norm_bound.inputs_echo["chi_mode"],
+        "quasielastic_window_term": quasielastic.inputs_echo["window_term_mode"],
+    }
+    return rows, conventions
 
 
 _REPORT_SCHEMA = {"out": (str, None)}
@@ -681,7 +673,7 @@ _REPORT_SCHEMA = {"out": (str, None)}
 
 def cmd_report(args) -> int:
     eff = _merge(args, _REPORT_SCHEMA)
-    rows = _reference_rows()
+    rows, conventions = _reference_rows()
     width = max(len(r[0]) for r in rows)
     all_ok = True
     table = []
@@ -694,10 +686,6 @@ def cmd_report(args) -> int:
             f"tol={serialize.format_value(tol)} ok={'yes' if ok else 'NO'}"
         )
         table.append((name, value, expected, tol, "yes" if ok else "no"))
-    conventions = {
-        "norm_bound_chi_mode": "nyquist",
-        "quasielastic_window_term": "min",
-    }
     for key, val in conventions.items():
         print(f"{key}={val}")
     if eff["out"]:

@@ -25,6 +25,8 @@ from ._backend import phase_moment_sums
 from .spectrum import DiscreteSpectrum
 
 _PROVENANCES = ("exact", "sampled")
+# The largest count numpy's binomial sampler takes.
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,10 @@ def exact_moments(
 def _check_sampling(mu0: float, shots_per_part: int, seed: int) -> None:
     if shots_per_part < 1:
         raise ValueError(f"shots_per_part must be >= 1, got {shots_per_part}")
+    if shots_per_part > _MAX_SHOTS:
+        raise ValueError(
+            f"shots_per_part must be <= {_MAX_SHOTS}, got {shots_per_part}"
+        )
     if seed < 0 or seed != int(seed):
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if abs(mu0 - 1.0) > 1e-9:

@@ -26,12 +26,18 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .kernel import KernelSpec
 from .spectrum import MomentSummary
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# The vocabulary of each planning option, in the order the CLI lists it.
+_METHODS = ("general", "variance", "central")
+_CHI_MODES = ("main", "nyquist", "full")
+_N_MODES = ("main", "appendix")
+_SHOTS_MODES = ("conservative", "uncorrelated", "chebyshev")
 _WINDOW_TERM_MODES = ("max", "min", "upper", "lower", "span")
 
 
@@ -235,7 +241,7 @@ def chi_general(
         P = (1 + eta) H + max(|nu_min|, nu_max) and requires a window.
     window : FrequencyWindow, only used (and required) by mode='full'.
     """
-    if mode not in ("main", "nyquist", "full"):
+    if mode not in _CHI_MODES:
         raise ValueError(f"unknown chi_general mode {mode!r}")
     if not mu0 > 0:
         raise ValueError(f"mu0 must be positive, got {mu0}")
@@ -529,7 +535,7 @@ def n_terms(
     Raises FormulaValidityError when the log argument is <= 1 (the budget
     is loose enough that the bound formula degenerates).
     """
-    if mode not in ("main", "appendix"):
+    if mode not in _N_MODES:
         raise ValueError(f"unknown n_terms mode {mode!r}")
     if not chi > 0:
         raise ValueError(f"chi must be positive, got {chi}")
@@ -582,6 +588,8 @@ def shots_value(
     quadrature; 'chebyshev' replaces the Hoeffding tail with a Chebyshev
     one (no exponential concentration, different delta scaling).
     """
+    if mode not in _SHOTS_MODES:
+        raise ValueError(f"unknown shots mode {mode!r}")
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     if not chi > 0:
@@ -599,38 +607,36 @@ def shots_value(
             n_terms * omega**2 * mu0**2
             / (chi * kernel.norm_scale * lam * eps**2) * log_conf
         )
-    if mode == "chebyshev":
-        return 2.0 * n_terms * omega**2 / (lam**2 * eps**2) * log_conf
-    raise ValueError(f"unknown shots mode {mode!r}")
+    return 2.0 * n_terms * omega**2 / (lam**2 * eps**2) * log_conf
 
 
-def _echo_numbers(plan: ExtensionPlan, keys, what: str) -> list:
-    """The numbers a plan's inputs echo holds under keys; a missing or
-    non-numeric field raises naming its key."""
-    for key in keys:
-        if key not in plan.inputs_echo:
-            raise ValueError(f"plan lacks {what} field {key!r}")
-        _check_type(f"plan field {key!r}", plan.inputs_echo[key])
-    return [plan.inputs_echo[key] for key in keys]
+def _from_echo(plan: ExtensionPlan, cls, what: str):
+    """cls rebuilt from the fields a plan's inputs echo holds under its
+    field names; a missing or non-numeric field raises naming its key."""
+    values = []
+    for f in fields(cls):
+        if f.name not in plan.inputs_echo:
+            raise ValueError(f"plan lacks {what} field {f.name!r}")
+        _check_type(f"plan field {f.name!r}", plan.inputs_echo[f.name])
+        values.append(plan.inputs_echo[f.name])
+    return cls(*values)
 
 
 def _plan_kernel(plan: ExtensionPlan) -> KernelSpec:
     """The kernel a plan was made with, rebuilt from its inputs echo."""
-    keys = ("delta", "sigma_leak", "lam", "norm_scale")
-    return KernelSpec(*_echo_numbers(plan, keys, "kernel"))
+    return _from_echo(plan, KernelSpec, "kernel")
 
 
 def _plan_budget(plan: ExtensionPlan) -> ErrorBudget:
     """The error budget a plan was made for, rebuilt from its inputs echo."""
-    keys = ("eps_p", "eps_n", "eps_s", "omega_scale", "confidence_delta")
-    return ErrorBudget(*_echo_numbers(plan, keys, "budget"))
+    return _from_echo(plan, ErrorBudget, "budget")
 
 
 def _plan_window(plan: ExtensionPlan) -> FrequencyWindow | None:
     """The window a plan was made for, or None if it was made without one."""
-    if "nu_min" not in plan.inputs_echo:
+    if not any(f.name in plan.inputs_echo for f in fields(FrequencyWindow)):
         return None
-    return FrequencyWindow(*_echo_numbers(plan, ("nu_min", "nu_max"), "window"))
+    return _from_echo(plan, FrequencyWindow, "window")
 
 
 def tail_leakage_bound(plan: ExtensionPlan) -> float:
@@ -648,7 +654,7 @@ def tail_leakage_bound(plan: ExtensionPlan) -> float:
         raise ValueError(
             "tail leakage bound requires a non-simplified moment-anchored plan"
         )
-    n, omega = info["central_order"], info["omega_scale"]
+    n, omega = info["central_order"], _plan_budget(plan).omega_scale
     return omega * info["central_value"] / (plan.period * info["alpha_spread"] ** n)
 
 
@@ -676,6 +682,8 @@ def make_plan(
     window. The window, when given, must lie within [-norm_scale,
     norm_scale].
     """
+    if method not in _METHODS:
+        raise ValueError(f"unknown planning method {method!r}")
     if window is not None:
         h = kernel.norm_scale
         if window.nu_min < -h or window.nu_max > h:
@@ -694,7 +702,7 @@ def make_plan(
             kernel, budget, moments, window,
             window_term=window_term, simplified=simplified,
         )
-    elif method == "central":
+    else:
         if window is None:
             raise ValueError("central-moment planning requires a window")
         if moments is not None:
@@ -718,8 +726,6 @@ def make_plan(
             int(central_order), central_value, kernel, budget, mu1, window,
             mu0=eff_mu0, window_term=window_term, simplified=simplified,
         )
-    else:
-        raise ValueError(f"unknown planning method {method!r}")
 
     n = n_terms(choice.chi, kernel, budget, mu0=eff_mu0, mode=n_mode)
     total_value = shots_value(n, choice.chi, kernel, budget, eff_mu0, shots_mode)
@@ -727,15 +733,8 @@ def make_plan(
     per_part = int(math.ceil(total_value / (2.0 * n)))
 
     echo = {
-        "delta": kernel.delta,
-        "sigma_leak": kernel.sigma_leak,
-        "lam": kernel.lam,
-        "norm_scale": kernel.norm_scale,
-        "eps_p": budget.eps_p,
-        "eps_n": budget.eps_n,
-        "eps_s": budget.eps_s,
-        "omega_scale": budget.omega_scale,
-        "confidence_delta": budget.confidence_delta,
+        **asdict(kernel),
+        **asdict(budget),
         "mu0": eff_mu0,
         "n_mode": n_mode,
         "shots_mode": shots_mode,
@@ -743,8 +742,7 @@ def make_plan(
     if method == "general":
         echo["chi_mode"] = chi_mode
     if window is not None:
-        echo["nu_min"] = window.nu_min
-        echo["nu_max"] = window.nu_max
+        echo.update(asdict(window))
     echo.update(choice.details)
     return ExtensionPlan(
         period=choice.period,

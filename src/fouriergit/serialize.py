@@ -97,14 +97,11 @@ def plan_from_text(text: str) -> ExtensionPlan:
 
 
 def write_plan(path, plan: ExtensionPlan) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(plan_to_text(plan))
+    write_keyvalues(path, plan.to_dict())
 
 
 def read_plan(path) -> ExtensionPlan:
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    return ExtensionPlan.from_dict(_typed(_read_pairs(lines, path)))
+    return ExtensionPlan.from_dict(read_keyvalues(path))
 
 
 def _open_csv_writer(fh, metadata: dict | None):

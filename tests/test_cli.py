@@ -12,6 +12,7 @@ from fouriergit import (
     KernelSpec,
     cli,
     error_report,
+    planner,
     sampled_reconstruction,
     serialize,
     transform,
@@ -682,6 +683,8 @@ class TestCountValidation:
             ("shots-demo", "scales=", "--scales"),
             ("sweep", "eps_min=0", "--eps-min"),
             ("sweep", "eps_min=0.1\neps_max=0.001", "--eps-max"),
+            ("shots-demo", "scales=inf", "--scales"),
+            ("moments", "period=0", "--period"),
         ],
     )
     def test_config_value_rejected(self, tmp_path, capsys, command, line, flag):
@@ -694,6 +697,163 @@ class TestCountValidation:
         assert code == 1
         assert flag in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("period", ["0", "-1", "nan", "inf"])
+    def test_period_refused_before_work(
+        self, tmp_path, capsys, monkeypatch, model_a_csv, period
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectrum read")
+
+        monkeypatch.setattr(serialize, "read_spectrum", forbidden)
+        out = tmp_path / "m.csv"
+        code, _, err = run_cli(
+            capsys, "moments", "--spectrum", str(model_a_csv),
+            "--period", period, "--n-max", "4", "--out", str(out),
+        )
+        assert code == 1
+        assert err == (
+            f"error: --period must be positive and finite, got {float(period)}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scales", [["inf"], ["1.0", "inf"], ["nan"]])
+    def test_non_finite_scale_refused(self, tmp_path, capsys, scales):
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(
+            capsys, "shots-demo", "--seeds", "2", "--scales", *scales,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: --scales must be positive and finite")
+        assert not out.exists()
+
+
+class TestUndrawableShots:
+    """Shot counts above numpy's int64 sampler limit exit 1 with an error
+    line instead of an OverflowError traceback."""
+
+    @pytest.fixture()
+    def plan_path(self, tmp_path, capsys, model_a_csv):
+        path = tmp_path / "plan.txt"
+        code, _, _ = run_cli(
+            capsys, "plan", "--method", "variance", "--spectrum",
+            str(model_a_csv), "--window", "-1.0", "-0.8", "--out", str(path),
+        )
+        assert code == 0
+        return path
+
+    def _refused(self, capsys, *argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_reconstruct(self, tmp_path, capsys, model_a_csv, plan_path):
+        out = tmp_path / "c.csv"
+        err = self._refused(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--grid-points", "17", "--sampled",
+            "--shots", str(10**22), "--out", str(out),
+        )
+        assert "shots_per_part" in err
+        assert not out.exists()
+
+    def test_moments(self, tmp_path, capsys, model_a_csv, plan_path):
+        out = tmp_path / "m.csv"
+        err = self._refused(
+            capsys, "moments", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--shots", str(10**23),
+            "--out", str(out),
+        )
+        assert "shots_per_part" in err
+        assert not out.exists()
+
+    def test_shots_demo_huge_scale(self, capsys):
+        err = self._refused(
+            capsys, "shots-demo", "--seeds", "1", "--grid-points", "17",
+            "--scales", "1e300",
+        )
+        assert "shots_per_part" in err
+
+    def test_shots_demo_infinite_scale(self, capsys):
+        err = self._refused(
+            capsys, "shots-demo", "--seeds", "1", "--scales", "inf",
+        )
+        assert "--scales" in err
+
+
+CHOICE_KEYS = [
+    (name, key, extras[0]["choices"])
+    for name, _help, schema, _func in cli._COMMANDS
+    for key, (_conv, _default, *extras) in schema.items()
+    if extras and "choices" in extras[0]
+]
+
+# The planner's mode vocabularies, by CLI option key.
+VOCABULARY = {
+    "method": planner._METHODS,
+    "chi_mode": planner._CHI_MODES,
+    "n_mode": planner._N_MODES,
+    "shots_mode": planner._SHOTS_MODES,
+    "window_term": planner._WINDOW_TERM_MODES,
+}
+
+# Plan options under which a method is admitted.
+_METHOD_ARGS = {
+    "variance": ("--mu1", "-0.9", "--sigma", "0.03"),
+    "central": ("--mu1", "-0.9", "--central-order", "4",
+                "--central-value", "1e-6"),
+}
+
+
+class TestChoices:
+    def test_choice_keys(self):
+        assert {key for _name, key, _choices in CHOICE_KEYS} == {
+            "kind", *VOCABULARY,
+        }
+
+    @pytest.mark.parametrize(
+        "name, key", [(name, key) for name, key, _choices in CHOICE_KEYS]
+    )
+    def test_config_value_outside_choices(self, tmp_path, capsys, name, key):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"{key}=bogus\n")
+        out = tmp_path / "o.csv"
+        code, text, err = run_cli(
+            capsys, name, "--config", str(cfg), "--out", str(out)
+        )
+        assert code == 1
+        assert text == ""
+        assert err.startswith(f"error: config key {key}: 'bogus' is not one of")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [(name, key) for name, key, _choices in CHOICE_KEYS
+         if key in VOCABULARY],
+    )
+    def test_flag_choices_are_the_planner_vocabulary(self, name, key):
+        assert SCHEMAS[name][key][2]["choices"] is VOCABULARY[key]
+
+    @pytest.mark.parametrize(
+        "key, mode",
+        [(key, mode) for key, modes in VOCABULARY.items() for mode in modes],
+    )
+    def test_every_mode_plans(self, capsys, key, mode):
+        # each mode plans on options that admit it, and the plan names it
+        # wherever make_plan records it
+        extra = _METHOD_ARGS.get(mode, ())
+        if key == "window_term":
+            extra = ("--method", "variance", *_METHOD_ARGS["variance"])
+        code, text, err = run_cli(
+            capsys, "plan", _flag(key), mode, "--window", "-1.0", "-0.8",
+            *extra,
+        )
+        assert code == 0, err
+        field = {"window_term": "window_term_mode"}.get(key, key)
+        assert kv(text)[field] == (mode + "4" if mode == "central" else mode)
 
 
 class TestReportCommand:

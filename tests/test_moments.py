@@ -271,6 +271,14 @@ class TestSampledMoments:
         want = scalar_sampled_values(model_a, 27.98, 40, 1, 9, clamp=True)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    def test_shot_count_limited_to_int64(self, model_a):
+        largest = int(np.iinfo(np.int64).max)
+        m = sampled_moments(model_a, 27.98, 2, shots_per_part=largest, seed=0)
+        assert m.shots_per_part == largest
+        with pytest.raises(ValueError, match="shots_per_part"):
+            sampled_moments(model_a, 27.98, 2, shots_per_part=largest + 1,
+                            seed=0)
+
     def test_validation(self, model_a):
         with pytest.raises(ValueError):
             sampled_moments(model_a, 27.98, 3, shots_per_part=0, seed=0)
