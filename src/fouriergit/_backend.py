@@ -5,10 +5,14 @@ truncated Fourier reconstruction are blocked kernels built from factored
 complex exponential tables and BLAS products: every table row exp(i k phase)
 is the product of two fresh exponentials, so a table of K rows costs about
 _STEP + K/_STEP exponentials per phase, and no roundoff accumulates along k.
-The moment kernel contracts tiles of _TILE blocks in one matrix product each,
-so the low-order table is read once per tile, not per block; every tile has
-the same shape whatever n_max, so BLAS sums each m_n in the same order and
-m_n is bitwise independent of n_max.
+The moment kernel takes block 0 (orders below _BLOCK) from one
+matrix-vector product of the low-order table with the weights, the same
+product whatever n_max, and contracts the later blocks in tiles of _TILE
+blocks, starting at orders _BLOCK + j _TILE _BLOCK, in one matrix product
+each, so the low-order table is read once per tile, not per block. Every tile
+has the same shape and start whatever n_max, so BLAS sums each m_n in the
+same order and m_n is bitwise independent of n_max; a call below order
+_BLOCK builds no tile.
 One Gaussian-transform kernel serves the plain and the periodic transform;
 it broadcasts one grid chunk at a time, which bounds the temporary memory,
 against the lines within reach of the chunk only, and skips just terms that
@@ -61,45 +65,58 @@ def phase_moment_sums(omegas, weights, dt, n_max):
     Orders are split as n = n0 + r with n0 a multiple of the block width
     _BLOCK and 0 <= r < _BLOCK, so that exp(-i n dt w) factors into
     exp(-i r dt w) exp(-i n0 dt w). One low table exp(-i r dt w_k) serves
-    every block. The block rows w_k exp(-i n0 dt w_k) are formed _TILE at a
-    time in one reused (_TILE, L) buffer, as a table of the first _TILE block
-    rows times one fresh exponential row per tile, and each tile meets the
-    low table in one matrix product, so the low table is read once per tile
-    and the (N/_BLOCK, L) matrix of all block rows never exists. Both tables
-    are factored phase tables: L lines up to order N cost about
-    (42 + N/(_TILE _BLOCK)) L complex exponentials instead of N L, and every
-    factor is a fresh exponential, so no phase roundoff accumulates along n.
+    every block. Block 0 is the low table times the weights, one
+    matrix-vector product. The later block rows w_k exp(-i n0 dt w_k) are
+    formed _TILE at a time in one reused (_TILE, L) buffer, as a table of the
+    first _TILE block rows times one fresh exponential row per tile, the
+    tiles starting at n0 = _BLOCK + j _TILE _BLOCK; each tile meets the low
+    table in one matrix product, so the low table is read once per tile and
+    the (N/_BLOCK, L) matrix of all block rows never exists. A call with
+    n_max < _BLOCK builds no block rows and no tile. Both tables are
+    factored phase tables: L lines up to order N cost about
+    (42 + (N - _BLOCK)/(_TILE _BLOCK)) L complex exponentials, at most 24 L
+    below order _BLOCK, instead of N L, and every factor is a fresh
+    exponential, so no phase roundoff accumulates along n.
 
     m_n is bitwise independent of n_max. Each table row is the same product
     of the same fresh exponentials whatever the row count, and the block and
-    tile starts do not depend on n_max either. Every tile has _TILE rows, the
-    unused rows of the last one zero, so the tile side of every product has
-    one shape whatever n_max, and the BLAS sums each entry, one tile row
-    against one low row, in an order set by L alone (tests compare n_max =
-    0..7 and the edges of _STEP orders, of _BLOCK orders, of _STEP blocks and
-    of _TILE blocks against a longer n_max, bitwise). The constants are fixed
-    for that reason: a tile height that follows n_max, or one product over
-    all blocks whose shape grows with n_max, changes the BLAS summation order
-    and with it the last bits. m_0 is the plain weight sum: at n_max = 0 the
-    one-row product would take another BLAS code path and round differently.
+    tile starts do not depend on n_max either. Block 0 is the same
+    matrix-vector product whatever n_max: (_BLOCK, L) @ (L,) from n_max =
+    _BLOCK - 1 on, below that the same product on fewer rows, which the BLAS
+    sums row by row, each row against the weights in an order set by L
+    alone. Every tile has _TILE rows, the unused rows of the last one zero,
+    so the tile side of every product has one shape whatever n_max, and the
+    BLAS sums each entry, one tile row against one low row, in an order set
+    by L alone (tests compare n_max = 0..7 and the edges of _STEP orders, of
+    _BLOCK orders, of _STEP blocks and of the tiles against a longer n_max,
+    bitwise). The constants are fixed for that reason: a tile height that
+    follows n_max, or one product over all blocks whose shape grows with
+    n_max, changes the BLAS summation order and with it the last bits. m_0
+    is the plain weight sum: at n_max = 0 the one-row product takes another
+    BLAS code path and rounds differently.
     """
     omegas = _as_f64(omegas)
     weights = _as_f64(weights)
     phase = -dt * omegas
     n_blocks = -(-(n_max + 1) // _BLOCK)
     span = _TILE * _BLOCK
-    used = min(_TILE, n_blocks)
-    # in place and before the large low table, to keep the peak memory low
-    rows = np.zeros((_TILE, omegas.size), dtype=np.complex128)
-    rows[:used] = _phase_table(_BLOCK * phase, used)
-    rows[:used] *= weights
+    if n_blocks > 1:
+        # in place and before the large low table, to keep the peak memory low
+        used = min(_TILE, n_blocks - 1)
+        rows = np.zeros((_TILE, omegas.size), dtype=np.complex128)
+        rows[:used] = _phase_table(_BLOCK * phase, used)
+        rows[:used] *= weights
     low = _phase_table(phase, min(_BLOCK, n_max + 1))
-    tile = np.empty_like(rows)
-    out = np.empty(n_max + 1, dtype=np.complex128)
-    for n0 in range(0, n_max + 1, span):
-        np.multiply(rows, _expi(n0 * phase), out=tile)
-        tile[n_blocks - n0 // _BLOCK :] = 0.0
-        out[n0 : n0 + span] = (tile @ low.T).ravel()[: n_max + 1 - n0]
+    if n_blocks == 1:
+        out = low @ weights
+    else:
+        tile = np.empty_like(rows)
+        out = np.empty(n_max + 1, dtype=np.complex128)
+        out[:_BLOCK] = low @ weights
+        for n0 in range(_BLOCK, n_max + 1, span):
+            np.multiply(rows, _expi(n0 * phase), out=tile)
+            tile[n_blocks - n0 // _BLOCK :] = 0.0
+            out[n0 : n0 + span] = (tile @ low.T).ravel()[: n_max + 1 - n0]
     out[0] = weights.sum()
     return out
 

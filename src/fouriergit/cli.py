@@ -153,9 +153,10 @@ def _check_counts(eff: dict):
     for scale in eff.get("scales", ()):
         if not 0 < scale < math.inf:
             raise CliError(f"--scales must be positive and finite, got {scale}")
-    period = eff.get("period")
-    if period is not None and not 0 < period < math.inf:
-        raise CliError(f"--period must be positive and finite, got {period}")
+    for key in ("eps", "eps_p", "eps_n", "eps_s", "omega_scale", "period"):
+        value = eff.get(key)
+        if value is not None and not 0 < value < math.inf:
+            raise CliError(f"{_flag(key)} must be positive and finite, got {value}")
     if "eps_min" in eff:
         lo, hi = eff["eps_min"], eff["eps_max"]
         if not lo > 0:
@@ -355,6 +356,10 @@ _MOMENTS_SCHEMA = {
 def cmd_moments(args) -> int:
     eff = _merge(args, _MOMENTS_SCHEMA)
     _require(eff, "spectrum", "out")
+    if eff["plan"] is not None and eff["period"] is not None:
+        raise CliError(
+            "--plan and --period cannot be combined: the plan sets the period"
+        )
     spectrum = serialize.read_spectrum(eff["spectrum"])
     plan = None
     if eff["plan"] is not None:

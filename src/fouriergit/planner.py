@@ -73,8 +73,9 @@ class ErrorBudget:
 
     def __post_init__(self):
         for name in ("eps_p", "eps_n", "eps_s", "omega_scale"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.confidence_delta < 1.0:
             raise ValueError(
                 f"confidence_delta must be in (0, 1), got {self.confidence_delta}"
@@ -85,8 +86,8 @@ class ErrorBudget:
         cls, eps_total: float, omega_scale: float, confidence_delta: float = 0.05
     ) -> "ErrorBudget":
         """Split a total error target equally across the three sources."""
-        if not eps_total > 0:
-            raise ValueError(f"eps_total must be positive, got {eps_total}")
+        if not 0 < eps_total < math.inf:
+            raise ValueError(f"eps_total must be positive and finite, got {eps_total}")
         part = eps_total / 3.0
         return cls(part, part, part, omega_scale, confidence_delta)
 

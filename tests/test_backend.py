@@ -141,6 +141,23 @@ class TestNumpyKernels:
         one_tile = peak(_backend._TILE * _backend._BLOCK - 1)
         assert peak(42371) <= one_tile + tile_bytes
 
+    def test_one_block_moments_allocate_no_tile(self):
+        # block 0 is one matrix-vector product: a call with n_max < _BLOCK
+        # allocates neither the block rows nor the tile buffer, so its peak
+        # stays at least one tile buffer below that of a one-tile call
+        s = random_spectrum(13, n=4096, normalized=True)
+        tile_bytes = _backend._TILE * s.n_eigen * 16
+        peaks = []
+        for n_max in (_backend._BLOCK - 1, _backend._TILE * _backend._BLOCK - 1):
+            tracemalloc.start()
+            try:
+                phase_moment_sums(s.eigenfrequencies, s.weights, 27.98, n_max)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_block, one_tile = peaks
+        assert one_block <= one_tile - tile_bytes
+
     def test_noncontiguous_input_accepted(self):
         s = random_spectrum(4, n=40, normalized=True)
         om = s.eigenfrequencies[::2]

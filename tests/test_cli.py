@@ -308,6 +308,20 @@ class TestMomentsCommand:
         ):
             serialize.read_moments(out)
 
+    def test_plan_and_period_refused(self, tmp_path, capsys, model_a_csv):
+        plan_path = tmp_path / "plan.txt"
+        assert run_cli(capsys, "plan", "--out", str(plan_path))[0] == 0
+        out = tmp_path / "m.csv"
+        code, text, err = run_cli(
+            capsys, "moments", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--period", "0.3", "--out", str(out),
+        )
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error: ")
+        assert "--plan" in err and "--period" in err
+        assert not out.exists()
+
     def test_requires_plan_or_period(self, tmp_path, capsys, model_a_csv):
         code, _, _ = run_cli(
             capsys, "moments", "--spectrum", str(model_a_csv),
@@ -664,6 +678,13 @@ class TestCountValidation:
               "0.001"), "--eps-max"),
             (("sweep", "--models", "A", "--eps-max", "nan"), "--eps-max"),
             (("sweep", "--models", "A", "--eps-max", "inf"), "--eps-max"),
+            *[
+                (("plan", flag, value), flag)
+                for flag in ("--eps", "--eps-p", "--eps-n", "--eps-s",
+                             "--omega-scale")
+                for value in ("inf", "nan", "0")
+            ],
+            (("sweep", "--models", "A", "--eps-s", "nan"), "--eps-s"),
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, argv, flag):

@@ -35,6 +35,20 @@ class TestBudgetAndWindow:
         with pytest.raises(ValueError):
             ErrorBudget(0.01, 0.01, 0.05, 0.01, confidence_delta=1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", range(4))
+    def test_budget_refuses_non_finite(self, field, bad):
+        values = [0.01, 0.01, 0.05, 0.01]
+        values[field] = bad
+        name = ("eps_p", "eps_n", "eps_s", "omega_scale")[field]
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            ErrorBudget(*values)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_equal_split_refuses_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^eps_total must be positive and finite"):
+            ErrorBudget.equal_split(bad, 0.01)
+
     def test_equal_split(self):
         b = ErrorBudget.equal_split(0.03, 0.01)
         assert b.eps_p == b.eps_n == b.eps_s == pytest.approx(0.01)
