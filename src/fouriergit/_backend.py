@@ -7,12 +7,16 @@ is the product of two fresh exponentials, so a table of K rows costs about
 _STEP + K/_STEP exponentials per phase, and no roundoff accumulates along k.
 The moment kernel takes block 0 (orders below _BLOCK) from one
 matrix-vector product of the low-order table with the weights, the same
-product whatever n_max, and contracts the later blocks in tiles of _TILE
-blocks, starting at orders _BLOCK + j _TILE _BLOCK, in one matrix product
-each, so the low-order table is read once per tile, not per block. Every tile
-has the same shape and start whatever n_max, so BLAS sums each m_n in the
-same order and m_n is bitwise independent of n_max; a call below order
-_BLOCK builds no tile.
+product whatever n_max. Each later block is centered, at c = q _BLOCK +
+_BLOCK/2, so that exp(i(c +- r) phase) = exp(i c phase)(cos r phase +- i sin
+r phase): one real cos/sin table of _BLOCK + 2 rows, split in place from the
+low table, meets the complex rows w_k exp(i c phase_k) of _TILE blocks at a
+time, viewed as interleaved floats, in one real matrix product per tile, and
+each product entry serves the two orders c + r and c - r. That halves the
+real multiplies of a complex product per block. Every tile has the same
+shape and start, and every block the same center, whatever n_max, so BLAS
+sums each m_n in the same order and m_n is bitwise independent of n_max; a
+call below order _BLOCK builds no tile.
 One Gaussian-transform kernel serves the plain and the periodic transform;
 it broadcasts one grid chunk at a time, which bounds the temporary memory,
 against the lines within reach of the chunk only, and skips just terms that
@@ -62,62 +66,91 @@ def _phase_table(phase, count):
 def phase_moment_sums(omegas, weights, dt, n_max):
     """Fourier phase moments of a weighted point spectrum.
 
-    Orders are split as n = n0 + r with n0 a multiple of the block width
-    _BLOCK and 0 <= r < _BLOCK, so that exp(-i n dt w) factors into
-    exp(-i r dt w) exp(-i n0 dt w). One low table exp(-i r dt w_k) serves
-    every block. Block 0 is the low table times the weights, one
-    matrix-vector product. The later block rows w_k exp(-i n0 dt w_k) are
-    formed _TILE at a time in one reused (_TILE, L) buffer, as a table of the
-    first _TILE block rows times one fresh exponential row per tile, the
-    tiles starting at n0 = _BLOCK + j _TILE _BLOCK; each tile meets the low
-    table in one matrix product, so the low table is read once per tile and
-    the (N/_BLOCK, L) matrix of all block rows never exists. A call with
-    n_max < _BLOCK builds no block rows and no tile. Both tables are
-    factored phase tables: L lines up to order N cost about
-    (42 + (N - _BLOCK)/(_TILE _BLOCK)) L complex exponentials, at most 24 L
-    below order _BLOCK, instead of N L, and every factor is a fresh
-    exponential, so no phase roundoff accumulates along n.
+    Block 0, orders below _BLOCK, is the low table exp(-i r dt w_k), r <
+    _BLOCK, times the weights: one matrix-vector product. Block q >= 1 is
+    centered at c = q _BLOCK + H, H = _BLOCK // 2, and holds the orders c + r
+    (0 <= r < H) and c - r (1 <= r <= H). With a_k = w_k exp(-i c dt w_k),
+
+        m_{c +- r} = sum_k a_k (cos r dt w_k -+ i sin r dt w_k) = U_r +- i V_r,
+
+    where U_r = sum_k cos(r dt w_k) a_k and V_r = sum_k sin(-r dt w_k) a_k
+    have real table entries, so one real product against the complex a,
+    viewed as interleaved floats, gives both halves of a block. The real
+    table has 2H + 2 rows of L: rows 2r and 2r + 1 are the real and the
+    imaginary part of the low table's row r, r = 0..H, split in place in
+    the low table's memory (no new exponentials). The a rows are formed
+    _TILE blocks at a time in one complex (L, _TILE) tile buffer, as a table
+    of the rows w_k exp(-i j _BLOCK dt w_k), j < _TILE, times one fresh
+    exponential row per tile, the tiles starting at order _BLOCK + j _TILE
+    _BLOCK. Each tile is one real (2H + 2, L) @ (L, 2 _TILE) product, about
+    half the real multiplies of the complex (_TILE, L) @ (L, _BLOCK) product
+    of an uncentered block, and the (N/_BLOCK, L) matrix of all block rows
+    never exists. The tile buffer sits in the low table's rows past H, so
+    beyond the low table a call holds the block-row table and the output
+    only. A call with n_max < _BLOCK builds no block rows and no tile. All
+    phase tables are factored: L lines up to order N cost 24 L complex
+    exponentials for the low table, at most 18 L for the block-row table
+    and L per tile, so at most (42 + ceil((N + 1 - _BLOCK)/(_TILE _BLOCK)))
+    L instead of N L, and every factor is a fresh exponential, so no phase
+    roundoff accumulates along n.
 
     m_n is bitwise independent of n_max. Each table row is the same product
-    of the same fresh exponentials whatever the row count, and the block and
-    tile starts do not depend on n_max either. Block 0 is the same
-    matrix-vector product whatever n_max: (_BLOCK, L) @ (L,) from n_max =
-    _BLOCK - 1 on, below that the same product on fewer rows, which the BLAS
-    sums row by row, each row against the weights in an order set by L
-    alone. Every tile has _TILE rows, the unused rows of the last one zero,
-    so the tile side of every product has one shape whatever n_max, and the
-    BLAS sums each entry, one tile row against one low row, in an order set
-    by L alone (tests compare n_max = 0..7 and the edges of _STEP orders, of
-    _BLOCK orders, of _STEP blocks and of the tiles against a longer n_max,
-    bitwise). The constants are fixed for that reason: a tile height that
-    follows n_max, or one product over all blocks whose shape grows with
-    n_max, changes the BLAS summation order and with it the last bits. m_0
-    is the plain weight sum: at n_max = 0 the one-row product takes another
-    BLAS code path and rounds differently.
+    of the same fresh exponentials whatever the row count, and the block
+    centers and tile starts do not depend on n_max either. Block 0 is the
+    same matrix-vector product whatever n_max: (_BLOCK, L) @ (L,) from n_max
+    = _BLOCK - 1 on, below that the same product on fewer rows, which the
+    BLAS sums row by row, each row against the weights in an order set by L
+    alone. Every tile has _TILE columns, those of the last tile past n_max
+    computed and dropped, so every tile product has one shape whatever
+    n_max, the BLAS sums each entry, one table row against one tile column,
+    in an order set by L alone, and U +- i V is taken entry by entry (tests
+    compare n_max = 0..7 and the edges of _STEP orders, of _BLOCK orders, of
+    the block centers, of _STEP blocks and of the tiles against a longer
+    n_max, bitwise). The constants are fixed for that reason: a tile width
+    or block center that follows n_max, or one product over all blocks
+    whose shape grows with n_max, changes the BLAS summation order and with
+    it the last bits. m_0 is the plain weight sum: at n_max = 0 the one-row
+    product takes another BLAS code path and rounds differently.
     """
     omegas = _as_f64(omegas)
     weights = _as_f64(weights)
     phase = -dt * omegas
     n_blocks = -(-(n_max + 1) // _BLOCK)
-    span = _TILE * _BLOCK
     if n_blocks > 1:
         # in place and before the large low table, to keep the peak memory low
         used = min(_TILE, n_blocks - 1)
-        rows = np.zeros((_TILE, omegas.size), dtype=np.complex128)
-        rows[:used] = _phase_table(_BLOCK * phase, used)
-        rows[:used] *= weights
+        rows = np.zeros((omegas.size, _TILE), dtype=np.complex128)
+        rows[:, :used] = _phase_table(_BLOCK * phase, used).T
+        rows[:, :used] *= weights[:, None]
     low = _phase_table(phase, min(_BLOCK, n_max + 1))
+    head = low @ weights
+    head[0] = weights.sum()
     if n_blocks == 1:
-        out = low @ weights
-    else:
-        tile = np.empty_like(rows)
-        out = np.empty(n_max + 1, dtype=np.complex128)
-        out[:_BLOCK] = low @ weights
-        for n0 in range(_BLOCK, n_max + 1, span):
-            np.multiply(rows, _expi(n0 * phase), out=tile)
-            tile[n_blocks - n0 // _BLOCK :] = 0.0
-            out[n0 : n0 + span] = (tile @ low.T).ravel()[: n_max + 1 - n0]
-    out[0] = weights.sum()
+        return head
+    # from here on the low table's memory holds the real table, its complex
+    # row r <= half split in place into the rows 2r (cos) and 2r + 1 (sin)
+    # through a copy of at most _STEP rows, and in the _TILE complex rows
+    # after those the tile buffer, so past block 0 a call allocates only the
+    # block-row table, the output and small temporaries
+    half = _BLOCK // 2
+    cs = low[: half + 1].view(np.float64).reshape(2 * half + 2, -1)
+    for a in range(0, half + 1, _STEP):
+        z = low[a : min(a + _STEP, half + 1)].copy()
+        cs[2 * a : 2 * (a + len(z)) : 2] = z.real
+        cs[2 * a + 1 : 2 * (a + len(z)) : 2] = z.imag
+    tile = low[half + 1 : half + 1 + _TILE].reshape(rows.shape)
+    span = _TILE * _BLOCK
+    out = np.empty(n_max + 1, dtype=np.complex128)
+    out[:_BLOCK] = head
+    block = np.empty((_TILE, _BLOCK), dtype=np.complex128)
+    for n0 in range(_BLOCK, n_max + 1, span):
+        np.multiply(rows, _expi((n0 + half) * phase)[:, None], out=tile)
+        prod = cs @ tile.view(np.float64)  # row 2r holds U_r, row 2r + 1 V_r
+        u = prod[0::2].view(np.complex128)
+        iv = 1j * prod[1::2].view(np.complex128)
+        np.add(u[:half], iv[:half], out=block[:, half:].T)
+        np.subtract(u[half:0:-1], iv[half:0:-1], out=block[:, :half].T)
+        out[n0 : n0 + span] = block.ravel()[: n_max + 1 - n0]
     return out
 
 

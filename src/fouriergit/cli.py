@@ -153,10 +153,17 @@ def _check_counts(eff: dict):
     for scale in eff.get("scales", ()):
         if not 0 < scale < math.inf:
             raise CliError(f"--scales must be positive and finite, got {scale}")
-    for key in ("eps", "eps_p", "eps_n", "eps_s", "omega_scale", "period"):
+    for key in ("eps", "eps_p", "eps_n", "eps_s", "omega_scale", "period",
+                "delta", "norm_scale", "lam", "mu0", "sigma"):
         value = eff.get(key)
         if value is not None and not 0 < value < math.inf:
             raise CliError(f"{_flag(key)} must be positive and finite, got {value}")
+    value = eff.get("central_value")
+    if value is not None and not 0 <= value < math.inf:
+        raise CliError(f"--central-value must be finite and >= 0, got {value}")
+    value = eff.get("mu1")
+    if value is not None and not math.isfinite(value):
+        raise CliError(f"--mu1 must be finite, got {value}")
     if "eps_min" in eff:
         lo, hi = eff["eps_min"], eff["eps_max"]
         if not lo > 0:

@@ -35,8 +35,8 @@ def lambda_from_resolution(delta: float, sigma_leak: float) -> float:
     sigma_leak : float
         Allowed out-of-window mass fraction, in (0, 1).
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 < sigma_leak < 1.0:
         raise ValueError(f"sigma_leak must be in (0, 1), got {sigma_leak}")
     return delta / math.sqrt(2.0 * math.log(1.0 / sigma_leak))
@@ -58,14 +58,12 @@ class KernelSpec:
     norm_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        for name in ("delta", "lam", "norm_scale"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.sigma_leak < 1.0:
             raise ValueError(f"sigma_leak must be in (0, 1), got {self.sigma_leak}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.norm_scale > 0:
-            raise ValueError(f"norm_scale must be positive, got {self.norm_scale}")
         lam_max = lambda_from_resolution(self.delta, self.sigma_leak)
         if self.lam > lam_max * (1.0 + 1e-12):
             raise ValueError(

@@ -244,8 +244,8 @@ def chi_general(
     """
     if mode not in _CHI_MODES:
         raise ValueError(f"unknown chi_general mode {mode!r}")
-    if not mu0 > 0:
-        raise ValueError(f"mu0 must be positive, got {mu0}")
+    if not 0 < mu0 < math.inf:
+        raise ValueError(f"mu0 must be positive and finite, got {mu0}")
     h = kernel.norm_scale
     lam = kernel.lam
     omega = budget.omega_scale
@@ -311,6 +311,13 @@ def _warn_if_no_saving(period: float, kernel, budget, mu0, method: str):
         )
 
 
+def _check_mean_and_weight(mu0, mu1):
+    if not 0 < mu0 < math.inf:
+        raise ValueError(f"mu0 must be positive and finite, got {mu0}")
+    if not math.isfinite(mu1):
+        raise ValueError(f"mu1 must be finite, got {mu1}")
+
+
 def chi_with_variance(
     kernel: KernelSpec,
     budget: ErrorBudget,
@@ -338,14 +345,13 @@ def chi_with_variance(
     whole window), 'min', 'upper', 'lower', or 'span'. Warns with
     NoSavingWarning when the result exceeds the general-bound period.
     """
-    if not moments.sigma > 0:
+    if not 0 < moments.sigma < math.inf:
         raise ValueError(
-            "chi_with_variance needs sigma > 0; use chi_general for "
-            "point-like spectra"
+            f"chi_with_variance needs a positive, finite sigma, got "
+            f"{moments.sigma}; use chi_general for point-like spectra"
         )
     mu0 = moments.mu0
-    if not mu0 > 0:
-        raise ValueError(f"mu0 must be positive, got {mu0}")
+    _check_mean_and_weight(mu0, moments.mu1)
     lam = kernel.lam
     h = kernel.norm_scale
     omega = budget.omega_scale
@@ -432,10 +438,9 @@ def chi_with_central_moment(
     if order != int(order) or order < 2:
         raise ValueError(f"order must be an integer >= 2, got {order}")
     order = int(order)
-    if central_value < 0:
-        raise ValueError(f"central_value must be >= 0, got {central_value}")
-    if not mu0 > 0:
-        raise ValueError(f"mu0 must be positive, got {mu0}")
+    if not 0 <= central_value < math.inf:
+        raise ValueError(f"central_value must be finite and >= 0, got {central_value}")
+    _check_mean_and_weight(mu0, mu1)
     if order == 2:
         moments = MomentSummary(
             mu0=mu0,

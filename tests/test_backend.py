@@ -49,6 +49,17 @@ class TestNumpyKernels:
                 tol = 1e-14 if n <= 12 else 4 * eps * (1 + n * dt * om_max) * s.mu0
                 assert abs(vals[n] - direct) <= tol
 
+    def test_block_zero_is_one_matrix_vector_product(self):
+        # orders below _BLOCK of a multi-tile call are the low table times
+        # the weights, bitwise: the centered tiles never touch block 0
+        s = random_spectrum(14, n=4096, normalized=True)
+        dt = 27.98
+        vals = phase_moment_sums(s.eigenfrequencies, s.weights, dt, N_TILES)
+        low = _backend._phase_table(-dt * s.eigenfrequencies, _backend._BLOCK)
+        head = low @ s.weights
+        assert np.array_equal(vals[1 : _backend._BLOCK], head[1:])
+        assert vals[0] == s.weights.sum()
+
     def test_phase_table_rows(self):
         # rows below _STEP are fresh exponentials, bitwise, whatever the row
         # count; every row is a product of fresh exponentials, so its error

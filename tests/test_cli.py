@@ -685,6 +685,13 @@ class TestCountValidation:
                 for value in ("inf", "nan", "0")
             ],
             (("sweep", "--models", "A", "--eps-s", "nan"), "--eps-s"),
+            *[
+                (("plan", flag, value), flag)
+                for flag in ("--delta", "--norm-scale", "--lam", "--mu0",
+                             "--mu1", "--sigma", "--central-value")
+                for value in ("inf", "nan")
+            ],
+            (("sweep", "--models", "A", "--delta", "inf"), "--delta"),
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, argv, flag):
@@ -737,6 +744,38 @@ class TestCountValidation:
             f"error: --period must be positive and finite, got {float(period)}\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "method, flag",
+        [
+            ("central", "--central-value"),
+            ("central", "--mu0"),
+            ("central", "--mu1"),
+            ("variance", "--sigma"),
+            ("variance", "--mu0"),
+            ("variance", "--mu1"),
+            ("general", "--delta"),
+            ("general", "--norm-scale"),
+        ],
+    )
+    def test_non_finite_plan_input_refused(self, capsys, method, flag, value):
+        # a NaN central value used to print a plan with alpha=inf and too
+        # few terms; the infinite values ended in an OverflowError
+        opts = {
+            "--mu0": "1", "--mu1": "-0.9", "--sigma": "0.2",
+            "--central-value": "0.01", flag: value,
+        }
+        argv = ["plan", "--method", method, "--window", "-1", "-0.8"]
+        if method == "central":
+            argv += ["--central-order", "4"]
+        for key, val in opts.items():
+            if method != "general" or key == flag:
+                argv += [key, val]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be")
 
     @pytest.mark.parametrize("scales", [["inf"], ["1.0", "inf"], ["nan"]])
     def test_non_finite_scale_refused(self, tmp_path, capsys, scales):

@@ -98,6 +98,21 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(delta=1.0, sigma_leak=0.5, lam=0.1, norm_scale=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["delta", "lam", "norm_scale"])
+    def test_non_finite_refused(self, name, bad):
+        # an infinite delta or norm_scale used to pass and fail later as a
+        # NaN period or an infinite omega_scale
+        fields = dict(delta=1.0, sigma_leak=0.5, lam=0.1, norm_scale=1.0)
+        fields[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            KernelSpec(**fields)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_from_resolution_refuses_non_finite_delta(self, bad):
+        with pytest.raises(ValueError, match="^delta must be positive and finite"):
+            KernelSpec.from_resolution(bad, 0.01)
+
 
 class TestGaussianKernel:
     def test_against_high_precision(self):

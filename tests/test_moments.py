@@ -343,13 +343,17 @@ class TestMomentErrorSummary:
     def test_truncates_to_common_orders(self, model_a):
         # m_n must not depend on n_max, bitwise, also across the edges of
         # the phase-power blocks (block 0 is a matrix-vector product of its
-        # own), of the factored phase tables (_STEP rows) and of the
-        # fixed-shape tiles (_TILE blocks from order _BLOCK on) of the
-        # moment kernel
+        # own), of the block centers (each later block is two half blocks
+        # around its center), of the factored phase tables (_STEP rows) and
+        # of the fixed-shape tiles (_TILE blocks from order _BLOCK on) of
+        # the moment kernel
         block, step, tile = _backend._BLOCK, _backend._STEP, _backend._TILE
+        half = block // 2
         edges = (
             *range(8), step - 1, step, step + 1,
             block - 1, block, block + 1, 3 * block + 7,
+            block + half - 1, block + half, block + half + 1,
+            tile * block + half - 1, tile * block + half + 1,
             step * block - 1, step * block, step * block + 1,
             tile * block - 1, tile * block, tile * block + 1,
             block + tile * block - 1, block + tile * block,

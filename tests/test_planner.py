@@ -233,6 +233,54 @@ class TestChiWithVariance:
             )
 
 
+class TestNonFiniteMomentInputs:
+    """NaN or infinite moment inputs are refused by the planners instead of
+    giving a wrong plan (NaN central value) or an OverflowError (infinite
+    values) downstream."""
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["mu0", "mu1", "sigma"])
+    def test_variance_refuses(
+        self, kernel001, budget001, window_model, field, bad
+    ):
+        values = dict(mu0=1.0, mu1=-0.9, sigma=0.2)
+        values[field] = bad
+        moments = MomentSummary(**values, central={2: 0.04})
+        with pytest.raises(ValueError, match=field):
+            chi_with_variance(kernel001, budget001, moments, window_model)
+        with pytest.raises(ValueError, match=field):
+            make_plan(
+                "variance", kernel001, budget001, window=window_model,
+                moments=moments,
+            )
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["central_value", "mu0", "mu1"])
+    def test_central_refuses(
+        self, kernel001, budget001, window_model, field, bad, order
+    ):
+        values = dict(central_value=1e-4, mu0=1.0, mu1=-0.9)
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            chi_with_central_moment(
+                order, values["central_value"], kernel001, budget001,
+                values["mu1"], window_model, mu0=values["mu0"],
+            )
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make_plan(
+                "central", kernel001, budget001, window=window_model,
+                central_order=order, **values,
+            )
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_general_refuses_mu0(self, kernel001, budget001, bad):
+        with pytest.raises(ValueError, match="^mu0 must be positive and finite"):
+            chi_general(kernel001, budget001, mu0=bad)
+        with pytest.raises(ValueError, match="^mu0 must be positive and finite"):
+            make_plan("general", kernel001, budget001, mu0=bad)
+
+
 class TestChiWithCentralMoment:
     def test_order_two_delegates_to_variance(
         self, kernel001, budget001, stats_a, window_model
