@@ -1,10 +1,11 @@
 """Numerical kernels: phase moments, Gaussian transforms, series resummation.
 
 Each job has one numpy implementation. The phase-moment sums and the
-truncated Fourier reconstruction are blocked kernels built from factored
-complex exponential tables and BLAS products: every table row exp(i k phase)
-is the product of two fresh exponentials, so a table of K rows costs about
-_STEP + K/_STEP exponentials per phase, and no roundoff accumulates along k.
+truncated Fourier reconstruction are blocked kernels built from doubling
+complex exponential tables and BLAS products: table row exp(i k phase) is the
+product of the fresh exponentials exp(i 2^j phase) of the set bits j of k,
+so a table of K rows costs bit_length(K - 1) exponentials per phase, and row
+k carries at most bit_length(K - 1) products, not k accumulated steps.
 The moment kernel takes block 0 (orders below _BLOCK) from one
 matrix-vector product of the low-order table with the weights, the same
 product whatever n_max. Each later block is centered, at c = q _BLOCK +
@@ -32,7 +33,7 @@ import numpy as np
 _CHUNK = 256  # grid rows per numpy broadcast block; bounds temp memory
 _BLOCK = 128  # orders per phase-power block; fixed so m_n ignores n_max
 _TILE = 32  # blocks per moment matrix product; fixed so m_n ignores n_max
-_STEP = 16  # rows per low factor of a phase table
+_SPLIT_ROWS = 16  # complex rows per copy in the in-place cos/sin split
 _UNDERFLOW = 750.0  # exp(-x) is 0.0 in float64 beyond 745.2; margin for rounding
 
 
@@ -50,13 +51,21 @@ def _expi(phase):
 def _phase_table(phase, count):
     """exp(i k phase) for k < count, shape (count,) + phase.shape.
 
-    Row a _STEP + b is exp(i a _STEP phase) exp(i b phase), a product of two
-    fresh exponentials; the high factor of rows 0.._STEP - 1 is exp(0) = 1,
-    so those rows equal _expi(k phase) exactly, whatever count is.
+    Built by doubling in one output array: row 0 is 1, and rows 2^j to
+    2^(j+1) - 1 are rows 0 to 2^j - 1 times the fresh exponential
+    exp(i 2^j phase), whose argument 2^j phase is exact. Row k is thus the
+    product of the exponentials of its set bits, lowest first, whatever count
+    is, and row 2^j equals _expi(2^j phase); the table costs bit_length(count
+    - 1) exponentials per phase.
     """
-    low = _expi(np.multiply.outer(np.arange(min(_STEP, count)), phase))
-    high = _expi(np.multiply.outer(np.arange(0, count, _STEP), phase))
-    return (high[:, None] * low).reshape((-1,) + phase.shape)[:count]
+    table = np.empty((count,) + phase.shape, dtype=np.complex128)
+    table[:1] = 1.0
+    top = 1
+    while top < count:
+        n = min(top, count - top)
+        np.multiply(table[:n], _expi(top * phase), out=table[top : top + n])
+        top *= 2
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -88,29 +97,30 @@ def phase_moment_sums(omegas, weights, dt, n_max):
     never exists. The tile buffer sits in the low table's rows past H, so
     beyond the low table a call holds the block-row table and the output
     only. A call with n_max < _BLOCK builds no block rows and no tile. All
-    phase tables are factored: L lines up to order N cost 24 L complex
-    exponentials for the low table, at most 18 L for the block-row table
-    and L per tile, so at most (42 + ceil((N + 1 - _BLOCK)/(_TILE _BLOCK)))
-    L instead of N L, and every factor is a fresh exponential, so no phase
-    roundoff accumulates along n.
+    phase tables are built by doubling: L lines up to order N cost 7 L
+    complex exponentials for the low table, at most 5 L for the block-row
+    table and L per tile, so at most (12 + ceil((N + 1 - _BLOCK)/(_TILE
+    _BLOCK))) L instead of N L, and at most 7 L below order _BLOCK; every
+    factor is a fresh exponential, so no phase roundoff accumulates along n.
 
     m_n is bitwise independent of n_max. Each table row is the same product
-    of the same fresh exponentials whatever the row count, and the block
-    centers and tile starts do not depend on n_max either. Block 0 is the
-    same matrix-vector product whatever n_max: (_BLOCK, L) @ (L,) from n_max
-    = _BLOCK - 1 on, below that the same product on fewer rows, which the
-    BLAS sums row by row, each row against the weights in an order set by L
-    alone. Every tile has _TILE columns, those of the last tile past n_max
-    computed and dropped, so every tile product has one shape whatever
-    n_max, the BLAS sums each entry, one table row against one tile column,
-    in an order set by L alone, and U +- i V is taken entry by entry (tests
-    compare n_max = 0..7 and the edges of _STEP orders, of _BLOCK orders, of
-    the block centers, of _STEP blocks and of the tiles against a longer
-    n_max, bitwise). The constants are fixed for that reason: a tile width
-    or block center that follows n_max, or one product over all blocks
-    whose shape grows with n_max, changes the BLAS summation order and with
-    it the last bits. m_0 is the plain weight sum: at n_max = 0 the one-row
-    product takes another BLAS code path and rounds differently.
+    of the same fresh exponentials, in the same order, whatever the row
+    count, and the block centers and tile starts do not depend on n_max
+    either. Block 0 is the same matrix-vector product whatever n_max:
+    (_BLOCK, L) @ (L,) from n_max = _BLOCK - 1 on, below that the same
+    product on fewer rows, which the BLAS sums row by row, each row against
+    the weights in an order set by L alone. Every tile has _TILE columns,
+    those of the last tile past n_max computed and dropped, so every tile
+    product has one shape whatever n_max, the BLAS sums each entry, one
+    table row against one tile column, in an order set by L alone, and
+    U +- i V is taken entry by entry (tests compare n_max = 0..7 and the
+    power-of-two edges of the low table, of _BLOCK orders, of the block
+    centers, of the block-row table and of the tiles against a longer n_max,
+    bitwise). The constants are fixed for that reason: a tile width or block
+    center that follows n_max, or one product over all blocks whose shape
+    grows with n_max, changes the BLAS summation order and with it the last
+    bits. m_0 is the plain weight sum: at n_max = 0 the one-row product
+    takes another BLAS code path and rounds differently.
     """
     omegas = _as_f64(omegas)
     weights = _as_f64(weights)
@@ -129,13 +139,13 @@ def phase_moment_sums(omegas, weights, dt, n_max):
         return head
     # from here on the low table's memory holds the real table, its complex
     # row r <= half split in place into the rows 2r (cos) and 2r + 1 (sin)
-    # through a copy of at most _STEP rows, and in the _TILE complex rows
+    # through a copy of at most _SPLIT_ROWS rows, and in the _TILE complex rows
     # after those the tile buffer, so past block 0 a call allocates only the
     # block-row table, the output and small temporaries
     half = _BLOCK // 2
     cs = low[: half + 1].view(np.float64).reshape(2 * half + 2, -1)
-    for a in range(0, half + 1, _STEP):
-        z = low[a : min(a + _STEP, half + 1)].copy()
+    for a in range(0, half + 1, _SPLIT_ROWS):
+        z = low[a : min(a + _SPLIT_ROWS, half + 1)].copy()
         cs[2 * a : 2 * (a + len(z)) : 2] = z.real
         cs[2 * a + 1 : 2 * (a + len(z)) : 2] = z.imag
     tile = low[half + 1 : half + 1 + _TILE].reshape(rows.shape)
@@ -205,7 +215,8 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
 
     With g_n = env_n m_n and n = q W + r (block width W = min(_BLOCK,
     n_terms + 1)), the series is sum_q exp(i q W dt nu) sum_r exp(i r dt nu)
-    g_{qW+r}. Per grid chunk this is one factored phase table per factor and
+    g_{qW+r}. Per grid chunk this is one doubling phase table per factor,
+    bit_length(W - 1) + bit_length(Q - 1) exponentials per grid point, and
     one matrix product with the Q x W block matrix of g, never a grid x
     n_terms phase matrix.
     """

@@ -46,6 +46,7 @@ from .planner import (
     tail_leakage_bound,
 )
 from .spectrum import (
+    _MODEL_KINDS,
     MomentSummary,
     PeakParams,
     TailParams,
@@ -145,8 +146,9 @@ def _merge(args, schema: dict) -> dict:
 
 
 def _check_counts(eff: dict):
-    for key, least in (("grid_points", 2), ("seeds", 1), ("points", 1)):
-        if key in eff and eff[key] < least:
+    for key, least in (("grid_points", 2), ("seeds", 1), ("points", 1),
+                       ("central_order", 2)):
+        if eff.get(key) is not None and eff[key] < least:
             raise CliError(f"{_flag(key)} must be >= {least}, got {eff[key]}")
     if "scales" in eff and not eff["scales"]:
         raise CliError("--scales must name at least one scale")
@@ -200,7 +202,8 @@ def _print_block(d: dict):
 
 
 _MODEL_SCHEMA = {
-    "kind": (str, None, {"choices": ["A", "B", "a", "b"],
+    "kind": (str, None, {"choices": [*_MODEL_KINDS,
+                                     *map(str.lower, _MODEL_KINDS)],
                          "help": "model family: A peak, B threshold tail"}),
     "n_eigen": (int, 512),
     "norm_scale": (float, 1.0),
@@ -494,6 +497,10 @@ def cmd_sweep(args) -> int:
     kinds = [k.strip().upper() for k in eff["models"].split(",") if k.strip()]
     if not kinds:
         raise CliError("--models must name at least one model")
+    unknown = [k for k in kinds if k not in _MODEL_KINDS]
+    if unknown:
+        raise CliError(f"--models: unknown model kind {unknown[0]!r}; "
+                       f"expected one of {', '.join(_MODEL_KINDS)}")
     window = FrequencyWindow(eff["window"][0], eff["window"][1])
     kernel = KernelSpec.from_resolution(eff["delta"], eff["sigma_leak"], 1.0)
     targets = np.logspace(

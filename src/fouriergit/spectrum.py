@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _WEIGHT_FLOOR = 1e-300  # weights below this underflow to 0 in the models
+_MODEL_KINDS = ("A", "B")  # the model families, in the order the CLI lists them
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
@@ -225,15 +226,13 @@ def make_model(
     DiscreteSpectrum with weights summing to 1.
     """
     key = str(kind).strip().upper()
+    if key not in _MODEL_KINDS:
+        expected = " or ".join(map(repr, _MODEL_KINDS))
+        raise ValueError(f"unknown model kind {kind!r}; expected {expected}")
     grid = midpoint_grid(n_eigen, norm_scale)
-    if key == "A":
-        w = np.asarray(eval_peak(grid, peak), dtype=np.float64)
-    elif key == "B":
-        w = np.asarray(eval_peak(grid, peak), dtype=np.float64) + np.asarray(
-            eval_tail(grid, tail), dtype=np.float64
-        )
-    else:
-        raise ValueError(f"unknown model kind {kind!r}; expected 'A' or 'B'")
+    w = np.asarray(eval_peak(grid, peak), dtype=np.float64)
+    if key == "B":
+        w = w + np.asarray(eval_tail(grid, tail), dtype=np.float64)
     w = w.copy()
     w[w < _WEIGHT_FLOOR] = 0.0
     total = w.sum()

@@ -22,8 +22,8 @@ from conftest import package_env, periodic_line, random_spectrum
 
 # orders spanning several phase-power blocks, with a partial last block
 N_MULTI = 3 * _backend._BLOCK + 7
-# orders spanning several tiles of blocks, past the second high row of the
-# block table (_STEP blocks), with a partial last tile
+# orders spanning several tiles of blocks, through every power-of-two row of
+# the block-row table (the last, row 16, is block 17), with a partial last tile
 N_TILES = 2 * _backend._TILE * _backend._BLOCK + 7
 
 
@@ -61,21 +61,65 @@ class TestNumpyKernels:
         assert vals[0] == s.weights.sum()
 
     def test_phase_table_rows(self):
-        # rows below _STEP are fresh exponentials, bitwise, whatever the row
-        # count; every row is a product of fresh exponentials, so its error
+        # row 2^j is the fresh exponential of its exact argument 2^j phase,
+        # and every row k is row k - top times row top, top the highest set
+        # bit of k, bitwise, whatever the row count; every row is a product
+        # of at most bit_length(count - 1) fresh exponentials, so its error
         # is that of rounding its own phase, not accumulated along k
         rng = np.random.default_rng(12)
-        phase = rng.uniform(-5.0, 5.0, 33)
-        step = _backend._STEP
         eps = np.finfo(np.float64).eps
-        for count in (1, step - 1, step, step + 1, 20 * step + 3):
-            table = _backend._phase_table(phase, count)
-            assert table.shape == (count, phase.size)
-            for k in range(min(step, count)):
-                assert np.array_equal(table[k], _backend._expi(k * phase))
-            for k in range(count):
-                err = np.abs(table[k] - np.exp(1j * k * phase))
-                assert np.all(err <= 4 * eps * (1 + np.abs(k * phase)))
+        sign = rng.choice([-1.0, 1.0], 33)
+        phases = (
+            rng.uniform(-5.0, 5.0, 33),
+            rng.uniform(-1e-3, 1e-3, 33),  # where the error bound is tightest
+            sign * rng.uniform(290.0, 310.0, 33),
+        )
+        for phase in phases:
+            for count in (1, 2, 3, 15, 16, 17, 127, 128, 129, 332, 333):
+                table = _backend._phase_table(phase, count)
+                assert table.shape == (count, phase.size)
+                assert np.array_equal(table[0], np.ones(phase.size))
+                for k in range(1, count):
+                    top = 1 << (k.bit_length() - 1)
+                    if k == top:
+                        assert np.array_equal(table[k], _backend._expi(k * phase))
+                    assert np.array_equal(table[k], table[k - top] * table[top])
+                    err = np.abs(table[k] - np.exp(1j * k * phase))
+                    assert np.all(err <= 4 * eps * (1 + np.abs(k * phase)))
+
+    def test_exponentials_counted_per_table_bit(self, monkeypatch):
+        # counts work, not time: a table of count rows evaluates
+        # bit_length(count - 1) exponential rows, so a regression to one
+        # exponential per row fails here
+        evaluated = []
+        expi = _backend._expi
+
+        def counting(phase):
+            evaluated.append(phase.size)
+            return expi(phase)
+
+        monkeypatch.setattr(_backend, "_expi", counting)
+        phase = np.linspace(-3.0, 3.0, 7)
+        for count in (1, 2, 3, 4, 5, 16, 17, 128, 129, 332):
+            evaluated.clear()
+            _backend._phase_table(phase, count)
+            assert sum(evaluated) == (count - 1).bit_length() * phase.size
+        # the moments of L lines to order N: 7 L for the low table, 5 L for
+        # the block-row table and L per tile
+        s = random_spectrum(15, n=64, normalized=True)
+        n_max = 42371
+        span = _backend._TILE * _backend._BLOCK
+        tiles = -(-(n_max + 1 - _backend._BLOCK) // span)
+        evaluated.clear()
+        phase_moment_sums(s.eigenfrequencies, s.weights, 27.98, n_max)
+        assert sum(evaluated) == (12 + tiles) * s.n_eigen == 23 * s.n_eigen
+        # the resummation: bit_length(W - 1) + bit_length(Q - 1) per grid
+        # point, W = 128 orders per block and Q = 332 blocks
+        moments = np.ones(n_max + 1, dtype=np.complex128)
+        nus = np.linspace(-1.0, 1.0, 5)
+        evaluated.clear()
+        reconstruct_series(nus, moments, 27.98, 0.001, 0.22, n_max)
+        assert sum(evaluated) == (7 + 9) * nus.size
 
     def test_gaussian_transform_matches_broadcast(self):
         s = random_spectrum(1, n=32)

@@ -692,6 +692,12 @@ class TestCountValidation:
                 for value in ("inf", "nan")
             ],
             (("sweep", "--models", "A", "--delta", "inf"), "--delta"),
+            (("sweep", "--models", "A,C"), "--models"),
+            *[
+                (("plan", "--method", "central", "--window", "-1", "-0.8",
+                  "--central-order", value), "--central-order")
+                for value in ("0", "1", "-3")
+            ],
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, argv, flag):
@@ -713,6 +719,9 @@ class TestCountValidation:
             ("sweep", "eps_min=0.1\neps_max=0.001", "--eps-max"),
             ("shots-demo", "scales=inf", "--scales"),
             ("moments", "period=0", "--period"),
+            ("sweep", "models=B,x", "--models"),
+            ("plan", "method=central\nwindow=-1 -0.8\ncentral_order=1",
+             "--central-order"),
         ],
     )
     def test_config_value_rejected(self, tmp_path, capsys, command, line, flag):
@@ -743,6 +752,31 @@ class TestCountValidation:
         assert err == (
             f"error: --period must be positive and finite, got {float(period)}\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name, message",
+        [
+            (("sweep", "--models", "A,C", "--out"), "make_model",
+             "error: --models: unknown model kind 'C'; expected one of A, B\n"),
+            (("plan", "--method", "central", "--window", "-1", "-0.8",
+              "--central-order", "1", "--out"), "make_plan",
+             "error: --central-order must be >= 2, got 1\n"),
+        ],
+    )
+    def test_refused_before_work(
+        self, tmp_path, capsys, monkeypatch, argv, name, message
+    ):
+        # nothing is planned or printed before the bad value is named
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(cli, name, forbidden)
+        out = tmp_path / "o.csv"
+        code, text, err = run_cli(capsys, *argv, str(out))
+        assert code == 1
+        assert text == ""
+        assert err == message
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

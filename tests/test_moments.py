@@ -344,22 +344,25 @@ class TestMomentErrorSummary:
         # m_n must not depend on n_max, bitwise, also across the edges of
         # the phase-power blocks (block 0 is a matrix-vector product of its
         # own), of the block centers (each later block is two half blocks
-        # around its center), of the factored phase tables (_STEP rows) and
-        # of the fixed-shape tiles (_TILE blocks from order _BLOCK on) of
-        # the moment kernel
-        block, step, tile = _backend._BLOCK, _backend._STEP, _backend._TILE
+        # around its center), of the doubling phase tables (rows 2^j of the
+        # low table, block-row counts 2^j) and of the fixed-shape tiles
+        # (_TILE blocks from order _BLOCK on) of the moment kernel
+        block, tile = _backend._BLOCK, _backend._TILE
         half = block // 2
-        edges = (
-            *range(8), step - 1, step, step + 1,
-            block - 1, block, block + 1, 3 * block + 7,
+        low_rows = [1 << j for j in range(8)]  # up to _BLOCK rows
+        block_rows = [1 << j for j in range(6)]  # up to _TILE rows
+        edges = sorted({
+            *range(8),
+            *(k + d for k in low_rows for d in (-1, 0, 1)),
+            *(block * (1 + r) + d for r in block_rows for d in (-1, 0, 1)),
+            3 * block + 7,
             block + half - 1, block + half, block + half + 1,
             tile * block + half - 1, tile * block + half + 1,
-            step * block - 1, step * block, step * block + 1,
             tile * block - 1, tile * block, tile * block + 1,
             block + tile * block - 1, block + tile * block,
             block + tile * block + 1,
             2 * tile * block + 7,
-        )
+        })
         wide = random_spectrum(11, n=4096, normalized=True)
         for spectrum, n_long, shorts in (
             (model_a, 20, (5,)),
