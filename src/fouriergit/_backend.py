@@ -18,10 +18,15 @@ real multiplies of a complex product per block. Every tile has the same
 shape and start, and every block the same center, whatever n_max, so BLAS
 sums each m_n in the same order and m_n is bitwise independent of n_max; a
 call below order _BLOCK builds no tile.
-One Gaussian-transform kernel serves the plain and the periodic transform;
-it broadcasts one grid chunk at a time, which bounds the temporary memory,
-against the lines within reach of the chunk only, and skips just terms that
-are exactly 0.0.
+One Gaussian-transform kernel serves the plain and the periodic transform.
+It works one grid chunk at a time, which bounds the temporary memory, on the
+lines within reach of the chunk only. Within a chunk it wraps each line to
+its nearest image once per span of grid points, by one subtraction, where
+the nearest image is the same at both ends of the span, and rounds per pair
+only for the lines whose image changes inside it. For each image it skips
+the lines whose every term in the span is exactly 0.0, found from the exact
+range of their offsets; adding +0.0 to a nonnegative sum changes no bit, so
+the result is bitwise that of evaluating every term.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ _BLOCK = 128  # orders per phase-power block; fixed so m_n ignores n_max
 _TILE = 32  # blocks per moment matrix product; fixed so m_n ignores n_max
 _SPLIT_ROWS = 16  # complex rows per copy in the in-place cos/sin split
 _UNDERFLOW = 750.0  # exp(-x) is 0.0 in float64 beyond 745.2; margin for rounding
+_SPAN = 64  # grid rows per liveness decision in the Gaussian transform
+_RUNS = 16  # line slices per image and span in the Gaussian transform
+_exp = np.exp  # the Gaussian transform's exponential; tests count its elements
 
 
 def _as_f64(x):
@@ -180,27 +188,101 @@ def _within_reach(chunk, omegas, lam, period=None):
     return np.flatnonzero(~(np.abs(d) > reach))
 
 
+def _offsets(span, omegas, period):
+    """nu - w for every (line, span point), wrapped to the line's nearest
+    image, and its exact per-line minimum and maximum over the span.
+
+    fl(fl(nu - w) / period) and round are monotone in nu, so a line whose
+    nearest-image index n is the same at the span's minimum and maximum has
+    that n at every span point; it is wrapped by one subtraction of
+    fl(period n) per line, the same float operations as the per-pair
+    rounding, and its range is the offset at the two ends. The other lines
+    (a NaN point counts among them) are rounded per pair and their range is
+    taken over the row."""
+    d = span[None, :] - omegas[:, None]
+    ends = np.array([[span.min()], [span.max()]]) - omegas
+    if period is None:
+        return d, ends
+    n = np.round(ends / period)
+    moved = np.flatnonzero(~(n[0] == n[1]))
+    n[0, moved] = 0.0
+    shift = period * n[0]
+    wrapped = d[moved]
+    wrapped -= period * np.round(wrapped / period)
+    d -= shift[:, None]
+    ends -= shift
+    d[moved] = wrapped
+    ends[:, moved] = wrapped.min(axis=1), wrapped.max(axis=1)
+    return d, ends
+
+
+def _live_runs(ends, shifts, c):
+    """Per image shift s, the row slices (start, stop) that hold every line
+    with a term above exp(-_UNDERFLOW) for x = d - s, d in ends[0]..ends[1].
+
+    fl(fl(x c) x) is even in x and nonincreasing in |x|, so the largest term
+    of a line is the one at its x nearest 0; below -_UNDERFLOW every term of
+    the line is exactly 0.0. A NaN keeps the line. An image with more than
+    _RUNS runs of live lines gets one slice over all of them instead, so
+    scattered lines cost some zeros rather than many slices."""
+    x = ends - np.array(shifts)[:, None, None]
+    near = np.clip(0.0, x[:, 0], x[:, 1])
+    near *= near * c
+    live = np.zeros((len(shifts), ends.shape[1] + 2), dtype=bool)
+    live[:, 1:-1] = ~(near < -_UNDERFLOW)
+    image, edge = np.nonzero(live[:, 1:] != live[:, :-1])
+    runs = [[] for _ in shifts]
+    for i, start, stop in zip(image[0::2], edge[0::2], edge[1::2]):
+        runs[i].append((start, stop))
+    return [r if len(r) <= _RUNS else [(r[0][0], r[-1][1])] for r in runs]
+
+
 def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
     """Gaussian-kernel transform of a point spectrum on a nu grid; given a
     period, each line enters through its nearest image and wrap_count
-    images on each side, summed in order j = -wrap_count..wrap_count."""
+    images on each side, summed in order j = -wrap_count..wrap_count.
+
+    Per chunk of _CHUNK grid points the lines within reach form the columns
+    of one C-contiguous (points, lines) sum of kernel terms, which meets
+    the weights in one matrix-vector product. The sum is filled one span of
+    _SPAN points at a time (the whole chunk when it keeps fewer than _CHUNK
+    lines, where per-span overhead would outweigh the skipped work), in a
+    (lines, points) layout so that a run of lines is one contiguous block.
+    Per span each line is wrapped once to its nearest image (_offsets), and
+    per image j only the runs of lines with a term that can be nonzero are
+    evaluated (_live_runs), each term as exp((x c) x) with x = d - j period.
+
+    The output is bitwise that of evaluating every term. A line wrapped per
+    span gets the same offsets as per-pair rounding; a skipped term is
+    exactly +0.0, and adding +0.0 to a sum of nonnegative terms (or to a NaN)
+    changes no bit; the images are added in the same order; and the product
+    takes the same array and line order.
+    """
     nus = _as_f64(nus)
     omegas = _as_f64(omegas)
     weights = _as_f64(weights)
     c = -0.5 / (lam * lam)
+    shifts = [j * period if j else 0.0 for j in range(-wrap_count, wrap_count + 1)]
     out = np.empty(nus.shape[0])
     for i in range(0, nus.shape[0], _CHUNK):
-        k = _within_reach(nus[i : i + _CHUNK], omegas, lam, period)
-        d = nus[i : i + _CHUNK, None] - omegas[None, k]
-        if period is not None:
-            d -= period * np.round(d / period)
-        acc = np.zeros_like(d)
-        term = np.empty_like(d)  # reused by every image: no temporaries per image
-        for j in range(-wrap_count, wrap_count + 1):
-            x = d - j * period if j else d
-            np.multiply(x, c, out=term)
-            term *= x
-            acc += np.exp(term, out=term)
+        chunk = nus[i : i + _CHUNK]
+        k = _within_reach(chunk, omegas, lam, period)
+        om = omegas[k]
+        step = _SPAN if k.size >= _CHUNK else _CHUNK
+        acc = np.empty((chunk.size, k.size))
+        for p in range(0, chunk.size, step):
+            d, ends = _offsets(chunk[p : p + step], om, period)
+            span = np.zeros_like(d)
+            x = np.empty_like(d)  # buffers reused by every image
+            term = np.empty_like(d)
+            for s, runs in zip(shifts, _live_runs(ends, shifts, c)):
+                for a, b in runs:
+                    xs = np.subtract(d[a:b], s, out=x[a:b]) if s else d[a:b]
+                    t = term[a:b]
+                    np.multiply(xs, c, out=t)
+                    t *= xs
+                    span[a:b] += _exp(t, out=t)
+            acc[p : p + step] = span.T
         out[i : i + _CHUNK] = acc @ weights[k]
     return out / (math.sqrt(2.0 * math.pi) * lam)
 

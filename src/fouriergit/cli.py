@@ -133,7 +133,8 @@ def _merge(args, schema: dict) -> dict:
                 raise CliError(f"config key {key}: {exc}") from None
             choices = dict(*extras).get("choices")
             if choices and val not in choices:
-                raise CliError(f"config key {key}: {val!r} is not one of {choices}")
+                raise CliError(f"config key {key}: {val!r} is not one of "
+                               f"{choices} ({_flag(key)})")
             from_file[key] = val
     eff = {}
     for key, (_conv, default, *_extras) in schema.items():
@@ -201,9 +202,11 @@ def _print_block(d: dict):
 # model
 
 
+# model --kind and shots-demo --model: the model families, in either case
+_MODEL_CHOICES = [*_MODEL_KINDS, *map(str.lower, _MODEL_KINDS)]
+
 _MODEL_SCHEMA = {
-    "kind": (str, None, {"choices": [*_MODEL_KINDS,
-                                     *map(str.lower, _MODEL_KINDS)],
+    "kind": (str, None, {"choices": _MODEL_CHOICES,
                          "help": "model family: A peak, B threshold tail"}),
     "n_eigen": (int, 512),
     "norm_scale": (float, 1.0),
@@ -558,7 +561,7 @@ def cmd_sweep(args) -> int:
 
 
 _SHOTS_DEMO_SCHEMA = {
-    "model": (str, "A"),
+    "model": (str, "A", {"choices": _MODEL_CHOICES}),
     "seeds": (int, 200),
     "seed0": (int, 2026),
     "scales": (_float_list_opt, [1.0, 0.01]),

@@ -15,6 +15,7 @@ spacing) to make them dimensionless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ def exact_transform(
         period-P images (kind 'exact_periodic'); otherwise the plain
         kernel is used (kind 'exact_gaussian').
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     period, wraps, kind = None, 0, "exact_gaussian"
     if periodic is not None:

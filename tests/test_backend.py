@@ -1,3 +1,5 @@
+import functools
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -5,11 +7,16 @@ import tracemalloc
 import numpy as np
 
 from fouriergit import (
+    ErrorBudget,
     FourierMomentSet,
+    FrequencyWindow,
     KernelSpec,
     PeriodicKernelParams,
     _backend,
+    make_model,
+    make_plan,
     reconstruct,
+    summarize,
 )
 from fouriergit._backend import (
     active_backend,
@@ -228,6 +235,68 @@ class TestNumpyKernels:
         assert np.array_equal(c, d)
 
 
+def _every_term(nus, omegas, weights, lam, period=None, wrap=0):
+    """The transform with every term of every within-reach line evaluated:
+    the kernel's chunks and line sets, per-pair nearest-image rounding,
+    per-term arithmetic exp((x c) x), image order and per-chunk product on a
+    C-contiguous grid x lines array, with nothing skipped."""
+    nus, omegas, weights = (np.asarray(a, dtype=np.float64) for a in (nus, omegas, weights))
+    c = -0.5 / (lam * lam)
+    out = np.empty(nus.size)
+    for i in range(0, nus.size, _backend._CHUNK):
+        chunk = nus[i : i + _backend._CHUNK]
+        k = _backend._within_reach(chunk, omegas, lam, period)
+        d = chunk[:, None] - omegas[None, k]
+        if period is not None:
+            d -= period * np.round(d / period)
+        acc = np.zeros_like(d)
+        for j in range(-wrap, wrap + 1):
+            x = d - j * period if j else d
+            acc += np.exp((x * c) * x)
+        out[i : i + _backend._CHUNK] = acc @ weights[k]
+    return out / (math.sqrt(2.0 * math.pi) * lam)
+
+
+def _every_term_count(nus, omegas, lam, period=None, wrap=0):
+    """Exponentials the every-term evaluation takes: grid points times
+    within-reach lines times images, summed over chunks."""
+    total = 0
+    for i in range(0, nus.size, _backend._CHUNK):
+        chunk = nus[i : i + _backend._CHUNK]
+        total += chunk.size * _backend._within_reach(chunk, omegas, lam, period).size
+    return total * (2 * wrap + 1)
+
+
+def _assert_bitwise(nus, omegas, weights, lam, period=None, wrap=0):
+    got = gaussian_transform(nus, omegas, weights, lam, period, wrap)
+    want = _every_term(nus, omegas, weights, lam, period, wrap)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    return got
+
+
+@functools.lru_cache(maxsize=None)
+def _default_sweep():
+    """Arguments of the two plain and the 20 periodic transforms of the
+    default `fouriergit sweep`: models A and B, 10 targets from 1e-4 to 0.1,
+    variance plans on the window [-1, -0.8], 1024 grid points."""
+    kernel = KernelSpec.from_resolution(0.02, 0.01, 1.0)
+    window = FrequencyWindow(-1.0, -0.8)
+    grid = np.linspace(-1.0, -0.8, 1024)
+    plain, rows = [], []
+    for kind in "AB":
+        s = make_model(kind)
+        moments = summarize(s)
+        plain.append((grid, s.eigenfrequencies, s.weights, kernel.lam))
+        for eps in np.logspace(-4.0, -1.0, 10):
+            budget = ErrorBudget(float(eps), float(eps), 0.05, 2.0 / 512, 0.05)
+            plan = make_plan("variance", kernel, budget, window=window,
+                             moments=moments, window_term="max")
+            params = PeriodicKernelParams.from_period(plan.period, kernel)
+            rows.append(plain[-1] + (params.period, params.wrap_count))
+    return plain, rows
+
+
 # Dense references: every (grid point, line[, image]) term with the
 # kernels' own per-term arithmetic, so only the summation order can differ.
 
@@ -251,8 +320,8 @@ def _dense_periodic(nus, omegas, weights, lam, period, wrap):
 
 
 def _check_both(nus, omegas, weights, lam, period, wrap):
-    plain = gaussian_transform(nus, omegas, weights, lam)
-    wrapped = gaussian_transform(nus, omegas, weights, lam, period, wrap)
+    plain = _assert_bitwise(nus, omegas, weights, lam)
+    wrapped = _assert_bitwise(nus, omegas, weights, lam, period, wrap)
     ref_plain = _dense_plain(nus, omegas, weights, lam)
     ref_wrapped = _dense_periodic(nus, omegas, weights, lam, period, wrap)
     np.testing.assert_allclose(plain, ref_plain, rtol=1e-14, atol=0.0)
@@ -262,7 +331,8 @@ def _check_both(nus, omegas, weights, lam, period, wrap):
 
 class TestPrunedTransforms:
     """The transforms skip, per grid chunk, the lines whose every kernel
-    term is exactly 0.0; the dense all-lines sums above must agree."""
+    term is exactly 0.0; the dense all-lines sums above must agree, and the
+    every-term evaluation bit for bit."""
 
     def test_wide_spectrum_over_many_chunks(self):
         # lines far wider than the kernel, so most chunks keep few lines;
@@ -343,6 +413,100 @@ class TestPrunedTransforms:
         nus[10] = np.nan
         for got in _check_both(nus, s.eigenfrequencies, s.weights, 0.05, 11.0, 1):
             assert np.isnan(got[10]) and np.isfinite(np.delete(got, 10)).all()
+
+
+class TestTransformMatchesEveryTerm:
+    """The transform evaluates only the (line, image) blocks of a grid span
+    that hold a nonzero term and wraps most lines once per span; its output
+    equals the every-term evaluation bit for bit."""
+
+    def test_default_sweep_rows(self):
+        plain, rows = _default_sweep()
+        assert len(rows) == 20 and {r[5] for r in rows} == {1}
+        for args in plain + rows:
+            _assert_bitwise(*args)
+
+    def test_wrap_counts(self):
+        s = random_spectrum(21, n=300, norm_scale=2.0)
+        nus = np.linspace(-2.5, 2.5, 3 * _backend._CHUNK + 5)
+        for wrap in range(4):
+            for lam, period in ((0.05, 0.9), (0.2, 0.9), (0.02, 3.7)):
+                _assert_bitwise(nus, s.eigenfrequencies, s.weights, lam, period, wrap)
+
+    def test_nearest_image_changes_inside_chunk(self):
+        # lines at exactly half a period from grid points, where round()
+        # breaks the tie, and just beside them: their nearest image changes
+        # between neighbouring grid points of one chunk
+        period, lam = 0.4, 0.01
+        nus = np.linspace(-1.0, 1.0, 2 * _backend._CHUNK)
+        half = nus[::37] - 0.5 * period
+        omegas = np.unique(np.concatenate([half, np.nextafter(half, 9), np.nextafter(half, -9)]))
+        weights = np.linspace(0.5, 1.5, omegas.size)
+        for wrap in (0, 1, 2):
+            _assert_bitwise(nus, omegas, weights, lam, period, wrap)
+
+    def test_period_at_twice_the_reach(self):
+        # with P = 2 sqrt(2 _UNDERFLOW) lam the +-1 images of a line at the
+        # seam sit right at the edge of the zero cut-off
+        lam = 0.01
+        edge = 2.0 * math.sqrt(2.0 * _backend._UNDERFLOW) * lam
+        s = random_spectrum(22, n=400)
+        nus = np.linspace(-1.0, 1.0, 4 * _backend._CHUNK + 9)
+        for period in (edge * (1 - 1e-9), np.nextafter(edge, 0), edge,
+                       np.nextafter(edge, 1), edge * (1 + 1e-9)):
+            for wrap in (1, 2):
+                _assert_bitwise(nus, s.eigenfrequencies, s.weights, lam, period, wrap)
+        # lines at the seam of a grid point: their images lie P/2 away
+        omegas = np.linspace(-1.0, 1.0, 9) + 0.5 * edge
+        for period in (edge * (1 - 1e-12), edge * (1 + 1e-12)):
+            _assert_bitwise(nus, omegas, np.ones(9), lam, period, 1)
+
+    def test_unsorted_grid_and_lines(self):
+        rng = np.random.default_rng(23)
+        s = random_spectrum(23, n=500, norm_scale=3.0)
+        order = rng.permutation(s.n_eigen)
+        om, w = s.eigenfrequencies[order], s.weights[order]
+        nus = rng.permutation(np.linspace(-3.0, 3.0, 3 * _backend._CHUNK + 1))
+        _assert_bitwise(nus, om, w, 0.03)
+        for wrap in (0, 1, 3):
+            _assert_bitwise(nus, om, w, 0.03, 1.3, wrap)
+        # scattered lines give more live runs than a span takes
+        _assert_bitwise(np.sort(nus), om, w, 0.03, 0.2, 1)
+
+    def test_subnormal_band_terms(self):
+        # lines whose nearest term, to a grid point or through an image, is
+        # exp(-e) with e across the subnormal band and the zero cut-off
+        lam = 0.01
+        es = [700.0, 708.0, 720.0, 740.0, 745.0, 745.1, 745.2, 749.0, 751.0]
+        n = _backend._CHUNK
+        nus = np.concatenate([10.0 * j + np.linspace(0.0, 1.0, n) for j in range(len(es))])
+        reach = np.sqrt(2.0 * np.array(es)) * lam
+        base = 10.0 * np.arange(len(es))
+        omegas = np.sort(np.concatenate([base + 1.0 + reach, base - reach]))
+        weights = np.ones(omegas.size)
+        plain = _assert_bitwise(nus, omegas, weights, lam)
+        assert (plain > 0).any() and (plain[plain > 0] < 1e-300).any()
+        for period in (2.0 * reach[2] + 1.0, 2.0 * reach[5] + 1.0, 50.0):
+            _assert_bitwise(nus, omegas, weights, lam, period, 1)
+
+    def test_exponentials_counted_on_live_blocks(self, monkeypatch):
+        # counts work, not time: the default sweep's periodic transforms
+        # evaluate 18 753 536 exponentials where the every-term evaluation
+        # takes 30 698 496; a regression to evaluating every term fails here
+        evaluated = []
+        exp = _backend._exp
+
+        def counting(x, out=None):
+            evaluated.append(x.size)
+            return exp(x, out=out)
+
+        monkeypatch.setattr(_backend, "_exp", counting)
+        _, rows = _default_sweep()
+        for args in rows:
+            gaussian_transform(*args)
+        every = sum(_every_term_count(g, om, lam, p, w) for g, om, _, lam, p, w in rows)
+        assert every == 30_698_496
+        assert sum(evaluated) == 18_753_536
 
 
 class TestDispatch:

@@ -698,6 +698,7 @@ class TestCountValidation:
                   "--central-order", value), "--central-order")
                 for value in ("0", "1", "-3")
             ],
+            (("shots-demo", "--seeds", "2", "--model", "C"), "--model"),
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, argv, flag):
@@ -722,6 +723,7 @@ class TestCountValidation:
             ("sweep", "models=B,x", "--models"),
             ("plan", "method=central\nwindow=-1 -0.8\ncentral_order=1",
              "--central-order"),
+            ("shots-demo", "model=C", "--model"),
         ],
     )
     def test_config_value_rejected(self, tmp_path, capsys, command, line, flag):
@@ -762,16 +764,26 @@ class TestCountValidation:
             (("plan", "--method", "central", "--window", "-1", "-0.8",
               "--central-order", "1", "--out"), "make_plan",
              "error: --central-order must be >= 2, got 1\n"),
+            (("shots-demo", "--config", "model=C", "--out"), "make_model",
+             "error: config key model: 'C' is not one of "
+             "['A', 'B', 'a', 'b'] (--model)\n"),
         ],
     )
     def test_refused_before_work(
         self, tmp_path, capsys, monkeypatch, argv, name, message
     ):
-        # nothing is planned or printed before the bad value is named
+        # nothing is planned or printed before the bad value is named; the
+        # word after --config is the text of a config file
         def forbidden(*args, **kwargs):
             raise AssertionError(f"{name} called")
 
         monkeypatch.setattr(cli, name, forbidden)
+        argv = list(argv)
+        if "--config" in argv:
+            cfg = tmp_path / "opts.cfg"
+            at = argv.index("--config") + 1
+            cfg.write_text(argv[at] + "\n")
+            argv[at] = str(cfg)
         out = tmp_path / "o.csv"
         code, text, err = run_cli(capsys, *argv, str(out))
         assert code == 1
@@ -905,7 +917,7 @@ _METHOD_ARGS = {
 class TestChoices:
     def test_choice_keys(self):
         assert {key for _name, key, _choices in CHOICE_KEYS} == {
-            "kind", *VOCABULARY,
+            "kind", "model", *VOCABULARY,
         }
 
     @pytest.mark.parametrize(

@@ -117,6 +117,14 @@ class TestExactTransform:
         with pytest.raises(ValueError):
             exact_transform(model_a, 0.0, [0.0])
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf])
+    def test_non_finite_lam_refused(self, model_a, kernel001, lam):
+        # an infinite width used to return a curve of zeros
+        params = PeriodicKernelParams.from_period(0.5, kernel001)
+        for periodic in (None, params):
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                exact_transform(model_a, lam, [-0.9, -0.8], periodic=periodic)
+
 
 class TestReconstruct:
     def test_matches_periodic_transform(self, model_a, kernel001, budget001,
