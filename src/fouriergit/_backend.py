@@ -1,12 +1,22 @@
 """Numerical kernels: phase moments, Gaussian transforms, series resummation.
 
-Each job has one numpy implementation. The phase-moment sums and the
-truncated Fourier reconstruction are blocked kernels built from doubling
-complex exponential tables and BLAS products: table row exp(i k phase) is the
-product of the fresh exponentials exp(i 2^j phase) of the set bits j of k,
-so a table of K rows costs bit_length(K - 1) exponentials per phase, and row
-k carries at most bit_length(K - 1) products, not k accumulated steps.
-The moment kernel takes block 0 (orders below _BLOCK) from one
+The phase moments have two paths, chosen from the lines and dt alone. L
+equally spaced lines of spacing h, with dt h L / (2 pi) a whole number j of
+turns to within a few eps j, take every moment from one FFT of the weights
+and one of the weights times the lines' per-line phase offsets, to first
+order in those offsets; every midpoint-grid spectrum under the nyquist
+norm-bound plan (period 2 norm_scale = L h) qualifies. Every other input
+runs the blocked direct kernel. Both paths meet one accuracy contract
+against the direct sum, 1e-14 mu0 through order 12 and 4 eps (1 + n dt
+max|w|) mu0 beyond, and on both m_n is bitwise independent of n_max.
+Every other job has one numpy implementation. The direct phase-moment sums
+and the truncated Fourier reconstruction are blocked kernels built from
+doubling complex exponential tables and BLAS products: table row exp(i k
+phase) is the product of the fresh exponentials exp(i 2^j phase) of the set
+bits j of k, so a table of K rows costs bit_length(K - 1) exponentials per
+phase, and row k carries at most bit_length(K - 1) products, not k
+accumulated steps.
+The direct moment kernel takes block 0 (orders below _BLOCK) from one
 matrix-vector product of the low-order table with the weights, the same
 product whatever n_max. Each later block is centered, at c = q _BLOCK +
 _BLOCK/2, so that exp(i(c +- r) phase) = exp(i c phase)(cos r phase +- i sin
@@ -43,6 +53,14 @@ _UNDERFLOW = 750.0  # exp(-x) is 0.0 in float64 beyond 745.2; margin for roundin
 _SPAN = 64  # grid rows per liveness decision in the Gaussian transform
 _RUNS = 16  # line slices per image and span in the Gaussian transform
 _exp = np.exp  # the Gaussian transform's exponential; tests count its elements
+_EPS = np.finfo(np.float64).eps
+_TURN_EPS = 8  # eps j that dt h L / (2 pi) may miss j by on the FFT path
+_SPACING_ULPS = 8  # ulp of max|w| that a line may miss w_0 + k h by there
+_MAX_TURNS = 2**20  # bounds j, and with it the offsets the FFT path admits
+# an extended float type for the FFT path's per-line offsets, and 2 pi in it:
+# fl(2 pi) plus its rounding residual 2 sin(fl(pi))
+_EXTENDED = np.finfo(np.longdouble).eps < _EPS
+_TAU_EXT = np.longdouble(math.tau) + 2 * np.longdouble(math.sin(math.pi))
 
 
 def _as_f64(x):
@@ -82,6 +100,88 @@ def _phase_table(phase, count):
 
 def phase_moment_sums(omegas, weights, dt, n_max):
     """Fourier phase moments of a weighted point spectrum.
+
+    Equally spaced lines whose spacing dt maps onto a whole number of turns
+    over the L lines (_commensurate) take their moments from FFTs of the
+    weights (_fft_moments); every other input runs the blocked direct kernel
+    (_direct_moments). The choice reads only the lines and dt, never n_max,
+    so m_n is bitwise independent of n_max on either path.
+    """
+    omegas = _as_f64(omegas)
+    weights = _as_f64(weights)
+    j = _commensurate(omegas, dt)
+    if j:
+        return _fft_moments(omegas, weights, dt, n_max, j)
+    return _direct_moments(omegas, weights, dt, n_max)
+
+
+def _commensurate(omegas, dt):
+    """The whole number of turns j >= 1 that dt h L spans, for L equally
+    spaced lines of spacing h; 0 when the lines do not qualify.
+
+    The scalar screen comes first: with h = (w[L-1] - w[0]) / (L - 1),
+    dt h L / (2 pi) must lie below _MAX_TURNS and within _TURN_EPS eps j of
+    j. Only then does one O(L) pass check that every line lies within
+    _SPACING_ULPS ulp of max|w| of w[0] + k h. Without an extended float
+    type to take the per-line offsets in, no input qualifies."""
+    L = omegas.size
+    if L < 2 or not _EXTENDED:
+        return 0
+    h = (omegas[-1] - omegas[0]) / (L - 1)
+    turns = dt * h * L / math.tau
+    if not 0.5 <= turns < _MAX_TURNS:  # also refuses NaN
+        return 0
+    j = round(turns)
+    if not abs(turns - j) <= _TURN_EPS * _EPS * j:
+        return 0
+    grid = omegas[0] + np.arange(L) * h
+    if not np.abs(omegas - grid).max() <= _SPACING_ULPS * np.spacing(
+        np.abs(omegas).max()
+    ):
+        return 0
+    return j
+
+
+def _fft_moments(omegas, weights, dt, n_max, j):
+    """Phase moments of L equally spaced lines, dt (w_k - w_0) close to
+    2 pi j k / L, from one FFT call on two rows of length L.
+
+    With phase = fl(-dt w_0) and the per-line offsets eps_k = dt w_k + phase
+    - 2 pi j k / L, taken in np.longdouble so that they are exact to well
+    below float64 rounding,
+
+        m_n = exp(i n phase) sum_k w_k exp(-2 pi i q k / L) exp(-i n eps_k)
+            = exp(i n phase) [F0 - i n F1][q] + O((n eps_k)^2),  q = n j mod L,
+
+    with F0 = fft(w) and F1 = fft(w eps_k). eps_k collects the rounding of
+    the spacing, of dt, of the lines and of phase, all of a few eps times
+    dt max|w|, so the first-order term leaves an error of order (n eps dt
+    max|w|)^2, far below the float64 rounding of the direct kernel's own
+    phases. exp(i n phase) is the doubling table of the one phase,
+    bit_length(n_max) exponentials in all. Each m_n is an entry-by-entry
+    product of values that do not depend on n_max, so it is bitwise
+    independent of n_max; m_0 is the plain weight sum, as on the direct
+    path. numpy.fft is imported here only, so no call off this path pays
+    for it."""
+    from numpy import fft
+
+    L = omegas.size
+    phase = -dt * omegas[0]
+    ext = np.longdouble
+    offsets = ext(dt) * omegas.astype(ext) + ext(phase)
+    offsets -= _TAU_EXT * (j * np.arange(L)) / L
+    spectra = fft.fft(np.stack((weights, (weights * offsets).astype(np.float64))))
+    n = np.arange(n_max + 1)
+    f0, f1 = np.take(spectra, n * j, axis=1, mode="wrap")  # bins q = n j mod L
+    f0.real += n * f1.imag
+    f0.imag -= n * f1.real
+    f0 *= _phase_table(np.array([phase]), n_max + 1)[:, 0]
+    f0[0] = weights.sum()
+    return f0
+
+
+def _direct_moments(omegas, weights, dt, n_max):
+    """Phase moments of any weighted point spectrum, by blocked tables.
 
     Block 0, orders below _BLOCK, is the low table exp(-i r dt w_k), r <
     _BLOCK, times the weights: one matrix-vector product. Block q >= 1 is
@@ -130,8 +230,6 @@ def phase_moment_sums(omegas, weights, dt, n_max):
     bits. m_0 is the plain weight sum: at n_max = 0 the one-row product
     takes another BLAS code path and rounds differently.
     """
-    omegas = _as_f64(omegas)
-    weights = _as_f64(weights)
     phase = -dt * omegas
     n_blocks = -(-(n_max + 1) // _BLOCK)
     if n_blocks > 1:

@@ -48,8 +48,8 @@ class FourierMomentSet:
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         vals = np.array(self.values, dtype=np.complex128)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("values must be a nonempty 1-d array")
@@ -84,10 +84,10 @@ def exact_moments(
     spectrum: DiscreteSpectrum, dt: float, n_max: int
 ) -> FourierMomentSet:
     """Exact phase moments m_0 .. m_{n_max} of a discrete spectrum."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not 0 <= n_max < math.inf or n_max != int(n_max):
+        raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
     vals = phase_moment_sums(
         spectrum.eigenfrequencies, spectrum.weights, float(dt), int(n_max)
     )

@@ -207,7 +207,10 @@ def read_spectrum(path) -> DiscreteSpectrum:
     om = np.array([r[0] for r in rows], dtype=np.float64)
     w = np.array([r[1] for r in rows], dtype=np.float64)
     norm_scale = _metadata(metadata, path, "norm_scale", default=1.0)
-    return DiscreteSpectrum(om, w, norm_scale=norm_scale)
+    try:
+        return DiscreteSpectrum(om, w, norm_scale=norm_scale)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_moments(path, moments: FourierMomentSet) -> None:

@@ -114,8 +114,10 @@ class DiscreteSpectrum:
             raise ValueError("spectrum must contain at least one eigenfrequency")
         if not (np.isfinite(om).all() and np.isfinite(w).all()):
             raise ValueError("eigenfrequencies and weights must be finite")
-        if not self.norm_scale > 0:
-            raise ValueError(f"norm_scale must be positive, got {self.norm_scale}")
+        if not 0 < self.norm_scale < math.inf:
+            raise ValueError(
+                f"norm_scale must be positive and finite, got {self.norm_scale}"
+            )
         if om.size > 1 and not (np.diff(om) > 0).all():
             raise ValueError("eigenfrequencies must be strictly increasing")
         if (w < 0).any():

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from fouriergit import (
     ErrorBudget,
@@ -15,6 +16,7 @@ from fouriergit import (
     _backend,
     make_model,
     make_plan,
+    midpoint_grid,
     reconstruct,
     summarize,
 )
@@ -41,20 +43,31 @@ def _case(seed):
     return s, nus
 
 
+def _assert_direct_sum(vals, omegas, weights, dt, orders):
+    """vals[n] matches the direct sum sum_k w_k exp(-i n dt w_k) for every n
+    in orders: to 1e-14 through order 12 and past that to a bound that grows
+    with n, since both sums round a phase argument of size n dt |omega|."""
+    eps = np.finfo(np.float64).eps
+    om_max = np.abs(omegas).max()
+    mu0 = weights.sum()
+    for start in range(0, len(orders), 64):
+        n = np.asarray(orders[start : start + 64])[:, None]
+        direct = np.sum(weights * np.exp(-1j * n * dt * omegas), axis=1)
+        n = n[:, 0]
+        tol = np.where(n <= 12, 1e-14, 4 * eps * (1 + n * dt * om_max) * mu0)
+        assert np.all(np.abs(vals[n] - direct) <= tol)
+
+
 class TestNumpyKernels:
     def test_phase_moments_match_direct_sum(self):
         s = random_spectrum(0, n=16, normalized=True)
         dt = 5.7
-        eps = np.finfo(np.float64).eps
-        om_max = np.abs(s.eigenfrequencies).max()
+        assert not _backend._commensurate(s.eigenfrequencies, dt)
         for n_max in (N_MULTI, N_TILES):
             vals = phase_moment_sums(s.eigenfrequencies, s.weights, dt, n_max)
-            for n in range(n_max + 1):
-                direct = np.sum(s.weights * np.exp(-1j * n * dt * s.eigenfrequencies))
-                # past the old orders both sums round a phase argument of
-                # size n dt |omega|, so the bound grows with n there
-                tol = 1e-14 if n <= 12 else 4 * eps * (1 + n * dt * om_max) * s.mu0
-                assert abs(vals[n] - direct) <= tol
+            _assert_direct_sum(
+                vals, s.eigenfrequencies, s.weights, dt, range(n_max + 1)
+            )
 
     def test_block_zero_is_one_matrix_vector_product(self):
         # orders below _BLOCK of a multi-tile call are the low table times
@@ -120,6 +133,13 @@ class TestNumpyKernels:
         evaluated.clear()
         phase_moment_sums(s.eigenfrequencies, s.weights, 27.98, n_max)
         assert sum(evaluated) == (12 + tiles) * s.n_eigen == 23 * s.n_eigen
+        # equally spaced lines under the nyquist norm-bound plan take the FFT
+        # path: one doubling table of the single phase -dt w_0, whatever L
+        for n_lines in (64, 4096):
+            omegas, weights, dt = _uniform_lines(n_lines, 7987.5, 1)
+            evaluated.clear()
+            phase_moment_sums(omegas, weights, dt, n_max)
+            assert sum(evaluated) == n_max.bit_length() == 16
         # the resummation: bit_length(W - 1) + bit_length(Q - 1) per grid
         # point, W = 128 orders per block and Q = 332 blocks
         moments = np.ones(n_max + 1, dtype=np.complex128)
@@ -233,6 +253,74 @@ class TestNumpyKernels:
         c = reconstruct_series(nus, strided, 3.0, 0.01, period, N_MULTI)
         d = reconstruct_series(nus.copy(), a, 3.0, 0.01, period, N_MULTI)
         assert np.array_equal(c, d)
+
+
+def _uniform_lines(n_lines, norm_scale, turns, seed=0):
+    """Midpoint lines on [-norm_scale, norm_scale] with normalized random
+    weights, and the dt of the period 2 norm_scale / turns, under which
+    dt h L spans that many turns; turns = 1 is the nyquist norm-bound plan."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, n_lines)
+    dt = 2 * math.pi * turns / (2 * norm_scale)
+    return midpoint_grid(n_lines, norm_scale), weights / weights.sum(), dt
+
+
+class TestUniformLinesFft:
+    @pytest.mark.parametrize("norm_scale", [7987.5, 3.3])
+    @pytest.mark.parametrize("turns", [1, 2, 3])
+    @pytest.mark.parametrize("n_lines", [2, 3, 512, 4096])
+    def test_matches_direct_sum(self, n_lines, turns, norm_scale):
+        omegas, weights, dt = _uniform_lines(n_lines, norm_scale, turns)
+        assert _backend._commensurate(omegas, dt) == turns
+        calls = (n_lines - 1, n_lines + 1, N_MULTI, N_TILES)
+        longest = phase_moment_sums(omegas, weights, dt, max(calls))
+        for n_max in calls:
+            vals = phase_moment_sums(omegas, weights, dt, n_max)
+            # every call is a bitwise prefix of the longest
+            assert np.array_equal(vals, longest[: n_max + 1])
+        # every order where the lines are few, otherwise orders 0..12, a
+        # stride, and each order next to a multiple of L, where the FFT bin
+        # n j mod L wraps
+        step = max(1, n_lines // 32)
+        wraps = np.arange(n_lines, max(calls) + 2, n_lines)[:, None] + [-1, 0, 1]
+        orders = np.unique(np.r_[0:13, 0 : max(calls) + 1 : step, wraps.ravel()])
+        orders = orders[orders <= max(calls)]
+        _assert_direct_sum(longest, omegas, weights, dt, orders)
+
+    def test_n_max_independent_bitwise(self):
+        # the power-of-two edges of the single-phase table and the wrap of
+        # the FFT bins at L, against a longer call
+        omegas, weights, dt = _uniform_lines(512, 3.3, 2, seed=1)
+        ref = phase_moment_sums(omegas, weights, dt, N_TILES)
+        edges = [n for k in range(1, 13) for n in (2**k - 1, 2**k, 2**k + 1)]
+        for n_max in [*range(8), 255, 256, 257, 511, 512, 513, *edges]:
+            got = phase_moment_sums(omegas, weights, dt, n_max)
+            assert np.array_equal(got, ref[: n_max + 1]), n_max
+        assert ref[0] == weights.sum()
+
+    @pytest.mark.parametrize("n_lines", [2, 3, 512, 4096])
+    def test_near_misses_run_the_direct_kernel(self, n_lines):
+        # one line moved by 1e-9 h, or the period scaled by 1 + 1e-9, is
+        # not equally spaced or commensurate: bitwise the direct kernel
+        omegas, weights, dt = _uniform_lines(n_lines, 7987.5, 1)
+        moved = omegas.copy()
+        moved[n_lines // 2] += 1e-9 * (omegas[1] - omegas[0])
+        for om, step in ((moved, dt), (omegas, dt / (1 + 1e-9))):
+            assert not _backend._commensurate(om, step)
+            got = phase_moment_sums(om, weights, step, N_MULTI)
+            want = _backend._direct_moments(om, weights, step, N_MULTI)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_other_inputs_run_the_direct_kernel(self):
+        omegas, weights, dt = _uniform_lines(64, 1.0, 1)
+        for om, step in (
+            (omegas[:1], dt),  # one line has no spacing
+            (omegas[::-1], dt),  # decreasing lines
+            (omegas, 0.5 * dt),  # half a turn
+            (omegas, math.inf),
+            (omegas, math.nan),
+        ):
+            assert not _backend._commensurate(om, step)
 
 
 def _every_term(nus, omegas, weights, lam, period=None, wrap=0):
@@ -526,3 +614,20 @@ class TestDispatch:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == ""
+
+    def test_fft_loaded_only_on_the_uniform_path(self):
+        # numpy imports numpy.fft lazily; a process whose moments never
+        # qualify for the FFT path does not pay for that import
+        code = (
+            "import sys; from fouriergit import exact_moments, make_model; "
+            "s = make_model('A'); exact_moments(s, 27.98, 25); "
+            "print('numpy.fft' in sys.modules); "
+            "exact_moments(s, 3.141592653589793, 25); "
+            "print('numpy.fft' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=package_env(),
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "True"]

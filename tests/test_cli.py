@@ -228,6 +228,29 @@ class TestPlanCommand:
         assert err.startswith(f"error: {model_a_csv}: metadata norm_scale=")
         assert "not a number" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("command", ["plan", "moments"])
+    def test_spectrum_norm_scale_must_be_finite(
+        self, tmp_path, capsys, model_a_csv, command, value
+    ):
+        # `moments` used to read `# norm_scale=inf` and exit 0
+        lines = model_a_csv.read_text().splitlines()
+        assert lines[0].startswith("# norm_scale=")
+        model_a_csv.write_text("\n".join([f"# norm_scale={value}", *lines[1:]]) + "\n")
+        plan = tmp_path / "plan.txt"
+        code, _, _ = run_cli(capsys, "plan", "--out", str(plan))
+        assert code == 0
+        argv = ["--spectrum", str(model_a_csv)]
+        if command == "moments":
+            argv += ["--plan", str(plan), "--out", str(tmp_path / "m.csv")]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            f"error: {model_a_csv}: norm_scale must be positive and finite"
+        )
+        assert not (tmp_path / "m.csv").exists()
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "plan", "--bogus", "1")
         assert code == 1

@@ -58,6 +58,9 @@ class TestFourierMomentSet:
     def test_validation(self):
         with pytest.raises(ValueError):
             FourierMomentSet(dt=0.0, values=[1.0], provenance="exact", mu0=1.0)
+        for dt in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="^dt must be positive and finite"):
+                FourierMomentSet(dt=dt, values=[1.0], provenance="exact", mu0=1.0)
         with pytest.raises(ValueError):
             FourierMomentSet(dt=1.0, values=[], provenance="exact", mu0=1.0)
         with pytest.raises(ValueError):
@@ -103,9 +106,20 @@ class TestExactMoments:
             assert ms.values[n].real == pytest.approx(want.real, abs=1e-13)
             assert ms.values[n].imag == pytest.approx(want.imag, abs=1e-13)
 
-    def test_large_orders_against_high_precision(self):
+    def test_large_orders_against_high_precision(self, monkeypatch):
         # the n_terms = 42371 norm-bound plan at norm_scale 7987.5: phases
-        # reach n dt |omega| ~ 1.3e5 rad
+        # reach n dt |omega| ~ 1.3e5 rad. Its nyquist period is 2 h = L h on
+        # the midpoint lines, which take the FFT path (one doubling table of
+        # a single phase, 16 exponentials); the random lines take the direct
+        # kernel (23 exponentials per line)
+        evaluated = []
+        expi = _backend._expi
+
+        def counting(phase):
+            evaluated.append(phase.size)
+            return expi(phase)
+
+        monkeypatch.setattr(_backend, "_expi", counting)
         h = 7987.5
         kernel = KernelSpec.from_resolution(1.0, 0.01, h)
         budget = ErrorBudget(0.01, 0.01, 0.05, 1.0)
@@ -117,10 +131,29 @@ class TestExactMoments:
             random_spectrum(6, n=512, norm_scale=h, normalized=True),
         )
         orders = (40_000, 41_111, 42_371)
-        for s in spectra:
+        for s, exponentials in zip(spectra, (16, 23 * 512)):
+            evaluated.clear()
             ms = exact_moments(s, dt, n_max=max(orders))
+            assert sum(evaluated) == exponentials
             for n in orders:
                 assert abs(ms.values[n] - mp_moment(s, dt, n)) <= 1e-10 * s.mu0
+
+    @pytest.mark.parametrize("norm_scale", [7987.5, 3.3])
+    @pytest.mark.parametrize("turns", [1, 2, 3])
+    def test_uniform_lines_against_high_precision(self, norm_scale, turns):
+        # the FFT path carries the lines' phase offsets to first order, in
+        # extended precision, so it stays at float64 rounding even where the
+        # direct kernel's phase rounding has grown to ~5e-14
+        rng = np.random.default_rng(8)
+        w = rng.uniform(0.5, 1.5, 512)
+        s = DiscreteSpectrum(
+            midpoint_grid(512, norm_scale), w / w.sum(), norm_scale=norm_scale
+        )
+        dt = 2 * math.pi * turns / (2 * norm_scale)
+        assert _backend._commensurate(s.eigenfrequencies, dt) == turns
+        ms = exact_moments(s, dt, n_max=42_371)
+        for n in (1, 12, 511, 512, 4_097, 40_000, 42_371):
+            assert abs(ms.values[n] - mp_moment(s, dt, n)) <= 2e-15 * s.mu0
 
     def test_against_direct_formula(self, model_a):
         dt = 2 * math.pi / 2.02
@@ -155,6 +188,26 @@ class TestExactMoments:
             exact_moments(model_a, dt=0.0, n_max=3)
         with pytest.raises(ValueError):
             exact_moments(model_a, dt=1.0, n_max=-1)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, -math.inf])
+    def test_non_finite_dt_refused(self, model_a, dt):
+        # an infinite step used to give NaN moments with a RuntimeWarning
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            exact_moments(model_a, dt, 3)
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            sampled_moments(model_a, dt, 3, shots_per_part=10, seed=0)
+
+    @pytest.mark.parametrize("n_max", [3.7, 0.5, math.inf, math.nan, -1.0])
+    def test_non_integer_n_max_refused(self, model_a, n_max):
+        # 3.7 used to give the moments to order 3 without a word
+        with pytest.raises(ValueError, match="^n_max must be a nonnegative integer"):
+            exact_moments(model_a, 1.0, n_max)
+        with pytest.raises(ValueError, match="^n_max must be a nonnegative integer"):
+            sampled_moments(model_a, 1.0, n_max, shots_per_part=10, seed=0)
+
+    def test_integral_n_max_accepted(self, model_a):
+        for n_max in (3, 3.0, np.int64(3)):
+            assert exact_moments(model_a, 1.0, n_max).n_max == 3
 
 
 class TestSampledMoments:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -166,6 +167,11 @@ class TestDiscreteSpectrum:
         with pytest.raises(ValueError):
             DiscreteSpectrum([0.0, np.nan], [0.2, 0.1])
 
+    @pytest.mark.parametrize("norm_scale", [np.inf, np.nan, -np.inf, 0.0])
+    def test_norm_scale_must_be_positive_and_finite(self, norm_scale):
+        with pytest.raises(ValueError, match="^norm_scale must be positive and finite"):
+            DiscreteSpectrum([0.0, 0.5], [0.2, 0.1], norm_scale=norm_scale)
+
     def test_arrays_frozen(self):
         s = DiscreteSpectrum([0.0, 0.5], [0.2, 0.1])
         with pytest.raises(ValueError):
@@ -287,6 +293,18 @@ class TestSpectrumCsv:
         assert b"\r" not in raw
         assert b"omega,weight" in raw
         assert raw.startswith(b"# norm_scale=1")
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_norm_scale_refused(self, tmp_path, value):
+        from fouriergit.serialize import read_spectrum, write_spectrum
+
+        path = tmp_path / "s.csv"
+        write_spectrum(path, DiscreteSpectrum([0.0, 0.5], [0.25, 0.75]))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# norm_scale=1"
+        path.write_text("\n".join([f"# norm_scale={value}", *lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: norm_scale "):
+            read_spectrum(path)
 
     def test_write_deterministic(self, tmp_path):
         from fouriergit.serialize import write_spectrum
