@@ -16,6 +16,14 @@ phase) is the product of the fresh exponentials exp(i 2^j phase) of the set
 bits j of k, so a table of K rows costs bit_length(K - 1) exponentials per
 phase, and row k carries at most bit_length(K - 1) products, not k
 accumulated steps.
+The resummation keeps a series of fewer than _BLOCK terms as one block, one
+complex product per grid chunk. A longer series is cut into blocks centered
+at c = q _BLOCK, each exp(i c x) times a cos/sin series in r = 0.._BLOCK/2.
+Per chunk a real coefficient matrix, built once per call, contracts the
+longer of the block-phase and the cos/sin tables, split into real and
+imaginary rows, and the result meets the shorter table elementwise:
+2Q(_BLOCK + 2) real multiplies per grid point for Q blocks, where the
+complex block product takes 4Q _BLOCK.
 The direct moment kernel takes block 0 (orders below _BLOCK) from one
 matrix-vector product of the low-order table with the weights, the same
 product whatever n_max. Each later block is centered, at c = q _BLOCK +
@@ -74,8 +82,9 @@ def _expi(phase):
     return np.exp(z, out=z)
 
 
-def _phase_table(phase, count):
-    """exp(i k phase) for k < count, shape (count,) + phase.shape.
+def _phase_table(phase, count, out=None):
+    """exp(i k phase) for k < count, shape (count,) + phase.shape, written
+    into out when given.
 
     Built by doubling in one output array: row 0 is 1, and rows 2^j to
     2^(j+1) - 1 are rows 0 to 2^j - 1 times the fresh exponential
@@ -84,7 +93,9 @@ def _phase_table(phase, count):
     is, and row 2^j equals _expi(2^j phase); the table costs bit_length(count
     - 1) exponentials per phase.
     """
-    table = np.empty((count,) + phase.shape, dtype=np.complex128)
+    table = out
+    if table is None:
+        table = np.empty((count,) + phase.shape, dtype=np.complex128)
     table[:1] = 1.0
     top = 1
     while top < count:
@@ -393,28 +404,109 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
 def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     """Evaluate the conjugate-symmetric truncated Fourier series on a grid.
 
-    With g_n = env_n m_n and n = q W + r (block width W = min(_BLOCK,
-    n_terms + 1)), the series is sum_q exp(i q W dt nu) sum_r exp(i r dt nu)
-    g_{qW+r}. Per grid chunk this is one doubling phase table per factor,
-    bit_length(W - 1) + bit_length(Q - 1) exponentials per grid point, and
-    one matrix product with the Q x W block matrix of g, never a grid x
-    n_terms phase matrix.
+    With x = dt nu and g_n = env_n m_n (g_0 = 0), the series is Re sum_n g_n
+    exp(i n x). Below _BLOCK terms it is one block: per grid chunk one
+    doubling table of the n_terms + 1 orders, bit_length(n_terms)
+    exponentials per grid point, and one complex (1, n_terms + 1) product.
+
+    From _BLOCK terms on, the orders form Q centered blocks (see
+    _centered_coefficients): block q, centered at c = q _BLOCK, holds the
+    orders c - H + 1 .. c + H, H = _BLOCK // 2, and sums to exp(i c x)
+    sum_{r=0..H} (a_r cos rx + i b_r sin rx). With the block phases U_q =
+    exp(i q _BLOCK x) the series is then
+
+        sum_r cos(rx) Re(sum_q a_{q,r} U_q) - sin(rx) Im(sum_q b_{q,r} U_q),
+
+    a real bilinear form in the 2Q real and imaginary parts of U and the
+    2H + 2 cos and sin rows, with a real (2Q, 2H + 2) coefficient matrix
+    built once per call. The grid is cut into the fewest chunks of about
+    _CHUNK points, none a small remainder. Per chunk of P points that is
+    one doubling table of the H + 1 rows exp(i r x) and one of the Q rows
+    U_q, bit_length(H) + bit_length(Q - 1) exponentials per grid point (16
+    at 42 371 terms); one real matrix product that contracts the longer
+    table, split into its real and imaginary rows; one elementwise product
+    with the rows of the shorter; and one column sum. Either way that is
+    2Q(_BLOCK + 2)P real multiplies where a complex (Q, _BLOCK) @ (_BLOCK,
+    P) product takes 4Q _BLOCK P. The elementwise pass costs more per row
+    than the split, so the product contracts the block rows when Q > H + 1
+    (from 8 385 terms on) and the cos and sin rows below.
     """
     nus = _as_f64(nus)
-    width = min(_BLOCK, n_terms + 1)
-    n_blocks = -(-(n_terms + 1) // width)
-    n = np.arange(1, n_terms + 1)
-    env = np.exp(-0.5 * (dt * lam) ** 2 * n * n)
-    g = np.zeros(n_blocks * width, dtype=np.complex128)
-    g[1 : n_terms + 1] = env * moment_values[1 : n_terms + 1]
-    g = g.reshape(n_blocks, width)  # g[q, r] = g_{qW+r}, g_0 = 0
+    n = np.arange(1, n_terms + 1, dtype=np.float64)
+    env = n * (-0.5 * (dt * lam) ** 2)  # exp(-(dt lam n)^2 / 2), in place
+    env *= n
+    np.exp(env, out=env)
     out = np.empty(nus.shape[0])
-    for i in range(0, nus.shape[0], _CHUNK):
-        x = dt * nus[i : i + _CHUNK]
-        s = g @ _phase_table(x, width)
-        s *= _phase_table(width * x, n_blocks)
-        out[i : i + _CHUNK] = s.sum(axis=0).real
+    if n_terms < _BLOCK:
+        g = np.zeros((1, n_terms + 1), dtype=np.complex128)
+        g[0, 1:] = env * moment_values[1 : n_terms + 1]
+        for i in range(0, nus.shape[0], _CHUNK):
+            x = dt * nus[i : i + _CHUNK]
+            out[i : i + _CHUNK] = (g @ _phase_table(x, n_terms + 1))[0].real
+        return (moment_values[0].real + 2.0 * out) / period
+    half = _BLOCK // 2
+    coef = _centered_coefficients(env, moment_values, n_terms)
+    n_blocks = len(coef) // 2
+    over_blocks = n_blocks > half + 1
+    # the fewest chunks of about _CHUNK points (at most 1.5 _CHUNK), so that
+    # no chunk is a small remainder that pays a whole chunk's fixed costs
+    n_chunks = max(1, round(nus.shape[0] / _CHUNK))
+    step = max(1, -(-nus.shape[0] // n_chunks))
+    # per-call buffers, which every chunk reuses while they are in cache
+    blocks = np.empty((n_blocks, step), dtype=np.complex128)
+    rows = np.empty((half + 1, step), dtype=np.complex128)
+    split = np.empty((2, max(n_blocks, half + 1), step))
+    for i in range(0, nus.shape[0], step):
+        x = dt * nus[i : i + step]
+        k = x.size
+        u = _phase_table(_BLOCK * x, n_blocks, blocks[:, :k])
+        cs = _phase_table(x, half + 1, rows[:, :k])
+        long, short, form = (u, cs, coef.T) if over_blocks else (cs, u, coef)
+        v = split[:, : len(long), :k]
+        v[0] = long.real
+        v[1] = long.imag
+        s = form @ v.reshape(-1, k)
+        s[: len(short)] *= short.real
+        s[len(short) :] *= short.imag
+        out[i : i + step] = s.sum(axis=0)
     return (moment_values[0].real + 2.0 * out) / period
+
+
+def _centered_coefficients(env, moment_values, n_terms):
+    """The real (2Q, 2H + 2) coefficient matrix of the centered blocks of
+    g_n = env_n m_n, n = 1..n_terms, H = _BLOCK // 2.
+
+    Block q, centered at c = q _BLOCK, holds the orders c - H + 1 .. c + H,
+    with g_n = 0 for n <= 0, and Q is the least count with (Q - 1) _BLOCK +
+    H >= n_terms. Since exp(i(c +- r)x) = exp(i c x)(cos rx +- i sin rx),
+    the block sums to exp(i c x) sum_{r=0..H} (a_r cos rx + i b_r sin rx),
+    with a_r = g_{c+r} + g_{c-r} and b_r = g_{c+r} - g_{c-r}, where g_{c-r}
+    counts only for 0 < r < H: a_0 = b_0 = g_c (b_0 meets sin 0 = 0) and
+    a_H = b_H = g_{c+H}, the order c - H belonging to the block before.
+    Rows q and Q + q multiply Re U_q and Im U_q, U_q = exp(i q _BLOCK x);
+    columns r and H + 1 + r give Re(sum_q a_{q,r} U_q) and -Im(sum_q
+    b_{q,r} U_q).
+    """
+    half = _BLOCK // 2
+    n_blocks = (n_terms - half - 1) // _BLOCK + 2
+    span = n_blocks * _BLOCK
+    pad = np.zeros(span + _BLOCK, dtype=np.complex128)  # pad[k] = g_{k - H}
+    np.multiply(
+        env, moment_values[1 : n_terms + 1], out=pad[half + 1 : half + n_terms + 1]
+    )
+    g = pad.view(np.float64).reshape(-1, 2).T  # rows Re g and Im g
+    # g_{c+r} and g_{c-r}, r = 0..H
+    plus = g[:, half : half + span].reshape(2, n_blocks, _BLOCK)[:, :, : half + 1]
+    minus = g[:, :span].reshape(2, n_blocks, _BLOCK)[:, :, half::-1]
+    coef = np.empty((2, n_blocks, 2, half + 1))
+    a = coef[:, :, 0]  # Re a, then -Im a
+    b = coef[::-1, :, 1]  # -Re b, then -Im b
+    np.add(plus, minus, out=a)
+    np.subtract(minus, plus, out=b)
+    a[:, :, ::half] = plus[:, :, ::half]  # a_0 = g_c, a_H = g_{c+H}
+    np.negative(plus[:, :, ::half], out=b[:, :, ::half])
+    a[1] *= -1.0
+    return coef.reshape(2 * n_blocks, 2 * half + 2)
 
 
 def active_backend():

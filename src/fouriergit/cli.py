@@ -148,7 +148,8 @@ def _merge(args, schema: dict) -> dict:
 
 def _check_counts(eff: dict):
     for key, least in (("grid_points", 2), ("seeds", 1), ("points", 1),
-                       ("central_order", 2)):
+                       ("central_order", 2), ("shots", 1), ("seed", 0),
+                       ("seed0", 0)):
         if eff.get(key) is not None and eff[key] < least:
             raise CliError(f"{_flag(key)} must be >= {least}, got {eff[key]}")
     if "scales" in eff and not eff["scales"]:

@@ -127,13 +127,15 @@ class PeriodicKernelParams:
     wrap_count: int
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if not self.chi > 0:
-            raise ValueError(f"chi must be positive, got {self.chi}")
+        if not 0 < self.period < math.inf:
+            raise ValueError(
+                f"period must be positive and finite, got {self.period}"
+            )
+        if not 0 < self.chi < math.inf:
+            raise ValueError(f"chi must be positive and finite, got {self.chi}")
         if self.wrap_count < 1:
             raise ValueError(f"wrap_count must be >= 1, got {self.wrap_count}")
-        if abs(self.dt * self.period - _TWO_PI) > 1e-9 * _TWO_PI:
+        if not abs(self.dt * self.period - _TWO_PI) <= 1e-9 * _TWO_PI:
             raise ValueError(
                 f"dt * period = {self.dt * self.period} must equal 2 pi"
             )
@@ -141,8 +143,8 @@ class PeriodicKernelParams:
     @classmethod
     def from_period(cls, period: float, kernel: KernelSpec) -> "PeriodicKernelParams":
         """Extension parameters for a given period and kernel."""
-        if not period > 0:
-            raise ValueError(f"period must be positive, got {period}")
+        if not 0 < period < math.inf:
+            raise ValueError(f"period must be positive and finite, got {period}")
         return cls(
             period=period,
             chi=period / kernel.norm_scale,

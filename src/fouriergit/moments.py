@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import phase_moment_sums
+from .planner import _check_type
 from .spectrum import DiscreteSpectrum
 
 _PROVENANCES = ("exact", "sampled")
@@ -62,10 +63,7 @@ class FourierMomentSet:
         if self.provenance == "sampled":
             if self.shots_per_part is None or self.seed is None:
                 raise ValueError("sampled moments need shots_per_part and seed")
-            if self.shots_per_part < 1:
-                raise ValueError(
-                    f"shots_per_part must be >= 1, got {self.shots_per_part}"
-                )
+            _check_shots_and_seed(self.shots_per_part, self.seed)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -96,15 +94,23 @@ def exact_moments(
     )
 
 
-def _check_sampling(mu0: float, shots_per_part: int, seed: int) -> None:
+def _check_shots_and_seed(shots_per_part, seed) -> None:
+    """Refuse a shot count below 1 or a seed below 0, or either when it is not
+    an integer (Python or numpy), naming the field."""
+    _check_type("shots_per_part", shots_per_part, integral=True)
+    _check_type("seed", seed, integral=True)
     if shots_per_part < 1:
         raise ValueError(f"shots_per_part must be >= 1, got {shots_per_part}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _check_sampling(mu0: float, shots_per_part: int, seed: int) -> None:
+    _check_shots_and_seed(shots_per_part, seed)
     if shots_per_part > _MAX_SHOTS:
         raise ValueError(
             f"shots_per_part must be <= {_MAX_SHOTS}, got {shots_per_part}"
         )
-    if seed < 0 or seed != int(seed):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if abs(mu0 - 1.0) > 1e-9:
         raise ValueError(
             f"sampled_moments requires a normalized spectrum (mu0 = 1), "
@@ -223,8 +229,8 @@ def moment_error_summary(
     abs_err = np.abs(da)
     aggregate = None
     if lam is not None:
-        if not lam > 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {lam}")
         n = np.arange(n_common + 1)
         env = np.exp(-0.5 * (a.dt * lam) ** 2 * n * n)
         weights = np.where(n == 0, 1.0, 2.0)

@@ -126,8 +126,12 @@ class PeriodChoice:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < math.inf:
+            raise ValueError(
+                f"period must be positive and finite, got {self.period}"
+            )
+        if not 0 < self.chi < math.inf:
+            raise ValueError(f"chi must be positive and finite, got {self.chi}")
 
 
 def _check_type(name: str, value, integral: bool = False) -> None:
@@ -543,10 +547,10 @@ def n_terms(
     """
     if mode not in _N_MODES:
         raise ValueError(f"unknown n_terms mode {mode!r}")
-    if not chi > 0:
-        raise ValueError(f"chi must be positive, got {chi}")
-    if not mu0 > 0:
-        raise ValueError(f"mu0 must be positive, got {mu0}")
+    if not 0 < chi < math.inf:
+        raise ValueError(f"chi must be positive and finite, got {chi}")
+    if not 0 < mu0 < math.inf:
+        raise ValueError(f"mu0 must be positive and finite, got {mu0}")
     lam = kernel.lam
     h = kernel.norm_scale
     omega = budget.omega_scale
@@ -598,10 +602,10 @@ def shots_value(
         raise ValueError(f"unknown shots mode {mode!r}")
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    if not chi > 0:
-        raise ValueError(f"chi must be positive, got {chi}")
-    if not mu0 > 0:
-        raise ValueError(f"mu0 must be positive, got {mu0}")
+    if not 0 < chi < math.inf:
+        raise ValueError(f"chi must be positive and finite, got {chi}")
+    if not 0 < mu0 < math.inf:
+        raise ValueError(f"mu0 must be positive and finite, got {mu0}")
     lam = kernel.lam
     omega = budget.omega_scale
     eps = budget.eps_s

@@ -181,9 +181,25 @@ class TestNumpyKernels:
         # lam small enough that the envelope keeps every block: env_N ~ 0.37;
         # the long series takes a long period, because the explicit float64
         # reference rounds phases of size n dt |nu| too, and past a few
-        # hundred radians its own error exceeds the tolerance
-        cases = ((N_MULTI, 0.004, 7.0), (N_TILES, 0.0055, 200.0))
-        for n_terms, lam, period in cases:
+        # hundred radians its own error exceeds the tolerance. The centered
+        # blocks of _BLOCK = 128 orders hold c - 63 .. c + 64 around c = 128
+        # q, so the series ending around orders 64, 128 and 192 end at block
+        # edges, and 127 terms are the last single block. 8 385 terms make
+        # 66 blocks, one more than the 65 cos and sin rows, so there the
+        # product contracts the block rows, and below the cos and sin rows.
+        # On the grid of _CHUNK + 1 points a single block leaves one point to
+        # a last chunk, and centered blocks take one chunk of all points; on
+        # 2.25 _CHUNK + 1 points they take two chunks, the second one short
+        edges = (127, 128, 129, 191, 192, 193, 255, 256, 257)
+        grid = np.linspace(-1.0, 1.0, _backend._CHUNK + 1)
+        cases = (
+            *((n, 0.0175, 20.0, grid) for n in edges),
+            (193, 0.0175, 20.0, np.linspace(-1, 1, 9 * _backend._CHUNK // 4 + 1)),
+            (N_MULTI, 0.004, 7.0, nus),
+            (N_TILES, 0.0055, 200.0, nus),
+            (8385, 0.0055, 200.0, grid),
+        )
+        for n_terms, lam, period, nus in cases:
             dt = 2 * np.pi / period
             moments = phase_moment_sums(
                 s.eigenfrequencies, s.weights, dt, n_terms + 2
@@ -198,12 +214,29 @@ class TestNumpyKernels:
             assert np.allclose(got, series / period, rtol=1e-12, atol=1e-15)
             # the two-sided complex sum of transform.reconstruct agrees too
             mset = FourierMomentSet(dt, moments, "exact", s.mu0)
-            kernel = KernelSpec(delta=0.02, sigma_leak=0.01, lam=lam)
+            kernel = KernelSpec(delta=0.08, sigma_leak=0.01, lam=lam)
             params = PeriodicKernelParams.from_period(period, kernel)
             fast = reconstruct(mset, kernel, params, n_terms, nus)
             full = reconstruct(mset, kernel, params, n_terms, nus, full_series=True)
             assert np.array_equal(fast.values, got)
             assert np.allclose(fast.values, full.values, rtol=1e-12, atol=1e-15)
+
+    def test_single_block_series_is_one_product(self):
+        # below _BLOCK terms the series is one complex product, g @ exp(i n
+        # dt nu) with g_n = exp(-(dt lam n)^2 / 2) m_n, bitwise
+        s = random_spectrum(16, n=64, normalized=True)
+        nus = np.linspace(-1.0, 1.0, _backend._CHUNK)
+        dt, lam, period = 2 * np.pi / 7.0, 0.004, 7.0
+        moments = phase_moment_sums(s.eigenfrequencies, s.weights, dt, 200)
+        for n_terms in (0, 1, 25, 31, 64, _backend._BLOCK - 1):
+            n = np.arange(1, n_terms + 1)
+            g = np.zeros((1, n_terms + 1), dtype=np.complex128)
+            env = np.exp(-0.5 * (dt * lam) ** 2 * n * n)
+            g[0, 1:] = env * moments[1 : n_terms + 1]
+            table = _backend._phase_table(dt * nus, n_terms + 1)
+            want = (moments[0].real + 2.0 * (g @ table)[0].real) / period
+            got = reconstruct_series(nus, moments, dt, lam, period, n_terms)
+            assert np.array_equal(got, want)
 
     def test_moment_memory_stays_per_tile(self):
         # the block rows are built one fixed-shape tile at a time: the peak

@@ -722,6 +722,11 @@ class TestCountValidation:
                 for value in ("0", "1", "-3")
             ],
             (("shots-demo", "--seeds", "2", "--model", "C"), "--model"),
+            (("reconstruct", "--sampled", "--seed", "-3"), "--seed"),
+            (("moments", "--sampled", "--seed", "-1"), "--seed"),
+            (("shots-demo", "--seeds", "2", "--seed0", "-5"), "--seed0"),
+            (("moments", "--shots", "0"), "--shots"),
+            (("reconstruct", "--sampled", "--shots", "-2"), "--shots"),
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, argv, flag):
@@ -747,6 +752,9 @@ class TestCountValidation:
             ("plan", "method=central\nwindow=-1 -0.8\ncentral_order=1",
              "--central-order"),
             ("shots-demo", "model=C", "--model"),
+            ("reconstruct", "seed=-3", "--seed"),
+            ("moments", "shots=0", "--shots"),
+            ("shots-demo", "seed0=-5", "--seed0"),
         ],
     )
     def test_config_value_rejected(self, tmp_path, capsys, command, line, flag):
@@ -790,18 +798,41 @@ class TestCountValidation:
             (("shots-demo", "--config", "model=C", "--out"), "make_model",
              "error: config key model: 'C' is not one of "
              "['A', 'B', 'a', 'b'] (--model)\n"),
+            (("shots-demo", "--seed0", "-5", "--out"), "make_model",
+             "error: --seed0 must be >= 0, got -5\n"),
+            (("moments", "--spectrum", "SPECTRUM", "--period", "0.3",
+              "--n-max", "4", "--sampled", "--seed", "-1", "--out"),
+             "sampled_moments", "error: --seed must be >= 0, got -1\n"),
+            (("moments", "--spectrum", "SPECTRUM", "--period", "0.3",
+              "--n-max", "4", "--config", "shots=0", "--out"),
+             "sampled_moments", "error: --shots must be >= 1, got 0\n"),
+            (("reconstruct", "--spectrum", "SPECTRUM", "--plan", "PLAN",
+              "--sampled", "--seed", "-3", "--out"), "exact_moments",
+             "error: --seed must be >= 0, got -3\n"),
         ],
     )
     def test_refused_before_work(
         self, tmp_path, capsys, monkeypatch, argv, name, message
     ):
         # nothing is planned or printed before the bad value is named; the
-        # word after --config is the text of a config file
+        # word after --config is the text of a config file, and SPECTRUM and
+        # PLAN stand for a model A spectrum and a plan made from it, so that
+        # only the check stops the work
+        argv = list(argv)
+        if "SPECTRUM" in argv:
+            spectrum = tmp_path / "a.csv"
+            plan = tmp_path / "plan.txt"
+            run_cli(capsys, "model", "--kind", "A", "--out", str(spectrum))
+            run_cli(capsys, "plan", "--method", "variance", "--spectrum",
+                    str(spectrum), "--window", "-1.0", "-0.8", "--out",
+                    str(plan))
+            paths = {"SPECTRUM": str(spectrum), "PLAN": str(plan)}
+            argv = [paths.get(word, word) for word in argv]
+
         def forbidden(*args, **kwargs):
             raise AssertionError(f"{name} called")
 
         monkeypatch.setattr(cli, name, forbidden)
-        argv = list(argv)
         if "--config" in argv:
             cfg = tmp_path / "opts.cfg"
             at = argv.index("--config") + 1

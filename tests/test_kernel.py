@@ -214,6 +214,22 @@ class TestPeriodicKernel:
         with pytest.raises(ValueError):
             PeriodicKernelParams.from_period(0.0, spec_with_width(0.05))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_period_refused(self, bad):
+        # an infinite period used to give dt = 0.0 and fail only later, in
+        # exact_moments, under the name dt
+        match = "^period must be positive and finite"
+        with pytest.raises(ValueError, match=match):
+            PeriodicKernelParams.from_period(bad, spec_with_width(0.05))
+        with pytest.raises(ValueError, match=match):
+            PeriodicKernelParams(period=bad, chi=1.0, dt=0.0, wrap_count=1)
+        with pytest.raises(ValueError, match="^chi must be positive and finite"):
+            PeriodicKernelParams(
+                period=0.5, chi=bad, dt=2 * math.pi / 0.5, wrap_count=1
+            )
+        with pytest.raises(ValueError, match="must equal 2 pi"):
+            PeriodicKernelParams(period=0.5, chi=0.5, dt=bad, wrap_count=1)
+
 
 class TestFourierCoefficient:
     def test_zero_order(self):

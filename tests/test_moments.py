@@ -72,6 +72,21 @@ class TestFourierMomentSet:
                 dt=1.0, values=[1.0], provenance="sampled", mu0=1.0,
                 shots_per_part=0, seed=1,
             )
+        # a sampled set records integer shot counts and seeds
+        for shots, seed, field in ((2.5, 1, "shots_per_part"),
+                                   (2, 1.5, "seed"), (2, -1, "seed"),
+                                   (math.nan, 1, "shots_per_part"),
+                                   (2, math.inf, "seed")):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                FourierMomentSet(
+                    dt=1.0, values=[1.0, 0.5], provenance="sampled", mu0=1.0,
+                    shots_per_part=shots, seed=seed,
+                )
+        ms = FourierMomentSet(
+            dt=1.0, values=[1.0, 0.5], provenance="sampled", mu0=1.0,
+            shots_per_part=np.int64(2), seed=np.uint32(1),
+        )
+        assert (ms.shots_per_part, ms.seed) == (2, 1)
 
     def test_values_frozen(self):
         ms = FourierMomentSet(dt=1.0, values=[1.0, 0.5j], provenance="exact", mu0=1.0)
@@ -337,6 +352,16 @@ class TestSampledMoments:
             sampled_moments(model_a, 27.98, 3, shots_per_part=0, seed=0)
         with pytest.raises(ValueError):
             sampled_moments(model_a, 27.98, 3, shots_per_part=10, seed=-1)
+        # 10.7 shots used to run as 10 and be recorded as 10
+        for shots, seed, field in ((10.7, 0, "shots_per_part"),
+                                   (10, 0.5, "seed"), (True, 0, "shots_per_part"),
+                                   ("10", 0, "shots_per_part")):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                sampled_moments(model_a, 27.98, 3, shots_per_part=shots, seed=seed)
+        ms = sampled_moments(
+            model_a, 27.98, 3, shots_per_part=np.int32(10), seed=np.int64(0)
+        )
+        assert ms.shots_per_part == 10
 
 
 class TestMomentErrorSummary:
@@ -346,6 +371,13 @@ class TestMomentErrorSummary:
         assert summ.max_abs_err == 0.0
         assert summ.rms == 0.0
         assert summ.weighted_aggregate == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, math.inf, math.nan])
+    def test_lam_must_be_positive_and_finite(self, model_a, lam):
+        # an infinite lam used to give a NaN weighted_aggregate
+        ms = exact_moments(model_a, 27.98, n_max=10)
+        with pytest.raises(ValueError, match="^lam must be positive and finite"):
+            moment_error_summary(ms, ms, lam=lam)
 
     def test_single_known_deviation(self, model_a):
         ms = exact_moments(model_a, 27.98, n_max=10)

@@ -12,6 +12,7 @@ from fouriergit import (
     KernelSpec,
     MomentSummary,
     NoSavingWarning,
+    PeriodChoice,
     chi_general,
     chi_with_central_moment,
     chi_with_variance,
@@ -404,6 +405,14 @@ class TestNTerms:
         with pytest.raises(ValueError):
             n_terms(0.0, kernel001, budget001)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_inputs_refused(self, kernel001, budget001, bad):
+        # an infinite chi or appendix mu0 used to end in an OverflowError
+        with pytest.raises(ValueError, match="^chi must be positive and finite"):
+            n_terms(bad, kernel001, budget001)
+        with pytest.raises(ValueError, match="^mu0 must be positive and finite"):
+            n_terms(2.0, kernel001, budget001, mu0=bad, mode="appendix")
+
 
 class TestTruncationBound:
     def test_reference_value(self, kernel001):
@@ -494,6 +503,23 @@ class TestShots:
             shots_value(0, 2.0, kernel001, budget001)
         with pytest.raises(ValueError):
             shots_value(10, 2.0, kernel001, budget001, mode="bogus")
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_inputs_refused(self, kernel001, budget001, bad):
+        # an infinite mu0 used to plan an infinite shot count
+        with pytest.raises(ValueError, match="^mu0 must be positive and finite"):
+            shots_value(218, 2.0, kernel001, budget001, mu0=bad)
+        with pytest.raises(ValueError, match="^chi must be positive and finite"):
+            shots_value(218, bad, kernel001, budget001, mode="uncorrelated")
+
+
+class TestPeriodChoice:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_non_finite_or_nonpositive_refused(self, bad):
+        with pytest.raises(ValueError, match="^period must be positive and finite"):
+            PeriodChoice(bad, 2.0, "general")
+        with pytest.raises(ValueError, match="^chi must be positive and finite"):
+            PeriodChoice(2.0, bad, "general")
 
 
 class TestTailLeakageBound:
