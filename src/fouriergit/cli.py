@@ -7,12 +7,13 @@ against measurement, run the shot-noise coverage demo, and check the
 built-in reference values.
 
 Each subcommand declares its options once, in its schema table (config
-converter, default, and optional argparse choices and help); the flags
-are generated from it, so flag --grid-points is config key grid_points.
-Options may come from a key=value config file (--config); explicit flags
-override the file, the file overrides built-in defaults, and every output
-embeds the effective values. Counts (grid points, seeds, sweep points),
-shot scales and the sweep target range are validated before any work.
+converter, default, and optional argparse choices and help and the
+value's domain); the flags are generated from it, so flag --grid-points
+is config key grid_points. Options may come from a key=value config file
+(--config); explicit flags override the file, the file overrides
+built-in defaults, and every output embeds the effective values. Every
+numeric value is checked against its domain (see _domain) before any
+work, and a value outside it is refused naming the flag.
 Exit codes: 0 success, 1 invalid input, 2 formula used outside its
 validity range, 3 I/O failure.
 """
@@ -27,6 +28,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ._backend import active_backend
+from ._domain import FINITE, NONNEGATIVE, POSITIVE, UNIT, at_least, check
 from .kernel import KernelSpec, PeriodicKernelParams
 from .moments import exact_moments, sampled_moments
 from .planner import (
@@ -112,9 +114,11 @@ def _flag(key: str) -> str:
 def _merge(args, schema: dict) -> dict:
     """Effective option values: flags override config overrides defaults.
 
-    schema maps option key -> (config converter, default[, argparse
-    extras such as choices and help]). A config value outside the
-    option's choices and degenerate counts are refused.
+    schema maps option key -> (config converter, default[, extras]); the
+    extras are argparse's (choices, help) and the option's domain. A
+    config value outside the option's choices, and any effective value
+    outside its domain (each element of a pair or list), is refused
+    naming the flag.
     """
     from_file = {}
     config_path = getattr(args, "config", None)
@@ -137,45 +141,16 @@ def _merge(args, schema: dict) -> dict:
                                f"{choices} ({_flag(key)})")
             from_file[key] = val
     eff = {}
-    for key, (_conv, default, *_extras) in schema.items():
+    for key, (_conv, default, *extras) in schema.items():
         val = getattr(args, key, None)
         if val is None:
             val = from_file.get(key, default)
+        domain = dict(*extras).get("domain")
+        if domain is not None and val is not None:
+            for v in val if isinstance(val, list) else (val,):
+                check(_flag(key), v, domain)
         eff[key] = val
-    _check_counts(eff)
     return eff
-
-
-def _check_counts(eff: dict):
-    for key, least in (("grid_points", 2), ("seeds", 1), ("points", 1),
-                       ("central_order", 2), ("shots", 1), ("seed", 0),
-                       ("seed0", 0)):
-        if eff.get(key) is not None and eff[key] < least:
-            raise CliError(f"{_flag(key)} must be >= {least}, got {eff[key]}")
-    if "scales" in eff and not eff["scales"]:
-        raise CliError("--scales must name at least one scale")
-    for scale in eff.get("scales", ()):
-        if not 0 < scale < math.inf:
-            raise CliError(f"--scales must be positive and finite, got {scale}")
-    for key in ("eps", "eps_p", "eps_n", "eps_s", "omega_scale", "period",
-                "delta", "norm_scale", "lam", "mu0", "sigma"):
-        value = eff.get(key)
-        if value is not None and not 0 < value < math.inf:
-            raise CliError(f"{_flag(key)} must be positive and finite, got {value}")
-    value = eff.get("central_value")
-    if value is not None and not 0 <= value < math.inf:
-        raise CliError(f"--central-value must be finite and >= 0, got {value}")
-    value = eff.get("mu1")
-    if value is not None and not math.isfinite(value):
-        raise CliError(f"--mu1 must be finite, got {value}")
-    if "eps_min" in eff:
-        lo, hi = eff["eps_min"], eff["eps_max"]
-        if not lo > 0:
-            raise CliError(f"--eps-min must be positive, got {lo}")
-        if not lo <= hi < math.inf:
-            raise CliError(
-                f"--eps-max must be finite and >= --eps-min ({lo}), got {hi}"
-            )
 
 
 def _require(eff: dict, *keys):
@@ -209,15 +184,15 @@ _MODEL_CHOICES = [*_MODEL_KINDS, *map(str.lower, _MODEL_KINDS)]
 _MODEL_SCHEMA = {
     "kind": (str, None, {"choices": _MODEL_CHOICES,
                          "help": "model family: A peak, B threshold tail"}),
-    "n_eigen": (int, 512),
-    "norm_scale": (float, 1.0),
-    "peak_xi": (float, -0.95),
-    "peak_beta": (float, 0.05),
-    "peak_alpha": (float, 5.0),
-    "tail_thr": (float, -0.95),
-    "tail_lam": (float, 1.0),
-    "tail_rho": (float, 0.002),
-    "tail_gamma": (float, 1.0),
+    "n_eigen": (int, 512, {"domain": at_least(1)}),
+    "norm_scale": (float, 1.0, {"domain": POSITIVE}),
+    "peak_xi": (float, -0.95, {"domain": FINITE}),
+    "peak_beta": (float, 0.05, {"domain": POSITIVE}),
+    "peak_alpha": (float, 5.0, {"domain": FINITE}),
+    "tail_thr": (float, -0.95, {"domain": FINITE}),
+    "tail_lam": (float, 1.0, {"domain": NONNEGATIVE}),
+    "tail_rho": (float, 0.002, {"domain": POSITIVE}),
+    "tail_gamma": (float, 1.0, {"domain": POSITIVE}),
     "out": (str, None),
 }
 
@@ -251,25 +226,25 @@ def cmd_model(args) -> int:
 
 _PLAN_SCHEMA = {
     "method": (str, "general", {"choices": _METHODS}),
-    "delta": (float, 0.02),
-    "sigma_leak": (float, 0.01),
-    "lam": (float, None),
-    "norm_scale": (float, 1.0),
-    "eps": (float, None,
-            {"help": "total budget, split equally over the three sources"}),
-    "eps_p": (float, None),
-    "eps_n": (float, None),
-    "eps_s": (float, None),
-    "confidence_delta": (float, 0.05),
-    "omega_scale": (float, None,
-                    {"help": "window scale (default: model level spacing)"}),
+    "delta": (float, 0.02, {"domain": POSITIVE}),
+    "sigma_leak": (float, 0.01, {"domain": UNIT}),
+    "lam": (float, None, {"domain": POSITIVE}),
+    "norm_scale": (float, 1.0, {"domain": POSITIVE}),
+    "eps": (float, None, {"domain": POSITIVE, "help":
+                          "total budget, split equally over the three sources"}),
+    "eps_p": (float, None, {"domain": POSITIVE}),
+    "eps_n": (float, None, {"domain": POSITIVE}),
+    "eps_s": (float, None, {"domain": POSITIVE}),
+    "confidence_delta": (float, 0.05, {"domain": UNIT}),
+    "omega_scale": (float, None, {"domain": POSITIVE, "help":
+                                  "window scale (default: model level spacing)"}),
     "spectrum": (str, None, {"help": "spectrum CSV to take moments from"}),
-    "mu0": (float, None),
-    "mu1": (float, None),
-    "sigma": (float, None),
-    "central_order": (int, None),
-    "central_value": (float, None),
-    "window": (_pair_opt, None),
+    "mu0": (float, None, {"domain": POSITIVE}),
+    "mu1": (float, None, {"domain": FINITE}),
+    "sigma": (float, None, {"domain": POSITIVE}),
+    "central_order": (int, None, {"domain": at_least(2)}),
+    "central_value": (float, None, {"domain": NONNEGATIVE}),
+    "window": (_pair_opt, None, {"domain": FINITE}),
     "chi_mode": (str, "main", {"choices": _CHI_MODES}),
     "n_mode": (str, "main", {"choices": _N_MODES}),
     "shots_mode": (str, "conservative", {"choices": _SHOTS_MODES}),
@@ -357,11 +332,11 @@ def cmd_plan(args) -> int:
 _MOMENTS_SCHEMA = {
     "spectrum": (str, None),
     "plan": (str, None, {"help": "plan file for dt and n_max"}),
-    "period": (float, None),
-    "n_max": (int, None),
+    "period": (float, None, {"domain": POSITIVE}),
+    "n_max": (int, None, {"domain": at_least(0)}),
     "sampled": (_bool_opt, None),
-    "shots": (int, None, {"help": "shots per moment part"}),
-    "seed": (int, 12345),
+    "shots": (int, None, {"domain": at_least(1), "help": "shots per moment part"}),
+    "seed": (int, 12345, {"domain": at_least(0)}),
     "clamp": (_bool_opt, False),
     "out": (str, None),
 }
@@ -416,11 +391,11 @@ def cmd_moments(args) -> int:
 _RECONSTRUCT_SCHEMA = {
     "spectrum": (str, None),
     "plan": (str, None),
-    "grid_points": (int, 1024),
-    "range": (_pair_opt, None),
+    "grid_points": (int, 1024, {"domain": at_least(2)}),
+    "range": (_pair_opt, None, {"domain": FINITE}),
     "sampled": (_bool_opt, False),
-    "shots": (int, None),
-    "seed": (int, 12345),
+    "shots": (int, None, {"domain": at_least(1)}),
+    "seed": (int, 12345, {"domain": at_least(0)}),
     "clamp": (_bool_opt, False),
     "out": (str, None, {"help": "curves CSV"}),
     "report_out": (str, None),
@@ -480,16 +455,16 @@ def cmd_reconstruct(args) -> int:
 
 _SWEEP_SCHEMA = {
     "models": (str, "A,B"),
-    "eps_min": (float, 1e-4),
-    "eps_max": (float, 1e-1),
-    "points": (int, 10),
-    "grid_points": (int, 1024),
-    "window": (_pair_opt, [-1.0, -0.8]),
-    "n_eigen": (int, 512),
-    "delta": (float, 0.02),
-    "sigma_leak": (float, 0.01),
-    "eps_s": (float, 0.05),
-    "confidence_delta": (float, 0.05),
+    "eps_min": (float, 1e-4, {"domain": POSITIVE}),
+    "eps_max": (float, 1e-1, {"domain": POSITIVE}),
+    "points": (int, 10, {"domain": at_least(1)}),
+    "grid_points": (int, 1024, {"domain": at_least(2)}),
+    "window": (_pair_opt, [-1.0, -0.8], {"domain": FINITE}),
+    "n_eigen": (int, 512, {"domain": at_least(1)}),
+    "delta": (float, 0.02, {"domain": POSITIVE}),
+    "sigma_leak": (float, 0.01, {"domain": UNIT}),
+    "eps_s": (float, 0.05, {"domain": POSITIVE}),
+    "confidence_delta": (float, 0.05, {"domain": UNIT}),
     "window_term": (str, "max", {"choices": _WINDOW_TERM_MODES}),
     "out": (str, None),
 }
@@ -497,6 +472,9 @@ _SWEEP_SCHEMA = {
 
 def cmd_sweep(args) -> int:
     eff = _merge(args, _SWEEP_SCHEMA)
+    if not eff["eps_min"] <= eff["eps_max"]:
+        raise CliError(f"--eps-max must be >= --eps-min ({eff['eps_min']}), "
+                       f"got {eff['eps_max']}")
     _require(eff, "out")
     kinds = [k.strip().upper() for k in eff["models"].split(",") if k.strip()]
     if not kinds:
@@ -563,17 +541,17 @@ def cmd_sweep(args) -> int:
 
 _SHOTS_DEMO_SCHEMA = {
     "model": (str, "A", {"choices": _MODEL_CHOICES}),
-    "seeds": (int, 200),
-    "seed0": (int, 2026),
-    "scales": (_float_list_opt, [1.0, 0.01]),
-    "grid_points": (int, 257),
-    "window": (_pair_opt, [-1.0, -0.8]),
-    "delta": (float, 0.02),
-    "sigma_leak": (float, 0.01),
-    "eps_p": (float, 0.01),
-    "eps_n": (float, 0.01),
-    "eps_s": (float, 0.05),
-    "confidence_delta": (float, 0.05),
+    "seeds": (int, 200, {"domain": at_least(1)}),
+    "seed0": (int, 2026, {"domain": at_least(0)}),
+    "scales": (_float_list_opt, [1.0, 0.01], {"domain": POSITIVE}),
+    "grid_points": (int, 257, {"domain": at_least(2)}),
+    "window": (_pair_opt, [-1.0, -0.8], {"domain": FINITE}),
+    "delta": (float, 0.02, {"domain": POSITIVE}),
+    "sigma_leak": (float, 0.01, {"domain": UNIT}),
+    "eps_p": (float, 0.01, {"domain": POSITIVE}),
+    "eps_n": (float, 0.01, {"domain": POSITIVE}),
+    "eps_s": (float, 0.05, {"domain": POSITIVE}),
+    "confidence_delta": (float, 0.05, {"domain": UNIT}),
     "shots_mode": (str, "conservative", {"choices": _SHOTS_MODES}),
     "out": (str, None),
 }
@@ -581,6 +559,8 @@ _SHOTS_DEMO_SCHEMA = {
 
 def cmd_shots_demo(args) -> int:
     eff = _merge(args, _SHOTS_DEMO_SCHEMA)
+    if not eff["scales"]:
+        raise CliError("--scales must name at least one scale")
     spectrum = make_model(eff["model"])
     omega = 2.0 / spectrum.n_eigen
     window = FrequencyWindow(eff["window"][0], eff["window"][1])
@@ -754,7 +734,8 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="key=value option file")
         for key, (conv, _default, *extras) in schema.items():
             form = _FLAG_FORMS.get(conv, {"type": conv})
-            p.add_argument(_flag(key), **form, **dict(*extras))
+            opts = {k: v for k, v in dict(*extras).items() if k != "domain"}
+            p.add_argument(_flag(key), **form, **opts)
         p.set_defaults(func=func)
     return parser
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import POSITIVE, UNIT, at_least, check, check_fields
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -35,10 +37,8 @@ def lambda_from_resolution(delta: float, sigma_leak: float) -> float:
     sigma_leak : float
         Allowed out-of-window mass fraction, in (0, 1).
     """
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    if not 0.0 < sigma_leak < 1.0:
-        raise ValueError(f"sigma_leak must be in (0, 1), got {sigma_leak}")
+    delta = check("delta", delta, POSITIVE)
+    sigma_leak = check("sigma_leak", sigma_leak, UNIT)
     return delta / math.sqrt(2.0 * math.log(1.0 / sigma_leak))
 
 
@@ -58,12 +58,8 @@ class KernelSpec:
     norm_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("delta", "lam", "norm_scale"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not 0.0 < self.sigma_leak < 1.0:
-            raise ValueError(f"sigma_leak must be in (0, 1), got {self.sigma_leak}")
+        check_fields(self, delta=POSITIVE, lam=POSITIVE, norm_scale=POSITIVE,
+                     sigma_leak=UNIT)
         lam_max = lambda_from_resolution(self.delta, self.sigma_leak)
         if self.lam > lam_max * (1.0 + 1e-12):
             raise ValueError(
@@ -89,8 +85,7 @@ def gaussian_kernel(nu, omega, lam: float):
 
     nu and omega may be scalars or broadcastable arrays.
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    lam = check("lam", lam, POSITIVE)
     d = np.asarray(nu, dtype=np.float64) - np.asarray(omega, dtype=np.float64)
     val = np.exp(-0.5 * (d / lam) ** 2) / (math.sqrt(_TWO_PI) * lam)
     return val if val.ndim else float(val)
@@ -104,8 +99,8 @@ def replica_wrap_count(lam: float, period: float) -> int:
     the bound comes from comparing the first omitted Gaussian image against
     the central one at worst-case offset period/2.
     """
-    if not (lam > 0 and period > 0):
-        raise ValueError("lam and period must be positive")
+    lam = check("lam", lam, POSITIVE)
+    period = check("period", period, POSITIVE)
     c = 2.0 * (lam / period) ** 2 * math.log(4e16)
     k = (-1.0 + math.sqrt(1.0 + 4.0 * c)) / 2.0
     return max(1, int(math.ceil(k)))
@@ -127,14 +122,7 @@ class PeriodicKernelParams:
     wrap_count: int
 
     def __post_init__(self):
-        if not 0 < self.period < math.inf:
-            raise ValueError(
-                f"period must be positive and finite, got {self.period}"
-            )
-        if not 0 < self.chi < math.inf:
-            raise ValueError(f"chi must be positive and finite, got {self.chi}")
-        if self.wrap_count < 1:
-            raise ValueError(f"wrap_count must be >= 1, got {self.wrap_count}")
+        check_fields(self, period=POSITIVE, chi=POSITIVE, wrap_count=at_least(1))
         if not abs(self.dt * self.period - _TWO_PI) <= 1e-9 * _TWO_PI:
             raise ValueError(
                 f"dt * period = {self.dt * self.period} must equal 2 pi"
@@ -143,8 +131,7 @@ class PeriodicKernelParams:
     @classmethod
     def from_period(cls, period: float, kernel: KernelSpec) -> "PeriodicKernelParams":
         """Extension parameters for a given period and kernel."""
-        if not 0 < period < math.inf:
-            raise ValueError(f"period must be positive and finite, got {period}")
+        period = check("period", period, POSITIVE)
         return cls(
             period=period,
             chi=period / kernel.norm_scale,
@@ -163,8 +150,7 @@ def fourier_coefficient(n, nu, lam: float, params: PeriodicKernelParams):
     sum_j G(nu - omega - j P).
     n and nu may be scalars or broadcastable arrays.
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    lam = check("lam", lam, POSITIVE)
     n_arr = np.asarray(n, dtype=np.float64)
     nu_arr = np.asarray(nu, dtype=np.float64)
     phase = np.exp(1j * params.dt * n_arr * nu_arr)

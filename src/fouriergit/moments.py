@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import phase_moment_sums
-from .planner import _check_type
+from ._domain import POSITIVE, at_least, check, check_fields
 from .spectrum import DiscreteSpectrum
 
 _PROVENANCES = ("exact", "sampled")
@@ -49,8 +49,7 @@ class FourierMomentSet:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        check_fields(self, dt=POSITIVE, mu0=POSITIVE)
         vals = np.array(self.values, dtype=np.complex128)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("values must be a nonempty 1-d array")
@@ -58,12 +57,10 @@ class FourierMomentSet:
             raise ValueError(
                 f"provenance must be one of {_PROVENANCES}, got {self.provenance!r}"
             )
-        if not self.mu0 > 0:
-            raise ValueError(f"mu0 must be positive, got {self.mu0}")
         if self.provenance == "sampled":
             if self.shots_per_part is None or self.seed is None:
                 raise ValueError("sampled moments need shots_per_part and seed")
-            _check_shots_and_seed(self.shots_per_part, self.seed)
+            check_fields(self, shots_per_part=at_least(1), seed=at_least(0))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -82,31 +79,20 @@ def exact_moments(
     spectrum: DiscreteSpectrum, dt: float, n_max: int
 ) -> FourierMomentSet:
     """Exact phase moments m_0 .. m_{n_max} of a discrete spectrum."""
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not 0 <= n_max < math.inf or n_max != int(n_max):
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
+    dt = check("dt", dt, POSITIVE)
+    n_max = check("n_max", n_max, at_least(0))
     vals = phase_moment_sums(
-        spectrum.eigenfrequencies, spectrum.weights, float(dt), int(n_max)
+        spectrum.eigenfrequencies, spectrum.weights, float(dt), n_max
     )
     return FourierMomentSet(
         dt=float(dt), values=vals, provenance="exact", mu0=spectrum.mu0
     )
 
 
-def _check_shots_and_seed(shots_per_part, seed) -> None:
-    """Refuse a shot count below 1 or a seed below 0, or either when it is not
-    an integer (Python or numpy), naming the field."""
-    _check_type("shots_per_part", shots_per_part, integral=True)
-    _check_type("seed", seed, integral=True)
-    if shots_per_part < 1:
-        raise ValueError(f"shots_per_part must be >= 1, got {shots_per_part}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
-def _check_sampling(mu0: float, shots_per_part: int, seed: int) -> None:
-    _check_shots_and_seed(shots_per_part, seed)
+def _check_sampling(mu0: float, shots_per_part: int, seed: int) -> tuple[int, int]:
+    """shots_per_part and seed as ints, once they and mu0 admit sampling."""
+    shots_per_part = check("shots_per_part", shots_per_part, at_least(1))
+    seed = check("seed", seed, at_least(0))
     if shots_per_part > _MAX_SHOTS:
         raise ValueError(
             f"shots_per_part must be <= {_MAX_SHOTS}, got {shots_per_part}"
@@ -116,6 +102,7 @@ def _check_sampling(mu0: float, shots_per_part: int, seed: int) -> None:
             f"sampled_moments requires a normalized spectrum (mu0 = 1), "
             f"got mu0 = {mu0}"
         )
+    return shots_per_part, seed
 
 
 def _sample_around(
@@ -123,7 +110,7 @@ def _sample_around(
 ) -> FourierMomentSet:
     """Shot-noise estimates of the orders 1..n_max of an exact moment set;
     the sampling contract is the one documented in sampled_moments."""
-    _check_sampling(exact.mu0, shots_per_part, seed)
+    shots, seed = _check_sampling(exact.mu0, shots_per_part, seed)
     if exact.provenance != "exact":
         raise ValueError("shot noise is sampled around an exact moment set")
     parts = np.stack((exact.values[1:].real, exact.values[1:].imag))
@@ -133,12 +120,11 @@ def _sample_around(
             f"|moment part| = {largest} exceeds 1; spectrum is not normalized"
         )
     p = np.clip(0.5 * (1.0 + parts), 0.0, 1.0)
-    shots = int(shots_per_part)
     est = np.empty_like(p)
     for part in (0, 1):
         # one stream per (seed, part); orders draw from it in sequence
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=int(seed), spawn_key=(part,))
+            np.random.SeedSequence(entropy=seed, spawn_key=(part,))
         )
         est[part] = 2.0 * rng.binomial(shots, p[part]) / shots - 1.0
     if clamp:
@@ -158,7 +144,7 @@ def _sample_around(
         provenance="sampled",
         mu0=mu0,
         shots_per_part=shots,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -229,8 +215,7 @@ def moment_error_summary(
     abs_err = np.abs(da)
     aggregate = None
     if lam is not None:
-        if not 0 < lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {lam}")
+        lam = check("lam", lam, POSITIVE)
         n = np.arange(n_common + 1)
         env = np.exp(-0.5 * (a.dt * lam) ** 2 * n * n)
         weights = np.where(n == 0, 1.0, 2.0)

@@ -24,10 +24,10 @@ used outside them rather than returning silently wrong numbers.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 
+from ._domain import FINITE, NONNEGATIVE, POSITIVE, UNIT, at_least, check, check_fields
 from .kernel import KernelSpec
 from .spectrum import MomentSummary
 
@@ -72,23 +72,15 @@ class ErrorBudget:
     confidence_delta: float = 0.05
 
     def __post_init__(self):
-        for name in ("eps_p", "eps_n", "eps_s", "omega_scale"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not 0.0 < self.confidence_delta < 1.0:
-            raise ValueError(
-                f"confidence_delta must be in (0, 1), got {self.confidence_delta}"
-            )
+        check_fields(self, eps_p=POSITIVE, eps_n=POSITIVE, eps_s=POSITIVE,
+                     omega_scale=POSITIVE, confidence_delta=UNIT)
 
     @classmethod
     def equal_split(
         cls, eps_total: float, omega_scale: float, confidence_delta: float = 0.05
     ) -> "ErrorBudget":
         """Split a total error target equally across the three sources."""
-        if not 0 < eps_total < math.inf:
-            raise ValueError(f"eps_total must be positive and finite, got {eps_total}")
-        part = eps_total / 3.0
+        part = check("eps_total", eps_total, POSITIVE) / 3.0
         return cls(part, part, part, omega_scale, confidence_delta)
 
 
@@ -101,6 +93,7 @@ class FrequencyWindow:
     nu_max: float
 
     def __post_init__(self):
+        check_fields(self, nu_min=FINITE, nu_max=FINITE)
         if not self.nu_min <= self.nu_max:
             raise ValueError(
                 f"nu_min={self.nu_min} must not exceed nu_max={self.nu_max}"
@@ -126,20 +119,7 @@ class PeriodChoice:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0 < self.period < math.inf:
-            raise ValueError(
-                f"period must be positive and finite, got {self.period}"
-            )
-        if not 0 < self.chi < math.inf:
-            raise ValueError(f"chi must be positive and finite, got {self.chi}")
-
-
-def _check_type(name: str, value, integral: bool = False) -> None:
-    """Refuse a value that is not a real number, or not an integer."""
-    kind = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if integral else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        check_fields(self, period=POSITIVE, chi=POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -161,17 +141,10 @@ class ExtensionPlan:
     inputs_echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("period", "chi", "n_terms"):
-            _check_type(name, getattr(self, name), integral=name == "n_terms")
+        check_fields(self, period=POSITIVE, chi=POSITIVE, n_terms=at_least(1))
         for name in ("shots_per_moment", "total_shots"):
             if getattr(self, name) is not None:
-                _check_type(name, getattr(self, name), integral=True)
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if self.n_terms < 1:
-            raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
-        if self.shots_per_moment is not None and self.shots_per_moment < 1:
-            raise ValueError("shots_per_moment must be >= 1 when set")
+                check_fields(self, **{name: at_least(1)})
 
     @property
     def dt(self) -> float:
@@ -248,8 +221,7 @@ def chi_general(
     """
     if mode not in _CHI_MODES:
         raise ValueError(f"unknown chi_general mode {mode!r}")
-    if not 0 < mu0 < math.inf:
-        raise ValueError(f"mu0 must be positive and finite, got {mu0}")
+    mu0 = check("mu0", mu0, POSITIVE)
     h = kernel.norm_scale
     lam = kernel.lam
     omega = budget.omega_scale
@@ -315,13 +287,6 @@ def _warn_if_no_saving(period: float, kernel, budget, mu0, method: str):
         )
 
 
-def _check_mean_and_weight(mu0, mu1):
-    if not 0 < mu0 < math.inf:
-        raise ValueError(f"mu0 must be positive and finite, got {mu0}")
-    if not math.isfinite(mu1):
-        raise ValueError(f"mu1 must be finite, got {mu1}")
-
-
 def chi_with_variance(
     kernel: KernelSpec,
     budget: ErrorBudget,
@@ -349,18 +314,13 @@ def chi_with_variance(
     whole window), 'min', 'upper', 'lower', or 'span'. Warns with
     NoSavingWarning when the result exceeds the general-bound period.
     """
-    if not 0 < moments.sigma < math.inf:
-        raise ValueError(
-            f"chi_with_variance needs a positive, finite sigma, got "
-            f"{moments.sigma}; use chi_general for point-like spectra"
-        )
-    mu0 = moments.mu0
-    _check_mean_and_weight(mu0, moments.mu1)
+    sigma = check("sigma", moments.sigma, POSITIVE)
+    mu0 = check("mu0", moments.mu0, POSITIVE)
+    mu1 = check("mu1", moments.mu1, FINITE)
     lam = kernel.lam
     h = kernel.norm_scale
     omega = budget.omega_scale
-    sigma = moments.sigma
-    omega_lo, omega_hi = _edge_distances(moments.mu1, window)
+    omega_lo, omega_hi = _edge_distances(mu1, window)
     wterm = _window_term(omega_lo, omega_hi, window_term)
 
     if simplified:
@@ -377,7 +337,7 @@ def chi_with_variance(
             "simplified": True,
             "spread": sigma,
             "mu0": mu0,
-            "mu1": moments.mu1,
+            "mu1": mu1,
             "window_term_mode": "span",
             "window_term": window.span,
             "central_order": 2,
@@ -401,7 +361,7 @@ def chi_with_variance(
         "alpha": alpha_spread / sigma,
         "eta": eta_spread / alpha_spread if alpha_spread > 0 else math.inf,
         "mu0": mu0,
-        "mu1": moments.mu1,
+        "mu1": mu1,
         "window_term_mode": window_term,
         "window_term": wterm,
         "central_order": 2,
@@ -439,12 +399,10 @@ def chi_with_central_moment(
     eps_p)^(1/(n+1)) + span is used; it requires mu~_n^(1/n) >= lam and
     order <= 15 and raises FormulaValidityError outside that range.
     """
-    if order != int(order) or order < 2:
-        raise ValueError(f"order must be an integer >= 2, got {order}")
-    order = int(order)
-    if not 0 <= central_value < math.inf:
-        raise ValueError(f"central_value must be finite and >= 0, got {central_value}")
-    _check_mean_and_weight(mu0, mu1)
+    order = check("order", order, at_least(2))
+    central_value = check("central_value", central_value, NONNEGATIVE)
+    mu0 = check("mu0", mu0, POSITIVE)
+    mu1 = check("mu1", mu1, FINITE)
     if order == 2:
         moments = MomentSummary(
             mu0=mu0,
@@ -547,10 +505,8 @@ def n_terms(
     """
     if mode not in _N_MODES:
         raise ValueError(f"unknown n_terms mode {mode!r}")
-    if not 0 < chi < math.inf:
-        raise ValueError(f"chi must be positive and finite, got {chi}")
-    if not 0 < mu0 < math.inf:
-        raise ValueError(f"mu0 must be positive and finite, got {mu0}")
+    chi = check("chi", chi, POSITIVE)
+    mu0 = check("mu0", mu0, POSITIVE)
     lam = kernel.lam
     h = kernel.norm_scale
     omega = budget.omega_scale
@@ -573,10 +529,10 @@ def truncation_bound(
 ) -> float:
     """Upper bound (1/energy units) on the series tail beyond n_terms:
     (mu0 / (sqrt(2 pi) lam)) erfc(sqrt(2) pi lam n_terms / period)."""
-    if n_terms < 0:
-        raise ValueError(f"n_terms must be >= 0, got {n_terms}")
-    if not (period > 0 and lam > 0 and mu0 > 0):
-        raise ValueError("period, lam and mu0 must be positive")
+    n_terms = check("n_terms", n_terms, at_least(0))
+    period = check("period", period, POSITIVE)
+    lam = check("lam", lam, POSITIVE)
+    mu0 = check("mu0", mu0, POSITIVE)
     x = math.sqrt(2.0) * math.pi * lam * n_terms / period
     return mu0 / (_SQRT_2PI * lam) * math.erfc(x)
 
@@ -600,12 +556,9 @@ def shots_value(
     """
     if mode not in _SHOTS_MODES:
         raise ValueError(f"unknown shots mode {mode!r}")
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    if not 0 < chi < math.inf:
-        raise ValueError(f"chi must be positive and finite, got {chi}")
-    if not 0 < mu0 < math.inf:
-        raise ValueError(f"mu0 must be positive and finite, got {mu0}")
+    n_terms = check("n_terms", n_terms, at_least(1))
+    chi = check("chi", chi, POSITIVE)
+    mu0 = check("mu0", mu0, POSITIVE)
     lam = kernel.lam
     omega = budget.omega_scale
     eps = budget.eps_s
@@ -622,12 +575,12 @@ def shots_value(
 
 def _from_echo(plan: ExtensionPlan, cls, what: str):
     """cls rebuilt from the fields a plan's inputs echo holds under its
-    field names; a missing or non-numeric field raises naming its key."""
+    field names; a missing field raises naming its key, and cls checks
+    the values against their domains."""
     values = []
     for f in fields(cls):
         if f.name not in plan.inputs_echo:
             raise ValueError(f"plan lacks {what} field {f.name!r}")
-        _check_type(f"plan field {f.name!r}", plan.inputs_echo[f.name])
         values.append(plan.inputs_echo[f.name])
     return cls(*values)
 
@@ -715,11 +668,13 @@ def make_plan(
     else:
         if window is None:
             raise ValueError("central-moment planning requires a window")
+        if central_order is not None:
+            central_order = check("central_order", central_order, at_least(2))
         if moments is not None:
             if central_order is None:
                 raise ValueError("central planning requires central_order")
             if central_value is None:
-                central_value = moments.central.get(int(central_order))
+                central_value = moments.central.get(central_order)
                 if central_value is None:
                     raise ValueError(
                         f"moments carry no central moment of order {central_order}"
@@ -733,7 +688,7 @@ def make_plan(
                 "central planning requires central_order, central_value and mu1"
             )
         choice = chi_with_central_moment(
-            int(central_order), central_value, kernel, budget, mu1, window,
+            central_order, central_value, kernel, budget, mu1, window,
             mu0=eff_mu0, window_term=window_term, simplified=simplified,
         )
 

@@ -101,7 +101,11 @@ def write_plan(path, plan: ExtensionPlan) -> None:
 
 
 def read_plan(path) -> ExtensionPlan:
-    return ExtensionPlan.from_dict(read_keyvalues(path))
+    values = read_keyvalues(path)
+    try:
+        return ExtensionPlan.from_dict(values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _open_csv_writer(fh, metadata: dict | None):

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._domain import FINITE, NONNEGATIVE, POSITIVE, at_least, check, check_fields
+
 _WEIGHT_FLOOR = 1e-300  # weights below this underflow to 0 in the models
 _MODEL_KINDS = ("A", "B")  # the model families, in the order the CLI lists them
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -33,8 +35,7 @@ class PeakParams:
     alpha: float = 5.0
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        check_fields(self, xi=FINITE, beta=POSITIVE, alpha=FINITE)
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,8 @@ class TailParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        check_fields(self, omega_thr=FINITE, lam=NONNEGATIVE, rho=POSITIVE,
+                     gamma=POSITIVE)
 
 
 def eval_peak(omega, params: PeakParams = PeakParams()):
@@ -114,10 +113,7 @@ class DiscreteSpectrum:
             raise ValueError("spectrum must contain at least one eigenfrequency")
         if not (np.isfinite(om).all() and np.isfinite(w).all()):
             raise ValueError("eigenfrequencies and weights must be finite")
-        if not 0 < self.norm_scale < math.inf:
-            raise ValueError(
-                f"norm_scale must be positive and finite, got {self.norm_scale}"
-            )
+        check_fields(self, norm_scale=POSITIVE)
         if om.size > 1 and not (np.diff(om) > 0).all():
             raise ValueError("eigenfrequencies must be strictly increasing")
         if (w < 0).any():
@@ -163,23 +159,21 @@ def energy_moment(spectrum: DiscreteSpectrum, n: int) -> float:
 
     n = 0 gives the total weight, n = 1 the unnormalized mean.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"moment order must be a nonnegative integer, got {n}")
+    n = check("n", n, at_least(0))
     if n == 0:
         return spectrum.mu0
-    return float(np.dot(spectrum.weights, spectrum.eigenfrequencies ** int(n)))
+    return float(np.dot(spectrum.weights, spectrum.eigenfrequencies ** n))
 
 
 def central_moment(spectrum: DiscreteSpectrum, n: int) -> float:
     """Raw absolute central moment sum_k w_k |omega_k - mean|^n, n >= 1."""
-    if n < 1 or n != int(n):
-        raise ValueError(f"central moment order must be an integer >= 1, got {n}")
+    n = check("n", n, at_least(1))
     mu0 = spectrum.mu0
     if mu0 <= 0:
         raise ValueError("central moments need positive total weight")
     mean = energy_moment(spectrum, 1) / mu0
     d = np.abs(spectrum.eigenfrequencies - mean)
-    return float(np.dot(spectrum.weights, d ** int(n)))
+    return float(np.dot(spectrum.weights, d ** n))
 
 
 def summarize(spectrum: DiscreteSpectrum, orders=(2,)) -> MomentSummary:
@@ -187,17 +181,18 @@ def summarize(spectrum: DiscreteSpectrum, orders=(2,)) -> MomentSummary:
     mu0 = spectrum.mu0
     if mu0 <= 0:
         raise ValueError("summary needs positive total weight")
+    orders = [check("order", n, at_least(1)) for n in orders]
     mean = energy_moment(spectrum, 1) / mu0
     var = central_moment(spectrum, 2) / mu0
     sigma = math.sqrt(max(var, 0.0))
-    central = {int(n): central_moment(spectrum, int(n)) for n in orders}
+    central = {n: central_moment(spectrum, n) for n in orders}
     return MomentSummary(mu0=mu0, mu1=mean, sigma=sigma, central=central)
 
 
 def midpoint_grid(n_eigen: int, norm_scale: float = 1.0) -> np.ndarray:
     """n_eigen midpoints of a uniform partition of [-norm_scale, norm_scale]."""
-    if n_eigen < 1:
-        raise ValueError(f"n_eigen must be >= 1, got {n_eigen}")
+    n_eigen = check("n_eigen", n_eigen, at_least(1))
+    norm_scale = check("norm_scale", norm_scale, POSITIVE)
     step = 2.0 * norm_scale / n_eigen
     return -norm_scale + (np.arange(n_eigen) + 0.5) * step
 

@@ -15,12 +15,12 @@ spacing) to make them dimensionless.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._backend import gaussian_transform, reconstruct_series
+from ._domain import POSITIVE, at_least, check
 from .kernel import KernelSpec, PeriodicKernelParams
 from .moments import (
     FourierMomentSet,
@@ -81,8 +81,7 @@ def exact_transform(
         period-P images (kind 'exact_periodic'); otherwise the plain
         kernel is used (kind 'exact_gaussian').
     """
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    lam = check("lam", lam, POSITIVE)
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     period, wraps, kind = None, 0, "exact_gaussian"
     if periodic is not None:
@@ -113,8 +112,7 @@ def reconstruct(
     The moment set must carry at least n_terms orders and match the
     extension's time step.
     """
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    n_terms = check("n_terms", n_terms, at_least(1))
     if n_terms > moments.n_max:
         raise ValueError(
             f"n_terms={n_terms} exceeds the stored moment range "
@@ -134,7 +132,7 @@ def reconstruct(
             periodic.dt,
             kernel.lam,
             periodic.period,
-            int(n_terms),
+            n_terms,
         )
         return TransformCurve(grid, vals, kind)
     n = np.arange(-n_terms, n_terms + 1)
@@ -186,8 +184,7 @@ def error_report(
     Uses exact moments unless a (possibly sampled) moment set is passed,
     in which case eps_n_measured includes its statistical error too.
     """
-    if n_grid < 2:
-        raise ValueError(f"n_grid must be >= 2, got {n_grid}")
+    n_grid = check("n_grid", n_grid, at_least(2))
     grid = np.linspace(window.nu_min, window.nu_max, n_grid)
     return _measure(*_curves(spectrum, plan, kernel, grid, moments), budget)
 
@@ -225,9 +222,6 @@ def _measure(
 ) -> ErrorReport:
     """Error report of already-evaluated plain, periodic and reconstructed
     curves on one grid."""
-    n_grid = plain.grid.size
-    if n_grid < 2:
-        raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     omega = budget.omega_scale
     eps_p = _deviation(wrapped, plain, omega)
     eps_n = _deviation(rec, wrapped, omega)
@@ -238,7 +232,7 @@ def _measure(
         eps_total_measured=eps_tot,
         eps_p_target=budget.eps_p,
         eps_n_target=budget.eps_n,
-        n_grid=n_grid,
+        n_grid=plain.grid.size,
         within_period_budget=eps_p <= budget.eps_p,
         within_truncation_budget=eps_n <= budget.eps_n,
     )
@@ -266,8 +260,8 @@ def sampled_reconstruction(
         raise ValueError("plan carries no shot counts; pass shots_per_part")
     if exact is None:
         m = sampled_moments(
-            spectrum, periodic.dt, plan.n_terms, int(shots), seed, clamp=clamp
+            spectrum, periodic.dt, plan.n_terms, shots, seed, clamp=clamp
         )
     else:
-        m = _sample_around(exact, int(shots), seed, clamp)
+        m = _sample_around(exact, shots, seed, clamp)
     return reconstruct(m, kernel, periodic, plan.n_terms, grid)

@@ -1,3 +1,4 @@
+import math
 import re
 import shutil
 import subprocess
@@ -594,6 +595,87 @@ class TestReconstructCommand:
         assert err.startswith("error: ")
         assert key in err and "must be a" in err
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("bounds", [("-1", "inf"), ("nan", "-0.8"),
+                                        ("inf", "inf")])
+    def test_non_finite_range_refused(
+        self, tmp_path, capsys, monkeypatch, model_a_csv, plan_path, form,
+        bounds,
+    ):
+        # --range -1 inf used to write 2 049 nan cells and exit 0
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectrum read")
+
+        monkeypatch.setattr(serialize, "read_spectrum", forbidden)
+        if form == "flag":
+            argv = ["--range", *bounds]
+        else:
+            cfg = tmp_path / "opts.cfg"
+            cfg.write_text(f"range={' '.join(bounds)}\n")
+            argv = ["--config", str(cfg)]
+        out = tmp_path / "c.csv"
+        code, text, err = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), *argv, "--out", str(out),
+        )
+        assert code == 1
+        assert text == ""
+        bad = next(float(b) for b in bounds if not math.isfinite(float(b)))
+        assert err == f"error: --range must be finite, got {bad}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("chi", "-4", "chi must be positive and finite, got -4"),
+         ("period", "inf", "period must be positive and finite, got inf"),
+         ("period", "0", "period must be positive and finite, got 0"),
+         ("n_terms", "2.5", "n_terms must be an integer, got 2.5"),
+         ("n_terms", "0", "n_terms must be >= 1, got 0"),
+         ("shots_per_moment", "0", "shots_per_moment must be >= 1, got 0")],
+    )
+    def test_plan_field_outside_domain_names_file(
+        self, tmp_path, capsys, model_a_csv, plan_path, key, value, message
+    ):
+        # chi=-4 used to be accepted, and period=inf or n_terms=2.5 were
+        # refused only later, without the file name
+        lines = [
+            f"{key}={value}" if x.startswith(f"{key}=") else x
+            for x in plan_path.read_text().splitlines()
+        ]
+        plan_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        code, text, err = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--out", str(out),
+        )
+        assert code == 1
+        assert text == ""
+        assert err == f"error: {plan_path}: {message}\n"
+        assert not out.exists()
+        with pytest.raises(ValueError, match=f"^{re.escape(str(plan_path))}: "):
+            serialize.read_plan(plan_path)
+
+    @pytest.mark.parametrize("key", ["n_terms", "shots_per_moment", "total_shots"])
+    def test_integral_plan_count_accepted(
+        self, tmp_path, capsys, model_a_csv, plan_path, key
+    ):
+        # a count written as 25.0 is the integer it equals
+        plan = serialize.read_plan(plan_path)
+        lines = [
+            f"{key}={getattr(plan, key)}.0" if x.startswith(f"{key}=") else x
+            for x in plan_path.read_text().splitlines()
+        ]
+        plan_path.write_text("\n".join(lines) + "\n")
+        again = serialize.read_plan(plan_path)
+        assert getattr(again, key) == getattr(plan, key)
+        assert type(getattr(again, key)) is int
+        code, _, _ = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--grid-points", "17",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 0
+
     def test_plan_without_window_needs_range(
         self, tmp_path, capsys, model_a_csv
     ):
@@ -1144,6 +1226,41 @@ class TestOptionTables:
             if "help" in extras:
                 assert " ".join(extras["help"].split()) in words, key
 
+
+
+# Each numeric schema entry: its values are checked against its domain.
+NUMERIC_OPTIONS = [
+    (name, key)
+    for name, schema in SCHEMAS.items()
+    for key, (conv, _default, *_extras) in schema.items()
+    if conv in (int, float, cli._pair_opt, cli._float_list_opt)
+]
+
+
+class TestDomains:
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("name, key", NUMERIC_OPTIONS)
+    def test_value_outside_domain_refused(self, tmp_path, capsys, name, key, form):
+        # --tail-thr inf and --tail-lam -5 used to write a spectrum, and
+        # --peak-beta 0 or --sigma-leak 1.5 were refused under the library
+        # field's name; each value the domain table lists as just outside
+        # is refused before any work, naming the flag, whether it comes
+        # from the flag or from a config file
+        conv, _default, extras = SCHEMAS[name][key]
+        for value in extras["domain"].outside:
+            values = [value] * (2 if conv is cli._pair_opt else 1)
+            if form == "flag":
+                argv = [_flag(key), *values]
+            else:
+                cfg = tmp_path / "opts.cfg"
+                cfg.write_text(f"{key}={' '.join(values)}\n")
+                argv = ["--config", str(cfg)]
+            out = tmp_path / "o.csv"
+            code, text, err = run_cli(capsys, name, *argv, "--out", str(out))
+            assert code == 1, value
+            assert text == ""
+            assert err.startswith(f"error: {_flag(key)} must be "), err
+            assert not out.exists()
 
 class TestEntryPoints:
     def test_no_command_is_input_error(self, capsys):

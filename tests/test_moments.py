@@ -215,9 +215,9 @@ class TestExactMoments:
     @pytest.mark.parametrize("n_max", [3.7, 0.5, math.inf, math.nan, -1.0])
     def test_non_integer_n_max_refused(self, model_a, n_max):
         # 3.7 used to give the moments to order 3 without a word
-        with pytest.raises(ValueError, match="^n_max must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^n_max must be (an integer|>= 0), got "):
             exact_moments(model_a, 1.0, n_max)
-        with pytest.raises(ValueError, match="^n_max must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^n_max must be (an integer|>= 0), got "):
             sampled_moments(model_a, 1.0, n_max, shots_per_part=10, seed=0)
 
     def test_integral_n_max_accepted(self, model_a):

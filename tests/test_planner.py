@@ -62,6 +62,25 @@ class TestBudgetAndWindow:
         with pytest.raises(ValueError):
             FrequencyWindow(0.5, 0.4)
 
+    @pytest.mark.parametrize(
+        "bounds", [(-math.inf, math.inf), (math.nan, math.nan), (0.0, math.inf)]
+    )
+    def test_window_refuses_non_finite(self, bounds):
+        # (-inf, inf) used to be accepted, and (nan, nan) was refused with
+        # a message about ordering
+        name = "nu_min" if not math.isfinite(bounds[0]) else "nu_max"
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            FrequencyWindow(*bounds)
+
+    @pytest.mark.parametrize("field, value", [("period", math.inf),
+                                              ("chi", -4.0), ("chi", math.nan)])
+    def test_plan_refuses_period_and_chi_outside_domain(self, field, value):
+        values = dict(period=0.25, chi=0.25, n_terms=25, shots_per_moment=10,
+                      total_shots=500, method="variance")
+        values[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            ExtensionPlan(**values)
+
 
 class TestChiGeneral:
     def test_reference_value(self, kernel001, budget001):

@@ -101,6 +101,23 @@ class TestProfiles:
         with pytest.raises(ValueError):
             TailParams(gamma=0.0)
 
+    @pytest.mark.parametrize(
+        "params, field, value, domain",
+        [(PeakParams, "xi", math.nan, "finite"),
+         (PeakParams, "alpha", math.nan, "finite"),
+         (PeakParams, "beta", math.inf, "positive and finite"),
+         (TailParams, "omega_thr", math.inf, "finite"),
+         (TailParams, "lam", -5.0, "nonnegative and finite"),
+         (TailParams, "rho", math.inf, "positive and finite"),
+         (TailParams, "gamma", 0.0, "positive and finite")],
+    )
+    def test_param_domains(self, params, field, value, domain):
+        # a NaN alpha used to end in "weights sum to nan", and an infinite
+        # threshold or a negative tail amplitude gave a model
+        with pytest.raises(ValueError, match=f"^{field} must be {domain}, got "):
+            params(**{field: value})
+        assert TailParams(lam=0.0).lam == 0.0
+
 
 class TestMakeModel:
     def test_model_statistics(self, stats_a, stats_b):
