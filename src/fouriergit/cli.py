@@ -413,9 +413,7 @@ def cmd_reconstruct(args) -> int:
     if window is None:
         raise CliError("plan has no window; pass --range MIN,MAX")
     grid = np.linspace(window.nu_min, window.nu_max, eff["grid_points"])
-    dt = PeriodicKernelParams.from_period(plan.period, kernel).dt
-    exact = exact_moments(spectrum, dt, plan.n_terms)
-    curves = list(_curves(spectrum, plan, kernel, grid, exact))
+    curves = list(_curves(spectrum, plan, kernel, grid))
     lines = asdict(_measure(*curves, budget))
     del lines["n_grid"]
     if eff["sampled"]:
@@ -423,8 +421,7 @@ def cmd_reconstruct(args) -> int:
         if shots is None:
             raise CliError("--shots is required for --sampled with this plan")
         srec = sampled_reconstruction(
-            spectrum, plan, kernel, grid, eff["seed"], shots,
-            clamp=eff["clamp"], exact=exact,
+            spectrum, plan, kernel, grid, eff["seed"], shots, clamp=eff["clamp"]
         )
         dev = _deviation(srec, curves[2], budget.omega_scale)
         curves.append(srec)
@@ -582,8 +579,7 @@ def cmd_shots_demo(args) -> int:
         within = 0
         for i in range(eff["seeds"]):
             rec = sampled_reconstruction(
-                spectrum, plan, kernel, grid, eff["seed0"] + i, shots,
-                exact=exact,
+                spectrum, plan, kernel, grid, eff["seed0"] + i, shots
             )
             within += _deviation(rec, baseline, omega) <= budget.eps_s
         coverage = within / eff["seeds"]

@@ -75,77 +75,42 @@ class FourierMomentSet:
         return complex(self.values[n]) if n >= 0 else complex(np.conj(self.values[-n]))
 
 
+# The last exact_moments call as one (spectrum, (dt, n_max), result) tuple
+# under "call", replaced whole so that no reader sees a mixed entry.
+_last_exact: dict = {}
+
+
+def _frozen(*arrays: np.ndarray) -> bool:
+    """Whether every array is still read-only, as a memo's inputs and
+    results must be for a memo hit."""
+    return not any(a.flags.writeable for a in arrays)
+
+
 def exact_moments(
     spectrum: DiscreteSpectrum, dt: float, n_max: int
 ) -> FourierMomentSet:
-    """Exact phase moments m_0 .. m_{n_max} of a discrete spectrum."""
-    dt = check("dt", dt, POSITIVE)
+    """Exact phase moments m_0 .. m_{n_max} of a discrete spectrum.
+
+    A call on the same spectrum object as the call before, with equal dt
+    and n_max, returns that call's moment set instead of computing it
+    again, while the arrays of both are still read-only.
+    """
+    dt = float(check("dt", dt, POSITIVE))
     n_max = check("n_max", n_max, at_least(0))
-    vals = phase_moment_sums(
-        spectrum.eigenfrequencies, spectrum.weights, float(dt), n_max
+    last = _last_exact.get("call")
+    if (
+        last is not None
+        and last[0] is spectrum
+        and last[1] == (dt, n_max)
+        and _frozen(spectrum.eigenfrequencies, spectrum.weights, last[2].values)
+    ):
+        return last[2]
+    vals = phase_moment_sums(spectrum.eigenfrequencies, spectrum.weights, dt, n_max)
+    result = FourierMomentSet(
+        dt=dt, values=vals, provenance="exact", mu0=spectrum.mu0
     )
-    return FourierMomentSet(
-        dt=float(dt), values=vals, provenance="exact", mu0=spectrum.mu0
-    )
-
-
-def _check_sampling(mu0: float, shots_per_part: int, seed: int) -> tuple[int, int]:
-    """shots_per_part and seed as ints, once they and mu0 admit sampling."""
-    shots_per_part = check("shots_per_part", shots_per_part, at_least(1))
-    seed = check("seed", seed, at_least(0))
-    if shots_per_part > _MAX_SHOTS:
-        raise ValueError(
-            f"shots_per_part must be <= {_MAX_SHOTS}, got {shots_per_part}"
-        )
-    if abs(mu0 - 1.0) > 1e-9:
-        raise ValueError(
-            f"sampled_moments requires a normalized spectrum (mu0 = 1), "
-            f"got mu0 = {mu0}"
-        )
-    return shots_per_part, seed
-
-
-def _sample_around(
-    exact: FourierMomentSet, shots_per_part: int, seed: int, clamp: bool
-) -> FourierMomentSet:
-    """Shot-noise estimates of the orders 1..n_max of an exact moment set;
-    the sampling contract is the one documented in sampled_moments."""
-    shots, seed = _check_sampling(exact.mu0, shots_per_part, seed)
-    if exact.provenance != "exact":
-        raise ValueError("shot noise is sampled around an exact moment set")
-    parts = np.stack((exact.values[1:].real, exact.values[1:].imag))
-    largest = float(np.abs(parts).max(initial=0.0))
-    if largest > 1.0 + 1e-12:
-        raise ValueError(
-            f"|moment part| = {largest} exceeds 1; spectrum is not normalized"
-        )
-    p = np.clip(0.5 * (1.0 + parts), 0.0, 1.0)
-    est = np.empty_like(p)
-    for part in (0, 1):
-        # one stream per (seed, part); orders draw from it in sequence
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(part,))
-        )
-        est[part] = 2.0 * rng.binomial(shots, p[part]) / shots - 1.0
-    if clamp:
-        np.clip(est, -1.0, 1.0, out=est)
-    mu0 = exact.mu0
-    vals = np.empty(exact.values.size, dtype=np.complex128)
-    vals[0] = mu0
-    vals.real[1:] = est[0]
-    vals.imag[1:] = est[1]
-    if clamp:
-        mod = np.abs(vals)
-        over = mod > mu0
-        vals[over] *= mu0 / mod[over]
-    return FourierMomentSet(
-        dt=exact.dt,
-        values=vals,
-        provenance="sampled",
-        mu0=mu0,
-        shots_per_part=shots,
-        seed=seed,
-    )
+    _last_exact["call"] = (spectrum, (dt, n_max), result)
+    return result
 
 
 def sampled_moments(
@@ -176,9 +141,48 @@ def sampled_moments(
     Requires mu0 = 1: the two-outcome encoding bounds each part by the
     total weight, and the success-probability map assumes unit scale.
     """
-    _check_sampling(spectrum.mu0, shots_per_part, seed)
-    return _sample_around(
-        exact_moments(spectrum, dt, n_max), shots_per_part, seed, clamp
+    shots = check("shots_per_part", shots_per_part, at_least(1))
+    seed = check("seed", seed, at_least(0))
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots_per_part must be <= {_MAX_SHOTS}, got {shots}")
+    mu0 = spectrum.mu0
+    if abs(mu0 - 1.0) > 1e-9:
+        raise ValueError(
+            f"sampled_moments requires a normalized spectrum (mu0 = 1), "
+            f"got mu0 = {mu0}"
+        )
+    exact = exact_moments(spectrum, dt, n_max)
+    parts = np.stack((exact.values[1:].real, exact.values[1:].imag))
+    largest = float(np.abs(parts).max(initial=0.0))
+    if largest > 1.0 + 1e-12:
+        raise ValueError(
+            f"|moment part| = {largest} exceeds 1; spectrum is not normalized"
+        )
+    p = np.clip(0.5 * (1.0 + parts), 0.0, 1.0)
+    est = np.empty_like(p)
+    for part in (0, 1):
+        # one stream per (seed, part); orders draw from it in sequence
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(part,))
+        )
+        est[part] = 2.0 * rng.binomial(shots, p[part]) / shots - 1.0
+    if clamp:
+        np.clip(est, -1.0, 1.0, out=est)
+    vals = np.empty(exact.values.size, dtype=np.complex128)
+    vals[0] = mu0
+    vals.real[1:] = est[0]
+    vals.imag[1:] = est[1]
+    if clamp:
+        mod = np.abs(vals)
+        over = mod > mu0
+        vals[over] *= mu0 / mod[over]
+    return FourierMomentSet(
+        dt=exact.dt,
+        values=vals,
+        provenance="sampled",
+        mu0=mu0,
+        shots_per_part=shots,
+        seed=seed,
     )
 
 

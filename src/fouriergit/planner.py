@@ -166,16 +166,13 @@ class ExtensionPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExtensionPlan":
+        """Inverse of to_dict; a missing core key raises ValueError naming it."""
         d = dict(d)
-        return cls(
-            period=d.pop("period"),
-            chi=d.pop("chi"),
-            n_terms=d.pop("n_terms"),
-            shots_per_moment=d.pop("shots_per_moment"),
-            total_shots=d.pop("total_shots"),
-            method=d.pop("method"),
-            inputs_echo=d,
-        )
+        core = [f.name for f in fields(cls) if f.name != "inputs_echo"]
+        missing = [name for name in core if name not in d]
+        if missing:
+            raise ValueError(f"plan lacks key {missing[0]!r}")
+        return cls(**{name: d.pop(name) for name in core}, inputs_echo=d)
 
 
 def _window_term(omega_lo: float, omega_hi: float, mode: str) -> float:
@@ -593,6 +590,16 @@ def _plan_kernel(plan: ExtensionPlan) -> KernelSpec:
 def _plan_budget(plan: ExtensionPlan) -> ErrorBudget:
     """The error budget a plan was made for, rebuilt from its inputs echo."""
     return _from_echo(plan, ErrorBudget, "budget")
+
+
+def _check_echo(plan: ExtensionPlan) -> None:
+    """Rebuild the kernel, budget and window of a plan's inputs echo, each
+    when the echo holds any of its fields, so that a missing field or one
+    outside its domain is refused."""
+    for cls, what in ((KernelSpec, "kernel"), (ErrorBudget, "budget"),
+                      (FrequencyWindow, "window")):
+        if any(f.name in plan.inputs_echo for f in fields(cls)):
+            _from_echo(plan, cls, what)
 
 
 def _plan_window(plan: ExtensionPlan) -> FrequencyWindow | None:

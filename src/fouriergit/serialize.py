@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .moments import FourierMomentSet
-from .planner import ExtensionPlan
+from .planner import ExtensionPlan, _check_echo
 from .spectrum import DiscreteSpectrum
 from .transform import TransformCurve
 
@@ -101,11 +101,15 @@ def write_plan(path, plan: ExtensionPlan) -> None:
 
 
 def read_plan(path) -> ExtensionPlan:
+    """The plan in a key=value file, with its echoed kernel, budget and
+    window checked; a refusal names path."""
     values = read_keyvalues(path)
     try:
-        return ExtensionPlan.from_dict(values)
+        plan = ExtensionPlan.from_dict(values)
+        _check_echo(plan)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return plan
 
 
 def _open_csv_writer(fh, metadata: dict | None):

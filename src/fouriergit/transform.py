@@ -22,12 +22,7 @@ import numpy as np
 from ._backend import gaussian_transform, reconstruct_series
 from ._domain import POSITIVE, at_least, check
 from .kernel import KernelSpec, PeriodicKernelParams
-from .moments import (
-    FourierMomentSet,
-    _sample_around,
-    exact_moments,
-    sampled_moments,
-)
+from .moments import FourierMomentSet, _frozen, exact_moments, sampled_moments
 from .planner import ErrorBudget, ExtensionPlan, FrequencyWindow
 from .spectrum import DiscreteSpectrum
 
@@ -92,6 +87,11 @@ def exact_transform(
     return TransformCurve(grid, vals, kind)
 
 
+# The last fast-path reconstruct call as one (moments, (lam, dt, period,
+# n_terms), result) tuple under "call"; the result's grid is the call's.
+_last_curve: dict = {}
+
+
 def reconstruct(
     moments: FourierMomentSet,
     kernel: KernelSpec,
@@ -110,7 +110,10 @@ def reconstruct(
     path) and verifies the imaginary residue is negligible.
 
     The moment set must carry at least n_terms orders and match the
-    extension's time step.
+    extension's time step. A fast-path call on the same moment set object
+    as the fast-path call before, with equal lam, dt, period and n_terms
+    and a bit-identical grid, returns that call's curve instead of
+    resumming again, while the arrays of both are still read-only.
     """
     n_terms = check("n_terms", n_terms, at_least(1))
     if n_terms > moments.n_max:
@@ -126,15 +129,22 @@ def reconstruct(
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     kind = "reconstructed" if moments.provenance == "exact" else "sampled_reconstructed"
     if not full_series:
-        vals = reconstruct_series(
-            grid,
-            moments.values,
-            periodic.dt,
-            kernel.lam,
-            periodic.period,
-            n_terms,
-        )
-        return TransformCurve(grid, vals, kind)
+        args = (kernel.lam, periodic.dt, periodic.period, n_terms)
+        last = _last_curve.get("call")
+        if (
+            last is not None
+            and last[0] is moments
+            and last[1] == args
+            and _frozen(moments.values, last[2].grid, last[2].values)
+            and last[2].grid.size == grid.size
+            and last[2].grid.tobytes() == grid.tobytes()
+        ):
+            return last[2]
+        vals = reconstruct_series(grid, moments.values, periodic.dt,
+                                  kernel.lam, periodic.period, n_terms)
+        result = TransformCurve(grid, vals, kind)
+        _last_curve["call"] = (moments, args, result)
+        return result
     n = np.arange(-n_terms, n_terms + 1)
     m = np.array([moments.moment(int(k)) for k in n])
     env = np.exp(-0.5 * (periodic.dt * kernel.lam) ** 2 * n * n)
@@ -246,22 +256,14 @@ def sampled_reconstruction(
     seed: int,
     shots_per_part: int | None = None,
     clamp: bool = False,
-    exact: FourierMomentSet | None = None,
 ) -> TransformCurve:
     """One shot-noise reconstruction of a plan, at shots_per_part shots per
-    moment part (default: the plan's).
-
-    The shots are sampled around exact, the plan's exact moment set, when
-    the caller already has it; otherwise it is computed from spectrum.
-    """
+    moment part (default: the plan's)."""
     periodic = PeriodicKernelParams.from_period(plan.period, kernel)
     shots = plan.shots_per_moment if shots_per_part is None else shots_per_part
     if shots is None:
         raise ValueError("plan carries no shot counts; pass shots_per_part")
-    if exact is None:
-        m = sampled_moments(
-            spectrum, periodic.dt, plan.n_terms, shots, seed, clamp=clamp
-        )
-    else:
-        m = _sample_around(exact, shots, seed, clamp)
+    m = sampled_moments(
+        spectrum, periodic.dt, plan.n_terms, shots, seed, clamp=clamp
+    )
     return reconstruct(m, kernel, periodic, plan.n_terms, grid)

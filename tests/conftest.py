@@ -82,3 +82,31 @@ def periodic_line(nu, omega, lam, params):
     return gaussian_transform(
         np.atleast_1d(nu), [omega], [1.0], lam, params.period, params.wrap_count
     )
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Empty the one-entry memos of exact_moments and reconstruct before
+    each test, so that a count of computations does not depend on which
+    test ran before on the same session-scoped spectrum."""
+    from fouriergit import moments, transform
+
+    moments._last_exact.clear()
+    transform._last_curve.clear()
+
+
+@pytest.fixture()
+def moment_sums(monkeypatch):
+    """Counts the moment computations behind exact_moments, which a
+    repeated call on the same inputs skips."""
+    from fouriergit import moments
+
+    calls = []
+    original = moments.phase_moment_sums
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(moments, "phase_moment_sums", counting)
+    return calls

@@ -39,23 +39,6 @@ def kv(text):
 
 
 @pytest.fixture()
-def exact_moment_calls(monkeypatch):
-    """Counts exact_moments calls through every module that binds it."""
-    from fouriergit import moments
-
-    calls = []
-    original = moments.exact_moments
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in ("cli", "transform", "moments"):
-        monkeypatch.setattr(f"fouriergit.{module}.exact_moments", counting)
-    return calls
-
-
-@pytest.fixture()
 def model_a_csv(tmp_path, capsys):
     path = tmp_path / "model_a.csv"
     code, _, _ = run_cli(capsys, "model", "--kind", "A", "--out", str(path))
@@ -423,7 +406,7 @@ class TestReconstructCommand:
         assert np.array_equal(curves[-1].values, want.values)
 
     def test_sampled_computes_exact_moments_once(
-        self, tmp_path, capsys, model_a_csv, plan_path, exact_moment_calls
+        self, tmp_path, capsys, model_a_csv, plan_path, moment_sums
     ):
         code, _, _ = run_cli(
             capsys, "reconstruct", "--spectrum", str(model_a_csv),
@@ -431,7 +414,7 @@ class TestReconstructCommand:
             "--out", str(tmp_path / "c.csv"),
         )
         assert code == 0
-        assert len(exact_moment_calls) == 1
+        assert len(moment_sums) == 1
 
     def test_curves_cell_checked(self, tmp_path, capsys, model_a_csv, plan_path):
         out = tmp_path / "curves.csv"
@@ -655,6 +638,58 @@ class TestReconstructCommand:
         with pytest.raises(ValueError, match=f"^{re.escape(str(plan_path))}: "):
             serialize.read_plan(plan_path)
 
+    @pytest.mark.parametrize(
+        "key", ["method", "period", "chi", "n_terms", "shots_per_moment",
+                "total_shots"],
+    )
+    def test_plan_without_core_key_names_file_and_key(
+        self, tmp_path, capsys, model_a_csv, plan_path, key
+    ):
+        # a plan without period= used to exit 1 with only "error: 'period'"
+        lines = [x for x in plan_path.read_text().splitlines()
+                 if not x.startswith(f"{key}=")]
+        plan_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        code, text, err = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--out", str(out),
+        )
+        assert (code, text) == (1, "")
+        assert err == f"error: {plan_path}: plan lacks key {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "moments"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("lam", "-1", "lam must be positive and finite, got -1"),
+         ("delta", "inf", "delta must be positive and finite, got inf"),
+         ("eps_s", "0", "eps_s must be positive and finite, got 0"),
+         ("confidence_delta", "1", "confidence_delta must be in (0, 1), got 1"),
+         ("nu_min", "nan", "nu_min must be finite, got nan"),
+         ("nu_min", "0", "nu_min=0 must not exceed nu_max=-0.8"),
+         ("sigma_leak", None, "plan lacks kernel field 'sigma_leak'")],
+    )
+    def test_plan_echo_field_outside_domain_names_file(
+        self, tmp_path, capsys, model_a_csv, plan_path, command, key, value,
+        message,
+    ):
+        # lam=-1 used to be refused without the file name, and only by the
+        # commands that rebuild the plan's kernel
+        lines = [
+            f"{key}={value}" if x.startswith(f"{key}=") else x
+            for x in plan_path.read_text().splitlines()
+            if value is not None or not x.startswith(f"{key}=")
+        ]
+        plan_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        code, text, err = run_cli(
+            capsys, command, "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--out", str(out),
+        )
+        assert (code, text) == (1, "")
+        assert err == f"error: {plan_path}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["n_terms", "shots_per_moment", "total_shots"])
     def test_integral_plan_count_accepted(
         self, tmp_path, capsys, model_a_csv, plan_path, key
@@ -741,13 +776,13 @@ class TestShotsDemoCommand:
         assert float(rows[0][4]) == 1.0  # all seeds within eps_s
         assert int(rows[0][1]) == 260
 
-    def test_computes_exact_moments_once(self, capsys, exact_moment_calls):
+    def test_computes_exact_moments_once(self, capsys, moment_sums):
         code, _, _ = run_cli(
             capsys, "shots-demo", "--seeds", "4", "--scales", "1.0", "0.5",
             "--grid-points", "33",
         )
         assert code == 0
-        assert len(exact_moment_calls) == 1
+        assert len(moment_sums) == 1
 
     def test_starved_shots_fail_more(self, tmp_path, capsys):
         out = tmp_path / "demo.csv"

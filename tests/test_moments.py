@@ -225,6 +225,79 @@ class TestExactMoments:
             assert exact_moments(model_a, 1.0, n_max).n_max == 3
 
 
+
+class TestExactMomentsMemo:
+    def test_repeated_call_returns_the_same_set(self, model_a, moment_sums):
+        first = exact_moments(model_a, 27.98, 10)
+        # equal arguments of another type are the same key
+        for dt, n_max in ((27.98, 10), (np.float64(27.98), np.int64(10)),
+                          (27.98, 10.0)):
+            assert exact_moments(model_a, dt, n_max) is first
+        assert len(moment_sums) == 1
+
+    @pytest.mark.parametrize("change", ["spectrum", "dt", "n_max"])
+    def test_each_key_part_misses_alone(self, model_a, moment_sums, change):
+        first = exact_moments(model_a, 27.98, 10)
+        spectrum, dt, n_max = model_a, 27.98, 10
+        if change == "spectrum":  # equal content, another object
+            spectrum = DiscreteSpectrum(model_a.eigenfrequencies, model_a.weights)
+        elif change == "dt":
+            dt = float(np.nextafter(27.98, 30.0))
+        else:
+            n_max = 11
+        again = exact_moments(spectrum, dt, n_max)
+        assert again is not first
+        assert len(moment_sums) == 2
+        want = _backend.phase_moment_sums(
+            spectrum.eigenfrequencies, spectrum.weights, dt, n_max
+        )
+        assert np.array_equal(again.values, want)
+        assert again.dt == dt
+
+    def test_only_the_last_call_is_kept(self, model_a, moment_sums):
+        a = exact_moments(model_a, 27.98, 10)
+        exact_moments(model_a, 28.0, 10)
+        assert exact_moments(model_a, 27.98, 10) is not a
+        assert len(moment_sums) == 3
+
+    def test_checks_run_before_the_memo(self, model_a):
+        exact_moments(model_a, 27.98, 10)
+        with pytest.raises(ValueError, match="^dt must be positive"):
+            exact_moments(model_a, -27.98, 10)
+        with pytest.raises(ValueError, match="^n_max must be an integer"):
+            exact_moments(model_a, 27.98, 10.5)
+
+    @pytest.mark.parametrize("array", ["eigenfrequencies", "weights"])
+    def test_write_to_unfrozen_spectrum_recomputes(self, moment_sums, array):
+        s = random_spectrum(4, n=16, normalized=True)
+        first = exact_moments(s, 1.3, 6)
+        arr = getattr(s, array)
+        arr.setflags(write=True)
+        arr[3] *= 0.5
+        again = exact_moments(s, 1.3, 6)
+        assert again is not first
+        assert len(moment_sums) == 2
+        want = _backend.phase_moment_sums(s.eigenfrequencies, s.weights, 1.3, 6)
+        assert np.array_equal(again.values, want)
+        assert again.mu0 == s.mu0
+
+    def test_write_to_unfrozen_result_recomputes(self, model_a):
+        first = exact_moments(model_a, 27.98, 10)
+        first.values.setflags(write=True)
+        first.values[2] = 7.0
+        again = exact_moments(model_a, 27.98, 10)
+        assert again is not first
+        want = _backend.phase_moment_sums(
+            model_a.eigenfrequencies, model_a.weights, 27.98, 10
+        )
+        assert np.array_equal(again.values, want)
+
+    def test_seeds_share_one_exact_set(self, model_a, moment_sums):
+        for seed in range(50):
+            sampled_moments(model_a, 27.98, 25, shots_per_part=100, seed=seed)
+        assert len(moment_sums) == 1
+
+
 class TestSampledMoments:
     def test_deterministic(self, model_a):
         kw = dict(dt=27.98, n_max=10, shots_per_part=100, seed=42)

@@ -12,6 +12,7 @@ from fouriergit import (
     KernelSpec,
     PeriodicKernelParams,
     TransformCurve,
+    _backend,
     error_report,
     exact_moments,
     exact_transform,
@@ -204,6 +205,140 @@ class TestReconstruct:
         other = PeriodicKernelParams.from_period(0.31, kernel001)
         with pytest.raises(ValueError):
             reconstruct(moments, kernel001, other, 10, [0.0])
+
+
+
+@pytest.fixture()
+def resummations(monkeypatch):
+    """Counts the series resummations behind reconstruct."""
+    from fouriergit import transform
+
+    calls = []
+    original = transform.reconstruct_series
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(transform, "reconstruct_series", counting)
+    return calls
+
+
+class TestReconstructMemo:
+    @pytest.fixture()
+    def inputs(self, model_a, kernel001):
+        params = PeriodicKernelParams.from_period(0.3, kernel001)
+        moments = exact_moments(model_a, params.dt, 30)
+        return moments, kernel001, params, np.linspace(-1.0, -0.8, 41)
+
+    def test_repeated_call_returns_the_same_curve(self, inputs, resummations):
+        moments, kernel, params, grid = inputs
+        first = reconstruct(moments, kernel, params, 30, grid)
+        # an equal grid in another object or type is the same key
+        for g in (grid, grid.copy(), list(grid)):
+            assert reconstruct(moments, kernel, params, 30, g) is first
+        assert len(resummations) == 1
+
+    @pytest.mark.parametrize(
+        "change", ["moments", "lam", "period", "n_terms", "grid", "grid_size"]
+    )
+    def test_each_key_part_misses_alone(self, inputs, resummations, change):
+        moments, kernel, params, grid = inputs
+        first = reconstruct(moments, kernel, params, 30, grid)
+        n_terms = 30
+        if change == "moments":  # equal content, another object
+            moments = FourierMomentSet(moments.dt, moments.values, "exact",
+                                       moments.mu0)
+        elif change == "lam":
+            kernel = KernelSpec(kernel.delta, kernel.sigma_leak,
+                                kernel.lam * 0.99, kernel.norm_scale)
+        elif change == "period":  # one ulp, within the dt match check
+            params = PeriodicKernelParams.from_period(
+                float(np.nextafter(params.period, 1.0)), kernel
+            )
+            assert params.period != 0.3
+        elif change == "n_terms":
+            n_terms = 29
+        elif change == "grid":
+            grid = grid.copy()
+            grid[17] = np.nextafter(grid[17], 0.0)
+        else:
+            grid = grid[:-1]
+        again = reconstruct(moments, kernel, params, n_terms, grid)
+        assert again is not first
+        assert len(resummations) == 2
+        want = _backend.reconstruct_series(
+            np.asarray(grid), moments.values, params.dt, kernel.lam,
+            params.period, n_terms,
+        )
+        assert np.array_equal(again.values, want)
+        assert np.array_equal(again.grid, grid)
+
+    def test_full_series_is_never_cached(self, inputs, resummations):
+        moments, kernel, params, grid = inputs
+        fast = reconstruct(moments, kernel, params, 30, grid)
+        full = reconstruct(moments, kernel, params, 30, grid, full_series=True)
+        again = reconstruct(moments, kernel, params, 30, grid, full_series=True)
+        assert full is not fast and again is not full and again is not fast
+        # the two-sided sums leave the fast path's entry in place
+        assert reconstruct(moments, kernel, params, 30, grid) is fast
+        assert len(resummations) == 1
+
+    def test_checks_run_before_the_memo(self, inputs, kernel001):
+        moments, kernel, params, grid = inputs
+        reconstruct(moments, kernel, params, 30, grid)
+        with pytest.raises(ValueError, match="exceeds the stored moment range"):
+            reconstruct(moments, kernel, params, 31, grid)
+        other = PeriodicKernelParams.from_period(0.31, kernel001)
+        with pytest.raises(ValueError, match="does not match"):
+            reconstruct(moments, kernel, other, 30, grid)
+
+    def test_write_to_unfrozen_moments_recomputes(self, kernel001, resummations):
+        params = PeriodicKernelParams.from_period(0.3, kernel001)
+        s = random_spectrum(6, n=16, normalized=True)
+        moments = exact_moments(s, params.dt, 12)
+        grid = np.linspace(-0.5, 0.5, 9)
+        first = reconstruct(moments, kernel001, params, 12, grid)
+        moments.values.setflags(write=True)
+        moments.values[3] = 0.25
+        again = reconstruct(moments, kernel001, params, 12, grid)
+        assert again is not first
+        assert len(resummations) == 2
+        want = _backend.reconstruct_series(
+            grid, moments.values, params.dt, kernel001.lam, params.period, 12
+        )
+        assert np.array_equal(again.values, want)
+        assert not np.array_equal(again.values, first.values)
+
+    def test_write_to_unfrozen_curve_recomputes(self, inputs, resummations):
+        moments, kernel, params, grid = inputs
+        first = reconstruct(moments, kernel, params, 30, grid)
+        first.values.setflags(write=True)
+        first.values[0] = -1.0
+        again = reconstruct(moments, kernel, params, 30, grid)
+        assert again is not first
+        assert again.values[0] != -1.0
+        assert len(resummations) == 2
+
+    def test_readme_flow_computes_each_step_once(
+        self, model_a, kernel001, budget001, stats_a, window_model,
+        moment_sums, resummations,
+    ):
+        # exact_moments -> reconstruct -> error_report, as in the README
+        # Quickstart: the report reuses the caller's moments and curve
+        plan = make_plan("variance", kernel001, budget001,
+                         window=window_model, moments=stats_a)
+        params = PeriodicKernelParams.from_period(plan.period, kernel001)
+        moments = exact_moments(model_a, params.dt, plan.n_terms)
+        grid = np.linspace(window_model.nu_min, window_model.nu_max, 257)
+        curve = reconstruct(moments, kernel001, params, plan.n_terms, grid)
+        report = error_report(model_a, plan, kernel001, window_model,
+                              budget001, n_grid=grid.size)
+        assert report.within_period_budget and report.within_truncation_budget
+        assert len(moment_sums) == 1 and len(resummations) == 1
+        wrapped = exact_transform(model_a, kernel001.lam, grid, periodic=params)
+        eps_n = budget001.omega_scale * np.abs(curve.values - wrapped.values).max()
+        assert report.eps_n_measured == eps_n
 
 
 class TestErrorReport:
