@@ -17,9 +17,7 @@ from .kernel import (
 )
 from .moments import (
     FourierMomentSet,
-    MomentErrorSummary,
     exact_moments,
-    moment_error_summary,
     sampled_moments,
 )
 from .planner import (
@@ -57,7 +55,6 @@ from .transform import (
     error_report,
     exact_transform,
     reconstruct,
-    sampled_reconstruction,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +68,6 @@ __all__ = [
     "FourierMomentSet",
     "FrequencyWindow",
     "KernelSpec",
-    "MomentErrorSummary",
     "MomentSummary",
     "NoSavingWarning",
     "PeakParams",
@@ -96,12 +92,10 @@ __all__ = [
     "make_model",
     "make_plan",
     "midpoint_grid",
-    "moment_error_summary",
     "n_terms",
     "reconstruct",
     "replica_wrap_count",
     "sampled_moments",
-    "sampled_reconstruction",
     "shots_value",
     "summarize",
     "tail_leakage_bound",

@@ -16,10 +16,11 @@ phase) is the product of the fresh exponentials exp(i 2^j phase) of the set
 bits j of k, so a table of K rows costs bit_length(K - 1) exponentials per
 phase, and row k carries at most bit_length(K - 1) products, not k
 accumulated steps.
-The resummation keeps a series of fewer than _BLOCK terms as one block, one
-complex product per grid chunk. A longer series is cut into blocks centered
-at c = q _BLOCK, each exp(i c x) times a cos/sin series in r = 0.._BLOCK/2.
-Per chunk a real coefficient matrix, built once per call, contracts the
+The resummation cuts the grid into the fewest chunks of about _CHUNK points
+and keeps a series of fewer than _BLOCK terms as one block, one complex
+product per chunk. A longer series is cut into blocks centered at c = q
+_BLOCK, each exp(i c x) times a cos/sin series in r = 0.._BLOCK/2. Per
+chunk a real coefficient matrix, built once per call, contracts the
 longer of the block-phase and the cos/sin tables, split into real and
 imaginary rows, and the result meets the shorter table elementwise:
 2Q(_BLOCK + 2) real multiplies per grid point for Q blocks, where the
@@ -405,9 +406,11 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     """Evaluate the conjugate-symmetric truncated Fourier series on a grid.
 
     With x = dt nu and g_n = env_n m_n (g_0 = 0), the series is Re sum_n g_n
-    exp(i n x). Below _BLOCK terms it is one block: per grid chunk one
-    doubling table of the n_terms + 1 orders, bit_length(n_terms)
-    exponentials per grid point, and one complex (1, n_terms + 1) product.
+    exp(i n x). The grid is cut into the fewest chunks of about _CHUNK
+    points, none a small remainder. Below _BLOCK terms the series is one
+    block: per chunk one doubling table of the n_terms + 1 orders,
+    bit_length(n_terms) exponentials per grid point, and one complex (1,
+    n_terms + 1) product.
 
     From _BLOCK terms on, the orders form Q centered blocks (see
     _centered_coefficients): block q, centered at c = q _BLOCK, holds the
@@ -419,13 +422,12 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
 
     a real bilinear form in the 2Q real and imaginary parts of U and the
     2H + 2 cos and sin rows, with a real (2Q, 2H + 2) coefficient matrix
-    built once per call. The grid is cut into the fewest chunks of about
-    _CHUNK points, none a small remainder. Per chunk of P points that is
-    one doubling table of the H + 1 rows exp(i r x) and one of the Q rows
-    U_q, bit_length(H) + bit_length(Q - 1) exponentials per grid point (16
-    at 42 371 terms); one real matrix product that contracts the longer
-    table, split into its real and imaginary rows; one elementwise product
-    with the rows of the shorter; and one column sum. Either way that is
+    built once per call. Per chunk of P points that is one doubling table
+    of the H + 1 rows exp(i r x) and one of the Q rows U_q, bit_length(H) +
+    bit_length(Q - 1) exponentials per grid point (16 at 42 371 terms); one
+    real matrix product that contracts the longer table, split into its
+    real and imaginary rows; one elementwise product with the rows of the
+    shorter; and one column sum. Either way that is
     2Q(_BLOCK + 2)P real multiplies where a complex (Q, _BLOCK) @ (_BLOCK,
     P) product takes 4Q _BLOCK P. The elementwise pass costs more per row
     than the split, so the product contracts the block rows when Q > H + 1
@@ -437,21 +439,21 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     env *= n
     np.exp(env, out=env)
     out = np.empty(nus.shape[0])
+    # the fewest chunks of about _CHUNK points (at most 1.5 _CHUNK), so that
+    # no chunk is a small remainder that pays a whole chunk's fixed costs
+    n_chunks = max(1, round(nus.shape[0] / _CHUNK))
+    step = max(1, -(-nus.shape[0] // n_chunks))
     if n_terms < _BLOCK:
         g = np.zeros((1, n_terms + 1), dtype=np.complex128)
         g[0, 1:] = env * moment_values[1 : n_terms + 1]
-        for i in range(0, nus.shape[0], _CHUNK):
-            x = dt * nus[i : i + _CHUNK]
-            out[i : i + _CHUNK] = (g @ _phase_table(x, n_terms + 1))[0].real
+        for i in range(0, nus.shape[0], step):
+            x = dt * nus[i : i + step]
+            out[i : i + step] = (g @ _phase_table(x, n_terms + 1))[0].real
         return (moment_values[0].real + 2.0 * out) / period
     half = _BLOCK // 2
     coef = _centered_coefficients(env, moment_values, n_terms)
     n_blocks = len(coef) // 2
     over_blocks = n_blocks > half + 1
-    # the fewest chunks of about _CHUNK points (at most 1.5 _CHUNK), so that
-    # no chunk is a small remainder that pays a whole chunk's fixed costs
-    n_chunks = max(1, round(nus.shape[0] / _CHUNK))
-    step = max(1, -(-nus.shape[0] // n_chunks))
     # per-call buffers, which every chunk reuses while they are in cache
     blocks = np.empty((n_blocks, step), dtype=np.complex128)
     rows = np.empty((half + 1, step), dtype=np.complex128)

@@ -40,9 +40,7 @@ from .planner import (
     ErrorBudget,
     FormulaValidityError,
     FrequencyWindow,
-    _plan_budget,
-    _plan_kernel,
-    _plan_window,
+    _plan_inputs,
     make_plan,
     shots_value,
     tail_leakage_bound,
@@ -55,14 +53,7 @@ from .spectrum import (
     make_model,
     summarize,
 )
-from .transform import (
-    _curves,
-    _deviation,
-    _measure,
-    exact_transform,
-    reconstruct,
-    sampled_reconstruction,
-)
+from .transform import _curves, _deviation, _measure, exact_transform, reconstruct
 from . import serialize
 
 
@@ -280,6 +271,11 @@ def _build_kernel(eff) -> KernelSpec:
 
 def cmd_plan(args) -> int:
     eff = _merge(args, _PLAN_SCHEMA)
+    if eff["spectrum"] is not None:
+        for key in ("mu0", "mu1", "sigma", "central_value"):
+            if eff[key] is not None:
+                raise CliError(f"--spectrum and {_flag(key)} cannot be combined: "
+                               "the spectrum sets the moments")
     kernel = _build_kernel(eff)
     window = None
     moments = None
@@ -334,12 +330,32 @@ _MOMENTS_SCHEMA = {
     "plan": (str, None, {"help": "plan file for dt and n_max"}),
     "period": (float, None, {"domain": POSITIVE}),
     "n_max": (int, None, {"domain": at_least(0)}),
-    "sampled": (_bool_opt, None),
+    "sampled": (_bool_opt, False),
     "shots": (int, None, {"domain": at_least(1), "help": "shots per moment part"}),
     "seed": (int, 12345, {"domain": at_least(0)}),
     "clamp": (_bool_opt, False),
     "out": (str, None),
 }
+
+
+def _sampled_shots(eff: dict, plan) -> int | None:
+    """Shots per moment part when the command samples, else None.
+
+    --sampled or --shots turns sampling on, and eff's sampled then records
+    the decision for the echo. The count is --shots, else the plan's
+    shots_per_moment; --clamp without sampling is refused.
+    """
+    eff["sampled"] = eff["sampled"] or eff["shots"] is not None
+    if not eff["sampled"]:
+        if eff["clamp"]:
+            raise CliError("--clamp needs sampled moments (--sampled or --shots)")
+        return None
+    shots = eff["shots"]
+    if shots is None and plan is not None:
+        shots = plan.shots_per_moment
+    if shots is None:
+        raise CliError("--shots is required for sampled moments")
+    return shots
 
 
 def cmd_moments(args) -> int:
@@ -364,13 +380,8 @@ def cmd_moments(args) -> int:
             raise CliError("--n-max is required when planning from --period")
         n_max = plan.n_terms
     dt = 2.0 * math.pi / period
-    sampled = bool(eff["sampled"]) or eff["shots"] is not None
-    if sampled:
-        shots = eff["shots"]
-        if shots is None and plan is not None:
-            shots = plan.shots_per_moment
-        if shots is None:
-            raise CliError("--shots is required for sampled moments")
+    shots = _sampled_shots(eff, plan)
+    if shots is not None:
         mset = sampled_moments(
             spectrum, dt, n_max, shots, eff["seed"], clamp=eff["clamp"]
         )
@@ -407,22 +418,21 @@ def cmd_reconstruct(args) -> int:
     _require(eff, "spectrum", "plan", "out")
     spectrum = serialize.read_spectrum(eff["spectrum"])
     plan = serialize.read_plan(eff["plan"])
-    kernel = _plan_kernel(plan)
-    budget = _plan_budget(plan)
-    window = FrequencyWindow(*eff["range"]) if eff["range"] else _plan_window(plan)
+    shots = _sampled_shots(eff, plan)
+    kernel, budget, window = _plan_inputs(plan)
+    if eff["range"]:
+        window = FrequencyWindow(*eff["range"])
     if window is None:
         raise CliError("plan has no window; pass --range MIN,MAX")
     grid = np.linspace(window.nu_min, window.nu_max, eff["grid_points"])
     curves = list(_curves(spectrum, plan, kernel, grid))
     lines = asdict(_measure(*curves, budget))
     del lines["n_grid"]
-    if eff["sampled"]:
-        shots = eff["shots"] if eff["shots"] is not None else plan.shots_per_moment
-        if shots is None:
-            raise CliError("--shots is required for --sampled with this plan")
-        srec = sampled_reconstruction(
-            spectrum, plan, kernel, grid, eff["seed"], shots, clamp=eff["clamp"]
-        )
+    if shots is not None:
+        periodic = PeriodicKernelParams.from_period(plan.period, kernel)
+        sampled = sampled_moments(spectrum, periodic.dt, plan.n_terms, shots,
+                                  eff["seed"], clamp=eff["clamp"])
+        srec = reconstruct(sampled, kernel, periodic, plan.n_terms, grid)
         dev = _deviation(srec, curves[2], budget.omega_scale)
         curves.append(srec)
         lines["eps_s_measured"] = dev
@@ -578,9 +588,9 @@ def cmd_shots_demo(args) -> int:
         shots = max(1, int(math.ceil(plan.shots_per_moment * scale)))
         within = 0
         for i in range(eff["seeds"]):
-            rec = sampled_reconstruction(
-                spectrum, plan, kernel, grid, eff["seed0"] + i, shots
-            )
+            sampled = sampled_moments(spectrum, periodic.dt, plan.n_terms,
+                                      shots, eff["seed0"] + i)
+            rec = reconstruct(sampled, kernel, periodic, plan.n_terms, grid)
             within += _deviation(rec, baseline, omega) <= budget.eps_s
         coverage = within / eff["seeds"]
         rows.append((scale, shots, eff["seeds"], within, coverage))

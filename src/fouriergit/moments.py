@@ -16,7 +16,6 @@ moments are requested.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,54 +182,4 @@ def sampled_moments(
         mu0=mu0,
         shots_per_part=shots,
         seed=seed,
-    )
-
-
-@dataclass(frozen=True)
-class MomentErrorSummary:
-    """Per-order and aggregate deviations between two moment sets.
-
-    abs_err[n] = |m_n^a - m_n^b|. weighted_aggregate, when a kernel width
-    was supplied, is the reconstruction-relevant quadrature combination
-
-        (1/P) sqrt(sum_{n>=1} 2 (env_n |dm_n|)^2 + (env_0 |dm_0|)^2),
-
-    env_n = exp(-(dt lam n)^2 / 2). By Fourier orthogonality this equals
-    the root-mean-square over one period of the pointwise shift the
-    deviations cause in the reconstructed transform (1/energy units);
-    zeroth moments of valid sets are real, so dm_0 contributes exactly.
-    """
-
-    orders: np.ndarray
-    abs_err: np.ndarray
-    max_abs_err: float
-    rms: float
-    weighted_aggregate: float | None = None
-
-
-def moment_error_summary(
-    a: FourierMomentSet, b: FourierMomentSet, lam: float | None = None
-) -> MomentErrorSummary:
-    """Compare two moment sets sharing the same dt (e.g. exact vs sampled)."""
-    if abs(a.dt - b.dt) > 1e-12 * max(a.dt, b.dt):
-        raise ValueError(f"dt mismatch: {a.dt} vs {b.dt}")
-    n_common = min(a.n_max, b.n_max)
-    da = a.values[: n_common + 1] - b.values[: n_common + 1]
-    abs_err = np.abs(da)
-    aggregate = None
-    if lam is not None:
-        lam = check("lam", lam, POSITIVE)
-        n = np.arange(n_common + 1)
-        env = np.exp(-0.5 * (a.dt * lam) ** 2 * n * n)
-        weights = np.where(n == 0, 1.0, 2.0)
-        period = 2.0 * math.pi / a.dt
-        aggregate = float(
-            math.sqrt(float(np.sum(weights * (env * abs_err) ** 2))) / period
-        )
-    return MomentErrorSummary(
-        orders=np.arange(n_common + 1),
-        abs_err=abs_err,
-        max_abs_err=float(abs_err.max()),
-        rms=float(np.sqrt(np.mean(abs_err**2))),
-        weighted_aggregate=aggregate,
     )

@@ -570,43 +570,26 @@ def shots_value(
     return 2.0 * n_terms * omega**2 / (lam**2 * eps**2) * log_conf
 
 
-def _from_echo(plan: ExtensionPlan, cls, what: str):
-    """cls rebuilt from the fields a plan's inputs echo holds under its
-    field names; a missing field raises naming its key, and cls checks
-    the values against their domains."""
-    values = []
-    for f in fields(cls):
-        if f.name not in plan.inputs_echo:
-            raise ValueError(f"plan lacks {what} field {f.name!r}")
-        values.append(plan.inputs_echo[f.name])
-    return cls(*values)
-
-
-def _plan_kernel(plan: ExtensionPlan) -> KernelSpec:
-    """The kernel a plan was made with, rebuilt from its inputs echo."""
-    return _from_echo(plan, KernelSpec, "kernel")
-
-
-def _plan_budget(plan: ExtensionPlan) -> ErrorBudget:
-    """The error budget a plan was made for, rebuilt from its inputs echo."""
-    return _from_echo(plan, ErrorBudget, "budget")
-
-
-def _check_echo(plan: ExtensionPlan) -> None:
-    """Rebuild the kernel, budget and window of a plan's inputs echo, each
-    when the echo holds any of its fields, so that a missing field or one
-    outside its domain is refused."""
+def _plan_inputs(
+    plan: ExtensionPlan,
+) -> tuple[KernelSpec, ErrorBudget, FrequencyWindow | None]:
+    """The kernel, budget and window a plan was made with, rebuilt from the
+    fields its inputs echo holds under their names. The window is None for
+    a plan made without one; any other missing field raises naming its
+    key, and each class checks the values against their domains."""
+    echo = plan.inputs_echo
+    out = []
     for cls, what in ((KernelSpec, "kernel"), (ErrorBudget, "budget"),
                       (FrequencyWindow, "window")):
-        if any(f.name in plan.inputs_echo for f in fields(cls)):
-            _from_echo(plan, cls, what)
-
-
-def _plan_window(plan: ExtensionPlan) -> FrequencyWindow | None:
-    """The window a plan was made for, or None if it was made without one."""
-    if not any(f.name in plan.inputs_echo for f in fields(FrequencyWindow)):
-        return None
-    return _from_echo(plan, FrequencyWindow, "window")
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in echo]
+        if cls is FrequencyWindow and len(missing) == len(names):
+            out.append(None)
+        elif missing:
+            raise ValueError(f"plan lacks {what} field {missing[0]!r}")
+        else:
+            out.append(cls(*(echo[name] for name in names)))
+    return tuple(out)
 
 
 def tail_leakage_bound(plan: ExtensionPlan) -> float:
@@ -624,7 +607,7 @@ def tail_leakage_bound(plan: ExtensionPlan) -> float:
         raise ValueError(
             "tail leakage bound requires a non-simplified moment-anchored plan"
         )
-    n, omega = info["central_order"], _plan_budget(plan).omega_scale
+    n, omega = info["central_order"], _plan_inputs(plan)[1].omega_scale
     return omega * info["central_value"] / (plan.period * info["alpha_spread"] ** n)
 
 

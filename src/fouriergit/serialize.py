@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .moments import FourierMomentSet
-from .planner import ExtensionPlan, _check_echo
+from .planner import ExtensionPlan, _plan_inputs
 from .spectrum import DiscreteSpectrum
 from .transform import TransformCurve
 
@@ -106,7 +106,7 @@ def read_plan(path) -> ExtensionPlan:
     values = read_keyvalues(path)
     try:
         plan = ExtensionPlan.from_dict(values)
-        _check_echo(plan)
+        _plan_inputs(plan)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return plan

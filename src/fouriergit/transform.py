@@ -22,7 +22,7 @@ import numpy as np
 from ._backend import gaussian_transform, reconstruct_series
 from ._domain import POSITIVE, at_least, check
 from .kernel import KernelSpec, PeriodicKernelParams
-from .moments import FourierMomentSet, _frozen, exact_moments, sampled_moments
+from .moments import FourierMomentSet, _frozen, exact_moments
 from .planner import ErrorBudget, ExtensionPlan, FrequencyWindow
 from .spectrum import DiscreteSpectrum
 
@@ -246,24 +246,3 @@ def _measure(
         within_period_budget=eps_p <= budget.eps_p,
         within_truncation_budget=eps_n <= budget.eps_n,
     )
-
-
-def sampled_reconstruction(
-    spectrum: DiscreteSpectrum,
-    plan: ExtensionPlan,
-    kernel: KernelSpec,
-    grid,
-    seed: int,
-    shots_per_part: int | None = None,
-    clamp: bool = False,
-) -> TransformCurve:
-    """One shot-noise reconstruction of a plan, at shots_per_part shots per
-    moment part (default: the plan's)."""
-    periodic = PeriodicKernelParams.from_period(plan.period, kernel)
-    shots = plan.shots_per_moment if shots_per_part is None else shots_per_part
-    if shots is None:
-        raise ValueError("plan carries no shot counts; pass shots_per_part")
-    m = sampled_moments(
-        spectrum, periodic.dt, plan.n_terms, shots, seed, clamp=clamp
-    )
-    return reconstruct(m, kernel, periodic, plan.n_terms, grid)

@@ -187,14 +187,16 @@ class TestNumpyKernels:
         # edges, and 127 terms are the last single block. 8 385 terms make
         # 66 blocks, one more than the 65 cos and sin rows, so there the
         # product contracts the block rows, and below the cos and sin rows.
-        # On the grid of _CHUNK + 1 points a single block leaves one point to
-        # a last chunk, and centered blocks take one chunk of all points; on
-        # 2.25 _CHUNK + 1 points they take two chunks, the second one short
+        # Both a single block and centered blocks take the grid of _CHUNK + 1
+        # points as one chunk, and that of 2.25 _CHUNK + 1 points as two
+        # chunks, the second one short
         edges = (127, 128, 129, 191, 192, 193, 255, 256, 257)
         grid = np.linspace(-1.0, 1.0, _backend._CHUNK + 1)
+        two_chunks = np.linspace(-1, 1, 9 * _backend._CHUNK // 4 + 1)
         cases = (
             *((n, 0.0175, 20.0, grid) for n in edges),
-            (193, 0.0175, 20.0, np.linspace(-1, 1, 9 * _backend._CHUNK // 4 + 1)),
+            (127, 0.0175, 20.0, two_chunks),
+            (193, 0.0175, 20.0, two_chunks),
             (N_MULTI, 0.004, 7.0, nus),
             (N_TILES, 0.0055, 200.0, nus),
             (8385, 0.0055, 200.0, grid),
@@ -237,6 +239,30 @@ class TestNumpyKernels:
             want = (moments[0].real + 2.0 * (g @ table)[0].real) / period
             got = reconstruct_series(nus, moments, dt, lam, period, n_terms)
             assert np.array_equal(got, want)
+
+    def test_series_chunks_follow_one_rule(self, monkeypatch):
+        # a single block and centered blocks cut the grid alike, into the
+        # fewest chunks of about _CHUNK points: _CHUNK + 1 points are one
+        # chunk, not a full one and a one-point remainder, and multiples of
+        # _CHUNK keep chunks of _CHUNK points
+        sizes = []
+        table = _backend._phase_table
+
+        def counting(phase, count, out=None):
+            sizes.append(phase.size)
+            return table(phase, count, out)
+
+        monkeypatch.setattr(_backend, "_phase_table", counting)
+        moments = np.ones(200, dtype=np.complex128)
+        chunk = _backend._CHUNK
+        for n_terms, tables in ((25, 1), (_backend._BLOCK - 1, 1), (186, 2)):
+            for points, chunks in ((chunk + 1, [chunk + 1]),
+                                   (4 * chunk, [chunk] * 4),
+                                   (9 * chunk // 4 + 1, [289, 288])):
+                sizes.clear()
+                reconstruct_series(np.linspace(-1.0, 1.0, points), moments,
+                                   27.98, 0.0066, 0.2245, n_terms)
+                assert sizes == [c for c in chunks for _ in range(tables)]
 
     def test_moment_memory_stays_per_tile(self):
         # the block rows are built one fixed-shape tile at a time: the peak

@@ -11,10 +11,12 @@ from fouriergit import (
     ErrorBudget,
     FrequencyWindow,
     KernelSpec,
+    PeriodicKernelParams,
     cli,
     error_report,
     planner,
-    sampled_reconstruction,
+    reconstruct,
+    sampled_moments,
     serialize,
     transform,
 )
@@ -124,6 +126,48 @@ class TestPlanCommand:
         assert plan.n_terms == 25
         # omega_scale defaults to the level spacing of the spectrum
         assert plan.inputs_echo["omega_scale"] == pytest.approx(2.0 / 512.0)
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mu0", "5"), ("mu1", "-0.85"), ("sigma", "0.03"),
+         ("central_value", "1e-3")],
+    )
+    def test_moment_input_with_spectrum_refused(
+        self, tmp_path, capsys, monkeypatch, model_a_csv, key, value, form
+    ):
+        # each used to be ignored or to override the spectrum's moment:
+        # --central-value 1e-3 moved a central(4) plan from 24 to 43 terms
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectrum read before the refusal")
+
+        monkeypatch.setattr(serialize, "read_spectrum", forbidden)
+        flag = "--" + key.replace("_", "-")
+        if form == "flag":
+            argv = [flag, value]
+        else:
+            cfg = tmp_path / "opts.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            argv = ["--config", str(cfg)]
+        out = tmp_path / "plan.txt"
+        code, text, err = run_cli(
+            capsys, "plan", "--method", "central", "--central-order", "4",
+            "--spectrum", str(model_a_csv), "--window", "-1.0", "-0.8",
+            *argv, "--out", str(out),
+        )
+        assert (code, text) == (1, "")
+        assert err == (f"error: --spectrum and {flag} cannot be combined: "
+                       "the spectrum sets the moments\n")
+        assert not out.exists()
+
+    def test_first_moment_input_named(self, capsys, model_a_csv):
+        code, _, err = run_cli(
+            capsys, "plan", "--method", "variance", "--spectrum",
+            str(model_a_csv), "--sigma", "0.03", "--mu1", "-0.9",
+            "--window", "-1.0", "-0.8",
+        )
+        assert code == 1
+        assert err.startswith("error: --spectrum and --mu1 cannot")
 
     def test_variance_from_flags(self, capsys):
         code, text, _ = run_cli(
@@ -383,6 +427,20 @@ class TestReconstructCommand:
         for field in fields:
             assert saved[field] == getattr(want, field), field
 
+    @classmethod
+    def _sampled_curve(cls, model_a_csv, plan_path, shots, seed, clamp=False):
+        """The documented library path: sampled_moments, then reconstruct,
+        on the 65-point grid of the plan's window."""
+        plan, kernel = cls._plan_and_kernel(plan_path)
+        periodic = PeriodicKernelParams.from_period(plan.period, kernel)
+        moments = sampled_moments(
+            serialize.read_spectrum(model_a_csv), periodic.dt, plan.n_terms,
+            plan.shots_per_moment if shots is None else shots, seed,
+            clamp=clamp,
+        )
+        return reconstruct(moments, kernel, periodic, plan.n_terms,
+                           np.linspace(-1.0, -0.8, 65))
+
     # at 5 shots the clamp changes some moments of this plan, at 50 none
     @pytest.mark.parametrize("shots", [50, 5])
     def test_sampled_curve_equals_sampled_reconstruction(
@@ -397,13 +455,30 @@ class TestReconstructCommand:
         assert code == 0
         curves, _ = serialize.read_curves(out)
         assert curves[-1].kind == "sampled_reconstructed"
-        plan, kernel = self._plan_and_kernel(plan_path)
-        want = sampled_reconstruction(
-            serialize.read_spectrum(model_a_csv), plan, kernel,
-            np.linspace(-1.0, -0.8, 65), seed=7, shots_per_part=shots,
-            clamp=True,
-        )
+        want = self._sampled_curve(model_a_csv, plan_path, shots, 7, clamp=True)
         assert np.array_equal(curves[-1].values, want.values)
+
+    # --shots alone samples, as it does for moments; --sampled alone takes
+    # the plan's shots_per_moment; either way the echo records sampled=true
+    @pytest.mark.parametrize(
+        "argv, shots", [(("--shots", "50"), 50), (("--sampled",), None)]
+    )
+    def test_sampling_rule(
+        self, tmp_path, capsys, model_a_csv, plan_path, argv, shots
+    ):
+        out = tmp_path / "curves.csv"
+        code, text, _ = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--grid-points", "65", *argv,
+            "--seed", "3", "--out", str(out),
+        )
+        assert code == 0
+        curves, meta = serialize.read_curves(out)
+        assert [c.kind for c in curves][-1] == "sampled_reconstructed"
+        want = self._sampled_curve(model_a_csv, plan_path, shots, 3)
+        assert np.array_equal(curves[-1].values, want.values)
+        assert meta["sampled"] is True
+        assert kv(text)["shots_per_moment"] == (shots or 260)
 
     def test_sampled_computes_exact_moments_once(
         self, tmp_path, capsys, model_a_csv, plan_path, moment_sums
@@ -1004,6 +1079,66 @@ class TestCountValidation:
         assert code == 1
         assert err.startswith("error: --scales must be positive and finite")
         assert not out.exists()
+
+
+class TestSamplingRule:
+    """moments and reconstruct decide sampling by one rule: --sampled or
+    --shots turns it on, the count is --shots, else the plan's, and
+    --clamp without sampling is refused."""
+
+    @pytest.fixture()
+    def plan_path(self, tmp_path, capsys, model_a_csv):
+        path = tmp_path / "plan.txt"
+        code, _, _ = run_cli(
+            capsys, "plan", "--method", "variance", "--spectrum",
+            str(model_a_csv), "--window", "-1.0", "-0.8", "--out", str(path),
+        )
+        assert code == 0
+        return path
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["moments", "reconstruct"])
+    def test_clamp_without_sampling_refused(
+        self, tmp_path, capsys, model_a_csv, plan_path, command, form
+    ):
+        # both commands used to ignore --clamp when they did not sample
+        if form == "flag":
+            argv = ["--clamp"]
+        else:
+            cfg = tmp_path / "opts.cfg"
+            cfg.write_text("clamp=true\n")
+            argv = ["--config", str(cfg)]
+        out = tmp_path / "o.csv"
+        code, text, err = run_cli(
+            capsys, command, "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), *argv, "--out", str(out),
+        )
+        assert (code, text) == (1, "")
+        assert err.startswith("error: --clamp ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["moments", "reconstruct"])
+    def test_plan_without_shots_needs_shots(
+        self, tmp_path, capsys, model_a_csv, plan_path, command
+    ):
+        lines = [
+            x.partition("=")[0] + "=" if x.startswith(("shots_per_moment=",
+                                                       "total_shots="))
+            else x
+            for x in plan_path.read_text().splitlines()
+        ]
+        plan_path.write_text("\n".join(lines) + "\n")
+        assert serialize.read_plan(plan_path).shots_per_moment is None
+        out = tmp_path / "o.csv"
+        argv = (command, "--spectrum", str(model_a_csv), "--plan",
+                str(plan_path), "--sampled", "--out", str(out))
+        code, text, err = run_cli(capsys, *argv)
+        assert (code, text) == (1, "")
+        assert err == "error: --shots is required for sampled moments\n"
+        assert not out.exists()
+        code, _, _ = run_cli(capsys, *argv, "--shots", "10")
+        assert code == 0
+        assert out.exists()
 
 
 class TestUndrawableShots:

@@ -14,7 +14,6 @@ from fouriergit import (
     chi_general,
     exact_moments,
     midpoint_grid,
-    moment_error_summary,
     sampled_moments,
 )
 
@@ -224,6 +223,39 @@ class TestExactMoments:
         for n_max in (3, 3.0, np.int64(3)):
             assert exact_moments(model_a, 1.0, n_max).n_max == 3
 
+    def test_n_max_independent_bitwise(self, model_a):
+        # m_n must not depend on n_max, bitwise, also across the edges of
+        # the phase-power blocks (block 0 is a matrix-vector product of its
+        # own), of the block centers (each later block is two half blocks
+        # around its center), of the doubling phase tables (rows 2^j of the
+        # low table, block-row counts 2^j) and of the fixed-shape tiles
+        # (_TILE blocks from order _BLOCK on) of the moment kernel
+        block, tile = _backend._BLOCK, _backend._TILE
+        half = block // 2
+        low_rows = [1 << j for j in range(8)]  # up to _BLOCK rows
+        block_rows = [1 << j for j in range(6)]  # up to _TILE rows
+        edges = sorted({
+            *range(8),
+            *(k + d for k in low_rows for d in (-1, 0, 1)),
+            *(block * (1 + r) + d for r in block_rows for d in (-1, 0, 1)),
+            3 * block + 7,
+            block + half - 1, block + half, block + half + 1,
+            tile * block + half - 1, tile * block + half + 1,
+            tile * block - 1, tile * block, tile * block + 1,
+            block + tile * block - 1, block + tile * block,
+            block + tile * block + 1,
+            2 * tile * block + 7,
+        })
+        wide = random_spectrum(11, n=4096, normalized=True)
+        for spectrum, n_long, shorts in (
+            (model_a, 20, (5,)),
+            (model_a, 3 * tile * block, edges),
+            (wide, 3 * tile * block, edges),
+        ):
+            long = exact_moments(spectrum, 27.98, n_max=n_long)
+            for n_short in shorts:
+                short = exact_moments(spectrum, 27.98, n_max=n_short)
+                assert np.array_equal(short.values, long.values[: n_short + 1])
 
 
 class TestExactMomentsMemo:
@@ -339,8 +371,8 @@ class TestSampledMoments:
         exact = exact_moments(model_a, dt, n_max=40)
         coarse = sampled_moments(model_a, dt, 40, shots_per_part=50, seed=11)
         fine = sampled_moments(model_a, dt, 40, shots_per_part=50000, seed=11)
-        err_coarse = moment_error_summary(exact, coarse).rms
-        err_fine = moment_error_summary(exact, fine).rms
+        err_coarse = np.sqrt(np.mean(np.abs(coarse.values - exact.values) ** 2))
+        err_fine = np.sqrt(np.mean(np.abs(fine.values - exact.values) ** 2))
         assert err_fine < err_coarse / 3
 
     def test_unbiased_over_seeds(self, model_a):
@@ -435,116 +467,6 @@ class TestSampledMoments:
             model_a, 27.98, 3, shots_per_part=np.int32(10), seed=np.int64(0)
         )
         assert ms.shots_per_part == 10
-
-
-class TestMomentErrorSummary:
-    def test_identical_sets(self, model_a):
-        ms = exact_moments(model_a, 27.98, n_max=10)
-        summ = moment_error_summary(ms, ms, lam=0.0066)
-        assert summ.max_abs_err == 0.0
-        assert summ.rms == 0.0
-        assert summ.weighted_aggregate == 0.0
-
-    @pytest.mark.parametrize("lam", [0.0, math.inf, math.nan])
-    def test_lam_must_be_positive_and_finite(self, model_a, lam):
-        # an infinite lam used to give a NaN weighted_aggregate
-        ms = exact_moments(model_a, 27.98, n_max=10)
-        with pytest.raises(ValueError, match="^lam must be positive and finite"):
-            moment_error_summary(ms, ms, lam=lam)
-
-    def test_single_known_deviation(self, model_a):
-        ms = exact_moments(model_a, 27.98, n_max=10)
-        vals = np.array(ms.values)
-        vals[4] += 1e-3
-        other = FourierMomentSet(
-            dt=ms.dt, values=vals, provenance="exact", mu0=ms.mu0
-        )
-        lam = 0.0066
-        summ = moment_error_summary(ms, other, lam=lam)
-        assert summ.max_abs_err == pytest.approx(1e-3, rel=1e-12)
-        env = math.exp(-0.5 * (ms.dt * lam * 4) ** 2)
-        period = 2 * math.pi / ms.dt
-        assert summ.weighted_aggregate == pytest.approx(
-            math.sqrt(2.0) * env * 1e-3 / period, rel=1e-12
-        )
-
-    def test_aggregate_is_rms_of_reconstruction_shift(self, model_a):
-        # Fourier orthogonality: the weighted aggregate equals the RMS over
-        # one period of the pointwise shift the moment deviations produce
-        dt = 27.98
-        lam = 0.0066
-        period = 2 * math.pi / dt
-        n_max = 8
-        ms = exact_moments(model_a, dt, n_max=n_max)
-        rng = np.random.default_rng(123)
-        dm = 1e-3 * (rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1))
-        dm[0] = dm[0].real  # zeroth moments of real spectra stay real
-        other = FourierMomentSet(
-            dt=dt,
-            values=ms.values + dm,
-            provenance="exact",
-            mu0=ms.mu0,
-        )
-        summ = moment_error_summary(ms, other, lam=lam)
-
-        nu = np.arange(64) * period / 64
-        dm = other.values - ms.values
-        n = np.arange(n_max + 1)
-        env = np.exp(-0.5 * (dt * lam) ** 2 * n**2)
-        shift = np.empty_like(nu)
-        for j, v in enumerate(nu):
-            series = env * dm * np.exp(1j * dt * n * v)
-            shift[j] = (series[0].real + 2 * series[1:].real.sum()) / period
-        rms = math.sqrt(float(np.mean(shift**2)))
-        assert summ.weighted_aggregate == pytest.approx(rms, rel=1e-10)
-
-    def test_truncates_to_common_orders(self, model_a):
-        # m_n must not depend on n_max, bitwise, also across the edges of
-        # the phase-power blocks (block 0 is a matrix-vector product of its
-        # own), of the block centers (each later block is two half blocks
-        # around its center), of the doubling phase tables (rows 2^j of the
-        # low table, block-row counts 2^j) and of the fixed-shape tiles
-        # (_TILE blocks from order _BLOCK on) of the moment kernel
-        block, tile = _backend._BLOCK, _backend._TILE
-        half = block // 2
-        low_rows = [1 << j for j in range(8)]  # up to _BLOCK rows
-        block_rows = [1 << j for j in range(6)]  # up to _TILE rows
-        edges = sorted({
-            *range(8),
-            *(k + d for k in low_rows for d in (-1, 0, 1)),
-            *(block * (1 + r) + d for r in block_rows for d in (-1, 0, 1)),
-            3 * block + 7,
-            block + half - 1, block + half, block + half + 1,
-            tile * block + half - 1, tile * block + half + 1,
-            tile * block - 1, tile * block, tile * block + 1,
-            block + tile * block - 1, block + tile * block,
-            block + tile * block + 1,
-            2 * tile * block + 7,
-        })
-        wide = random_spectrum(11, n=4096, normalized=True)
-        for spectrum, n_long, shorts in (
-            (model_a, 20, (5,)),
-            (model_a, 3 * tile * block, edges),
-            (wide, 3 * tile * block, edges),
-        ):
-            long = exact_moments(spectrum, 27.98, n_max=n_long)
-            for n_short in shorts:
-                short = exact_moments(spectrum, 27.98, n_max=n_short)
-                summ = moment_error_summary(long, short)
-                assert summ.orders.size == n_short + 1
-                assert summ.max_abs_err == 0.0
-                assert summ.weighted_aggregate is None
-
-    def test_dt_mismatch_rejected(self, model_a):
-        a = exact_moments(model_a, 27.98, n_max=3)
-        b = exact_moments(model_a, 28.0, n_max=3)
-        with pytest.raises(ValueError):
-            moment_error_summary(a, b)
-
-    def test_lam_validation(self, model_a):
-        ms = exact_moments(model_a, 27.98, n_max=3)
-        with pytest.raises(ValueError):
-            moment_error_summary(ms, ms, lam=0.0)
 
 
 class TestMomentsCsv:

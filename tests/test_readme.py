@@ -7,6 +7,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_quickstart_runs():
-    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S)
-    assert block is not None, "README.md has no python block"
-    exec(compile(block.group(1), str(README), "exec"), {})
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2, "README.md lacks the exact and sampled blocks"
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["noisy"].kind == "sampled_reconstructed"

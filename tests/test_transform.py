@@ -20,7 +20,6 @@ from fouriergit import (
     make_plan,
     reconstruct,
     sampled_moments,
-    sampled_reconstruction,
     truncation_bound,
 )
 
@@ -194,6 +193,32 @@ class TestReconstruct:
         )
         rec = reconstruct(moments, kernel001, params, 10, [0.0, 0.1])
         assert rec.kind == "sampled_reconstructed"
+
+    def test_moment_shift_rms_is_parseval_sum(self, model_a, kernel001):
+        # Fourier orthogonality: the RMS over one period of the shift that
+        # moment deviations dm_n cause in the reconstruction is
+        # (1/P) sqrt(|env_0 dm_0|^2 + sum_{n>=1} 2 |env_n dm_n|^2)
+        dt, n_max = 27.98, 8
+        params = PeriodicKernelParams.from_period(2 * math.pi / dt, kernel001)
+        ms = exact_moments(model_a, params.dt, n_max=n_max)
+        rng = np.random.default_rng(123)
+        dm = 1e-3 * (rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1))
+        dm[0] = dm[0].real  # zeroth moments of real spectra stay real
+        other = FourierMomentSet(
+            dt=ms.dt, values=ms.values + dm, provenance="exact", mu0=ms.mu0
+        )
+        nu = np.arange(64) * params.period / 64
+        shift = (
+            reconstruct(other, kernel001, params, n_max, nu).values
+            - reconstruct(ms, kernel001, params, n_max, nu).values
+        )
+        rms = math.sqrt(float(np.mean(shift**2)))
+        n = np.arange(n_max + 1)
+        env = np.exp(-0.5 * (params.dt * kernel001.lam) ** 2 * n**2)
+        weights = np.where(n == 0, 1.0, 2.0)
+        dm = other.values - ms.values
+        parseval = math.sqrt(float(np.sum(weights * np.abs(env * dm) ** 2)))
+        assert rms == pytest.approx(parseval / params.period, rel=1e-10)
 
     def test_validation(self, model_a, kernel001):
         params = PeriodicKernelParams.from_period(0.3, kernel001)
@@ -407,66 +432,3 @@ class TestErrorReport:
                     model_a, plan, kernel001, window_model, budget001, n_grid=n_grid
                 )
 
-
-class TestSampledReconstruction:
-    def test_deterministic_and_uses_plan_shots(
-        self, model_a, kernel001, budget001, stats_a, window_model
-    ):
-        plan = make_plan(
-            "variance", kernel001, budget001, window=window_model, moments=stats_a
-        )
-        grid = np.linspace(-1.0, -0.8, 65)
-        a = sampled_reconstruction(model_a, plan, kernel001, grid, seed=3)
-        b = sampled_reconstruction(model_a, plan, kernel001, grid, seed=3)
-        assert np.array_equal(a.values, b.values)
-        assert a.kind == "sampled_reconstructed"
-        # matches the manual pipeline at the plan's own shot count
-        params = PeriodicKernelParams.from_period(plan.period, kernel001)
-        m = sampled_moments(
-            model_a, params.dt, plan.n_terms, plan.shots_per_moment, 3
-        )
-        manual = reconstruct(m, kernel001, params, plan.n_terms, grid)
-        assert np.array_equal(a.values, manual.values)
-
-    def test_shot_override_and_convergence(
-        self, model_a, kernel001, budget001, stats_a, window_model
-    ):
-        plan = make_plan(
-            "variance", kernel001, budget001, window=window_model, moments=stats_a
-        )
-        grid = np.linspace(-1.0, -0.8, 65)
-        params = PeriodicKernelParams.from_period(plan.period, kernel001)
-        exact = reconstruct(
-            exact_moments(model_a, params.dt, plan.n_terms),
-            kernel001, params, plan.n_terms, grid,
-        )
-        coarse = sampled_reconstruction(
-            model_a, plan, kernel001, grid, seed=5, shots_per_part=20
-        )
-        fine = sampled_reconstruction(
-            model_a, plan, kernel001, grid, seed=5, shots_per_part=200000
-        )
-        err_coarse = np.abs(coarse.values - exact.values).max()
-        err_fine = np.abs(fine.values - exact.values).max()
-        assert err_fine < err_coarse / 5
-
-    def test_plan_without_shots_needs_override(
-        self, model_a, kernel001, budget001, stats_a, window_model
-    ):
-        from fouriergit import ExtensionPlan
-
-        plan = make_plan(
-            "variance", kernel001, budget001, window=window_model, moments=stats_a
-        )
-        bare = ExtensionPlan(
-            period=plan.period, chi=plan.chi, n_terms=plan.n_terms,
-            shots_per_moment=None, total_shots=None, method=plan.method,
-            inputs_echo=dict(plan.inputs_echo),
-        )
-        grid = [0.0]
-        with pytest.raises(ValueError):
-            sampled_reconstruction(model_a, bare, kernel001, grid, seed=1)
-        curve = sampled_reconstruction(
-            model_a, bare, kernel001, grid, seed=1, shots_per_part=10
-        )
-        assert curve.values.shape == (1,)
