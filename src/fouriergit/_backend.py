@@ -16,13 +16,14 @@ phase) is the product of the fresh exponentials exp(i 2^j phase) of the set
 bits j of k, so a table of K rows costs bit_length(K - 1) exponentials per
 phase, and row k carries at most bit_length(K - 1) products, not k
 accumulated steps.
-The resummation cuts the grid into the fewest chunks of about _CHUNK points
-and keeps a series of fewer than _BLOCK terms as one block, one complex
-product per chunk. A longer series is cut into blocks centered at c = q
-_BLOCK, each exp(i c x) times a cos/sin series in r = 0.._BLOCK/2. Per
-chunk a real coefficient matrix, built once per call, contracts the
-longer of the block-phase and the cos/sin tables, split into real and
-imaginary rows, and the result meets the shorter table elementwise:
+Both grid kernels cut the grid into the fewest chunks of about _CHUNK
+points (_chunk_step). The resummation keeps a series of fewer than _BLOCK
+terms as one block, one complex product per chunk. A longer series is cut
+into blocks centered at c = q _BLOCK, each exp(i c x) times a cos/sin
+series in r = 0.._BLOCK/2. Per chunk a real coefficient matrix, built
+once per call, contracts the longer of the block-phase and the cos/sin
+tables, split into real and imaginary rows, and the result meets the
+shorter table elementwise:
 2Q(_BLOCK + 2) real multiplies per grid point for Q blocks, where the
 complex block product takes 4Q _BLOCK.
 The direct moment kernel takes block 0 (orders below _BLOCK) from one
@@ -286,6 +287,13 @@ def _direct_moments(omegas, weights, dt, n_max):
 # Gaussian transform on a grid: Phi(nu) = sum_k w_k G(nu - w_k)
 
 
+def _chunk_step(size):
+    """Points per grid chunk: the fewest chunks of about _CHUNK points (at
+    most 1.5 _CHUNK), so that no chunk is a small remainder that pays a
+    whole chunk's fixed costs; a multiple of _CHUNK keeps chunks of _CHUNK."""
+    return max(1, -(-size // max(1, round(size / _CHUNK))))
+
+
 def _within_reach(chunk, omegas, lam, period=None):
     """Indices, in line order, of the lines whose nearest image (per period, if
     given) may come within sqrt(2 _UNDERFLOW) lam of a chunk point; every term
@@ -352,7 +360,8 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
     period, each line enters through its nearest image and wrap_count
     images on each side, summed in order j = -wrap_count..wrap_count.
 
-    Per chunk of _CHUNK grid points the lines within reach form the columns
+    The grid is cut into the fewest chunks of about _CHUNK points
+    (_chunk_step). Per chunk the lines within reach form the columns
     of one C-contiguous (points, lines) sum of kernel terms, which meets
     the weights in one matrix-vector product. The sum is filled one span of
     _SPAN points at a time (the whole chunk when it keeps fewer than _CHUNK
@@ -374,11 +383,12 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
     c = -0.5 / (lam * lam)
     shifts = [j * period if j else 0.0 for j in range(-wrap_count, wrap_count + 1)]
     out = np.empty(nus.shape[0])
-    for i in range(0, nus.shape[0], _CHUNK):
-        chunk = nus[i : i + _CHUNK]
+    size = _chunk_step(nus.shape[0])
+    for i in range(0, nus.shape[0], size):
+        chunk = nus[i : i + size]
         k = _within_reach(chunk, omegas, lam, period)
         om = omegas[k]
-        step = _SPAN if k.size >= _CHUNK else _CHUNK
+        step = _SPAN if k.size >= _CHUNK else chunk.size
         acc = np.empty((chunk.size, k.size))
         for p in range(0, chunk.size, step):
             d, ends = _offsets(chunk[p : p + step], om, period)
@@ -393,7 +403,7 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
                     t *= xs
                     span[a:b] += _exp(t, out=t)
             acc[p : p + step] = span.T
-        out[i : i + _CHUNK] = acc @ weights[k]
+        out[i : i + size] = acc @ weights[k]
     return out / (math.sqrt(2.0 * math.pi) * lam)
 
 
@@ -439,10 +449,7 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     env *= n
     np.exp(env, out=env)
     out = np.empty(nus.shape[0])
-    # the fewest chunks of about _CHUNK points (at most 1.5 _CHUNK), so that
-    # no chunk is a small remainder that pays a whole chunk's fixed costs
-    n_chunks = max(1, round(nus.shape[0] / _CHUNK))
-    step = max(1, -(-nus.shape[0] // n_chunks))
+    step = _chunk_step(nus.shape[0])
     if n_terms < _BLOCK:
         g = np.zeros((1, n_terms + 1), dtype=np.complex128)
         g[0, 1:] = env * moment_values[1 : n_terms + 1]

@@ -269,6 +269,24 @@ def _build_kernel(eff) -> KernelSpec:
     )
 
 
+def _flag_moments(eff) -> MomentSummary:
+    """The moment summary the flags give: --mu0 (1 when unset), --mu1,
+    --sigma (which also gives the order-2 central moment mu0 sigma^2) and
+    --central-value of order --central-order. Each flag that the method
+    reads and the flags leave unknown is named."""
+    method, order = eff["method"], eff["central_order"]
+    _require(eff, *{"variance": ("sigma", "mu1"),
+                    "central": ("central_order", "mu1")}.get(method, ()))
+    mu0 = 1.0 if eff["mu0"] is None else eff["mu0"]
+    sigma = eff["sigma"]
+    central = {} if sigma is None else {2: mu0 * sigma**2}
+    if order is not None and eff["central_value"] is not None:
+        central[order] = eff["central_value"]
+    if method == "central" and order not in central:
+        _require(eff, "central_value")
+    return MomentSummary(mu0, eff["mu1"], sigma, central)
+
+
 def cmd_plan(args) -> int:
     eff = _merge(args, _PLAN_SCHEMA)
     if eff["spectrum"] is not None:
@@ -277,7 +295,6 @@ def cmd_plan(args) -> int:
                 raise CliError(f"--spectrum and {_flag(key)} cannot be combined: "
                                "the spectrum sets the moments")
     kernel = _build_kernel(eff)
-    window = None
     moments = None
     if eff["spectrum"] is not None:
         spectrum = serialize.read_spectrum(eff["spectrum"])
@@ -287,32 +304,16 @@ def cmd_plan(args) -> int:
         orders = (2,) if eff["central_order"] is None else (2, eff["central_order"])
         moments = summarize(spectrum, orders=orders)
     budget = _build_budget(eff)
-    if eff["window"] is not None:
-        window = FrequencyWindow(eff["window"][0], eff["window"][1])
-    if moments is None and eff["sigma"] is not None:
-        _require(eff, "mu1")
-        mu0 = eff["mu0"] if eff["mu0"] is not None else 1.0
-        moments = MomentSummary(
-            mu0=mu0,
-            mu1=eff["mu1"],
-            sigma=eff["sigma"],
-            central={2: mu0 * eff["sigma"] ** 2},
-        )
+    window = None if eff["window"] is None else FrequencyWindow(*eff["window"])
+    if moments is None:
+        moments = _flag_moments(eff)
+    _require(eff, *{"variance": ("window",),
+                    "central": ("central_order", "window")}.get(eff["method"], ()))
     plan = make_plan(
-        eff["method"],
-        kernel,
-        budget,
-        window=window,
-        moments=moments,
-        central_order=eff["central_order"],
-        central_value=eff["central_value"],
-        mu1=eff["mu1"],
-        mu0=eff["mu0"],
-        chi_mode=eff["chi_mode"],
-        n_mode=eff["n_mode"],
-        shots_mode=eff["shots_mode"],
-        window_term=eff["window_term"],
-        simplified=eff["simplified"],
+        eff["method"], kernel, budget, window=window, moments=moments,
+        central_order=eff["central_order"], chi_mode=eff["chi_mode"],
+        n_mode=eff["n_mode"], shots_mode=eff["shots_mode"],
+        window_term=eff["window_term"], simplified=eff["simplified"],
     )
     text = serialize.plan_to_text(plan)
     sys.stdout.write(text)
@@ -643,8 +644,7 @@ def _reference_rows():
     resonance = make_plan(
         "variance", KernelSpec.from_resolution(1.0, 0.01, 100.0), nuc_budget,
         window=FrequencyWindow(0.0, 100.0),
-        moments=MomentSummary(mu0=1.0, mu1=20.0, sigma=22.0,
-                              central={2: 22.0**2}),
+        moments=MomentSummary(mu0=1.0, mu1=20.0, sigma=22.0),
     )
     rows.append(("n_terms_resonance", resonance.n_terms, 339, 0))
 
@@ -657,8 +657,7 @@ def _reference_rows():
     quasielastic = make_plan(
         "variance", KernelSpec.from_resolution(1.0, 0.01, 400.0), nuc_budget,
         window=FrequencyWindow(0.0, 400.0),
-        moments=MomentSummary(mu0=1.0, mu1=400.0**2 / (2.0 * 939.0),
-                              sigma=250.0, central={2: 250.0**2}),
+        moments=MomentSummary(mu0=1.0, mu1=400.0**2 / (2.0 * 939.0), sigma=250.0),
         window_term="min",
     )
     rows.append(("n_terms_quasielastic_window_min", quasielastic.n_terms,

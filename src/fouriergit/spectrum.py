@@ -140,17 +140,20 @@ class DiscreteSpectrum:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Normalized mean/width plus raw absolute central moments.
+    """What is known of a spectrum's energy moments: the one way moment
+    knowledge enters a plan (planner.make_plan).
 
     mu0 is the total weight, mu1 the weighted mean energy, sigma the
     weighted standard deviation. central maps order n to the raw sum
     sum_k w_k |omega_k - mu1|^n, so central[2] equals sigma**2 when
-    mu0 = 1.
+    mu0 = 1. A field that is not known is None (an order that is not
+    known is absent from central). The record is not validated: each
+    planner checks the fields it reads, by name.
     """
 
-    mu0: float
-    mu1: float
-    sigma: float
+    mu0: float | None = None
+    mu1: float | None = None
+    sigma: float | None = None
     central: dict = field(default_factory=dict)
 
 

@@ -264,6 +264,30 @@ class TestNumpyKernels:
                                    27.98, 0.0066, 0.2245, n_terms)
                 assert sizes == [c for c in chunks for _ in range(tables)]
 
+    def test_transform_chunks_follow_one_rule(self, monkeypatch):
+        # the Gaussian transform cuts the grid as the resummation does: a
+        # grid of _CHUNK + 1 points is one chunk with one line-reach set-up,
+        # not a full chunk and a one-point remainder
+        sizes = []
+        within_reach = _backend._within_reach
+
+        def counting(chunk, *args):
+            sizes.append(chunk.size)
+            return within_reach(chunk, *args)
+
+        monkeypatch.setattr(_backend, "_within_reach", counting)
+        s = make_model("A")
+        chunk = _backend._CHUNK
+        for points, chunks in ((chunk + 1, [chunk + 1]),
+                               (4 * chunk, [chunk] * 4),
+                               (9 * chunk // 4 + 1, [289, 288])):
+            for period in (None, 0.2245):
+                sizes.clear()
+                gaussian_transform(np.linspace(-1.0, -0.8, points),
+                                   s.eigenfrequencies, s.weights, 0.0066,
+                                   period, 0 if period is None else 1)
+                assert sizes == chunks
+
     def test_moment_memory_stays_per_tile(self):
         # the block rows are built one fixed-shape tile at a time: the peak
         # of a long call exceeds that of a one-tile call by at most one
@@ -390,8 +414,9 @@ def _every_term(nus, omegas, weights, lam, period=None, wrap=0):
     nus, omegas, weights = (np.asarray(a, dtype=np.float64) for a in (nus, omegas, weights))
     c = -0.5 / (lam * lam)
     out = np.empty(nus.size)
-    for i in range(0, nus.size, _backend._CHUNK):
-        chunk = nus[i : i + _backend._CHUNK]
+    step = _backend._chunk_step(nus.size)
+    for i in range(0, nus.size, step):
+        chunk = nus[i : i + step]
         k = _backend._within_reach(chunk, omegas, lam, period)
         d = chunk[:, None] - omegas[None, k]
         if period is not None:
@@ -400,7 +425,7 @@ def _every_term(nus, omegas, weights, lam, period=None, wrap=0):
         for j in range(-wrap, wrap + 1):
             x = d - j * period if j else d
             acc += np.exp((x * c) * x)
-        out[i : i + _backend._CHUNK] = acc @ weights[k]
+        out[i : i + step] = acc @ weights[k]
     return out / (math.sqrt(2.0 * math.pi) * lam)
 
 
@@ -408,8 +433,9 @@ def _every_term_count(nus, omegas, lam, period=None, wrap=0):
     """Exponentials the every-term evaluation takes: grid points times
     within-reach lines times images, summed over chunks."""
     total = 0
-    for i in range(0, nus.size, _backend._CHUNK):
-        chunk = nus[i : i + _backend._CHUNK]
+    step = _backend._chunk_step(nus.size)
+    for i in range(0, nus.size, step):
+        chunk = nus[i : i + step]
         total += chunk.size * _backend._within_reach(chunk, omegas, lam, period).size
     return total * (2 * wrap + 1)
 
@@ -500,12 +526,13 @@ class TestPrunedTransforms:
         exps = [600.0, 700.0, 740.0, 745.0, 745.1, 745.2, 750.0, 760.0]
         n = _backend._CHUNK
         nus = np.concatenate([100.0 * j + np.linspace(0.0, 1.0, n) for j in range(len(exps))])
+        assert _backend._chunk_step(nus.size) == n
         omegas = np.array(
             [100.0 * j + 1.0 + np.sqrt(2 * e) * lam for j, e in enumerate(exps)]
         )
         # left of the last chunk, one line just inside its reach and one
         # just outside; the mask keeps the first and drops the second
-        last_chunk = nus[-n:]
+        last_chunk = nus[-_backend._chunk_step(nus.size):]
         reach = np.sqrt(2 * _backend._UNDERFLOW) * lam + 0.5
         center = 0.5 * (last_chunk[0] + last_chunk[-1])
         edge = center - reach * np.array([1 - 1e-9, 1 + 1e-9])
@@ -627,6 +654,7 @@ class TestTransformMatchesEveryTerm:
         es = [700.0, 708.0, 720.0, 740.0, 745.0, 745.1, 745.2, 749.0, 751.0]
         n = _backend._CHUNK
         nus = np.concatenate([10.0 * j + np.linspace(0.0, 1.0, n) for j in range(len(es))])
+        assert _backend._chunk_step(nus.size) == n
         reach = np.sqrt(2.0 * np.array(es)) * lam
         base = 10.0 * np.arange(len(es))
         omegas = np.sort(np.concatenate([base + 1.0 + reach, base - reach]))

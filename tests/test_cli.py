@@ -215,11 +215,49 @@ class TestPlanCommand:
         assert code == 2
 
     def test_variance_without_window(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "plan", "--method", "variance", "--mu1", "-0.9",
             "--sigma", "0.03",
         )
         assert code == 1
+        assert err == "error: --window is required\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("variance",), "--sigma"),
+            (("variance", "--sigma", "0.03"), "--mu1"),
+            (("central",), "--central-order"),
+            (("central", "--central-order", "4"), "--mu1"),
+            (("central", "--central-order", "4", "--mu1", "-0.9"),
+             "--central-value"),
+            (("central", "--central-order", "4", "--mu1", "-0.9",
+              "--sigma", "0.03"), "--central-value"),
+            (("central", "--spectrum", "SPECTRUM"), "--central-order"),
+        ],
+    )
+    def test_missing_moment_flag_named(self, capsys, model_a_csv, argv, flag):
+        # these used to end in "variance planning requires moments and a
+        # window" or "central planning requires central_order, central_value
+        # and mu1", naming no flag
+        argv = [str(model_a_csv) if a == "SPECTRUM" else a for a in argv]
+        code, text, err = run_cli(
+            capsys, "plan", "--window", "-1.0", "-0.8", "--method", *argv
+        )
+        assert (code, text, err) == (1, "", f"error: {flag} is required\n")
+
+    def test_central_order_two_from_sigma(self, capsys):
+        # --sigma gives the order-2 central moment mu0 sigma^2, and order 2
+        # is the variance plan
+        common = ("--mu0", "2", "--mu1", "-0.9", "--sigma", "0.03",
+                  "--window", "-1.0", "-0.8")
+        code, central, _ = run_cli(capsys, "plan", "--method", "central",
+                                   "--central-order", "2", *common)
+        assert code == 0
+        code, variance, _ = run_cli(capsys, "plan", "--method", "variance",
+                                    *common)
+        assert code == 0
+        assert central == variance
 
     def test_missing_spectrum_file(self, capsys):
         code, _, _ = run_cli(

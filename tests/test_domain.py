@@ -82,6 +82,11 @@ def _window():
     return fg.FrequencyWindow(-1.0, -0.8)
 
 
+def _central(order):
+    """A summary that knows the central moment of the given order."""
+    return fg.MomentSummary(mu0=1.0, mu1=-0.9, central={order: 1e-4})
+
+
 def _reconstruct(n_terms):
     model = fg.make_model("A")
     periodic = fg.PeriodicKernelParams.from_period(0.25, _kernel())
@@ -113,11 +118,11 @@ INTEGER_SITES = {
     "central_moment": lambda v: fg.central_moment(fg.make_model("A"), v),
     "summarize": lambda v: fg.summarize(fg.make_model("A"), orders=(v,)),
     "chi_with_central_moment": lambda v: fg.chi_with_central_moment(
-        v, 1e-4, _kernel(), _budget(), -0.9, _window()
+        v, _kernel(), _budget(), _central(v), _window()
     ),
     "make_plan": lambda v: fg.make_plan(
-        "central", _kernel(), _budget(), window=_window(), central_order=v,
-        central_value=1e-4, mu1=-0.9,
+        "central", _kernel(), _budget(), window=_window(),
+        moments=_central(v), central_order=v,
     ),
     "error_report": _error_report,
     "exact_moments": lambda v: fg.exact_moments(fg.make_model("A"), 1.0, v),

@@ -282,15 +282,16 @@ class TestNonFiniteMomentInputs:
     ):
         values = dict(central_value=1e-4, mu0=1.0, mu1=-0.9)
         values[field] = bad
+        moments = MomentSummary(mu0=values["mu0"], mu1=values["mu1"],
+                                central={order: values["central_value"]})
         with pytest.raises(ValueError, match=f"^{field} must be"):
             chi_with_central_moment(
-                order, values["central_value"], kernel001, budget001,
-                values["mu1"], window_model, mu0=values["mu0"],
+                order, kernel001, budget001, moments, window_model
             )
         with pytest.raises(ValueError, match=f"^{field} must be"):
             make_plan(
                 "central", kernel001, budget001, window=window_model,
-                central_order=order, **values,
+                moments=moments, central_order=order,
             )
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -298,7 +299,8 @@ class TestNonFiniteMomentInputs:
         with pytest.raises(ValueError, match="^mu0 must be positive and finite"):
             chi_general(kernel001, budget001, mu0=bad)
         with pytest.raises(ValueError, match="^mu0 must be positive and finite"):
-            make_plan("general", kernel001, budget001, mu0=bad)
+            make_plan("general", kernel001, budget001,
+                      moments=MomentSummary(mu0=bad))
 
 
 class TestChiWithCentralMoment:
@@ -307,13 +309,10 @@ class TestChiWithCentralMoment:
     ):
         via_var = chi_with_variance(kernel001, budget001, stats_a, window_model)
         via_cm = chi_with_central_moment(
-            2,
-            stats_a.mu0 * stats_a.sigma**2,
-            kernel001,
-            budget001,
-            stats_a.mu1,
+            2, kernel001, budget001,
+            MomentSummary(mu0=stats_a.mu0, mu1=stats_a.mu1,
+                          central={2: stats_a.mu0 * stats_a.sigma**2}),
             window_model,
-            mu0=stats_a.mu0,
         )
         assert via_cm.period == via_var.period
         assert via_cm.method == "variance"
@@ -323,9 +322,10 @@ class TestChiWithCentralMoment:
     ):
         from fouriergit import central_moment
 
-        value = central_moment(model_a, 4)
+        moments = MomentSummary(mu0=1.0, mu1=stats_a.mu1,
+                                central={4: central_moment(model_a, 4)})
         choice = chi_with_central_moment(
-            4, value, kernel001, budget001, stats_a.mu1, window_model
+            4, kernel001, budget001, moments, window_model
         )
         assert choice.period == pytest.approx(0.21787426997860904, rel=1e-13)
         assert choice.method == "central4"
@@ -334,15 +334,16 @@ class TestChiWithCentralMoment:
     def test_zero_central_value_stays_finite(
         self, kernel001, budget001, window_model
     ):
+        moments = MomentSummary(mu0=1.0, mu1=-0.9, central={4: 0.0})
         choice = chi_with_central_moment(
-            4, 0.0, kernel001, budget001, -0.9, window_model
+            4, kernel001, budget001, moments, window_model
         )
         assert math.isfinite(choice.period)
         assert choice.period > 0
         assert choice.details["spread"] == 0.0
         plan = make_plan(
             "central", kernel001, budget001, window=window_model,
-            central_order=4, central_value=0.0, mu1=-0.9,
+            moments=moments, central_order=4,
         )
         assert tail_leakage_bound(plan) == 0.0
 
@@ -355,32 +356,37 @@ class TestChiWithCentralMoment:
             kernel001, budget001, stats_a, window_model
         ).period
         p4 = chi_with_central_moment(
-            4, central_moment(model_a, 4), kernel001, budget001,
-            stats_a.mu1, window_model,
+            4, kernel001, budget001,
+            MomentSummary(mu0=1.0, mu1=stats_a.mu1,
+                          central={4: central_moment(model_a, 4)}),
+            window_model,
         ).period
         assert p4 < p2
 
     def test_simplified_validity(self, kernel001, budget001, window_model):
-        with pytest.raises(FormulaValidityError):
-            chi_with_central_moment(
-                16, 1e-4, kernel001, budget001, -0.9, window_model,
-                simplified=True,
-            )
-        with pytest.raises(FormulaValidityError):
-            chi_with_central_moment(
-                4, 1e-12, kernel001, budget001, -0.9, window_model,
-                simplified=True,
-            )
+        for order, value in ((16, 1e-4), (4, 1e-12)):
+            moments = MomentSummary(mu0=1.0, mu1=-0.9, central={order: value})
+            with pytest.raises(FormulaValidityError):
+                chi_with_central_moment(
+                    order, kernel001, budget001, moments, window_model,
+                    simplified=True,
+                )
 
     def test_validation(self, kernel001, budget001, window_model):
-        with pytest.raises(ValueError):
-            chi_with_central_moment(
-                1, 0.1, kernel001, budget001, -0.9, window_model
-            )
-        with pytest.raises(ValueError):
-            chi_with_central_moment(
-                3, -0.1, kernel001, budget001, -0.9, window_model
-            )
+        for order, value in ((1, 0.1), (3, -0.1)):
+            moments = MomentSummary(mu0=1.0, mu1=-0.9, central={order: value})
+            with pytest.raises(ValueError):
+                chi_with_central_moment(
+                    order, kernel001, budget001, moments, window_model
+                )
+
+    def test_missing_order_named(self, kernel001, budget001, window_model):
+        moments = MomentSummary(mu0=1.0, mu1=-0.9, central={2: 1e-3})
+        with pytest.raises(
+            ValueError, match="^moments carry no central moment of order 4$"
+        ):
+            chi_with_central_moment(4, kernel001, budget001, moments,
+                                    window_model)
 
 
 class TestNTerms:
@@ -640,11 +646,53 @@ class TestMakePlan:
         self, kernel001, budget001, model_a, window_model
     ):
         stats = summarize(model_a, orders=(2,))
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^moments carry no central moment of order 6$"
+        ):
             make_plan(
                 "central", kernel001, budget001, window=window_model,
                 moments=stats, central_order=6,
             )
+
+    @pytest.mark.parametrize("method, extra", [
+        ("variance", {"mu0": 50.0, "mu1": -0.85, "central_value": 1.0}),
+        ("central", {"mu1": -0.85}),
+        ("general", {"mu0": 3.0}),
+    ])
+    def test_separate_moment_arguments_refused(
+        self, kernel001, budget001, model_a, window_model, method, extra
+    ):
+        # moment knowledge enters only through the summary; these calls
+        # used to be ignored (variance), mix two spectra (central) or
+        # override the summary (general)
+        stats = summarize(model_a, orders=(2, 4))
+        with pytest.raises(TypeError):
+            make_plan(method, kernel001, budget001, window=window_model,
+                      moments=stats, central_order=4, **extra)
+
+    def test_each_method_reads_only_its_fields(
+        self, kernel001, budget001, model_a, window_model
+    ):
+        stats = summarize(model_a, orders=(2, 4))
+        known = {
+            "general": MomentSummary(mu0=stats.mu0),
+            "variance": MomentSummary(mu0=stats.mu0, mu1=stats.mu1,
+                                      sigma=stats.sigma),
+            "central": MomentSummary(mu0=stats.mu0, mu1=stats.mu1,
+                                     central={4: stats.central[4]}),
+        }
+        for method, moments in known.items():
+            full = make_plan(method, kernel001, budget001, window=window_model,
+                             moments=stats, central_order=4)
+            part = make_plan(method, kernel001, budget001, window=window_model,
+                             moments=moments, central_order=4)
+            assert part == full
+        with pytest.raises(ValueError, match="^sigma must be a number, got None"):
+            make_plan("variance", kernel001, budget001, window=window_model,
+                      moments=known["central"])
+        assert make_plan("general", kernel001, budget001) == make_plan(
+            "general", kernel001, budget001, moments=MomentSummary(mu0=1.0)
+        )
 
     def test_per_part_times_parts_covers_total(
         self, kernel001, budget001, stats_a, window_model
