@@ -221,8 +221,6 @@ _PLAN_SCHEMA = {
     "sigma_leak": (float, 0.01, {"domain": UNIT}),
     "lam": (float, None, {"domain": POSITIVE}),
     "norm_scale": (float, 1.0, {"domain": POSITIVE}),
-    "eps": (float, None, {"domain": POSITIVE, "help":
-                          "total budget, split equally over the three sources"}),
     "eps_p": (float, None, {"domain": POSITIVE}),
     "eps_n": (float, None, {"domain": POSITIVE}),
     "eps_s": (float, None, {"domain": POSITIVE}),
@@ -233,7 +231,7 @@ _PLAN_SCHEMA = {
     "mu0": (float, None, {"domain": POSITIVE}),
     "mu1": (float, None, {"domain": FINITE}),
     "sigma": (float, None, {"domain": POSITIVE}),
-    "central_order": (int, None, {"domain": at_least(2)}),
+    "central_order": (int, None, {"domain": at_least(3)}),
     "central_value": (float, None, {"domain": NONNEGATIVE}),
     "window": (_pair_opt, None, {"domain": FINITE}),
     "chi_mode": (str, "main", {"choices": _CHI_MODES}),
@@ -249,10 +247,6 @@ def _build_budget(eff) -> ErrorBudget:
     omega = eff["omega_scale"]
     if omega is None:
         omega = 2.0 * eff["norm_scale"] / 512.0
-    if eff["eps"] is not None:
-        if any(eff[k] is not None for k in ("eps_p", "eps_n", "eps_s")):
-            raise CliError("--eps cannot be combined with --eps-p/--eps-n/--eps-s")
-        return ErrorBudget.equal_split(eff["eps"], omega, eff["confidence_delta"])
     eps_p = eff["eps_p"] if eff["eps_p"] is not None else 0.01
     eps_n = eff["eps_n"] if eff["eps_n"] is not None else 0.01
     eps_s = eff["eps_s"] if eff["eps_s"] is not None else 0.05
@@ -269,31 +263,38 @@ def _build_kernel(eff) -> KernelSpec:
     )
 
 
+# The moment flags each method reads besides --mu0 (default 1), in the
+# order plan names a missing one; plan refuses the others.
+_METHOD_READS = {
+    "general": (),
+    "variance": ("sigma", "mu1"),
+    "central": ("central_order", "mu1", "central_value"),
+}
+
+
 def _flag_moments(eff) -> MomentSummary:
     """The moment summary the flags give: --mu0 (1 when unset), --mu1,
-    --sigma (which also gives the order-2 central moment mu0 sigma^2) and
-    --central-value of order --central-order. Each flag that the method
-    reads and the flags leave unknown is named."""
-    method, order = eff["method"], eff["central_order"]
-    _require(eff, *{"variance": ("sigma", "mu1"),
-                    "central": ("central_order", "mu1")}.get(method, ()))
+    --sigma and --central-value of order --central-order."""
+    order = eff["central_order"]
+    central = {} if order is None else {order: eff["central_value"]}
     mu0 = 1.0 if eff["mu0"] is None else eff["mu0"]
-    sigma = eff["sigma"]
-    central = {} if sigma is None else {2: mu0 * sigma**2}
-    if order is not None and eff["central_value"] is not None:
-        central[order] = eff["central_value"]
-    if method == "central" and order not in central:
-        _require(eff, "central_value")
-    return MomentSummary(mu0, eff["mu1"], sigma, central)
+    return MomentSummary(mu0, eff["mu1"], eff["sigma"], central)
 
 
 def cmd_plan(args) -> int:
     eff = _merge(args, _PLAN_SCHEMA)
+    method, reads = eff["method"], _METHOD_READS[eff["method"]]
     if eff["spectrum"] is not None:
         for key in ("mu0", "mu1", "sigma", "central_value"):
             if eff[key] is not None:
                 raise CliError(f"--spectrum and {_flag(key)} cannot be combined: "
                                "the spectrum sets the moments")
+        # the spectrum gives the moments; the order still picks one
+        reads = ("central_order",) if method == "central" else ()
+    _require(eff, *reads, *(("window",) if method != "general" else ()))
+    for key in ("mu1", "sigma", "central_order", "central_value"):
+        if eff[key] is not None and key not in _METHOD_READS[method]:
+            raise CliError(f"--method {method} does not read {_flag(key)}")
     kernel = _build_kernel(eff)
     moments = None
     if eff["spectrum"] is not None:
@@ -307,10 +308,8 @@ def cmd_plan(args) -> int:
     window = None if eff["window"] is None else FrequencyWindow(*eff["window"])
     if moments is None:
         moments = _flag_moments(eff)
-    _require(eff, *{"variance": ("window",),
-                    "central": ("central_order", "window")}.get(eff["method"], ()))
     plan = make_plan(
-        eff["method"], kernel, budget, window=window, moments=moments,
+        method, kernel, budget, window=window, moments=moments,
         central_order=eff["central_order"], chi_mode=eff["chi_mode"],
         n_mode=eff["n_mode"], shots_mode=eff["shots_mode"],
         window_term=eff["window_term"], simplified=eff["simplified"],

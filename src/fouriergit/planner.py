@@ -38,7 +38,7 @@ _METHODS = ("general", "variance", "central")
 _CHI_MODES = ("main", "nyquist", "full")
 _N_MODES = ("main", "appendix")
 _SHOTS_MODES = ("conservative", "uncorrelated", "chebyshev")
-_WINDOW_TERM_MODES = ("max", "min", "upper", "lower", "span")
+_WINDOW_TERM_MODES = ("max", "min")
 
 
 class FormulaValidityError(ValueError):
@@ -74,14 +74,6 @@ class ErrorBudget:
     def __post_init__(self):
         check_fields(self, eps_p=POSITIVE, eps_n=POSITIVE, eps_s=POSITIVE,
                      omega_scale=POSITIVE, confidence_delta=UNIT)
-
-    @classmethod
-    def equal_split(
-        cls, eps_total: float, omega_scale: float, confidence_delta: float = 0.05
-    ) -> "ErrorBudget":
-        """Split a total error target equally across the three sources."""
-        part = check("eps_total", eps_total, POSITIVE) / 3.0
-        return cls(part, part, part, omega_scale, confidence_delta)
 
 
 @dataclass(frozen=True)
@@ -182,12 +174,6 @@ def _window_term(omega_lo: float, omega_hi: float, mode: str) -> float:
         return max(omega_lo, omega_hi)
     if mode == "min":
         return min(omega_lo, omega_hi)
-    if mode == "upper":
-        return omega_hi
-    if mode == "lower":
-        return omega_lo
-    if mode == "span":
-        return omega_lo + omega_hi
     raise ValueError(
         f"window_term must be one of {_WINDOW_TERM_MODES}, got {mode!r}"
     )
@@ -323,10 +309,12 @@ def chi_with_variance(
     eps_p)^(1/3) + span is used instead; it is only valid while
     lam <= 2 sigma and raises FormulaValidityError otherwise.
 
-    window_term picks how the window enters: 'max' (default, safe for the
-    whole window), 'min', 'upper', 'lower', or 'span'. Warns with
-    NoSavingWarning when the result exceeds the general-bound period.
-    Reads moments.sigma, moments.mu0 and moments.mu1.
+    window_term picks how the window enters. 'max' (default) takes the
+    longer distance from the mean to a window edge and budgets eps_p on
+    the whole window. 'min' takes the shorter one, d, and so budgets eps_p
+    only on [mu1 - d, mu1 + d]: it is the 'max' plan of that narrower
+    window. Warns with NoSavingWarning when the result exceeds the
+    general-bound period. Reads moments.sigma, moments.mu0 and moments.mu1.
 
     The eps_p guarantee assumes that the weight beyond alpha spreads is
     spread evenly over one period, aliasing at most Omega * mass / P into
@@ -386,36 +374,30 @@ def chi_with_central_moment(
     """Extension period anchored to an absolute central moment of order n.
 
     Reads moments.central[order], the raw weighted sum mu~_n = sum_k w_k
-    |omega_k - mu1|^n (for order 2 this equals mu0 * sigma^2), and
-    moments.mu1 and moments.mu0. The period covers alpha spreads around
-    the mean, with spread = mu~_n^(1/n):
+    |omega_k - mu1|^n, and moments.mu1 and moments.mu0. The order is at
+    least 3: order 2 is the variance plan, chi_with_variance with sigma =
+    sqrt(mu~_2 / mu0). The period covers alpha spreads around the mean,
+    with spread = mu~_n^(1/n):
 
         alpha * spread = max[sqrt(2) lam sqrt(log(4 mu0 Omega /
                           (eps_p lam))), sqrt(2) * 0.9 * (mu~_n Omega /
                           eps_p)^(1/(n+1))]
         P = (1 + eta) alpha spread + window_term.
 
-    The product form above stays finite for mu~_n = 0. order = 2 delegates
-    to chi_with_variance, with sigma = sqrt(mu~_2 / mu0), so both entry
-    points agree exactly. With simplified=True the short form P = 2.7
+    The product form above stays finite for mu~_n = 0. window_term is as
+    in chi_with_variance. With simplified=True the short form P = 2.7
     (Omega mu~_n / eps_p)^(1/(n+1)) + span is used; it requires
     mu~_n^(1/n) >= lam and order <= 15 and raises FormulaValidityError
     outside that range. The eps_p guarantee holds under the assumption
     stated in chi_with_variance.
     """
-    order = check("order", order, at_least(2))
+    order = check("order", order, at_least(3))
     central_value = (moments.central or {}).get(order)
     if central_value is None:
         raise ValueError(f"moments carry no central moment of order {order}")
     central_value = check("central_value", central_value, NONNEGATIVE)
     mu0 = check("mu0", moments.mu0, POSITIVE)
     mu1 = check("mu1", moments.mu1, FINITE)
-    if order == 2:
-        moments = MomentSummary(mu0, mu1, math.sqrt(central_value / mu0),
-                                {2: central_value})
-        return chi_with_variance(kernel, budget, moments, window,
-                                 window_term=window_term, simplified=simplified)
-
     lam = kernel.lam
     omega = budget.omega_scale
     spread = central_value ** (1.0 / order) if central_value > 0 else 0.0
@@ -616,10 +598,10 @@ def make_plan(
     method is 'general', 'variance' or 'central'. The moment knowledge
     enters only through moments, a MomentSummary: 'general' reads its mu0
     (1 without a summary), 'variance' its mu0, mu1 and sigma, and
-    'central' its mu0, mu1 and central[central_order]. 'variance' and
-    'central' require moments and a window, and 'central' a
-    central_order. The window, when given, must lie within [-norm_scale,
-    norm_scale].
+    'central' its mu0, mu1 and central[central_order], an order of at
+    least 3. 'variance' and 'central' require moments and a window, and
+    'central' a central_order. The window, when given, must lie within
+    [-norm_scale, norm_scale].
     """
     if method not in _METHODS:
         raise ValueError(f"unknown planning method {method!r}")
@@ -644,7 +626,7 @@ def make_plan(
         if central_order is None:
             raise ValueError("central planning requires central_order")
         choice = chi_with_central_moment(
-            check("central_order", central_order, at_least(2)), kernel,
+            check("central_order", central_order, at_least(3)), kernel,
             budget, moments, window, window_term=window_term,
             simplified=simplified,
         )

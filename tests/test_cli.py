@@ -189,14 +189,6 @@ class TestPlanCommand:
         plan = serialize.plan_from_text(text)
         assert plan.method == "central4"
 
-    def test_equal_split_budget(self, capsys):
-        code, text, _ = run_cli(capsys, "plan", "--eps", "0.03")
-        assert code == 0
-        plan = serialize.plan_from_text(text)
-        assert plan.inputs_echo["eps_p"] == pytest.approx(0.01)
-        assert plan.inputs_echo["eps_n"] == pytest.approx(0.01)
-        assert plan.inputs_echo["eps_s"] == pytest.approx(0.01)
-
     def test_eps_conflict_rejected(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--eps", "0.03", "--eps-p", "0.01")
         assert code == 1
@@ -236,28 +228,61 @@ class TestPlanCommand:
             (("central", "--spectrum", "SPECTRUM"), "--central-order"),
         ],
     )
-    def test_missing_moment_flag_named(self, capsys, model_a_csv, argv, flag):
+    def test_missing_moment_flag_named(
+        self, capsys, monkeypatch, model_a_csv, argv, flag
+    ):
         # these used to end in "variance planning requires moments and a
         # window" or "central planning requires central_order, central_value
-        # and mu1", naming no flag
+        # and mu1", naming no flag; none reads the spectrum
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectrum read before the refusal")
+
+        monkeypatch.setattr(serialize, "read_spectrum", forbidden)
         argv = [str(model_a_csv) if a == "SPECTRUM" else a for a in argv]
         code, text, err = run_cli(
             capsys, "plan", "--window", "-1.0", "-0.8", "--method", *argv
         )
         assert (code, text, err) == (1, "", f"error: {flag} is required\n")
 
-    def test_central_order_two_from_sigma(self, capsys):
-        # --sigma gives the order-2 central moment mu0 sigma^2, and order 2
-        # is the variance plan
-        common = ("--mu0", "2", "--mu1", "-0.9", "--sigma", "0.03",
-                  "--window", "-1.0", "-0.8")
-        code, central, _ = run_cli(capsys, "plan", "--method", "central",
-                                   "--central-order", "2", *common)
-        assert code == 0
-        code, variance, _ = run_cli(capsys, "plan", "--method", "variance",
-                                    *common)
-        assert code == 0
-        assert central == variance
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--method", "general", "--sigma", "0.03", "--central-value",
+              "1e-3", "--mu1", "0.5"), "--method general does not read --mu1"),
+            (("--method", "variance", "--mu1", "-0.9", "--sigma", "0.03",
+              "--central-value", "5"),
+             "--method variance does not read --central-value"),
+            (("--method", "variance", "--mu1", "-0.9", "--sigma", "0.03",
+              "--central-order", "4"),
+             "--method variance does not read --central-order"),
+            (("--method", "variance", "--spectrum", "SPECTRUM",
+              "--central-order", "4"),
+             "--method variance does not read --central-order"),
+            (("--method", "central", "--central-order", "4", "--mu1", "-0.9",
+              "--central-value", "1e-6", "--sigma", "0.03"),
+             "--method central does not read --sigma"),
+            (("--method", "general", "--config", "mu1=0.5"),
+             "--method general does not read --mu1"),
+        ],
+    )
+    def test_unread_moment_flag_refused(
+        self, tmp_path, capsys, monkeypatch, model_a_csv, argv, message
+    ):
+        # the first two used to exit 0, the value dropped
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectrum read before the refusal")
+
+        monkeypatch.setattr(serialize, "read_spectrum", forbidden)
+        argv = [str(model_a_csv) if a == "SPECTRUM" else a for a in argv]
+        if "--config" in argv:
+            i = argv.index("--config")
+            cfg = tmp_path / "opts.cfg"
+            cfg.write_text(argv[i + 1] + "\n")
+            argv[i + 1] = str(cfg)
+        code, text, err = run_cli(
+            capsys, "plan", "--window", "-1.0", "-0.8", *argv
+        )
+        assert (code, text, err) == (1, "", f"error: {message}\n")
 
     def test_missing_spectrum_file(self, capsys):
         code, _, _ = run_cli(
@@ -957,6 +982,8 @@ class TestCountValidation:
             (("shots-demo", "--seeds", "2", "--seed0", "-5"), "--seed0"),
             (("moments", "--shots", "0"), "--shots"),
             (("reconstruct", "--sampled", "--shots", "-2"), "--shots"),
+            *[(("plan", "--window-term", mode), "--window-term")
+              for mode in ("upper", "lower", "span")],
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, argv, flag):
@@ -1024,7 +1051,7 @@ class TestCountValidation:
              "error: --models: unknown model kind 'C'; expected one of A, B\n"),
             (("plan", "--method", "central", "--window", "-1", "-0.8",
               "--central-order", "1", "--out"), "make_plan",
-             "error: --central-order must be >= 2, got 1\n"),
+             "error: --central-order must be >= 3, got 1\n"),
             (("shots-demo", "--config", "model=C", "--out"), "make_model",
              "error: config key model: 'C' is not one of "
              "['A', 'B', 'a', 'b'] (--model)\n"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fouriergit import (
+    DiscreteSpectrum,
     ErrorBudget,
     ExtensionPlan,
     FormulaValidityError,
@@ -16,6 +17,7 @@ from fouriergit import (
     chi_general,
     chi_with_central_moment,
     chi_with_variance,
+    error_report,
     make_plan,
     n_terms,
     shots_value,
@@ -44,16 +46,6 @@ class TestBudgetAndWindow:
         name = ("eps_p", "eps_n", "eps_s", "omega_scale")[field]
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             ErrorBudget(*values)
-
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_equal_split_refuses_non_finite(self, bad):
-        with pytest.raises(ValueError, match="^eps_total must be positive and finite"):
-            ErrorBudget.equal_split(bad, 0.01)
-
-    def test_equal_split(self):
-        b = ErrorBudget.equal_split(0.03, 0.01)
-        assert b.eps_p == b.eps_n == b.eps_s == pytest.approx(0.01)
-        assert b.omega_scale == 0.01
 
     def test_window(self):
         w = FrequencyWindow(-1.0, -0.8)
@@ -161,24 +153,32 @@ class TestChiWithVariance:
             window_model.nu_max - stats_a.mu1, rel=1e-13
         )
 
-    def test_window_term_modes(self, kernel001, budget001, stats_a, window_model):
-        periods = {
-            mode: chi_with_variance(
-                kernel001, budget001, stats_a, window_model, window_term=mode
-            ).period
-            for mode in ("max", "min", "upper", "lower", "span")
-        }
-        assert periods["min"] <= periods["max"] <= periods["span"]
-        assert periods["upper"] == pytest.approx(
-            periods["max"]
-        )  # mean sits nearer the lower edge here
-        assert periods["span"] - periods["max"] == pytest.approx(
-            min(
-                stats_a.mu1 - window_model.nu_min,
-                window_model.nu_max - stats_a.mu1,
-            ),
-            rel=1e-12,
-        )
+    def test_window_term_modes(self):
+        # min budgets eps_p only on [mu1 - d, mu1 + d], d the shorter
+        # distance from the mean to an edge: the quasi-elastic plan with
+        # min on [0, 400] is the max plan on [0, 2 mu1] = [0, 170.39]
+        kernel = KernelSpec.from_resolution(1.0, 0.01, 400.0)
+        budget = ErrorBudget(0.01, 0.01, 0.05, 1.0)
+        moments = MomentSummary(mu0=1.0, mu1=400.0**2 / (2.0 * 939.0),
+                                sigma=250.0)
+        narrow = FrequencyWindow(0.0, 2.0 * moments.mu1)
+        assert narrow.nu_max == pytest.approx(170.39, abs=5e-3)
+        plans = [
+            make_plan("variance", kernel, budget, window=window,
+                      moments=moments, window_term=mode)
+            for window, mode in ((FrequencyWindow(0.0, 400.0), "min"),
+                                 (narrow, "max"), (narrow, "min"))
+        ]
+        assert plans[0].period == pytest.approx(320.8798099436653, rel=1e-13)
+        assert plans[0].n_terms == 852
+        for plan in plans[1:]:
+            assert (plan.period, plan.chi, plan.n_terms) == (
+                plans[0].period, plans[0].chi, plans[0].n_terms)
+            assert (plan.shots_per_moment, plan.total_shots) == (
+                plans[0].shots_per_moment, plans[0].total_shots)
+        wide = make_plan("variance", kernel, budget,
+                         window=FrequencyWindow(0.0, 400.0), moments=moments)
+        assert wide.n_terms == 1461
 
     def test_quasielastic_reference(self):
         kernel = KernelSpec.from_resolution(1.0, 0.01, 400.0)
@@ -274,7 +274,7 @@ class TestNonFiniteMomentInputs:
                 moments=moments,
             )
 
-    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("field", ["central_value", "mu0", "mu1"])
     def test_central_refuses(
@@ -304,18 +304,16 @@ class TestNonFiniteMomentInputs:
 
 
 class TestChiWithCentralMoment:
-    def test_order_two_delegates_to_variance(
-        self, kernel001, budget001, stats_a, window_model
-    ):
-        via_var = chi_with_variance(kernel001, budget001, stats_a, window_model)
-        via_cm = chi_with_central_moment(
-            2, kernel001, budget001,
-            MomentSummary(mu0=stats_a.mu0, mu1=stats_a.mu1,
-                          central={2: stats_a.mu0 * stats_a.sigma**2}),
-            window_model,
-        )
-        assert via_cm.period == via_var.period
-        assert via_cm.method == "variance"
+    def test_order_two_refused(self, kernel001, budget001, stats_a, window_model):
+        # order 2 is the variance plan, with sigma = sqrt(mu~_2 / mu0)
+        moments = MomentSummary(mu0=stats_a.mu0, mu1=stats_a.mu1,
+                                central={2: stats_a.mu0 * stats_a.sigma**2})
+        with pytest.raises(ValueError, match="^order must be >= 3, got 2$"):
+            chi_with_central_moment(2, kernel001, budget001, moments,
+                                    window_model)
+        with pytest.raises(ValueError, match="^central_order must be >= 3, got 2$"):
+            make_plan("central", kernel001, budget001, window=window_model,
+                      moments=moments, central_order=2)
 
     def test_order_four_model_a(
         self, kernel001, budget001, model_a, stats_a, window_model
@@ -579,6 +577,40 @@ class TestTailLeakageBound:
                 moments=stats,
             )
             assert tail_leakage_bound(plan) <= budget001.eps_p
+
+    # The eps_p budget assumes the weight beyond alpha spreads is spread
+    # evenly over one period; one line carrying it breaks the budget, and
+    # the smoothed estimate reads below the measurement.
+    def test_resonance_two_point_counterexample(self):
+        spectrum = DiscreteSpectrum([15.9, 127.6], [0.958, 0.042],
+                                    norm_scale=7987.5)
+        kernel = KernelSpec.from_resolution(1.0, 0.01, 7987.5)
+        budget = ErrorBudget(0.01, 0.01, 0.05, 1.0)
+        window = FrequencyWindow(0.0, 100.0)
+        plan = make_plan("variance", kernel, budget, window=window,
+                         moments=summarize(spectrum))
+        assert plan.period == pytest.approx(127.594, abs=5e-4)
+        assert plan.n_terms == 339
+        measured = error_report(spectrum, plan, kernel, window, budget,
+                                n_grid=4096).eps_p_measured
+        assert measured == pytest.approx(0.0508, abs=5e-5)
+        assert measured > budget.eps_p
+        assert tail_leakage_bound(plan) == pytest.approx(0.00178, abs=5e-6)
+        assert tail_leakage_bound(plan) < budget.eps_p
+
+    def test_model_a_scale_two_point_counterexample(
+        self, kernel001, budget001, stats_a, window_model
+    ):
+        spectrum = DiscreteSpectrum([-0.918, -0.776], [0.9493, 0.0507])
+        plan = make_plan("variance", kernel001, budget001,
+                         window=window_model, moments=stats_a)
+        assert plan.n_terms == 25
+        measured = error_report(spectrum, plan, kernel001, window_model,
+                                budget001, n_grid=4096).eps_p_measured
+        assert measured == pytest.approx(0.01195, abs=5e-6)
+        assert measured > budget001.eps_p
+        assert tail_leakage_bound(plan) == pytest.approx(0.00199, abs=5e-6)
+        assert tail_leakage_bound(plan) < budget001.eps_p
 
 
 class TestMakePlan:

@@ -2,8 +2,8 @@
 
 Hypothesis draws what the planners may be told about a spectrum: mu0 from
 1e-3 to 1e4, a mean inside the window, a spread, central orders 3 to 8,
-every window term and shots mode. The runs are derandomized, so every run
-checks the same examples.
+both window terms and every shots mode. The runs are derandomized, so
+every run checks the same examples.
 """
 
 import contextlib
@@ -109,31 +109,26 @@ def test_cli_prints_the_library_plan(req):
 
 @pytest.mark.filterwarnings("ignore::fouriergit.NoSavingWarning")
 @_SETTINGS
-@given(_windows(), _log_uniform(1e-3, 1e4), st.floats(0.0, 1.0),
-       _log_uniform(1e-6, 1.0), st.sampled_from(_WINDOW_TERM_MODES),
-       st.booleans())
-def test_central_order_two_is_the_variance_plan(
-    window, mu0, where, central_value, window_term, simplified
+@given(_windows(), st.integers(0, 2**20), _log_uniform(1e-3, 1e4),
+       st.integers(3, 8), _log_uniform(1e-3, 1.0))
+def test_min_window_term_is_max_on_the_narrower_window(
+    window, where, mu0, order, spread
 ):
-    # order 2 delegates with sigma = sqrt(mu~_2 / mu0)
-    mu1 = window.nu_min + where * window.span
-    central = MomentSummary(mu0=mu0, mu1=mu1, central={2: central_value})
-    variance = MomentSummary(mu0=mu0, mu1=mu1,
-                             sigma=math.sqrt(central_value / mu0))
-    plans = []
-    for method, moments in (("central", central), ("variance", variance)):
-        try:
-            plans.append(make_plan(
-                method, KERNEL, BUDGET, window=window, moments=moments,
-                central_order=2, window_term=window_term,
-                simplified=simplified,
-            ))
-        except FormulaValidityError as exc:
-            plans.append(str(exc))
-    a, b = plans
-    if isinstance(a, str) or isinstance(b, str):
-        assert a == b
-    else:
+    # window_term=min budgets eps_p only on [mu1 - d, mu1 + d], d the
+    # shorter distance from the mean to a window edge: there it is the max
+    # plan. The mean sits on a 2^-26 grid, so the edge distances are exact.
+    mu1 = window.nu_min + math.ldexp(where, -20) * window.span
+    d = min(mu1 - window.nu_min, window.nu_max - mu1)
+    narrow = FrequencyWindow(mu1 - d, mu1 + d)
+    for method, moments in (
+        ("variance", MomentSummary(mu0=mu0, mu1=mu1, sigma=spread)),
+        ("central", MomentSummary(mu0=mu0, mu1=mu1,
+                                  central={order: mu0 * spread**order})),
+    ):
+        a, b = (make_plan(method, KERNEL, BUDGET, window=w, moments=moments,
+                          central_order=order, window_term=mode)
+                for w, mode in ((window, "min"), (narrow, "max")))
         assert (a.period, a.chi, a.n_terms) == (b.period, b.chi, b.n_terms)
         assert (a.shots_per_moment, a.total_shots) == (
             b.shots_per_moment, b.total_shots)
+        assert a.inputs_echo["window_term"] == b.inputs_echo["window_term"] == d
