@@ -25,7 +25,10 @@ once per call, contracts the longer of the block-phase and the cos/sin
 tables, split into real and imaginary rows, and the result meets the
 shorter table elementwise:
 2Q(_BLOCK + 2) real multiplies per grid point for Q blocks, where the
-complex block product takes 4Q _BLOCK.
+complex block product takes 4Q _BLOCK. A grid that is one chunk keeps its
+table of the rows exp(i r x), r < _BLOCK, in a one-entry memo
+(_held_table), so later resummations on the same x build only the block
+phases, if any.
 The direct moment kernel takes block 0 (orders below _BLOCK) from one
 matrix-vector product of the low-order table with the weights, the same
 product whatever n_max. Each later block is centered, at c = q _BLOCK +
@@ -442,6 +445,11 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     P) product takes 4Q _BLOCK P. The elementwise pass costs more per row
     than the split, so the product contracts the block rows when Q > H + 1
     (from 8 385 terms on) and the cos and sin rows below.
+
+    On a grid that is one chunk (fewer than 1.5 _CHUNK points), the table
+    of the rows exp(i r x), the n_terms + 1 orders or the H + 1 cos/sin
+    rows, comes from _held_table, so a later call on the same x reuses it;
+    the U_q table is built on every call.
     """
     nus = _as_f64(nus)
     n = np.arange(1, n_terms + 1, dtype=np.float64)
@@ -450,12 +458,14 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     np.exp(env, out=env)
     out = np.empty(nus.shape[0])
     step = _chunk_step(nus.shape[0])
+    held = step >= nus.shape[0]  # one chunk: its x table is kept (_held_table)
     if n_terms < _BLOCK:
         g = np.zeros((1, n_terms + 1), dtype=np.complex128)
         g[0, 1:] = env * moment_values[1 : n_terms + 1]
+        table = _held_table if held else _phase_table
         for i in range(0, nus.shape[0], step):
             x = dt * nus[i : i + step]
-            out[i : i + step] = (g @ _phase_table(x, n_terms + 1))[0].real
+            out[i : i + step] = (g @ table(x, n_terms + 1))[0].real
         return (moment_values[0].real + 2.0 * out) / period
     half = _BLOCK // 2
     coef = _centered_coefficients(env, moment_values, n_terms)
@@ -463,13 +473,16 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     over_blocks = n_blocks > half + 1
     # per-call buffers, which every chunk reuses while they are in cache
     blocks = np.empty((n_blocks, step), dtype=np.complex128)
-    rows = np.empty((half + 1, step), dtype=np.complex128)
+    rows = None if held else np.empty((half + 1, step), dtype=np.complex128)
     split = np.empty((2, max(n_blocks, half + 1), step))
     for i in range(0, nus.shape[0], step):
         x = dt * nus[i : i + step]
         k = x.size
         u = _phase_table(_BLOCK * x, n_blocks, blocks[:, :k])
-        cs = _phase_table(x, half + 1, rows[:, :k])
+        if held:
+            cs = _held_table(x, half + 1)
+        else:
+            cs = _phase_table(x, half + 1, rows[:, :k])
         long, short, form = (u, cs, coef.T) if over_blocks else (cs, u, coef)
         v = split[:, : len(long), :k]
         v[0] = long.real
@@ -479,6 +492,33 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
         s[len(short) :] *= short.imag
         out[i : i + step] = s.sum(axis=0)
     return (moment_values[0].real + 2.0 * out) / period
+
+
+_last_x_table: dict = {}
+
+
+def _held_table(x, count):
+    """exp(i r x) for r < count <= _BLOCK, on the x = dt nus of a grid that
+    is one chunk, from a one-entry memo.
+
+    The entry is (x bytes, read-only table). A call hits when x has the
+    same bytes and the held table at least count rows; it then gets the
+    first count rows, which are bitwise the table a fresh call builds,
+    since the doubling makes row r the same product whatever the row
+    count (_phase_table). On a miss the entry is dropped before the new
+    table is built, so at most one table is held: _BLOCK rows of a chunk
+    of fewer than 1.5 _CHUNK points (_chunk_step), under 0.79 MB. Threads
+    that miss at once may each build a table; each gets a correct one."""
+    key = x.tobytes()
+    last = _last_x_table.get("table")
+    if last is not None and last[0] == key and len(last[1]) >= count:
+        return last[1][:count]
+    del last  # with the entry, so that the old table is freed first
+    _last_x_table.clear()
+    table = _phase_table(x, count)
+    table.flags.writeable = False
+    _last_x_table["table"] = (key, table)
+    return table
 
 
 def _centered_coefficients(env, moment_values, n_terms):

@@ -45,11 +45,14 @@ def at_least(k: int) -> Domain:
 def check(name: str, value, domain: Domain):
     """value if it lies in domain, as an int for an integer domain;
     otherwise a ValueError naming name, the domain and the value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    kind = type(value)  # a plain float or int skips the slower ABC checks
+    if kind is not float and kind is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
         what = "an integer" if domain.integer else "a number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
     if domain.integer:
-        if not (isinstance(value, numbers.Integral)
+        if not (kind is int or isinstance(value, numbers.Integral)
                 or math.isfinite(value) and value == int(value)):
             raise ValueError(f"{name} must be an integer, got {value}")
         value = int(value)

@@ -86,13 +86,15 @@ def periodic_line(nu, omega, lam, params):
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Empty the one-entry memos of exact_moments and reconstruct before
-    each test, so that a count of computations does not depend on which
-    test ran before on the same session-scoped spectrum."""
-    from fouriergit import moments, transform
+    """Empty the one-entry memos of exact_moments, reconstruct and the
+    resummation's x table before each test, so that a count of
+    computations does not depend on which test ran before on the same
+    session-scoped spectrum or grid."""
+    from fouriergit import _backend, moments, transform
 
     moments._last_exact.clear()
     transform._last_curve.clear()
+    _backend._last_x_table.clear()
 
 
 @pytest.fixture()

@@ -141,12 +141,21 @@ class TestNumpyKernels:
             phase_moment_sums(omegas, weights, dt, n_max)
             assert sum(evaluated) == n_max.bit_length() == 16
         # the resummation: bit_length(W - 1) + bit_length(Q - 1) per grid
-        # point, W = 128 orders per block and Q = 332 blocks
+        # point, W = 128 orders per block and Q = 332 blocks. A grid of one
+        # chunk keeps its x table, so a second call builds only the Q rows,
+        # and below W terms nothing; a grid of several chunks keeps nothing
         moments = np.ones(n_max + 1, dtype=np.complex128)
-        nus = np.linspace(-1.0, 1.0, 5)
-        evaluated.clear()
-        reconstruct_series(nus, moments, 27.98, 0.001, 0.22, n_max)
-        assert sum(evaluated) == (7 + 9) * nus.size
+        for points, again in ((5, 9), (4 * _backend._CHUNK, 7 + 9)):
+            nus = np.linspace(-1.0, 1.0, points)
+            for per_point in (7 + 9, again):
+                evaluated.clear()
+                reconstruct_series(nus, moments, 27.98, 0.001, 0.22, n_max)
+                assert sum(evaluated) == per_point * nus.size
+        nus = np.linspace(-1.0, 1.0, _backend._CHUNK + 1)
+        for per_point in (5, 0):
+            evaluated.clear()
+            reconstruct_series(nus, moments, 27.98, 0.001, 0.22, 25)
+            assert sum(evaluated) == per_point * nus.size
 
     def test_gaussian_transform_matches_broadcast(self):
         s = random_spectrum(1, n=32)
@@ -244,7 +253,8 @@ class TestNumpyKernels:
         # a single block and centered blocks cut the grid alike, into the
         # fewest chunks of about _CHUNK points: _CHUNK + 1 points are one
         # chunk, not a full one and a one-point remainder, and multiples of
-        # _CHUNK keep chunks of _CHUNK points
+        # _CHUNK keep chunks of _CHUNK points. The held x table is emptied
+        # before each call, so that every call builds both of its tables
         sizes = []
         table = _backend._phase_table
 
@@ -260,6 +270,7 @@ class TestNumpyKernels:
                                    (4 * chunk, [chunk] * 4),
                                    (9 * chunk // 4 + 1, [289, 288])):
                 sizes.clear()
+                _backend._last_x_table.clear()
                 reconstruct_series(np.linspace(-1.0, 1.0, points), moments,
                                    27.98, 0.0066, 0.2245, n_terms)
                 assert sizes == [c for c in chunks for _ in range(tables)]
@@ -336,6 +347,112 @@ class TestNumpyKernels:
         c = reconstruct_series(nus, strided, 3.0, 0.01, period, N_MULTI)
         d = reconstruct_series(nus.copy(), a, 3.0, 0.01, period, N_MULTI)
         assert np.array_equal(c, d)
+
+
+def _held_series(nus, n_terms, dt=27.98):
+    """A series on nus whose moments differ at every order, so that a
+    wrong table row shows in the curve."""
+    n = np.arange(n_terms + 1)
+    moments = np.exp(0.37j * n) / (1.0 + 0.01 * n)
+    return reconstruct_series(nus, moments, dt, 0.0066, 0.2245, n_terms)
+
+
+class TestHeldXTable:
+    """The one-entry memo of the x table exp(i r x) of a grid that is one
+    chunk: a grid of up to 383 points, since 384 / _CHUNK = 1.5 rounds to
+    two chunks of 192."""
+
+    SIZES = (1, 10, 27, 64, 127, 128, 133, 186)
+
+    def test_hit_is_bitwise_a_cold_call(self):
+        # a 127-term series holds the 128-row table, the most a call needs;
+        # every later series reads its rows from it without a new table
+        for points in (2, 257, 383, 384):
+            nus = np.linspace(-1.0, -0.8, points)
+            cold = {}
+            for n_terms in self.SIZES:
+                _backend._last_x_table.clear()
+                cold[n_terms] = _held_series(nus, n_terms)
+            _backend._last_x_table.clear()
+            _held_series(nus, _backend._BLOCK - 1)
+            entry = _backend._last_x_table.get("table")
+            assert (entry is None) == (points > 383)
+            for n_terms in self.SIZES:
+                assert np.array_equal(_held_series(nus, n_terms), cold[n_terms])
+                assert _backend._last_x_table.get("table") is entry
+
+    def test_held_table_serves_a_shorter_series(self, monkeypatch):
+        nus = np.linspace(-1.0, -0.8, 257)
+        _backend._last_x_table.clear()
+        want = _held_series(nus, 11)
+        _held_series(nus, _backend._BLOCK - 1)
+        assert len(_backend._last_x_table["table"][1]) == _backend._BLOCK
+        built = []
+        table = _backend._phase_table
+        monkeypatch.setattr(_backend, "_phase_table",
+                            lambda *args: built.append(args) or table(*args))
+        assert np.array_equal(_held_series(nus, 11), want)
+        assert built == []
+
+    def test_grids_of_several_chunks_hold_nothing(self):
+        for points in (384, 385, 4 * _backend._CHUNK):
+            for n_terms in (25, 186):
+                _held_series(np.linspace(-1.0, -0.8, points), n_terms)
+                assert _backend._last_x_table == {}
+
+    def test_one_ulp_off_misses(self):
+        # the key is x = dt nus: a grid point or a dt one ulp off misses
+        # when it moves x. The curve depends on the grid through x alone, so
+        # a point whose one-ulp move leaves x as it was may hit
+        nus = np.linspace(-1.0, -0.8, 257)
+        dt = 27.98
+        same = dt * np.nextafter(nus, 0.0) == dt * nus
+        kept, moved = nus.copy(), nus.copy()
+        for grid, k in ((kept, np.flatnonzero(same)[0]),
+                        (moved, np.flatnonzero(~same)[0])):
+            grid[k] = np.nextafter(grid[k], 0.0)
+        for n_terms in (25, 186):
+            _backend._last_x_table.clear()
+            cold = _held_series(kept, n_terms)
+            entry = _backend._last_x_table["table"]
+            assert np.array_equal(_held_series(nus, n_terms), cold)
+            assert _backend._last_x_table["table"] is entry
+        for other, other_dt in ((moved, dt), (nus, np.nextafter(dt, 30.0))):
+            assert not np.array_equal(dt * nus, other_dt * other)
+            for n_terms in (25, 186):
+                _backend._last_x_table.clear()
+                cold = _held_series(other, n_terms, other_dt)
+                _held_series(nus, _backend._BLOCK - 1, dt)
+                entry = _backend._last_x_table["table"]
+                got = _held_series(other, n_terms, other_dt)
+                assert np.array_equal(got, cold)
+                assert _backend._last_x_table["table"] is not entry
+                assert _backend._last_x_table["table"][0] == (
+                    other_dt * other).tobytes()
+
+    def test_a_miss_frees_the_held_table_first(self):
+        # a miss drops the held table before it builds the new one, so a
+        # call never holds two: the peak of a miss stays below one table
+        # above what was held before it
+        nus = np.linspace(-1.0, -0.8, 383)
+        table_bytes = _backend._BLOCK * nus.size * 16
+        tracemalloc.start()
+        try:
+            _held_series(nus, _backend._BLOCK - 1)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _held_series(nus, _backend._BLOCK - 1, dt=13.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < table_bytes // 2
+
+    def test_held_table_is_read_only(self):
+        _held_series(np.linspace(-1.0, -0.8, 257), 25)
+        table = _backend._last_x_table["table"][1]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
 
 
 def _uniform_lines(n_lines, norm_scale, turns, seed=0):

@@ -1,27 +1,35 @@
-"""Property tests of the planners on generated moment summaries.
+"""Property tests of the planners on generated moment summaries and
+spectra.
 
 Hypothesis draws what the planners may be told about a spectrum: mu0 from
 1e-3 to 1e4, a mean inside the window, a spread, central orders 3 to 8,
-both window terms and every shots mode. The runs are derandomized, so
-every run checks the same examples.
+both window terms and every shots mode. It also draws normalized spectra
+whose plans are measured: two lines at the window edges, and quantile grids
+of a normal. The runs are derandomized, so every run checks the same
+examples.
 """
 
 import contextlib
 import io
 import math
+import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fouriergit import (
+    DiscreteSpectrum,
     ErrorBudget,
     FormulaValidityError,
     FrequencyWindow,
     KernelSpec,
     MomentSummary,
+    error_report,
     make_plan,
     serialize,
+    summarize,
 )
 from fouriergit.cli import main
 from fouriergit.planner import _SHOTS_MODES, _WINDOW_TERM_MODES
@@ -132,3 +140,41 @@ def test_min_window_term_is_max_on_the_narrower_window(
         assert (a.shots_per_moment, a.total_shots) == (
             b.shots_per_moment, b.total_shots)
         assert a.inputs_echo["window_term"] == b.inputs_echo["window_term"] == d
+
+
+@st.composite
+def _edge_pairs(draw):
+    """A window and a normalized two-line spectrum on its two edges."""
+    window = draw(_windows())
+    p = draw(_log_uniform(1e-4, 0.5))
+    if draw(st.booleans()):
+        p = 1.0 - p
+    return window, DiscreteSpectrum([window.nu_min, window.nu_max], [p, 1.0 - p])
+
+
+@st.composite
+def _normal_quantiles(draw):
+    """A window and a normalized spectrum of equal weights on the midpoint
+    quantiles of a normal whose mean lies inside the window and whose
+    outer quantiles lie inside [-1, 1]."""
+    window = draw(_windows())
+    mean = window.nu_min + draw(st.floats(0.01, 0.99)) * window.span
+    n_lines = draw(st.integers(2, 512))
+    widest = (1.0 - abs(mean)) / statistics.NormalDist().inv_cdf(1 - 0.5 / n_lines)
+    normal = statistics.NormalDist(mean, widest * draw(_log_uniform(1e-3, 0.5)))
+    lines = [normal.inv_cdf((k + 0.5) / n_lines) for k in range(n_lines)]
+    return window, DiscreteSpectrum(lines, np.full(n_lines, 1.0 / n_lines))
+
+
+@pytest.mark.parametrize("n_grid", [257, 1024])
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(st.one_of(_edge_pairs(), _normal_quantiles()))
+def test_measured_truncation_error_within_budget(n_grid, case):
+    # truncation_bound is rigorous, so the measured eps_n of a variance
+    # plan stays within its budget on any normalized spectrum. 257 points
+    # are one resummation chunk, whose x table is held; 1 024 are four
+    window, spectrum = case
+    plan = make_plan("variance", KERNEL, BUDGET, window=window,
+                     moments=summarize(spectrum))
+    report = error_report(spectrum, plan, KERNEL, window, BUDGET, n_grid=n_grid)
+    assert report.eps_n_measured <= BUDGET.eps_n
