@@ -26,9 +26,9 @@ tables, split into real and imaginary rows, and the result meets the
 shorter table elementwise:
 2Q(_BLOCK + 2) real multiplies per grid point for Q blocks, where the
 complex block product takes 4Q _BLOCK. A grid that is one chunk keeps its
-table of the rows exp(i r x), r < _BLOCK, in a one-entry memo
-(_held_table), so later resummations on the same x build only the block
-phases, if any.
+table of the rows exp(i r x) in a one-entry memo (_held_table), so a later
+resummation on the same x and row count builds only the block phases, if
+any. _recall is the one memo rule, also of exact_moments and reconstruct.
 The direct moment kernel takes block 0 (orders below _BLOCK) from one
 matrix-vector product of the low-order table with the weights, the same
 product whatever n_max. Each later block is centered, at c = q _BLOCK +
@@ -448,8 +448,8 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
 
     On a grid that is one chunk (fewer than 1.5 _CHUNK points), the table
     of the rows exp(i r x), the n_terms + 1 orders or the H + 1 cos/sin
-    rows, comes from _held_table, so a later call on the same x reuses it;
-    the U_q table is built on every call.
+    rows, comes from _held_table, so a later call on the same x that needs
+    as many rows reuses it; the U_q table is built on every call.
     """
     nus = _as_f64(nus)
     n = np.arange(1, n_terms + 1, dtype=np.float64)
@@ -498,27 +498,42 @@ _last_x_table: dict = {}
 
 
 def _held_table(x, count):
-    """exp(i r x) for r < count <= _BLOCK, on the x = dt nus of a grid that
-    is one chunk, from a one-entry memo.
+    """_phase_table(x, count) for the x = dt nus of a grid that is one
+    chunk, through the one-entry memo _last_x_table (_recall), keyed on the
+    bytes of x and count. It holds _BLOCK rows of fewer than 1.5 _CHUNK
+    points (_chunk_step) at most, under 0.79 MB."""
+    return _recall(_last_x_table, (x.tobytes(), count),
+                   lambda: _phase_table(x, count))
 
-    The entry is (x bytes, read-only table). A call hits when x has the
-    same bytes and the held table at least count rows; it then gets the
-    first count rows, which are bitwise the table a fresh call builds,
-    since the doubling makes row r the same product whatever the row
-    count (_phase_table). On a miss the entry is dropped before the new
-    table is built, so at most one table is held: _BLOCK rows of a chunk
-    of fewer than 1.5 _CHUNK points (_chunk_step), under 0.79 MB. Threads
-    that miss at once may each build a table; each gets a correct one."""
-    key = x.tobytes()
-    last = _last_x_table.get("table")
-    if last is not None and last[0] == key and len(last[1]) >= count:
-        return last[1][:count]
-    del last  # with the entry, so that the old table is freed first
-    _last_x_table.clear()
-    table = _phase_table(x, count)
-    table.flags.writeable = False
-    _last_x_table["table"] = (key, table)
-    return table
+
+def _recall(memo, key, compute):
+    """compute(), or the result held in memo, a dict of at most one (key,
+    result) entry under "call", when key equals its key and the result's
+    arrays are all still read-only. A miss drops the entry before compute
+    runs, so that at most one result is held, then makes the new result's
+    arrays read-only and holds it. Callers key on content, the bytes of the
+    input arrays and the other arguments, so a written input misses and an
+    equal copy hits. Threads that miss at once may each compute a correct
+    result."""
+    held = memo.get("call")
+    if held is not None and held[0] == key and not any(
+        a.flags.writeable for a in _arrays(held[1])
+    ):
+        return held[1]
+    del held  # with the entry, so that the old result is freed first
+    memo.clear()
+    result = compute()
+    for a in _arrays(result):
+        a.flags.writeable = False
+    memo["call"] = (key, result)
+    return result
+
+
+def _arrays(result):
+    """A memo result's arrays: itself, or a dataclass's array fields."""
+    if isinstance(result, np.ndarray):
+        return (result,)
+    return [v for v in vars(result).values() if isinstance(v, np.ndarray)]
 
 
 def _centered_coefficients(env, moment_values, n_terms):

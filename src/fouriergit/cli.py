@@ -220,7 +220,8 @@ _PLAN_SCHEMA = {
     "delta": (float, 0.02, {"domain": POSITIVE}),
     "sigma_leak": (float, 0.01, {"domain": UNIT}),
     "lam": (float, None, {"domain": POSITIVE}),
-    "norm_scale": (float, 1.0, {"domain": POSITIVE}),
+    "norm_scale": (float, None, {"domain": POSITIVE, "help":
+                                 "default: the spectrum's, else 1"}),
     "eps_p": (float, None, {"domain": POSITIVE}),
     "eps_n": (float, None, {"domain": POSITIVE}),
     "eps_s": (float, None, {"domain": POSITIVE}),
@@ -285,25 +286,29 @@ def cmd_plan(args) -> int:
     eff = _merge(args, _PLAN_SCHEMA)
     method, reads = eff["method"], _METHOD_READS[eff["method"]]
     if eff["spectrum"] is not None:
-        for key in ("mu0", "mu1", "sigma", "central_value"):
+        for key in ("mu0", "mu1", "sigma", "central_value", "norm_scale"):
             if eff[key] is not None:
+                sets = "its norm scale" if key == "norm_scale" else "the moments"
                 raise CliError(f"--spectrum and {_flag(key)} cannot be combined: "
-                               "the spectrum sets the moments")
+                               f"the spectrum sets {sets}")
         # the spectrum gives the moments; the order still picks one
         reads = ("central_order",) if method == "central" else ()
     _require(eff, *reads, *(("window",) if method != "general" else ()))
     for key in ("mu1", "sigma", "central_order", "central_value"):
         if eff[key] is not None and key not in _METHOD_READS[method]:
             raise CliError(f"--method {method} does not read {_flag(key)}")
-    kernel = _build_kernel(eff)
     moments = None
     if eff["spectrum"] is not None:
         spectrum = serialize.read_spectrum(eff["spectrum"])
+        eff["norm_scale"] = spectrum.norm_scale
         if eff["omega_scale"] is None and spectrum.n_eigen > 1:
             om = spectrum.eigenfrequencies
             eff["omega_scale"] = float(om[-1] - om[0]) / (spectrum.n_eigen - 1)
         orders = (2,) if eff["central_order"] is None else (2, eff["central_order"])
         moments = summarize(spectrum, orders=orders)
+    elif eff["norm_scale"] is None:
+        eff["norm_scale"] = 1.0
+    kernel = _build_kernel(eff)
     budget = _build_budget(eff)
     window = None if eff["window"] is None else FrequencyWindow(*eff["window"])
     if moments is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import phase_moment_sums
+from ._backend import _recall, phase_moment_sums
 from ._domain import POSITIVE, at_least, check, check_fields
 from .spectrum import DiscreteSpectrum
 
@@ -74,15 +74,8 @@ class FourierMomentSet:
         return complex(self.values[n]) if n >= 0 else complex(np.conj(self.values[-n]))
 
 
-# The last exact_moments call as one (spectrum, (dt, n_max), result) tuple
-# under "call", replaced whole so that no reader sees a mixed entry.
+# The last exact_moments call, held by _backend._recall.
 _last_exact: dict = {}
-
-
-def _frozen(*arrays: np.ndarray) -> bool:
-    """Whether every array is still read-only, as a memo's inputs and
-    results must be for a memo hit."""
-    return not any(a.flags.writeable for a in arrays)
 
 
 def exact_moments(
@@ -90,26 +83,18 @@ def exact_moments(
 ) -> FourierMomentSet:
     """Exact phase moments m_0 .. m_{n_max} of a discrete spectrum.
 
-    A call on the same spectrum object as the call before, with equal dt
-    and n_max, returns that call's moment set instead of computing it
-    again, while the arrays of both are still read-only.
+    A call on lines and weights of the same bytes as the call before, with
+    equal dt and n_max, returns that call's moment set instead of
+    computing it again, while the set's values are still read-only.
     """
     dt = float(check("dt", dt, POSITIVE))
     n_max = check("n_max", n_max, at_least(0))
-    last = _last_exact.get("call")
-    if (
-        last is not None
-        and last[0] is spectrum
-        and last[1] == (dt, n_max)
-        and _frozen(spectrum.eigenfrequencies, spectrum.weights, last[2].values)
-    ):
-        return last[2]
-    vals = phase_moment_sums(spectrum.eigenfrequencies, spectrum.weights, dt, n_max)
-    result = FourierMomentSet(
-        dt=dt, values=vals, provenance="exact", mu0=spectrum.mu0
+    om, w = spectrum.eigenfrequencies, spectrum.weights
+    return _recall(
+        _last_exact, (om.tobytes(), w.tobytes(), dt, n_max),
+        lambda: FourierMomentSet(dt=dt, values=phase_moment_sums(om, w, dt, n_max),
+                                 provenance="exact", mu0=spectrum.mu0),
     )
-    _last_exact["call"] = (spectrum, (dt, n_max), result)
-    return result
 
 
 def sampled_moments(

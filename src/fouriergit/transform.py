@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import gaussian_transform, reconstruct_series
+from ._backend import _recall, gaussian_transform, reconstruct_series
 from ._domain import POSITIVE, at_least, check
 from .kernel import KernelSpec, PeriodicKernelParams
-from .moments import FourierMomentSet, _frozen, exact_moments
+from .moments import FourierMomentSet, exact_moments
 from .planner import ErrorBudget, ExtensionPlan, FrequencyWindow
 from .spectrum import DiscreteSpectrum
 
@@ -87,8 +87,7 @@ def exact_transform(
     return TransformCurve(grid, vals, kind)
 
 
-# The last fast-path reconstruct call as one (moments, (lam, dt, period,
-# n_terms), result) tuple under "call"; the result's grid is the call's.
+# The last fast-path reconstruct call, held by _backend._recall.
 _last_curve: dict = {}
 
 
@@ -110,10 +109,10 @@ def reconstruct(
     path) and verifies the imaginary residue is negligible.
 
     The moment set must carry at least n_terms orders and match the
-    extension's time step. A fast-path call on the same moment set object
-    as the fast-path call before, with equal lam, dt, period and n_terms
-    and a bit-identical grid, returns that call's curve instead of
-    resumming again, while the arrays of both are still read-only.
+    extension's time step. A fast-path call with moment values and a grid
+    of the same bytes as the fast-path call before, and equal provenance,
+    lam, dt, period and n_terms, returns that call's curve instead of
+    resumming again, while the curve's arrays are still read-only.
     """
     n_terms = check("n_terms", n_terms, at_least(1))
     if n_terms > moments.n_max:
@@ -129,22 +128,12 @@ def reconstruct(
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     kind = "reconstructed" if moments.provenance == "exact" else "sampled_reconstructed"
     if not full_series:
-        args = (kernel.lam, periodic.dt, periodic.period, n_terms)
-        last = _last_curve.get("call")
-        if (
-            last is not None
-            and last[0] is moments
-            and last[1] == args
-            and _frozen(moments.values, last[2].grid, last[2].values)
-            and last[2].grid.size == grid.size
-            and last[2].grid.tobytes() == grid.tobytes()
-        ):
-            return last[2]
-        vals = reconstruct_series(grid, moments.values, periodic.dt,
-                                  kernel.lam, periodic.period, n_terms)
-        result = TransformCurve(grid, vals, kind)
-        _last_curve["call"] = (moments, args, result)
-        return result
+        key = (moments.values.tobytes(), kind, kernel.lam, periodic.dt,
+               periodic.period, n_terms, grid.shape, grid.tobytes())
+        return _recall(_last_curve, key, lambda: TransformCurve(
+            grid, reconstruct_series(grid, moments.values, periodic.dt,
+                                     kernel.lam, periodic.period, n_terms),
+            kind))
     n = np.arange(-n_terms, n_terms + 1)
     m = np.array([moments.moment(int(k)) for k in n])
     env = np.exp(-0.5 * (periodic.dt * kernel.lam) ** 2 * n * n)

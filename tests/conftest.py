@@ -84,6 +84,12 @@ def periodic_line(nu, omega, lam, params):
     )
 
 
+def pytest_generate_tests(metafunc):
+    """Parametrize a MemoContract test's `part` over its class's PARTS."""
+    if "part" in metafunc.fixturenames:
+        metafunc.parametrize("part", metafunc.cls.PARTS)
+
+
 @pytest.fixture(autouse=True)
 def fresh_memos():
     """Empty the one-entry memos of exact_moments, reconstruct and the
@@ -112,3 +118,58 @@ def moment_sums(monkeypatch):
 
     monkeypatch.setattr(moments, "phase_moment_sums", counting)
     return calls
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays hold the same dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class MemoContract:
+    """The one memo rule (_backend._recall), checked on one memo.
+
+    A call whose key, the bytes of its input arrays and its other
+    arguments, equals the held call's returns the held result while that
+    result's arrays are read-only. Any other call computes afresh, and its
+    result replaces the held one. A subclass gives the fixtures `args`
+    (one call's arguments) and `computed` (the list of kernel computations
+    behind the memo), names its key parts in PARTS, and defines call,
+    fresh (the kernel's own result, computed outside the memo), copies
+    (the same key in other objects or types), change (one key part
+    changed alone) and array (the result's values)."""
+
+    PARTS: tuple = ()
+
+    def test_hit_is_bitwise_a_cold_call(self, args, computed):
+        first = self.call(*args)
+        assert same_bits(self.array(first), self.fresh(*args))
+        for other in (args, *self.copies(*args)):
+            assert self.call(*other) is first
+        assert len(computed) == 1
+
+    def test_each_key_part_misses_alone(self, args, computed, part):
+        first = self.call(*args)
+        other = self.change(part, *args)
+        again = self.call(*other)
+        assert again is not first
+        assert len(computed) == 2
+        assert same_bits(self.array(again), self.fresh(*other))
+
+    def test_only_the_last_call_is_kept(self, args, computed):
+        first = self.call(*args)
+        self.call(*self.change(self.PARTS[0], *args))
+        again = self.call(*args)
+        assert again is not first
+        assert len(computed) == 3
+        assert same_bits(self.array(again), self.array(first))
+
+    def test_write_to_unfrozen_result_recomputes(self, args, computed):
+        first = self.call(*args)
+        values = self.array(first)
+        values.setflags(write=True)
+        values[0] = 7.0
+        again = self.call(*args)
+        assert again is not first
+        assert len(computed) == 2
+        assert same_bits(self.array(again), self.fresh(*args))

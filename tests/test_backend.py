@@ -1,8 +1,10 @@
 import functools
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from fouriergit._backend import (
     reconstruct_series,
 )
 
-from conftest import package_env, periodic_line, random_spectrum
+from conftest import MemoContract, package_env, periodic_line, random_spectrum
 
 # orders spanning several phase-power blocks, with a partial last block
 N_MULTI = 3 * _backend._BLOCK + 7
@@ -357,42 +359,46 @@ def _held_series(nus, n_terms, dt=27.98):
     return reconstruct_series(nus, moments, dt, 0.0066, 0.2245, n_terms)
 
 
-class TestHeldXTable:
+_TABLE = _backend._phase_table  # the table kernel, whatever a test counts
+
+
+class TestHeldXTable(MemoContract):
     """The one-entry memo of the x table exp(i r x) of a grid that is one
     chunk: a grid of up to 383 points, since 384 / _CHUNK = 1.5 rounds to
     two chunks of 192."""
 
-    SIZES = (1, 10, 27, 64, 127, 128, 133, 186)
+    PARTS = ("x", "count")
 
-    def test_hit_is_bitwise_a_cold_call(self):
-        # a 127-term series holds the 128-row table, the most a call needs;
-        # every later series reads its rows from it without a new table
-        for points in (2, 257, 383, 384):
-            nus = np.linspace(-1.0, -0.8, points)
-            cold = {}
-            for n_terms in self.SIZES:
-                _backend._last_x_table.clear()
-                cold[n_terms] = _held_series(nus, n_terms)
-            _backend._last_x_table.clear()
-            _held_series(nus, _backend._BLOCK - 1)
-            entry = _backend._last_x_table.get("table")
-            assert (entry is None) == (points > 383)
-            for n_terms in self.SIZES:
-                assert np.array_equal(_held_series(nus, n_terms), cold[n_terms])
-                assert _backend._last_x_table.get("table") is entry
+    @pytest.fixture()
+    def args(self):
+        return 27.98 * np.linspace(-1.0, -0.8, 257), 26
 
-    def test_held_table_serves_a_shorter_series(self, monkeypatch):
-        nus = np.linspace(-1.0, -0.8, 257)
-        _backend._last_x_table.clear()
-        want = _held_series(nus, 11)
-        _held_series(nus, _backend._BLOCK - 1)
-        assert len(_backend._last_x_table["table"][1]) == _backend._BLOCK
+    @pytest.fixture()
+    def computed(self, monkeypatch):
         built = []
-        table = _backend._phase_table
         monkeypatch.setattr(_backend, "_phase_table",
-                            lambda *args: built.append(args) or table(*args))
-        assert np.array_equal(_held_series(nus, 11), want)
-        assert built == []
+                            lambda *args: built.append(args) or _TABLE(*args))
+        return built
+
+    call = staticmethod(_backend._held_table)
+    fresh = staticmethod(_TABLE)
+
+    @staticmethod
+    def copies(x, count):
+        return (x.copy(), count), (x, np.int64(count))
+
+    @staticmethod
+    def change(part, x, count):
+        if part == "x":
+            x = x.copy()
+            x[17] = np.nextafter(x[17], 0.0)
+        else:  # a shorter table is a miss too, not a slice of the held one
+            count -= 1
+        return x, count
+
+    @staticmethod
+    def array(result):
+        return result
 
     def test_grids_of_several_chunks_hold_nothing(self):
         for points in (384, 385, 4 * _backend._CHUNK):
@@ -414,20 +420,20 @@ class TestHeldXTable:
         for n_terms in (25, 186):
             _backend._last_x_table.clear()
             cold = _held_series(kept, n_terms)
-            entry = _backend._last_x_table["table"]
+            entry = _backend._last_x_table["call"]
             assert np.array_equal(_held_series(nus, n_terms), cold)
-            assert _backend._last_x_table["table"] is entry
+            assert _backend._last_x_table["call"] is entry
         for other, other_dt in ((moved, dt), (nus, np.nextafter(dt, 30.0))):
             assert not np.array_equal(dt * nus, other_dt * other)
             for n_terms in (25, 186):
                 _backend._last_x_table.clear()
                 cold = _held_series(other, n_terms, other_dt)
                 _held_series(nus, _backend._BLOCK - 1, dt)
-                entry = _backend._last_x_table["table"]
+                entry = _backend._last_x_table["call"]
                 got = _held_series(other, n_terms, other_dt)
                 assert np.array_equal(got, cold)
-                assert _backend._last_x_table["table"] is not entry
-                assert _backend._last_x_table["table"][0] == (
+                assert _backend._last_x_table["call"] is not entry
+                assert _backend._last_x_table["call"][0][0] == (
                     other_dt * other).tobytes()
 
     def test_a_miss_frees_the_held_table_first(self):
@@ -449,7 +455,7 @@ class TestHeldXTable:
 
     def test_held_table_is_read_only(self):
         _held_series(np.linspace(-1.0, -0.8, 257), 25)
-        table = _backend._last_x_table["table"][1]
+        table = _backend._last_x_table["call"][1]
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 2.0
@@ -806,18 +812,26 @@ class TestDispatch:
         assert active_backend() == "numpy"
 
     def test_import_loads_numpy_only(self):
-        # numpy is the only runtime dependency; no optional accelerator or
-        # special-function package is pulled in at import
+        # numpy is the only runtime dependency: importing the package and
+        # its CLI loads no top-level module outside the stdlib but numpy
         code = (
-            "import sys, fouriergit; "
-            "print(','.join(m for m in ('scipy', 'numba') if m in sys.modules))"
+            "import sys; before = set(sys.modules); "
+            "import fouriergit, fouriergit.cli; "
+            "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(*sorted(loaded - set(sys.stdlib_module_names)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=package_env(),
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == ""
+        assert out.stdout.split() == ["fouriergit", "numpy"]
+
+    def test_numpy_is_the_only_declared_dependency(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+        assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
 
     def test_fft_loaded_only_on_the_uniform_path(self):
         # numpy imports numpy.fft lazily; a process whose moments never

@@ -131,13 +131,14 @@ class TestPlanCommand:
     @pytest.mark.parametrize(
         "key, value",
         [("mu0", "5"), ("mu1", "-0.85"), ("sigma", "0.03"),
-         ("central_value", "1e-3")],
+         ("central_value", "1e-3"), ("norm_scale", "2")],
     )
     def test_moment_input_with_spectrum_refused(
         self, tmp_path, capsys, monkeypatch, model_a_csv, key, value, form
     ):
         # each used to be ignored or to override the spectrum's moment:
-        # --central-value 1e-3 moved a central(4) plan from 24 to 43 terms
+        # --central-value 1e-3 moved a central(4) plan from 24 to 43 terms.
+        # The spectrum's `# norm_scale=` line sets the norm scale alike
         def forbidden(*args, **kwargs):
             raise AssertionError("spectrum read before the refusal")
 
@@ -156,9 +157,32 @@ class TestPlanCommand:
             *argv, "--out", str(out),
         )
         assert (code, text) == (1, "")
+        sets = "its norm scale" if key == "norm_scale" else "the moments"
         assert err == (f"error: --spectrum and {flag} cannot be combined: "
-                       "the spectrum sets the moments\n")
+                       f"the spectrum sets {sets}\n")
         assert not out.exists()
+
+    def test_norm_scale_from_spectrum(self, tmp_path, capsys):
+        # the plan takes the spectrum's `# norm_scale=`: planned with
+        # norm_scale 1 (period 2.0218, 241 terms), model A at norm scale 2
+        # measured eps_p = 0.109 over [-2, 2] against a budget of 0.01
+        spectrum, plan = tmp_path / "a2.csv", tmp_path / "plan.txt"
+        assert run_cli(capsys, "model", "--kind", "A", "--norm-scale", "2",
+                       "--out", str(spectrum))[0] == 0
+        code, _, _ = run_cli(capsys, "plan", "--spectrum", str(spectrum),
+                             "--out", str(plan))
+        assert code == 0
+        planned = serialize.read_plan(plan)
+        assert planned.period == pytest.approx(4.0218, abs=1e-4)
+        assert planned.inputs_echo["norm_scale"] == 2.0
+        code, text, _ = run_cli(
+            capsys, "reconstruct", "--spectrum", str(spectrum), "--plan",
+            str(plan), "--range", "-2", "2", "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 0
+        report = kv(text)
+        assert report["within_period_budget"] is True
+        assert report["eps_p_measured"] <= report["eps_p_target"]
 
     def test_first_moment_input_named(self, capsys, model_a_csv):
         code, _, err = run_cli(

@@ -17,7 +17,7 @@ from fouriergit import (
     sampled_moments,
 )
 
-from conftest import random_spectrum
+from conftest import MemoContract, random_spectrum, same_bits
 
 
 def scalar_sampled_values(spectrum, dt, n_max, shots, seed, clamp=False):
@@ -258,39 +258,47 @@ class TestExactMoments:
                 assert np.array_equal(short.values, long.values[: n_short + 1])
 
 
-class TestExactMomentsMemo:
-    def test_repeated_call_returns_the_same_set(self, model_a, moment_sums):
-        first = exact_moments(model_a, 27.98, 10)
-        # equal arguments of another type are the same key
-        for dt, n_max in ((27.98, 10), (np.float64(27.98), np.int64(10)),
-                          (27.98, 10.0)):
-            assert exact_moments(model_a, dt, n_max) is first
-        assert len(moment_sums) == 1
+class TestExactMomentsMemo(MemoContract):
+    PARTS = ("spectrum", "dt", "n_max")
 
-    @pytest.mark.parametrize("change", ["spectrum", "dt", "n_max"])
-    def test_each_key_part_misses_alone(self, model_a, moment_sums, change):
-        first = exact_moments(model_a, 27.98, 10)
-        spectrum, dt, n_max = model_a, 27.98, 10
-        if change == "spectrum":  # equal content, another object
-            spectrum = DiscreteSpectrum(model_a.eigenfrequencies, model_a.weights)
-        elif change == "dt":
-            dt = float(np.nextafter(27.98, 30.0))
-        else:
-            n_max = 11
-        again = exact_moments(spectrum, dt, n_max)
-        assert again is not first
-        assert len(moment_sums) == 2
-        want = _backend.phase_moment_sums(
-            spectrum.eigenfrequencies, spectrum.weights, dt, n_max
+    @pytest.fixture()
+    def args(self, model_a):
+        return model_a, 27.98, 10
+
+    @pytest.fixture()
+    def computed(self, moment_sums):
+        return moment_sums
+
+    call = staticmethod(exact_moments)
+
+    @staticmethod
+    def fresh(spectrum, dt, n_max):
+        return _backend.phase_moment_sums(
+            spectrum.eigenfrequencies, spectrum.weights, float(dt), int(n_max)
         )
-        assert np.array_equal(again.values, want)
-        assert again.dt == dt
 
-    def test_only_the_last_call_is_kept(self, model_a, moment_sums):
-        a = exact_moments(model_a, 27.98, 10)
-        exact_moments(model_a, 28.0, 10)
-        assert exact_moments(model_a, 27.98, 10) is not a
-        assert len(moment_sums) == 3
+    @staticmethod
+    def copies(spectrum, dt, n_max):
+        equal = DiscreteSpectrum(spectrum.eigenfrequencies.copy(),
+                                 spectrum.weights.copy(), spectrum.norm_scale)
+        return ((equal, dt, n_max), (spectrum, np.float64(dt), np.int64(n_max)),
+                (spectrum, dt, float(n_max)))
+
+    @staticmethod
+    def change(part, spectrum, dt, n_max):
+        if part == "spectrum":  # one line one ulp up
+            lines = spectrum.eigenfrequencies.copy()
+            lines[3] = np.nextafter(lines[3], lines[4])
+            spectrum = DiscreteSpectrum(lines, spectrum.weights)
+        elif part == "dt":
+            dt = float(np.nextafter(dt, 30.0))
+        else:
+            n_max += 1
+        return spectrum, dt, n_max
+
+    @staticmethod
+    def array(result):
+        return result.values
 
     def test_checks_run_before_the_memo(self, model_a):
         exact_moments(model_a, 27.98, 10)
@@ -301,28 +309,19 @@ class TestExactMomentsMemo:
 
     @pytest.mark.parametrize("array", ["eigenfrequencies", "weights"])
     def test_write_to_unfrozen_spectrum_recomputes(self, moment_sums, array):
+        # written and then made read-only again: the bytes changed, so the
+        # key did
         s = random_spectrum(4, n=16, normalized=True)
         first = exact_moments(s, 1.3, 6)
         arr = getattr(s, array)
         arr.setflags(write=True)
         arr[3] *= 0.5
+        arr.setflags(write=False)
         again = exact_moments(s, 1.3, 6)
         assert again is not first
         assert len(moment_sums) == 2
-        want = _backend.phase_moment_sums(s.eigenfrequencies, s.weights, 1.3, 6)
-        assert np.array_equal(again.values, want)
+        assert same_bits(again.values, self.fresh(s, 1.3, 6))
         assert again.mu0 == s.mu0
-
-    def test_write_to_unfrozen_result_recomputes(self, model_a):
-        first = exact_moments(model_a, 27.98, 10)
-        first.values.setflags(write=True)
-        first.values[2] = 7.0
-        again = exact_moments(model_a, 27.98, 10)
-        assert again is not first
-        want = _backend.phase_moment_sums(
-            model_a.eigenfrequencies, model_a.weights, 27.98, 10
-        )
-        assert np.array_equal(again.values, want)
 
     def test_seeds_share_one_exact_set(self, model_a, moment_sums):
         for seed in range(50):

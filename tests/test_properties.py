@@ -5,8 +5,8 @@ Hypothesis draws what the planners may be told about a spectrum: mu0 from
 1e-3 to 1e4, a mean inside the window, a spread, central orders 3 to 8,
 both window terms and every shots mode. It also draws normalized spectra
 whose plans are measured: two lines at the window edges, and quantile grids
-of a normal. The runs are derandomized, so every run checks the same
-examples.
+of a normal. A last test interleaves memoized calls on such inputs. The
+runs are derandomized, so every run checks the same examples.
 """
 
 import contextlib
@@ -23,16 +23,23 @@ from fouriergit import (
     DiscreteSpectrum,
     ErrorBudget,
     FormulaValidityError,
+    FourierMomentSet,
     FrequencyWindow,
     KernelSpec,
     MomentSummary,
+    PeriodicKernelParams,
+    _backend,
     error_report,
+    exact_moments,
     make_plan,
+    reconstruct,
     serialize,
     summarize,
 )
 from fouriergit.cli import main
 from fouriergit.planner import _SHOTS_MODES, _WINDOW_TERM_MODES
+
+from conftest import random_spectrum, same_bits
 
 KERNEL = KernelSpec.from_resolution(0.02, 0.01, 1.0)
 BUDGET = ErrorBudget(0.01, 0.01, 0.05, 2.0 / 512.0, 0.05)  # the CLI defaults
@@ -178,3 +185,95 @@ def test_measured_truncation_error_within_budget(n_grid, case):
                      moments=summarize(spectrum))
     report = error_report(spectrum, plan, KERNEL, window, BUDGET, n_grid=n_grid)
     assert report.eps_n_measured <= BUDGET.eps_n
+
+
+_MEMO_PERIOD = PeriodicKernelParams.from_period(0.5, KERNEL)
+# one resummation chunk, whose x table is held, and two chunks
+_MEMO_GRIDS = (np.linspace(-1.0, -0.5, 257), np.linspace(-1.0, 1.0, 520))
+_MEMO_ORDERS = (20, 140)  # one block and centered blocks
+
+
+def _one_ulp(array, k):
+    """A copy of array with entry k moved one ulp up, read-only."""
+    out = array.copy()
+    out.real[k] = np.nextafter(out.real[k], np.inf)
+    out.setflags(write=False)
+    return out
+
+
+def _written(array, k):
+    """array with entry k moved one ulp up in place: made writable,
+    written and made read-only again."""
+    array.setflags(write=True)
+    array.real[k] = np.nextafter(array.real[k], np.inf)
+    array.setflags(write=False)
+    return array
+
+
+def _cold_series(grid, moments, n_terms):
+    """The resummation with its x-table memo emptied for the call and
+    restored after, so that the result is the kernel's own."""
+    held = dict(_backend._last_x_table)
+    _backend._last_x_table.clear()
+    try:
+        return _backend.reconstruct_series(
+            grid, moments.values, _MEMO_PERIOD.dt, KERNEL.lam,
+            _MEMO_PERIOD.period, n_terms,
+        )
+    finally:
+        _backend._last_x_table.clear()
+        _backend._last_x_table.update(held)
+
+
+_CHANGES = st.sampled_from(["same", "copy", "ulp", "write"])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(
+    st.tuples(st.sampled_from(["moments", "reconstruct"]), _CHANGES, _CHANGES,
+              st.integers(0, 15), st.sampled_from(_MEMO_ORDERS),
+              st.sampled_from(range(len(_MEMO_GRIDS)))),
+    min_size=1, max_size=12,
+))
+def test_memos_return_the_fresh_kernel_result(calls):
+    # exact_moments, reconstruct and the x table each hold their last call
+    # keyed on content: an equal copy hits, and a one-ulp change or an
+    # input written in place and frozen again misses. Every result, held
+    # or computed, is bitwise what the kernels compute afresh. A call
+    # changes the spectrum, or the grid and the moment set, each alone
+    start = random_spectrum(3, n=16, normalized=True)
+    spectrum = DiscreteSpectrum(start.eigenfrequencies, start.weights)
+    moments = exact_moments(spectrum, _MEMO_PERIOD.dt, max(_MEMO_ORDERS))
+    grids = [g.copy() for g in _MEMO_GRIDS]
+    for call, change, moment_change, k, n_terms, which in calls:
+        if call == "moments":
+            lines, weights = spectrum.eigenfrequencies, spectrum.weights
+            if change == "copy":
+                spectrum = DiscreteSpectrum(lines.copy(), weights.copy())
+            elif change == "ulp":
+                spectrum = DiscreteSpectrum(lines, _one_ulp(weights, k))
+            elif change == "write":
+                _written(weights, k)
+            moments = exact_moments(spectrum, _MEMO_PERIOD.dt, n_terms)
+            assert same_bits(moments.values, _backend.phase_moment_sums(
+                spectrum.eigenfrequencies, spectrum.weights, _MEMO_PERIOD.dt,
+                n_terms))
+            continue
+        grid = grids[which]
+        if change == "copy":
+            grid = grids[which] = grid.copy()
+        elif change == "ulp":
+            grid = grids[which] = _one_ulp(grid, k)
+        elif change == "write":
+            _written(grid, k)
+        if moment_change != "same":
+            # a set of its own, so that the held exact set stays unwritten
+            values = moments.values
+            if moment_change == "ulp":
+                values = _one_ulp(values, k)
+            moments = FourierMomentSet(moments.dt, values, "exact", moments.mu0)
+            if moment_change == "write":
+                _written(moments.values, k)
+        n_terms = min(n_terms, moments.n_max)
+        curve = reconstruct(moments, KERNEL, _MEMO_PERIOD, n_terms, grid)
+        assert same_bits(curve.values, _cold_series(grid, moments, n_terms))

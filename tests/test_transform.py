@@ -23,7 +23,7 @@ from fouriergit import (
     truncation_bound,
 )
 
-from conftest import random_spectrum
+from conftest import MemoContract, random_spectrum, same_bits
 
 
 def mp_transform(spectrum, lam, nu, period=None, images=40):
@@ -249,58 +249,64 @@ def resummations(monkeypatch):
     return calls
 
 
-class TestReconstructMemo:
+class TestReconstructMemo(MemoContract):
+    PARTS = ("moments", "lam", "period", "n_terms", "grid", "grid_size")
+
     @pytest.fixture()
-    def inputs(self, model_a, kernel001):
+    def args(self, model_a, kernel001):
         params = PeriodicKernelParams.from_period(0.3, kernel001)
         moments = exact_moments(model_a, params.dt, 30)
-        return moments, kernel001, params, np.linspace(-1.0, -0.8, 41)
+        return moments, kernel001, params, 30, np.linspace(-1.0, -0.8, 41)
 
-    def test_repeated_call_returns_the_same_curve(self, inputs, resummations):
-        moments, kernel, params, grid = inputs
-        first = reconstruct(moments, kernel, params, 30, grid)
-        # an equal grid in another object or type is the same key
-        for g in (grid, grid.copy(), list(grid)):
-            assert reconstruct(moments, kernel, params, 30, g) is first
-        assert len(resummations) == 1
+    @pytest.fixture()
+    def computed(self, resummations):
+        return resummations
 
-    @pytest.mark.parametrize(
-        "change", ["moments", "lam", "period", "n_terms", "grid", "grid_size"]
-    )
-    def test_each_key_part_misses_alone(self, inputs, resummations, change):
-        moments, kernel, params, grid = inputs
-        first = reconstruct(moments, kernel, params, 30, grid)
-        n_terms = 30
-        if change == "moments":  # equal content, another object
-            moments = FourierMomentSet(moments.dt, moments.values, "exact",
-                                       moments.mu0)
-        elif change == "lam":
+    call = staticmethod(reconstruct)
+
+    @staticmethod
+    def fresh(moments, kernel, params, n_terms, grid):
+        return _backend.reconstruct_series(
+            np.asarray(grid, dtype=np.float64), moments.values, params.dt,
+            kernel.lam, params.period, int(n_terms),
+        )
+
+    @staticmethod
+    def copies(moments, kernel, params, n_terms, grid):
+        equal = FourierMomentSet(moments.dt, moments.values.copy(), "exact",
+                                 moments.mu0)
+        return ((equal, kernel, params, n_terms, grid.copy()),
+                (moments, kernel, params, float(n_terms), list(grid)))
+
+    @staticmethod
+    def change(part, moments, kernel, params, n_terms, grid):
+        if part == "moments":  # one moment one ulp up
+            values = moments.values.copy()
+            values[5] = complex(np.nextafter(values[5].real, 1.0), values[5].imag)
+            moments = FourierMomentSet(moments.dt, values, "exact", moments.mu0)
+        elif part == "lam":
             kernel = KernelSpec(kernel.delta, kernel.sigma_leak,
                                 kernel.lam * 0.99, kernel.norm_scale)
-        elif change == "period":  # one ulp, within the dt match check
+        elif part == "period":  # one ulp, within the dt match check
             params = PeriodicKernelParams.from_period(
                 float(np.nextafter(params.period, 1.0)), kernel
             )
             assert params.period != 0.3
-        elif change == "n_terms":
-            n_terms = 29
-        elif change == "grid":
+        elif part == "n_terms":
+            n_terms -= 1
+        elif part == "grid":
             grid = grid.copy()
             grid[17] = np.nextafter(grid[17], 0.0)
         else:
             grid = grid[:-1]
-        again = reconstruct(moments, kernel, params, n_terms, grid)
-        assert again is not first
-        assert len(resummations) == 2
-        want = _backend.reconstruct_series(
-            np.asarray(grid), moments.values, params.dt, kernel.lam,
-            params.period, n_terms,
-        )
-        assert np.array_equal(again.values, want)
-        assert np.array_equal(again.grid, grid)
+        return moments, kernel, params, n_terms, grid
 
-    def test_full_series_is_never_cached(self, inputs, resummations):
-        moments, kernel, params, grid = inputs
+    @staticmethod
+    def array(result):
+        return result.values
+
+    def test_full_series_is_never_cached(self, args, resummations):
+        moments, kernel, params, n_terms, grid = args
         fast = reconstruct(moments, kernel, params, 30, grid)
         full = reconstruct(moments, kernel, params, 30, grid, full_series=True)
         again = reconstruct(moments, kernel, params, 30, grid, full_series=True)
@@ -309,8 +315,8 @@ class TestReconstructMemo:
         assert reconstruct(moments, kernel, params, 30, grid) is fast
         assert len(resummations) == 1
 
-    def test_checks_run_before_the_memo(self, inputs, kernel001):
-        moments, kernel, params, grid = inputs
+    def test_checks_run_before_the_memo(self, args, kernel001):
+        moments, kernel, params, n_terms, grid = args
         reconstruct(moments, kernel, params, 30, grid)
         with pytest.raises(ValueError, match="exceeds the stored moment range"):
             reconstruct(moments, kernel, params, 31, grid)
@@ -319,31 +325,23 @@ class TestReconstructMemo:
             reconstruct(moments, kernel, other, 30, grid)
 
     def test_write_to_unfrozen_moments_recomputes(self, kernel001, resummations):
+        # written and then made read-only again: the bytes changed, so the
+        # key did
         params = PeriodicKernelParams.from_period(0.3, kernel001)
         s = random_spectrum(6, n=16, normalized=True)
-        moments = exact_moments(s, params.dt, 12)
+        values = exact_moments(s, params.dt, 12).values
+        moments = FourierMomentSet(params.dt, values, "exact", s.mu0)
         grid = np.linspace(-0.5, 0.5, 9)
         first = reconstruct(moments, kernel001, params, 12, grid)
         moments.values.setflags(write=True)
         moments.values[3] = 0.25
+        moments.values.setflags(write=False)
         again = reconstruct(moments, kernel001, params, 12, grid)
         assert again is not first
         assert len(resummations) == 2
-        want = _backend.reconstruct_series(
-            grid, moments.values, params.dt, kernel001.lam, params.period, 12
-        )
-        assert np.array_equal(again.values, want)
+        want = self.fresh(moments, kernel001, params, 12, grid)
+        assert same_bits(again.values, want)
         assert not np.array_equal(again.values, first.values)
-
-    def test_write_to_unfrozen_curve_recomputes(self, inputs, resummations):
-        moments, kernel, params, grid = inputs
-        first = reconstruct(moments, kernel, params, 30, grid)
-        first.values.setflags(write=True)
-        first.values[0] = -1.0
-        again = reconstruct(moments, kernel, params, 30, grid)
-        assert again is not first
-        assert again.values[0] != -1.0
-        assert len(resummations) == 2
 
     def test_readme_flow_computes_each_step_once(
         self, model_a, kernel001, budget001, stats_a, window_model,
