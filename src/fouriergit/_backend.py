@@ -28,7 +28,8 @@ shorter table elementwise:
 complex block product takes 4Q _BLOCK. A grid that is one chunk keeps its
 table of the rows exp(i r x) in a one-entry memo (_held_table), so a later
 resummation on the same x and row count builds only the block phases, if
-any. _recall is the one memo rule, also of exact_moments and reconstruct.
+any. _recall is the one memo rule, also of exact_moments and reconstruct:
+a hit is an equal key, since every held array is _frozen.
 The direct moment kernel takes block 0 (orders below _BLOCK) from one
 matrix-vector product of the low-order table with the weights, the same
 product whatever n_max. Each later block is centered, at c = q _BLOCK +
@@ -494,46 +495,43 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     return (moment_values[0].real + 2.0 * out) / period
 
 
-_last_x_table: dict = {}
-
-
 def _held_table(x, count):
-    """_phase_table(x, count) for the x = dt nus of a grid that is one
-    chunk, through the one-entry memo _last_x_table (_recall), keyed on the
-    bytes of x and count. It holds _BLOCK rows of fewer than 1.5 _CHUNK
-    points (_chunk_step) at most, under 0.79 MB."""
-    return _recall(_last_x_table, (x.tobytes(), count),
-                   lambda: _phase_table(x, count))
+    """_phase_table(x, count), read-only, for the x = dt nus of a grid that
+    is one chunk, held by _recall under "x_table" and keyed on the bytes of
+    x and count. It holds _BLOCK rows of fewer than 1.5 _CHUNK points
+    (_chunk_step) at most, under 0.79 MB."""
+    return _recall("x_table", (x.tobytes(), count),
+                   lambda: _frozen(_phase_table(x, count)))
 
 
-def _recall(memo, key, compute):
-    """compute(), or the result held in memo, a dict of at most one (key,
-    result) entry under "call", when key equals its key and the result's
-    arrays are all still read-only. A miss drops the entry before compute
-    runs, so that at most one result is held, then makes the new result's
-    arrays read-only and holds it. Callers key on content, the bytes of the
-    input arrays and the other arguments, so a written input misses and an
-    equal copy hits. Threads that miss at once may each compute a correct
-    result."""
-    held = memo.get("call")
-    if held is not None and held[0] == key and not any(
-        a.flags.writeable for a in _arrays(held[1])
-    ):
+# The one-entry memos: site -> (key, result) of that site's last call.
+_memos: dict = {}
+
+
+def _recall(site, key, compute):
+    """compute(), or the result held for site when key equals its key. A
+    miss drops the site's entry before compute runs, so that at most one
+    result per site is held, then holds the new result. Callers key on
+    content, the bytes of the input arrays and the other arguments, so a
+    written input misses and an equal copy hits, and return results whose
+    arrays are _frozen, so a held result cannot change. Threads that miss
+    at once may each compute a correct result."""
+    held = _memos.get(site)
+    if held is not None and held[0] == key:
         return held[1]
     del held  # with the entry, so that the old result is freed first
-    memo.clear()
+    _memos.pop(site, None)
     result = compute()
-    for a in _arrays(result):
-        a.flags.writeable = False
-    memo["call"] = (key, result)
+    _memos[site] = (key, result)
     return result
 
 
-def _arrays(result):
-    """A memo result's arrays: itself, or a dataclass's array fields."""
-    if isinstance(result, np.ndarray):
-        return (result,)
-    return [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+def _frozen(array):
+    """A read-only view of array, after making array read-only. array must
+    own its data: numpy then refuses to make the view writable again, so
+    only a write through .base, which is not API, still reaches it."""
+    array.setflags(write=False)
+    return array.view()
 
 
 def _centered_coefficients(env, moment_values, n_terms):

@@ -222,9 +222,9 @@ _PLAN_SCHEMA = {
     "lam": (float, None, {"domain": POSITIVE}),
     "norm_scale": (float, None, {"domain": POSITIVE, "help":
                                  "default: the spectrum's, else 1"}),
-    "eps_p": (float, None, {"domain": POSITIVE}),
-    "eps_n": (float, None, {"domain": POSITIVE}),
-    "eps_s": (float, None, {"domain": POSITIVE}),
+    "eps_p": (float, 0.01, {"domain": POSITIVE}),
+    "eps_n": (float, 0.01, {"domain": POSITIVE}),
+    "eps_s": (float, 0.05, {"domain": POSITIVE}),
     "confidence_delta": (float, 0.05, {"domain": UNIT}),
     "omega_scale": (float, None, {"domain": POSITIVE, "help":
                                   "window scale (default: model level spacing)"}),
@@ -248,10 +248,8 @@ def _build_budget(eff) -> ErrorBudget:
     omega = eff["omega_scale"]
     if omega is None:
         omega = 2.0 * eff["norm_scale"] / 512.0
-    eps_p = eff["eps_p"] if eff["eps_p"] is not None else 0.01
-    eps_n = eff["eps_n"] if eff["eps_n"] is not None else 0.01
-    eps_s = eff["eps_s"] if eff["eps_s"] is not None else 0.05
-    return ErrorBudget(eps_p, eps_n, eps_s, omega, eff["confidence_delta"])
+    return ErrorBudget(eff["eps_p"], eff["eps_n"], eff["eps_s"], omega,
+                       eff["confidence_delta"])
 
 
 def _build_kernel(eff) -> KernelSpec:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import _recall, phase_moment_sums
+from ._backend import _frozen, _recall, phase_moment_sums
 from ._domain import POSITIVE, at_least, check, check_fields
 from .spectrum import DiscreteSpectrum
 
@@ -60,8 +60,7 @@ class FourierMomentSet:
             if self.shots_per_part is None or self.seed is None:
                 raise ValueError("sampled moments need shots_per_part and seed")
             check_fields(self, shots_per_part=at_least(1), seed=at_least(0))
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals))
 
     @property
     def n_max(self) -> int:
@@ -74,10 +73,6 @@ class FourierMomentSet:
         return complex(self.values[n]) if n >= 0 else complex(np.conj(self.values[-n]))
 
 
-# The last exact_moments call, held by _backend._recall.
-_last_exact: dict = {}
-
-
 def exact_moments(
     spectrum: DiscreteSpectrum, dt: float, n_max: int
 ) -> FourierMomentSet:
@@ -85,13 +80,13 @@ def exact_moments(
 
     A call on lines and weights of the same bytes as the call before, with
     equal dt and n_max, returns that call's moment set instead of
-    computing it again, while the set's values are still read-only.
+    computing it again (_recall); its values cannot be made writable.
     """
     dt = float(check("dt", dt, POSITIVE))
     n_max = check("n_max", n_max, at_least(0))
     om, w = spectrum.eigenfrequencies, spectrum.weights
     return _recall(
-        _last_exact, (om.tobytes(), w.tobytes(), dt, n_max),
+        "exact_moments", (om.tobytes(), w.tobytes(), dt, n_max),
         lambda: FourierMomentSet(dt=dt, values=phase_moment_sums(om, w, dt, n_max),
                                  provenance="exact", mu0=spectrum.mu0),
     )

@@ -125,9 +125,10 @@ def _read_csv_with_metadata(path, columns=None):
     columns, when given, is a sequence of (name, converter) pairs: the
     header must start with those names, and each row is returned as its
     converted leading cells. A row of the wrong width or a cell that does
-    not convert raises ValueError naming path:line.
+    not convert raises ValueError naming path:line. The bodies of the
+    comment lines that hold '=' go through the key=value parser.
     """
-    metadata = {}
+    bodies = []
     rows = []
     with open(path, "r", newline="") as fh:
         header = None
@@ -136,10 +137,9 @@ def _read_csv_with_metadata(path, columns=None):
             if not line:
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
+                body = line.lstrip("#")
                 if "=" in body:
-                    key, _, val = body.partition("=")
-                    metadata[key.strip()] = parse_value(val)
+                    bodies.append(body)
                 continue
             cells = next(csv.reader([line]))
             if header is None:
@@ -165,7 +165,7 @@ def _read_csv_with_metadata(path, columns=None):
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no CSV header found")
-    return header, rows, metadata
+    return header, rows, _typed(_read_pairs(bodies, path))
 
 
 def _number(value) -> float:

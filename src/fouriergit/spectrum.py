@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._backend import _frozen
 from ._domain import FINITE, NONNEGATIVE, POSITIVE, at_least, check, check_fields
 
 _WEIGHT_FLOOR = 1e-300  # weights below this underflow to 0 in the models
@@ -123,10 +124,8 @@ class DiscreteSpectrum:
                 f"all |eigenfrequencies| must be <= norm_scale={self.norm_scale}"
             )
         w[w < _WEIGHT_FLOOR] = 0.0
-        om.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "eigenfrequencies", om)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "eigenfrequencies", _frozen(om))
+        object.__setattr__(self, "weights", _frozen(w))
 
     @property
     def n_eigen(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import _recall, gaussian_transform, reconstruct_series
+from ._backend import _frozen, _recall, gaussian_transform, reconstruct_series
 from ._domain import POSITIVE, at_least, check
 from .kernel import KernelSpec, PeriodicKernelParams
 from .moments import FourierMomentSet, exact_moments
@@ -50,10 +50,8 @@ class TransformCurve:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.kind.startswith("exact") and (v < -1e-15 * max(1.0, v.max(initial=0.0))).any():
             raise ValueError(f"{self.kind} values must be nonnegative")
-        g.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "grid", _frozen(g))
+        object.__setattr__(self, "values", _frozen(v))
 
 
 def exact_transform(
@@ -87,10 +85,6 @@ def exact_transform(
     return TransformCurve(grid, vals, kind)
 
 
-# The last fast-path reconstruct call, held by _backend._recall.
-_last_curve: dict = {}
-
-
 def reconstruct(
     moments: FourierMomentSet,
     kernel: KernelSpec,
@@ -112,7 +106,7 @@ def reconstruct(
     extension's time step. A fast-path call with moment values and a grid
     of the same bytes as the fast-path call before, and equal provenance,
     lam, dt, period and n_terms, returns that call's curve instead of
-    resumming again, while the curve's arrays are still read-only.
+    resumming again (_recall); its arrays cannot be made writable.
     """
     n_terms = check("n_terms", n_terms, at_least(1))
     if n_terms > moments.n_max:
@@ -130,7 +124,7 @@ def reconstruct(
     if not full_series:
         key = (moments.values.tobytes(), kind, kernel.lam, periodic.dt,
                periodic.period, n_terms, grid.shape, grid.tobytes())
-        return _recall(_last_curve, key, lambda: TransformCurve(
+        return _recall("reconstruct", key, lambda: TransformCurve(
             grid, reconstruct_series(grid, moments.values, periodic.dt,
                                      kernel.lam, periodic.period, n_terms),
             kind))

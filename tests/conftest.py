@@ -96,11 +96,9 @@ def fresh_memos():
     resummation's x table before each test, so that a count of
     computations does not depend on which test ran before on the same
     session-scoped spectrum or grid."""
-    from fouriergit import _backend, moments, transform
+    from fouriergit import _backend
 
-    moments._last_exact.clear()
-    transform._last_curve.clear()
-    _backend._last_x_table.clear()
+    _backend._memos.clear()
 
 
 @pytest.fixture()
@@ -130,8 +128,8 @@ class MemoContract:
     """The one memo rule (_backend._recall), checked on one memo.
 
     A call whose key, the bytes of its input arrays and its other
-    arguments, equals the held call's returns the held result while that
-    result's arrays are read-only. Any other call computes afresh, and its
+    arguments, equals the held call's returns the held result, whose
+    arrays cannot be made writable. Any other call computes afresh, and its
     result replaces the held one. A subclass gives the fixtures `args`
     (one call's arguments) and `computed` (the list of kernel computations
     behind the memo), names its key parts in PARTS, and defines call,
@@ -164,12 +162,10 @@ class MemoContract:
         assert len(computed) == 3
         assert same_bits(self.array(again), self.array(first))
 
-    def test_write_to_unfrozen_result_recomputes(self, args, computed):
+    def test_result_cannot_be_made_writable(self, args, computed):
         first = self.call(*args)
-        values = self.array(first)
-        values.setflags(write=True)
-        values[0] = 7.0
-        again = self.call(*args)
-        assert again is not first
-        assert len(computed) == 2
-        assert same_bits(self.array(again), self.fresh(*args))
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            self.array(first).setflags(write=True)
+        assert self.call(*args) is first
+        assert len(computed) == 1
+        assert same_bits(self.array(first), self.fresh(*args))

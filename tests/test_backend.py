@@ -1,3 +1,4 @@
+import ast
 import functools
 import math
 import re
@@ -272,7 +273,7 @@ class TestNumpyKernels:
                                    (4 * chunk, [chunk] * 4),
                                    (9 * chunk // 4 + 1, [289, 288])):
                 sizes.clear()
-                _backend._last_x_table.clear()
+                _backend._memos.clear()
                 reconstruct_series(np.linspace(-1.0, 1.0, points), moments,
                                    27.98, 0.0066, 0.2245, n_terms)
                 assert sizes == [c for c in chunks for _ in range(tables)]
@@ -404,7 +405,7 @@ class TestHeldXTable(MemoContract):
         for points in (384, 385, 4 * _backend._CHUNK):
             for n_terms in (25, 186):
                 _held_series(np.linspace(-1.0, -0.8, points), n_terms)
-                assert _backend._last_x_table == {}
+                assert "x_table" not in _backend._memos
 
     def test_one_ulp_off_misses(self):
         # the key is x = dt nus: a grid point or a dt one ulp off misses
@@ -418,22 +419,22 @@ class TestHeldXTable(MemoContract):
                         (moved, np.flatnonzero(~same)[0])):
             grid[k] = np.nextafter(grid[k], 0.0)
         for n_terms in (25, 186):
-            _backend._last_x_table.clear()
+            _backend._memos.clear()
             cold = _held_series(kept, n_terms)
-            entry = _backend._last_x_table["call"]
+            entry = _backend._memos["x_table"]
             assert np.array_equal(_held_series(nus, n_terms), cold)
-            assert _backend._last_x_table["call"] is entry
+            assert _backend._memos["x_table"] is entry
         for other, other_dt in ((moved, dt), (nus, np.nextafter(dt, 30.0))):
             assert not np.array_equal(dt * nus, other_dt * other)
             for n_terms in (25, 186):
-                _backend._last_x_table.clear()
+                _backend._memos.clear()
                 cold = _held_series(other, n_terms, other_dt)
                 _held_series(nus, _backend._BLOCK - 1, dt)
-                entry = _backend._last_x_table["call"]
+                entry = _backend._memos["x_table"]
                 got = _held_series(other, n_terms, other_dt)
                 assert np.array_equal(got, cold)
-                assert _backend._last_x_table["call"] is not entry
-                assert _backend._last_x_table["call"][0][0] == (
+                assert _backend._memos["x_table"] is not entry
+                assert _backend._memos["x_table"][0][0] == (
                     other_dt * other).tobytes()
 
     def test_a_miss_frees_the_held_table_first(self):
@@ -455,10 +456,30 @@ class TestHeldXTable(MemoContract):
 
     def test_held_table_is_read_only(self):
         _held_series(np.linspace(-1.0, -0.8, 257), 25)
-        table = _backend._last_x_table["call"][1]
+        table = _backend._memos["x_table"][1]
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 2.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            table.setflags(write=True)
+
+
+def test_only_frozen_sets_writeable_flags():
+    # every value array is made read-only by _backend._frozen alone, so no
+    # module freezes an array its own way or reads the flag to trust it
+    src = Path(__file__).resolve().parents[1] / "src" / "fouriergit"
+    tree = ast.parse((src / "_backend.py").read_text())
+    frozen = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_frozen")
+    inside = {("_backend.py", n)
+              for n in range(frozen.lineno, frozen.end_lineno + 1)}
+    found = {
+        (path.name, n)
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"setflags\(|flags\.writeable", line)
+    }
+    assert found and found <= inside, sorted(found - inside)
 
 
 def _uniform_lines(n_lines, norm_scale, turns, seed=0):

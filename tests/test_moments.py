@@ -91,6 +91,8 @@ class TestFourierMomentSet:
         ms = FourierMomentSet(dt=1.0, values=[1.0, 0.5j], provenance="exact", mu0=1.0)
         with pytest.raises(ValueError):
             ms.values[0] = 0.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            ms.values.setflags(write=True)
 
     def test_negative_orders_conjugate(self):
         ms = FourierMomentSet(
@@ -309,11 +311,11 @@ class TestExactMomentsMemo(MemoContract):
 
     @pytest.mark.parametrize("array", ["eigenfrequencies", "weights"])
     def test_write_to_unfrozen_spectrum_recomputes(self, moment_sums, array):
-        # written and then made read-only again: the bytes changed, so the
-        # key did
+        # written through .base, the one route around the frozen view, and
+        # made read-only again: the bytes changed, so the key did
         s = random_spectrum(4, n=16, normalized=True)
         first = exact_moments(s, 1.3, 6)
-        arr = getattr(s, array)
+        arr = getattr(s, array).base
         arr.setflags(write=True)
         arr[3] *= 0.5
         arr.setflags(write=False)

@@ -149,28 +149,38 @@ def test_min_window_term_is_max_on_the_narrower_window(
         assert a.inputs_echo["window_term"] == b.inputs_echo["window_term"] == d
 
 
+def _at_scale(draw, window, lines, weights):
+    """The window and the spectrum of the given lines, all times a
+    norm_scale drawn log-uniformly from 1e-3 to 1e4, and that scale."""
+    scale = draw(_log_uniform(1e-3, 1e4))
+    window = FrequencyWindow(window.nu_min * scale, window.nu_max * scale)
+    lines = np.multiply(lines, scale)
+    return scale, window, DiscreteSpectrum(lines, weights, norm_scale=scale)
+
+
 @st.composite
 def _edge_pairs(draw):
-    """A window and a normalized two-line spectrum on its two edges."""
+    """A window and a normalized two-line spectrum on its two edges, at a
+    drawn norm scale."""
     window = draw(_windows())
     p = draw(_log_uniform(1e-4, 0.5))
     if draw(st.booleans()):
         p = 1.0 - p
-    return window, DiscreteSpectrum([window.nu_min, window.nu_max], [p, 1.0 - p])
+    return _at_scale(draw, window, [window.nu_min, window.nu_max], [p, 1.0 - p])
 
 
 @st.composite
 def _normal_quantiles(draw):
     """A window and a normalized spectrum of equal weights on the midpoint
     quantiles of a normal whose mean lies inside the window and whose
-    outer quantiles lie inside [-1, 1]."""
+    outer quantiles lie inside [-1, 1], at a drawn norm scale."""
     window = draw(_windows())
     mean = window.nu_min + draw(st.floats(0.01, 0.99)) * window.span
     n_lines = draw(st.integers(2, 512))
     widest = (1.0 - abs(mean)) / statistics.NormalDist().inv_cdf(1 - 0.5 / n_lines)
     normal = statistics.NormalDist(mean, widest * draw(_log_uniform(1e-3, 0.5)))
     lines = [normal.inv_cdf((k + 0.5) / n_lines) for k in range(n_lines)]
-    return window, DiscreteSpectrum(lines, np.full(n_lines, 1.0 / n_lines))
+    return _at_scale(draw, window, lines, np.full(n_lines, 1.0 / n_lines))
 
 
 @pytest.mark.parametrize("n_grid", [257, 1024])
@@ -178,13 +188,17 @@ def _normal_quantiles(draw):
 @given(st.one_of(_edge_pairs(), _normal_quantiles()))
 def test_measured_truncation_error_within_budget(n_grid, case):
     # truncation_bound is rigorous, so the measured eps_n of a variance
-    # plan stays within its budget on any normalized spectrum. 257 points
-    # are one resummation chunk, whose x table is held; 1 024 are four
-    window, spectrum = case
-    plan = make_plan("variance", KERNEL, BUDGET, window=window,
+    # plan stays within its budget on any normalized spectrum, at any norm
+    # scale: the lines, the window, delta and omega_scale scale together.
+    # 257 points are one resummation chunk, whose x table is held; 1 024
+    # are four
+    scale, window, spectrum = case
+    kernel = KernelSpec.from_resolution(0.02 * scale, 0.01, scale)
+    budget = ErrorBudget(0.01, 0.01, 0.05, 2.0 / 512.0 * scale, 0.05)
+    plan = make_plan("variance", kernel, budget, window=window,
                      moments=summarize(spectrum))
-    report = error_report(spectrum, plan, KERNEL, window, BUDGET, n_grid=n_grid)
-    assert report.eps_n_measured <= BUDGET.eps_n
+    report = error_report(spectrum, plan, kernel, window, budget, n_grid=n_grid)
+    assert report.eps_n_measured <= budget.eps_n
 
 
 _MEMO_PERIOD = PeriodicKernelParams.from_period(0.5, KERNEL)
@@ -202,27 +216,29 @@ def _one_ulp(array, k):
 
 
 def _written(array, k):
-    """array with entry k moved one ulp up in place: made writable,
-    written and made read-only again."""
-    array.setflags(write=True)
-    array.real[k] = np.nextafter(array.real[k], np.inf)
-    array.setflags(write=False)
+    """array with entry k moved one ulp up in place: its owner, array or
+    the base of a value object's frozen view, made writable, written and
+    made read-only again."""
+    owner = array if array.base is None else array.base
+    owner.setflags(write=True)
+    owner.real[k] = np.nextafter(owner.real[k], np.inf)
+    owner.setflags(write=False)
     return array
 
 
 def _cold_series(grid, moments, n_terms):
     """The resummation with its x-table memo emptied for the call and
     restored after, so that the result is the kernel's own."""
-    held = dict(_backend._last_x_table)
-    _backend._last_x_table.clear()
+    held = dict(_backend._memos)
+    _backend._memos.clear()
     try:
         return _backend.reconstruct_series(
             grid, moments.values, _MEMO_PERIOD.dt, KERNEL.lam,
             _MEMO_PERIOD.period, n_terms,
         )
     finally:
-        _backend._last_x_table.clear()
-        _backend._last_x_table.update(held)
+        _backend._memos.clear()
+        _backend._memos.update(held)
 
 
 _CHANGES = st.sampled_from(["same", "copy", "ulp", "write"])

@@ -193,6 +193,9 @@ class TestDiscreteSpectrum:
         s = DiscreteSpectrum([0.0, 0.5], [0.2, 0.1])
         with pytest.raises(ValueError):
             s.weights[0] = 1.0
+        for array in (s.eigenfrequencies, s.weights):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
 
     def test_tiny_weights_clamped(self):
         s = DiscreteSpectrum([0.0, 0.5], [1e-310, 0.1])

@@ -58,6 +58,9 @@ class TestTransformCurve:
         c = TransformCurve([0.0, 1.0], [1.0, 2.0], "reconstructed")
         with pytest.raises(ValueError):
             c.values[0] = 3.0
+        for array in (c.grid, c.values):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
 
 
 class TestExactTransform:
@@ -325,17 +328,17 @@ class TestReconstructMemo(MemoContract):
             reconstruct(moments, kernel, other, 30, grid)
 
     def test_write_to_unfrozen_moments_recomputes(self, kernel001, resummations):
-        # written and then made read-only again: the bytes changed, so the
-        # key did
+        # written through .base, the one route around the frozen view, and
+        # made read-only again: the bytes changed, so the key did
         params = PeriodicKernelParams.from_period(0.3, kernel001)
         s = random_spectrum(6, n=16, normalized=True)
         values = exact_moments(s, params.dt, 12).values
         moments = FourierMomentSet(params.dt, values, "exact", s.mu0)
         grid = np.linspace(-0.5, 0.5, 9)
         first = reconstruct(moments, kernel001, params, 12, grid)
-        moments.values.setflags(write=True)
-        moments.values[3] = 0.25
-        moments.values.setflags(write=False)
+        moments.values.base.setflags(write=True)
+        moments.values.base[3] = 0.25
+        moments.values.base.setflags(write=False)
         again = reconstruct(moments, kernel001, params, 12, grid)
         assert again is not first
         assert len(resummations) == 2
@@ -410,6 +413,34 @@ class TestErrorReport:
             moments=noisy,
         )
         assert noisy_rep.eps_n_measured > exact_rep.eps_n_measured
+
+    def test_held_curve_cannot_be_written(
+        self, model_a, kernel001, budget001, stats_a, window_model
+    ):
+        # the report holds its reconstructed curve; a caller's reconstruct
+        # on the same moments and grid gets that curve, and cannot make it
+        # writable to change what the next report measures
+        plan = make_plan(
+            "variance", kernel001, budget001, window=window_model, moments=stats_a
+        )
+        before = error_report(
+            model_a, plan, kernel001, window_model, budget001, n_grid=257
+        )
+        params = PeriodicKernelParams.from_period(plan.period, kernel001)
+        moments = exact_moments(model_a, params.dt, plan.n_terms)
+        grid = np.linspace(window_model.nu_min, window_model.nu_max, 257)
+        curve = reconstruct(moments, kernel001, params, plan.n_terms, grid)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            values = curve.values
+            values.setflags(write=True)
+            values *= 2.0
+            values.setflags(write=False)
+        after = error_report(
+            model_a, plan, kernel001, window_model, budget001, n_grid=257
+        )
+        assert before.eps_n_measured == pytest.approx(1.97e-15, rel=0.01)
+        assert after.eps_n_measured == before.eps_n_measured
+        assert after.within_truncation_budget
 
     def test_grid_validation(
         self, model_a, kernel001, budget001, stats_a, window_model, monkeypatch
