@@ -327,7 +327,6 @@ def _offsets(span, omegas, period):
         return d, ends
     n = np.round(ends / period)
     moved = np.flatnonzero(~(n[0] == n[1]))
-    n[0, moved] = 0.0
     shift = period * n[0]
     wrapped = d[moved]
     wrapped -= period * np.round(wrapped / period)

@@ -400,7 +400,7 @@ def chi_with_central_moment(
     mu1 = check("mu1", moments.mu1, FINITE)
     lam = kernel.lam
     omega = budget.omega_scale
-    spread = central_value ** (1.0 / order) if central_value > 0 else 0.0
+    spread = central_value ** (1.0 / order)
     omega_lo, omega_hi = _edge_distances(mu1, window)
     wterm = _window_term(omega_lo, omega_hi, window_term)
 
@@ -623,8 +623,6 @@ def make_plan(
             window_term=window_term, simplified=simplified,
         )
     else:
-        if central_order is None:
-            raise ValueError("central planning requires central_order")
         choice = chi_with_central_moment(
             check("central_order", central_order, at_least(3)), kernel,
             budget, moments, window, window_term=window_term,

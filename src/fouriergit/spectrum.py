@@ -115,7 +115,7 @@ class DiscreteSpectrum:
         if not (np.isfinite(om).all() and np.isfinite(w).all()):
             raise ValueError("eigenfrequencies and weights must be finite")
         check_fields(self, norm_scale=POSITIVE)
-        if om.size > 1 and not (np.diff(om) > 0).all():
+        if not (np.diff(om) > 0).all():
             raise ValueError("eigenfrequencies must be strictly increasing")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")

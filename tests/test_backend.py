@@ -252,6 +252,17 @@ class TestNumpyKernels:
             got = reconstruct_series(nus, moments, dt, lam, period, n_terms)
             assert np.array_equal(got, want)
 
+    def test_centered_blocks_are_the_fewest(self):
+        # Q is the least count with (Q - 1) _BLOCK + H >= n_terms; more
+        # blocks would only add zero coefficients at a cost
+        block, half = _backend._BLOCK, _backend._BLOCK // 2
+        for n_terms in (block, block + half - 1, block + half, block + half + 1, 42371):
+            coef = _backend._centered_coefficients(
+                np.ones(n_terms), np.ones(n_terms + 1, dtype=complex), n_terms)
+            q = coef.shape[0] // 2
+            assert coef.shape == (2 * q, 2 * half + 2)
+            assert (q - 1) * block + half >= n_terms > (q - 2) * block + half
+
     def test_series_chunks_follow_one_rule(self, monkeypatch):
         # a single block and centered blocks cut the grid alike, into the
         # fewest chunks of about _CHUNK points: _CHUNK + 1 points are one
@@ -538,6 +549,17 @@ class TestUniformLinesFft:
             want = _backend._direct_moments(om, weights, step, N_MULTI)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_turn_count_bound(self):
+        # _MAX_TURNS = 2**20 bounds j, and with it the offsets the FFT path
+        # takes; dt = pi turns spans that many turns over 64 lines on [-1, 1]
+        omegas = midpoint_grid(64, 1.0)
+        for turns, j in ((2**20 - 1, 2**20 - 1), (2**20, 0), (2**20 + 1, 0)):
+            assert _backend._commensurate(omegas, math.pi * turns) == j
+        # the count may miss j by 8 eps j: 4 eps j is admitted, 16 eps j not
+        eps = np.finfo(np.float64).eps
+        for miss, j in ((4, 1000), (16, 0)):
+            assert _backend._commensurate(omegas, math.pi * 1000 * (1 + miss * eps)) == j
+
     def test_other_inputs_run_the_direct_kernel(self):
         omegas, weights, dt = _uniform_lines(64, 1.0, 1)
         for om, step in (
@@ -779,6 +801,18 @@ class TestTransformMatchesEveryTerm:
         for period in (edge * (1 - 1e-12), edge * (1 + 1e-12)):
             _assert_bitwise(nus, omegas, np.ones(9), lam, period, 1)
 
+    def test_far_image_pointwise(self):
+        # one line at 0 seen from below P/2: at nu = 19.96 the image at +P
+        # (x = -20.04) adds as much as the line itself, at nu = 18 nothing
+        # the sum can hold. The values span 16 decades, so a max-relative
+        # gate would not see the +P image dropped at the far end, where it
+        # makes 1.4756009e-87 read 1.2277271e-87; each point is compared
+        # bitwise instead
+        nus = np.linspace(18.0, 19.96, 5)
+        got = _assert_bitwise(nus, [0.0], [1.0], 1.0, 40.0, 1)
+        assert got[-1] == pytest.approx(1.4756009e-87, rel=1e-7)
+        assert got[0] / got[-1] > 1e15
+
     def test_unsorted_grid_and_lines(self):
         rng = np.random.default_rng(23)
         s = random_spectrum(23, n=500, norm_scale=3.0)
@@ -790,6 +824,16 @@ class TestTransformMatchesEveryTerm:
             _assert_bitwise(nus, om, w, 0.03, 1.3, wrap)
         # scattered lines give more live runs than a span takes
         _assert_bitwise(np.sort(nus), om, w, 0.03, 0.2, 1)
+
+    def test_many_live_runs_become_one_slice(self):
+        # shuffled lines over a sorted grid: each span of _SPAN points sees
+        # about 70 runs of live lines, more than _RUNS, which become one
+        # slice from the first run's start to the last run's stop
+        rng = np.random.default_rng(24)
+        omegas = rng.permutation(np.linspace(0.0, 1.0, 300))
+        nus = np.linspace(0.0, 1.0, _backend._CHUNK)
+        _assert_bitwise(nus, omegas, np.ones(300), 0.002)
+        _assert_bitwise(nus, omegas, np.ones(300), 0.002, 1.0, 1)
 
     def test_subnormal_band_terms(self):
         # lines whose nearest term, to a grid point or through an image, is

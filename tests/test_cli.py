@@ -370,6 +370,14 @@ class TestPlanCommand:
         code, _, _ = run_cli(capsys, "plan", "--bogus", "1")
         assert code == 1
 
+    def test_explicit_lam(self, capsys):
+        # the default delta 0.02 and sigma_leak 0.01 admit lam up to 0.00659
+        code, text, _ = run_cli(capsys, "plan", "--lam", "0.005")
+        assert code == 0 and kv(text)["lam"] == 0.005
+        code, text, err = run_cli(capsys, "plan", "--lam", "0.007")
+        assert (code, text) == (1, "")
+        assert err.startswith("error: lam=0.007 leaks more than sigma_leak=0.01")
+
     def test_nyquist_chi_mode(self, capsys):
         code, text, _ = run_cli(capsys, "plan", "--chi-mode", "nyquist")
         assert code == 0
@@ -922,6 +930,13 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--points", "2")
         assert code == 1
 
+    def test_empty_model_list_refused(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, text, err = run_cli(capsys, "sweep", "--models", ",", "--out", str(out))
+        assert (code, text, err) == (
+            1, "", "error: --models must name at least one model\n")
+        assert not out.exists()
+
 
 class TestShotsDemoCommand:
     def test_full_shots_cover_budget(self, tmp_path, capsys):
@@ -1412,6 +1427,29 @@ class TestConfigFile:
             str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("text", ["0", "false", "No", "OFF"])
+    def test_false_spellings(self, tmp_path, text):
+        # a config file can switch a flag off, which the flag cannot
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"simplified={text}\n")
+        args = cli.build_parser().parse_args(["plan", "--config", str(cfg)])
+        assert cli._merge(args, cli._PLAN_SCHEMA)["simplified"] is False
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("plan", "simplified=maybe", "expected a boolean, got 'maybe'"),
+        ("plan", "window=1", "expected two numbers, got '1'"),
+        ("reconstruct", "grid_points=abc",
+         "invalid literal for int() with base 10: 'abc'"),
+    ])
+    def test_config_value_that_does_not_convert(
+        self, tmp_path, capsys, command, line, message
+    ):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(line + "\n")
+        code, text, err = run_cli(capsys, command, "--config", str(cfg))
+        key = line.partition("=")[0]
+        assert (code, text, err) == (1, "", f"error: config key {key}: {message}\n")
 
     def test_comments_and_blanks_allowed(self, tmp_path, capsys):
         cfg = tmp_path / "opts.cfg"

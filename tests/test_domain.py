@@ -46,6 +46,9 @@ class TestCheck:
             value = float(text)
             with pytest.raises(ValueError, match="^k must be "):
                 check("k", value, domain)
+        if domain.integer:  # just outside: the next integer is inside
+            least = int(domain.outside[0]) + 1
+            assert check("k", least, domain) == least
 
     @pytest.mark.parametrize(
         "domain, inside, outside",

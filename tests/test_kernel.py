@@ -75,6 +75,9 @@ class TestKernelSpec:
     def test_from_resolution(self, kernel001):
         assert kernel001.lam == pytest.approx(0.006590102289822608, rel=1e-15)
         assert kernel001.norm_scale == 1.0
+        # norm_scale defaults to 1 in both constructors
+        assert KernelSpec.from_resolution(0.02, 0.01) == kernel001
+        assert KernelSpec(0.02, 0.01, kernel001.lam) == kernel001
 
     def test_width_cap(self):
         # cap for sigma_leak=1/2 is delta/sqrt(2 log 2)
@@ -82,6 +85,11 @@ class TestKernelSpec:
         KernelSpec(delta=1.0, sigma_leak=0.5, lam=cap * 0.999)
         with pytest.raises(ValueError):
             KernelSpec(delta=1.0, sigma_leak=0.5, lam=cap * 1.01)
+        # the cap allows 1e-12 relative for rounding
+        cap = lambda_from_resolution(1.0, 0.5)
+        KernelSpec(delta=1.0, sigma_leak=0.5, lam=cap * (1.0 + 1e-12))
+        with pytest.raises(ValueError, match="leaks more than"):
+            KernelSpec(delta=1.0, sigma_leak=0.5, lam=cap * (1 + 1.2e-12))
 
     def test_cap_scales_with_delta_not_norm(self):
         KernelSpec(delta=2.0, sigma_leak=0.5, lam=1.2)
@@ -160,6 +168,17 @@ class TestReplicaWrapCount:
             worst = math.exp(-(((k + 0.5) * period) ** 2) / (2 * lam**2))
             assert worst < 1e-15
 
+    def test_least_count_meeting_the_bound(self):
+        # the smallest k >= 1 with k (k + 1) >= 2 (lam / period)^2 log(4e16)
+        # c = 1.99 leaves k = 1 just enough room, c = 2.01 needs k = 2
+        below, above = (math.sqrt(c / (2.0 * math.log(4e16))) for c in (1.99, 2.01))
+        for lam, period in ((0.0066, 2.0), (0.3, 2.1), (1.0, 0.5), (2.0, 0.1),
+                            (below, 1.0), (above, 1.0)):
+            k = replica_wrap_count(lam, period)
+            c = 2.0 * (lam / period) ** 2 * math.log(4e16)
+            assert k * (k + 1) >= c
+            assert k == 1 or (k - 1) * k < c
+
     def test_monotone_in_width(self):
         counts = [replica_wrap_count(lam, 1.0) for lam in (0.01, 0.1, 0.5, 1.0, 2.0)]
         assert counts == sorted(counts)
@@ -207,6 +226,12 @@ class TestPeriodicKernel:
     def test_param_consistency_enforced(self):
         with pytest.raises(ValueError):
             PeriodicKernelParams(period=0.5, chi=0.5, dt=1.0, wrap_count=1)
+        # dt * period may miss 2 pi by 1e-9 relative
+        dt = 2 * math.pi / 0.5
+        PeriodicKernelParams(period=0.5, chi=0.5, dt=dt * (1 + 0.8e-9), wrap_count=1)
+        with pytest.raises(ValueError, match="must equal 2 pi"):
+            PeriodicKernelParams(period=0.5, chi=0.5, dt=dt * (1 + 1.2e-9),
+                                 wrap_count=1)
         with pytest.raises(ValueError):
             PeriodicKernelParams(
                 period=0.5, chi=0.5, dt=2 * math.pi / 0.5, wrap_count=0

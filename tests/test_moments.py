@@ -105,6 +105,10 @@ class TestFourierMomentSet:
             ms.moment(3)
         with pytest.raises(ValueError):
             ms.moment(-3)
+        # order 0 is the stored value, as stored
+        tilted = FourierMomentSet(dt=1.0, values=[1.0 + 0.2j], provenance="exact",
+                                  mu0=1.0)
+        assert tilted.moment(0) == 1.0 + 0.2j
 
 
 class TestExactMoments:
@@ -421,6 +425,19 @@ class TestSampledMoments:
         with pytest.raises(ValueError, match="normalized spectrum"):
             sampled_moments(s, 10.0, 3, shots_per_part=10, seed=0)
 
+    @pytest.mark.parametrize("mu0", [1 + 5e-10, 1 - 5e-10])
+    def test_normalization_tolerance_holds_both_ways(self, mu0):
+        # |mu0 - 1| <= 1e-9 is the one normalization rule: one line at 0
+        # has every real part equal to mu0, which a second check used to
+        # refuse above 1 + 1e-12; p is clipped to [0, 1] either way
+        s = DiscreteSpectrum([0.0], [mu0])
+        m = sampled_moments(s, 1.0, 3, shots_per_part=10, seed=0)
+        assert m.mu0 == mu0
+        assert np.array_equal(m.values[1:].real, np.ones(3))
+        beyond = DiscreteSpectrum([0.0], [1.0 + 2.4 * (mu0 - 1.0)])
+        with pytest.raises(ValueError, match="normalized spectrum"):
+            sampled_moments(beyond, 1.0, 3, shots_per_part=10, seed=0)
+
     @pytest.mark.parametrize("shots", [1, 3, 29, 31, 260, 5000, 10**7])
     def test_matches_scalar_draws_per_part_stream(self, model_a, shots):
         # all orders of a part come from one binomial call on one stream;
@@ -486,6 +503,18 @@ class TestMomentsCsv:
             assert back.provenance == ms.provenance
             assert back.shots_per_part == ms.shots_per_part
             assert back.seed == ms.seed
+
+    def test_orders_must_be_contiguous(self, tmp_path, model_a):
+        from fouriergit.serialize import read_moments, write_moments
+
+        path = tmp_path / "m.csv"
+        write_moments(path, exact_moments(model_a, 27.98, n_max=3))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(x for x in lines if not x.startswith("2,")) + "\n")
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: moment orders must run 0..n_max "
+                "contiguously$")):
+            read_moments(path)
 
     @pytest.mark.parametrize(
         "key, line",

@@ -29,6 +29,13 @@ from fouriergit import (
 from conftest import OMEGA_MODEL
 
 
+def test_sqrt_log_is_floored_at_one():
+    from fouriergit.planner import _sqrt_log
+
+    assert _sqrt_log(0.5) == _sqrt_log(1.0) == 0.0
+    assert _sqrt_log(1.2) == math.sqrt(math.log(1.2))
+
+
 class TestBudgetAndWindow:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -111,6 +118,24 @@ class TestChiGeneral:
         with pytest.raises(ValueError):
             chi_general(kernel001, budget001, mode="full")
 
+    def test_full_mode_scale_relation(self):
+        # delta, norm_scale, window and omega_scale times 8 keep chi and
+        # multiply the period by 8, within 4 ulp
+        def choice(s):
+            return chi_general(
+                KernelSpec.from_resolution(0.02 * s, 0.01, s),
+                ErrorBudget(0.01, 0.01, 0.05, s * OMEGA_MODEL), mode="full",
+                window=FrequencyWindow(-s, -0.8 * s),
+            )
+
+        base, scaled = choice(1.0), choice(8.0)
+        tol = 4 * np.finfo(np.float64).eps
+        assert scaled.chi == pytest.approx(base.chi, rel=tol, abs=0.0)
+        assert scaled.period == pytest.approx(8.0 * base.period, rel=tol, abs=0.0)
+        for key in ("eta_spread", "window_term"):
+            assert scaled.details[key] == pytest.approx(
+                8.0 * base.details[key], rel=tol, abs=0.0)
+
     def test_scales_with_norm(self, budget001):
         big = KernelSpec.from_resolution(1.0, 0.01, 7987.5)
         nb = ErrorBudget(0.01, 0.01, 0.05, 1.0)
@@ -152,6 +177,8 @@ class TestChiWithVariance:
         assert d["window_term"] == pytest.approx(
             window_model.nu_max - stats_a.mu1, rel=1e-13
         )
+        assert d["alpha"] == d["alpha_spread"] / stats_a.sigma
+        assert d["eta"] == d["eta_spread"] / d["alpha_spread"]
 
     def test_window_term_modes(self):
         # min budgets eps_p only on [mu1 - d, mu1 + d], d the shorter
@@ -203,6 +230,14 @@ class TestChiWithVariance:
         assert choice.period == pytest.approx(127.6169360276151, rel=1e-13)
         assert n_terms(choice.chi, kernel, budget) == 339
 
+    def test_unknown_window_term_refused(
+        self, kernel001, budget001, stats_a, window_model
+    ):
+        with pytest.raises(ValueError, match=(
+            r"^window_term must be one of \('max', 'min'\), got 'bogus'$")):
+            make_plan("variance", kernel001, budget001, window=window_model,
+                      moments=stats_a, window_term="bogus")
+
     def test_rejects_pointlike_spectrum(self, kernel001, budget001, window_model):
         degenerate = MomentSummary(mu0=1.0, mu1=-0.9, sigma=0.0, central={2: 0.0})
         with pytest.raises(ValueError):
@@ -217,11 +252,13 @@ class TestChiWithVariance:
     def test_warns_when_no_saving(self, kernel001):
         budget = ErrorBudget(0.001, 0.01, 0.05, OMEGA_MODEL)
         wide = MomentSummary(mu0=1.0, mu1=0.0, sigma=0.99, central={2: 0.9801})
-        with pytest.warns(NoSavingWarning):
+        with pytest.warns(NoSavingWarning) as record:
             choice = chi_with_variance(
                 kernel001, budget, wide, FrequencyWindow(-1.0, 1.0)
             )
         assert choice.period > chi_general(kernel001, budget).period
+        # the warning names the line that asked for the period
+        assert record[0].filename == __file__
 
     def test_narrow_spectrum_does_not_warn(
         self, kernel001, budget001, stats_a, window_model, recwarn
@@ -251,6 +288,9 @@ class TestChiWithVariance:
             chi_with_variance(
                 kernel001, budget001, narrow, window_model, simplified=True
             )
+        # lam = 2 sigma exactly is still valid
+        edge = MomentSummary(mu0=1.0, mu1=-0.9, sigma=kernel001.lam / 2)
+        chi_with_variance(kernel001, budget001, edge, window_model, simplified=True)
 
 
 class TestNonFiniteMomentInputs:
@@ -315,6 +355,14 @@ class TestChiWithCentralMoment:
             make_plan("central", kernel001, budget001, window=window_model,
                       moments=moments, central_order=2)
 
+    def test_missing_order_refused_by_name(
+        self, kernel001, budget001, stats_a, window_model
+    ):
+        with pytest.raises(ValueError,
+                           match="^central_order must be an integer, got None$"):
+            make_plan("central", kernel001, budget001, window=window_model,
+                      moments=stats_a)
+
     def test_order_four_model_a(
         self, kernel001, budget001, model_a, stats_a, window_model
     ):
@@ -345,6 +393,15 @@ class TestChiWithCentralMoment:
         )
         assert tail_leakage_bound(plan) == 0.0
 
+    def test_zero_spread_gives_infinite_alpha_and_eta(self, kernel001, window_model):
+        # mu~_4 = 0 and a budget loose enough that the Gaussian term is
+        # floored at 0 leave alpha_spread 0: alpha and eta read inf
+        budget = ErrorBudget(0.01, 0.01, 0.05, 1e-5)
+        moments = MomentSummary(mu0=1.0, mu1=-0.9, central={4: 0.0})
+        d = chi_with_central_moment(4, kernel001, budget, moments, window_model).details
+        assert (d["spread"], d["alpha_spread"]) == (0.0, 0.0)
+        assert d["alpha"] == d["eta"] == math.inf
+
     def test_higher_moment_on_peaked_spectrum_shrinks_period(
         self, kernel001, budget001, model_a, stats_a, window_model
     ):
@@ -360,6 +417,28 @@ class TestChiWithCentralMoment:
             window_model,
         ).period
         assert p4 < p2
+
+    def test_simplified_form(self, kernel001, budget001, window_model):
+        # P = 2.7 (Omega mu~_n / eps_p)^(1/(n+1)) + span, through order 15
+        for order, value in ((4, 1e-6), (15, 1e-20)):
+            moments = MomentSummary(mu0=1.0, mu1=-0.9, central={order: value})
+            choice = chi_with_central_moment(
+                order, kernel001, budget001, moments, window_model,
+                simplified=True,
+            )
+            want = (2.7 * (OMEGA_MODEL * value / budget001.eps_p)
+                    ** (1.0 / (order + 1)) + window_model.span)
+            assert choice.period == pytest.approx(want, rel=1e-14)
+
+    def test_simplified_form_holds_at_spread_equal_to_lam(self, budget001):
+        # mu~_4 = 0.5^4 is exact, so spread = lam = 0.5 exactly
+        kernel = KernelSpec(delta=2.0, sigma_leak=0.01, lam=0.5, norm_scale=10.0)
+        moments = MomentSummary(mu0=1.0, mu1=0.0, central={4: 0.0625})
+        choice = chi_with_central_moment(
+            4, kernel, budget001, moments, FrequencyWindow(-1.0, 1.0),
+            simplified=True,
+        )
+        assert choice.details["spread"] == kernel.lam
 
     def test_simplified_validity(self, kernel001, budget001, window_model):
         for order, value in ((16, 1e-4), (4, 1e-12)):
@@ -421,6 +500,16 @@ class TestNTerms:
         loose = ErrorBudget(0.01, 0.5, 0.05, OMEGA_MODEL)
         with pytest.raises(FormulaValidityError):
             n_terms(2.0, kernel001, loose)
+        # a log argument of exactly 1 is refused
+        wide = KernelSpec(delta=10.0, sigma_leak=0.01, lam=1.0)
+        with pytest.raises(FormulaValidityError, match="log argument 1.0 <= 1"):
+            n_terms(2.0, wide, ErrorBudget(0.01, 1.0, 0.05, 2.5))
+        # a log argument of 1.2, just above the floor, still gives a count
+        eps_n = 0.4 * OMEGA_MODEL / (1.2 * kernel001.lam)
+        near = ErrorBudget(0.01, eps_n, 0.05, OMEGA_MODEL)
+        assert n_terms(2.0, kernel001, near) == math.ceil(
+            2.0 / (math.sqrt(2 * math.pi) * kernel001.lam)
+            * math.sqrt(math.log(1.2)))
 
     def test_validation(self, kernel001, budget001):
         with pytest.raises(ValueError):
@@ -511,6 +600,14 @@ class TestShots:
         s1 = shots_value(plan.n_terms, plan.chi, kernel001, budget001)
         s2 = shots_value(plan.n_terms, plan.chi, kernel001, half)
         assert s2 == pytest.approx(4 * s1, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["conservative", "uncorrelated"])
+    def test_quadratic_in_weight(self, kernel001, budget001, mode):
+        # the statistical error of Omega Phi grows with the total weight
+        plan = make_plan("general", kernel001, budget001)
+        s1, s3 = (shots_value(plan.n_terms, plan.chi, kernel001, budget001,
+                              mu0=mu0, mode=mode) for mu0 in (1.0, 3.0))
+        assert s3 == pytest.approx(9 * s1, rel=1e-12)
 
     def test_confidence_enters_logarithmically(self, kernel001, budget001):
         plan = make_plan("general", kernel001, budget001)
@@ -725,6 +822,49 @@ class TestMakePlan:
         assert make_plan("general", kernel001, budget001) == make_plan(
             "general", kernel001, budget001, moments=MomentSummary(mu0=1.0)
         )
+
+    @pytest.mark.parametrize("method, gauss", [("variance", 3.6), ("central", 4.0)])
+    def test_scale_relation_with_gaussian_term_binding(self, method, gauss):
+        # energies, window, delta, norm_scale and omega_scale times s = 8
+        # keep n_terms and shots and multiply the period by s, in every
+        # harmonic-count and shot mode. Two lines 1e-4 apart are far
+        # narrower than lam, so the Gaussian term sqrt(2) lam sqrt(log(gauss
+        # mu0 Omega / (eps_p lam))) sets alpha_spread; with omega_scale 1 at
+        # s = 1, Omega entering that term in the wrong power breaks the
+        # relation at s = 8 (29 variance terms become 28)
+        def plan(s, weight=1.0, **modes):
+            lines = DiscreteSpectrum(s * np.array([-0.9, -0.9 + 1e-4]),
+                                     [0.5 * weight, 0.5 * weight], norm_scale=s)
+            return make_plan(
+                method, KernelSpec.from_resolution(0.02 * s, 0.01, s),
+                ErrorBudget(0.01, 0.01, 0.05, s),
+                window=FrequencyWindow(-s, -0.8 * s),
+                moments=summarize(lines, orders=(2, 4)), central_order=4,
+                **modes,
+            )
+
+        for n_mode in ("main", "appendix"):
+            for shots_mode in ("conservative", "uncorrelated", "chebyshev"):
+                modes = {"n_mode": n_mode, "shots_mode": shots_mode}
+                base, scaled = plan(1.0, **modes), plan(8.0, **modes)
+                lam = base.inputs_echo["lam"]
+                b_gauss = math.sqrt(math.log(gauss / (0.01 * lam)))
+                assert base.inputs_echo["alpha_spread"] == pytest.approx(
+                    math.sqrt(2.0) * lam * b_gauss, rel=1e-15)
+                assert base.n_terms == scaled.n_terms, modes
+                assert (scaled.shots_per_moment, scaled.total_shots) == (
+                    base.shots_per_moment, base.total_shots), modes
+                # s is a power of two; 4 ulp cover the roundings of the cube
+                # root and logarithm that do not scale exactly
+                assert scaled.period == pytest.approx(
+                    8.0 * base.period, rel=4 * np.finfo(np.float64).eps, abs=0.0)
+        if method == "variance":
+            assert plan(1.0).n_terms == 29
+        # the Gaussian term grows with the total weight inside the log
+        heavy = plan(1.0, weight=3.0).inputs_echo
+        b_heavy = math.sqrt(math.log(gauss * 3.0 / (0.01 * heavy["lam"])))
+        assert heavy["alpha_spread"] == pytest.approx(
+            math.sqrt(2.0) * heavy["lam"] * b_heavy, rel=1e-15)
 
     def test_per_part_times_parts_covers_total(
         self, kernel001, budget001, stats_a, window_model

@@ -92,6 +92,11 @@ class TestProfiles:
     def test_tail_against_high_precision_evaluation(self):
         for omega in (-0.95, -0.9, -0.5, 0.0, 0.7, 1.0):
             assert eval_tail(omega) == pytest.approx(mp_tail(omega), rel=1e-13)
+        for gamma in (0.5, 2.0):
+            with mp.workdps(50):
+                want = float(_mp_tail(0.3, gamma=gamma))
+            got = eval_tail(0.3, TailParams(gamma=gamma))
+            assert got == pytest.approx(want, rel=1e-13)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -149,6 +154,7 @@ class TestMakeModel:
         assert np.array_equal(model_a.eigenfrequencies, midpoint_grid(512))
         assert model_a.eigenfrequencies[0] == -1.0 + 1.0 / 512.0
         assert model_a.eigenfrequencies[-1] == 1.0 - 1.0 / 512.0
+        assert np.array_equal(midpoint_grid(1, 2.0), [0.0])
 
     def test_two_point_model(self):
         s = make_model("A", n_eigen=2)
@@ -161,7 +167,7 @@ class TestMakeModel:
 
     def test_degenerate_parameters_rejected(self):
         # peak far outside the grid leaves zero weight everywhere
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^model A weights sum to 0.0; "):
             make_model("A", peak=PeakParams(xi=100.0))
 
     def test_unknown_kind(self):
@@ -184,6 +190,13 @@ class TestDiscreteSpectrum:
         with pytest.raises(ValueError):
             DiscreteSpectrum([0.0, np.nan], [0.2, 0.1])
 
+    @pytest.mark.parametrize("om, w", [([[0.0, 0.5]], [0.2, 0.1]),
+                                       ([0.0, 0.5], [[0.2, 0.1]]), (0.0, 0.2)])
+    def test_arrays_must_be_1d(self, om, w):
+        with pytest.raises(ValueError,
+                           match="^eigenfrequencies and weights must be 1-d$"):
+            DiscreteSpectrum(om, w)
+
     @pytest.mark.parametrize("norm_scale", [np.inf, np.nan, -np.inf, 0.0])
     def test_norm_scale_must_be_positive_and_finite(self, norm_scale):
         with pytest.raises(ValueError, match="^norm_scale must be positive and finite"):
@@ -200,6 +213,9 @@ class TestDiscreteSpectrum:
     def test_tiny_weights_clamped(self):
         s = DiscreteSpectrum([0.0, 0.5], [1e-310, 0.1])
         assert s.weights[0] == 0.0
+        # below 1e-300 is clamped, 1e-300 itself kept
+        s = DiscreteSpectrum([0.0, 0.5, 1.0], [0.9e-300, 1e-300, 0.1])
+        assert list(s.weights) == [0.0, 1e-300, 0.1]
 
     def test_norm_scale_boundary_allowed(self):
         s = DiscreteSpectrum([-1.0, 1.0], [0.5, 0.5])
@@ -223,6 +239,15 @@ class TestMoments:
         assert central_moment(s, 2) == 0.0
         assert summarize(s).sigma == 0.0
         assert summarize(s).mu1 == pytest.approx(0.3, rel=1e-15)
+
+    def test_zero_total_weight_refused(self):
+        # weights are nonnegative, so mu0 = 0 is the one total refused here
+        s = DiscreteSpectrum([0.0, 0.5], [0.0, 0.0])
+        with pytest.raises(ValueError,
+                           match="^central moments need positive total weight$"):
+            central_moment(s, 2)
+        with pytest.raises(ValueError, match="^summary needs positive total weight$"):
+            summarize(s)
 
     def test_against_plain_python_sums(self):
         for seed in range(5):
@@ -261,6 +286,9 @@ class TestMoments:
         summ = summarize(model_a, orders=(2, 3))
         assert summ.central[2] == pytest.approx(summ.mu0 * summ.sigma**2, rel=1e-12)
         assert set(summ.central) == {2, 3}
+        assert set(summarize(model_a).central) == {2}
+        # order 1, the mean absolute deviation, is the lowest
+        assert summarize(model_a, orders=(1,)).central == {1: central_moment(model_a, 1)}
 
     def test_weight_scaling(self):
         s = random_spectrum(3)
@@ -274,6 +302,10 @@ class TestMoments:
             assert central_moment(scaled, n) == pytest.approx(
                 c * central_moment(s, n), rel=1e-12
             )
+        # the mean and width are per unit weight
+        for field in ("mu1", "sigma"):
+            assert getattr(summarize(scaled), field) == pytest.approx(
+                getattr(summarize(s), field), rel=1e-12)
 
     def test_tail_bounds(self, model_a, model_b):
         # mass beyond Gamma of the mean obeys the second-moment and
@@ -324,6 +356,28 @@ class TestSpectrumCsv:
         assert lines[0] == "# norm_scale=1"
         path.write_text("\n".join([f"# norm_scale={value}", *lines[1:]]) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: norm_scale "):
+            read_spectrum(path)
+
+    def test_plain_comment_skipped_and_norm_scale_defaults_to_one(self, tmp_path):
+        from fouriergit.serialize import read_spectrum
+
+        path = tmp_path / "s.csv"
+        path.write_text("# lines by hand\nomega,weight\n0,0.25\n0.5,0.75\n")
+        s = read_spectrum(path)
+        assert s.norm_scale == 1.0
+        assert np.array_equal(s.eigenfrequencies, [0.0, 0.5])
+        assert np.array_equal(s.weights, [0.25, 0.75])
+
+    @pytest.mark.parametrize("text, message", [
+        ("weight,omega\n0.25,0\n", "expected header omega,weight, got "),
+        ("# norm_scale=1\n\n", "no CSV header found$"),
+    ])
+    def test_header_refused(self, tmp_path, text, message):
+        from fouriergit.serialize import read_spectrum
+
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             read_spectrum(path)
 
     def test_write_deterministic(self, tmp_path):

@@ -49,6 +49,14 @@ class TestTransformCurve:
         with pytest.raises(ValueError):
             TransformCurve([0.0, 1.0], [1.0, -0.5], "exact_gaussian")
 
+    def test_exact_kinds_allow_rounding_below_zero(self):
+        # an exact curve may dip 1e-15 max(1, largest value) below zero
+        TransformCurve([0.0, 1.0], [-1e-15, 0.5], "exact_gaussian")
+        TransformCurve([0.0, 1.0], [-4e-15, 4.0], "exact_periodic")
+        for values in ([-1.1e-15, 0.5], [-4.4e-15, 4.0]):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                TransformCurve([0.0, 1.0], values, "exact_gaussian")
+
     def test_reconstructed_may_dip_negative(self):
         # truncated series can undershoot; only exact kinds must be >= 0
         c = TransformCurve([0.0, 1.0], [1.0, -0.5], "reconstructed")
@@ -177,6 +185,49 @@ class TestReconstruct:
         fast = reconstruct(moments, kernel001, params, 30, grid)
         full = reconstruct(moments, kernel001, params, 30, grid, full_series=True)
         assert np.allclose(fast.values, full.values, rtol=1e-12, atol=1e-12)
+
+    def test_one_term_agrees_with_two_sided_series(self, model_a, kernel001):
+        # n_terms = 1 is the least reconstruct takes: the series m_0 plus
+        # one harmonic
+        params = PeriodicKernelParams.from_period(0.3, kernel001)
+        grid = np.linspace(-1.0, -0.8, 40)
+        moments = exact_moments(model_a, params.dt, 1)
+        fast = reconstruct(moments, kernel001, params, 1, grid)
+        full = reconstruct(moments, kernel001, params, 1, grid, full_series=True)
+        assert np.allclose(fast.values, full.values, rtol=1e-12, atol=1e-12)
+
+    def test_time_step_tolerance(self, model_a, kernel001):
+        # moments at a time step within 1e-12 relative of the extension's
+        # are accepted, and refused beyond it
+        params = PeriodicKernelParams.from_period(0.3, kernel001)
+        near = exact_moments(model_a, params.dt * (1 + 0.8e-12), 2)
+        reconstruct(near, kernel001, params, 2, [-0.9])
+        far = exact_moments(model_a, params.dt * (1 + 1.2e-12), 2)
+        with pytest.raises(ValueError, match="does not match"):
+            reconstruct(far, kernel001, params, 2, [-0.9])
+
+    def test_two_sided_residue_is_relative(self, model_a, kernel001):
+        # the imaginary residue is judged against the curve's scale, so a
+        # set of weight 1e6 resums as the fast path does
+        params = PeriodicKernelParams.from_period(0.3, kernel001)
+        exact = exact_moments(model_a, params.dt, 10)
+        heavy = FourierMomentSet(dt=exact.dt, values=1e6 * exact.values,
+                                 provenance="exact", mu0=1e6)
+        grid = np.linspace(-1.0, -0.8, 40)
+        fast = reconstruct(heavy, kernel001, params, 10, grid)
+        full = reconstruct(heavy, kernel001, params, 10, grid, full_series=True)
+        assert np.allclose(fast.values, full.values, rtol=1e-12, atol=0.0)
+        # the residue may reach 1e-10 of the scale: an m_0 tilted by 0.8e-10
+        # is accepted, by 1.2e-10 refused
+        for tilt in (0.8e-10, 1.2e-10):
+            tilted = FourierMomentSet(dt=params.dt, values=[1.0 + tilt * 1j, 0.0],
+                                      provenance="exact", mu0=1.0)
+            if tilt < 1e-10:
+                reconstruct(tilted, kernel001, params, 1, [0.0], full_series=True)
+            else:
+                with pytest.raises(ValueError, match="imaginary residue"):
+                    reconstruct(tilted, kernel001, params, 1, [0.0],
+                                full_series=True)
 
     def test_two_sided_series_rejects_asymmetric_moments(self, kernel001):
         params = PeriodicKernelParams.from_period(0.3, kernel001)
@@ -384,6 +435,30 @@ class TestErrorReport:
         assert report.eps_total_measured <= (
             report.eps_p_measured + report.eps_n_measured
         ) * (1 + 1e-12)
+
+    def test_default_grid_has_1024_points(
+        self, model_a, kernel001, budget001, stats_a, window_model
+    ):
+        plan = make_plan(
+            "variance", kernel001, budget001, window=window_model, moments=stats_a
+        )
+        report = error_report(model_a, plan, kernel001, window_model, budget001)
+        assert report.n_grid == 1024
+
+    def test_budget_met_at_equality(self):
+        # a measured error equal to its target is within budget
+        from fouriergit.transform import _measure
+
+        grid = [0.0, 1.0]
+        report = _measure(
+            TransformCurve(grid, [0.0, 0.0], "exact_gaussian"),
+            TransformCurve(grid, [0.25, 0.0], "exact_periodic"),
+            TransformCurve(grid, [0.75, 0.0], "reconstructed"),
+            ErrorBudget(0.25, 0.5, 0.05, 1.0),
+        )
+        assert (report.eps_p_measured, report.eps_n_measured,
+                report.eps_total_measured) == (0.25, 0.5, 0.75)
+        assert report.within_period_budget and report.within_truncation_budget
 
     def test_general_plan_much_tighter(
         self, model_a, kernel001, budget001, window_model
