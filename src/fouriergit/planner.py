@@ -24,6 +24,7 @@ used outside them rather than returning silently wrong numbers.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 
@@ -262,11 +263,16 @@ def _edge_distances(mu1: float, window: FrequencyWindow) -> tuple[float, float]:
 def _warn_if_no_saving(period: float, kernel, budget, mu0, method: str):
     general = chi_general(kernel, budget, mu0=mu0, mode="main")
     if period > general.period:
+        # name the first caller outside this module, whether it called a
+        # chi_with_* function or make_plan
+        level, frame = 1, sys._getframe()
+        while frame.f_code.co_filename == __file__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"{method} period {period:.6g} exceeds the general bound "
             f"{general.period:.6g}; the moment information brings no saving here",
             NoSavingWarning,
-            stacklevel=4,
+            stacklevel=level,
         )
 
 

@@ -73,16 +73,21 @@ def exact_transform(
         When given, every eigenfrequency contributes through all its
         period-P images (kind 'exact_periodic'); otherwise the plain
         kernel is used (kind 'exact_gaussian').
+
+    A plain call with lines, weights and a grid of the same bytes as the
+    plain call before, and an equal lam, returns that call's curve instead
+    of evaluating again (_recall); its arrays cannot be made writable. The
+    periodic transform, which changes with every plan, is not held.
     """
-    lam = check("lam", lam, POSITIVE)
+    lam = float(check("lam", lam, POSITIVE))
     grid = np.ascontiguousarray(grid, dtype=np.float64)
-    period, wraps, kind = None, 0, "exact_gaussian"
-    if periodic is not None:
-        period, wraps, kind = periodic.period, periodic.wrap_count, "exact_periodic"
-    vals = gaussian_transform(
-        grid, spectrum.eigenfrequencies, spectrum.weights, float(lam), period, wraps
-    )
-    return TransformCurve(grid, vals, kind)
+    om, w = spectrum.eigenfrequencies, spectrum.weights
+    if periodic is None:
+        key = (om.tobytes(), w.tobytes(), lam, grid.shape, grid.tobytes())
+        return _recall("plain_transform", key, lambda: TransformCurve(
+            grid, gaussian_transform(grid, om, w, lam), "exact_gaussian"))
+    vals = gaussian_transform(grid, om, w, lam, periodic.period, periodic.wrap_count)
+    return TransformCurve(grid, vals, "exact_periodic")
 
 
 def reconstruct(

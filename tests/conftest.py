@@ -92,10 +92,10 @@ def pytest_generate_tests(metafunc):
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Empty the one-entry memos of exact_moments, reconstruct and the
-    resummation's x table before each test, so that a count of
-    computations does not depend on which test ran before on the same
-    session-scoped spectrum or grid."""
+    """Empty the one-entry memos of exact_moments, reconstruct, the plain
+    transform and the resummation's x table before each test, so that a
+    count of computations does not depend on which test ran before on the
+    same session-scoped spectrum or grid."""
     from fouriergit import _backend
 
     _backend._memos.clear()

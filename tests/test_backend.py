@@ -46,19 +46,36 @@ def _case(seed):
     return s, nus
 
 
+def _moment_peak(spectrum, dt, n_max):
+    """The tracemalloc peak, in bytes, of one phase_moment_sums call."""
+    tracemalloc.start()
+    try:
+        phase_moment_sums(spectrum.eigenfrequencies, spectrum.weights, dt, n_max)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _assert_direct_sum(vals, omegas, weights, dt, orders):
     """vals[n] matches the direct sum sum_k w_k exp(-i n dt w_k) for every n
     in orders: to 1e-14 through order 12 and past that to a bound that grows
     with n, since both sums round a phase argument of size n dt |omega|."""
-    eps = np.finfo(np.float64).eps
-    om_max = np.abs(omegas).max()
-    mu0 = weights.sum()
     for start in range(0, len(orders), 64):
         n = np.asarray(orders[start : start + 64])[:, None]
         direct = np.sum(weights * np.exp(-1j * n * dt * omegas), axis=1)
         n = n[:, 0]
-        tol = np.where(n <= 12, 1e-14, 4 * eps * (1 + n * dt * om_max) * mu0)
+        tol = _contract(n, omegas, weights, dt)
         assert np.all(np.abs(vals[n] - direct) <= tol)
+
+
+def _contract(n, omegas, weights, dt, scale=None):
+    """The moment paths' accuracy contract at the orders n: 1e-14 through
+    order 12, 4 eps (1 + n scale) mu0 beyond, scale = dt max|w| unless given."""
+    eps = np.finfo(np.float64).eps
+    if scale is None:
+        scale = dt * np.abs(omegas).max()
+    n = np.asarray(n)
+    return np.where(n <= 12, 1e-14, 4 * eps * (1 + n * scale) * weights.sum())
 
 
 class TestNumpyKernels:
@@ -74,14 +91,18 @@ class TestNumpyKernels:
 
     def test_block_zero_is_one_matrix_vector_product(self):
         # orders below _BLOCK of a multi-tile call are the low table times
-        # the weights, bitwise: the centered tiles never touch block 0
+        # the weights, bitwise: neither the direct kernel's centered tiles
+        # (4 096 lines at dt 2) nor the NUFFT tiles (the spectra of its
+        # accuracy gate) touch block 0
         s = random_spectrum(14, n=4096, normalized=True)
-        dt = 27.98
-        vals = phase_moment_sums(s.eigenfrequencies, s.weights, dt, N_TILES)
-        low = _backend._phase_table(-dt * s.eigenfrequencies, _backend._BLOCK)
-        head = low @ s.weights
-        assert np.array_equal(vals[1 : _backend._BLOCK], head[1:])
-        assert vals[0] == s.weights.sum()
+        cases = ((s.eigenfrequencies, s.weights, 2.0), *_nufft_spectra())
+        for (omegas, weights, dt), spreads in zip(cases, (False, True, True, True)):
+            assert _backend._spreads(omegas, dt) == spreads
+            vals = phase_moment_sums(omegas, weights, dt, N_TILES)
+            low = _backend._phase_table(-dt * omegas, _backend._BLOCK)
+            head = low @ weights
+            assert np.array_equal(vals[1 : _backend._BLOCK], head[1:])
+            assert vals[0] == weights.sum()
 
     def test_phase_table_rows(self):
         # row 2^j is the fresh exponential of its exact argument 2^j phase,
@@ -316,36 +337,25 @@ class TestNumpyKernels:
     def test_moment_memory_stays_per_tile(self):
         # the block rows are built one fixed-shape tile at a time: the peak
         # of a long call exceeds that of a one-tile call by at most one
-        # tile buffer, never by a row matrix that grows with n_max
+        # tile buffer, never by a row matrix that grows with n_max. At dt 2
+        # the 4 096 lines on [-1, 1] span dt max|w| < _NUFFT_SCALE, so the
+        # rule runs the direct kernel
         s = random_spectrum(13, n=4096, normalized=True)
+        assert not _backend._spreads(s.eigenfrequencies, 2.0)
         tile_bytes = _backend._TILE * s.n_eigen * 16
-
-        def peak(n_max):
-            tracemalloc.start()
-            try:
-                phase_moment_sums(s.eigenfrequencies, s.weights, 27.98, n_max)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        one_tile = peak(_backend._TILE * _backend._BLOCK - 1)
-        assert peak(42371) <= one_tile + tile_bytes
+        one_tile = _moment_peak(s, 2.0, _backend._TILE * _backend._BLOCK - 1)
+        assert _moment_peak(s, 2.0, 42371) <= one_tile + tile_bytes
 
     def test_one_block_moments_allocate_no_tile(self):
         # block 0 is one matrix-vector product: a call with n_max < _BLOCK
         # allocates neither the block rows nor the tile buffer, so its peak
-        # stays at least one tile buffer below that of a one-tile call
+        # stays at least one tile buffer below that of a one-tile call; the
+        # lines and dt are those of the direct kernel above
         s = random_spectrum(13, n=4096, normalized=True)
+        assert not _backend._spreads(s.eigenfrequencies, 2.0)
         tile_bytes = _backend._TILE * s.n_eigen * 16
-        peaks = []
-        for n_max in (_backend._BLOCK - 1, _backend._TILE * _backend._BLOCK - 1):
-            tracemalloc.start()
-            try:
-                phase_moment_sums(s.eigenfrequencies, s.weights, 27.98, n_max)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        one_block, one_tile = peaks
+        one_block = _moment_peak(s, 2.0, _backend._BLOCK - 1)
+        one_tile = _moment_peak(s, 2.0, _backend._TILE * _backend._BLOCK - 1)
         assert one_block <= one_tile - tile_bytes
 
     def test_noncontiguous_input_accepted(self):
@@ -536,17 +546,29 @@ class TestUniformLinesFft:
             assert np.array_equal(got, ref[: n_max + 1]), n_max
         assert ref[0] == weights.sum()
 
-    @pytest.mark.parametrize("n_lines", [2, 3, 512, 4096])
+    @pytest.mark.parametrize("n_lines", [2, 3, 512, 1023])
     def test_near_misses_run_the_direct_kernel(self, n_lines):
         # one line moved by 1e-9 h, or the period scaled by 1 + 1e-9, is
-        # not equally spaced or commensurate: bitwise the direct kernel
+        # not equally spaced or commensurate; fewer than _NUFFT_LINES lines
+        # then run the direct kernel, bitwise
+        self._assert_near_misses_run(n_lines, _backend._direct_moments)
+
+    @pytest.mark.parametrize("n_lines", [1024, 4096])
+    def test_near_misses_of_many_lines_run_the_nufft(self, n_lines):
+        # the same near misses with at least _NUFFT_LINES lines, at dt max|w|
+        # about pi, run the NUFFT path, bitwise
+        self._assert_near_misses_run(n_lines, _backend._nufft_moments)
+
+    @staticmethod
+    def _assert_near_misses_run(n_lines, kernel):
         omegas, weights, dt = _uniform_lines(n_lines, 7987.5, 1)
         moved = omegas.copy()
         moved[n_lines // 2] += 1e-9 * (omegas[1] - omegas[0])
         for om, step in ((moved, dt), (omegas, dt / (1 + 1e-9))):
             assert not _backend._commensurate(om, step)
+            assert _backend._spreads(om, step) == (n_lines >= _backend._NUFFT_LINES)
             got = phase_moment_sums(om, weights, step, N_MULTI)
-            want = _backend._direct_moments(om, weights, step, N_MULTI)
+            want = kernel(om, weights, step, N_MULTI)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_turn_count_bound(self):
@@ -570,6 +592,206 @@ class TestUniformLinesFft:
             (omegas, math.nan),
         ):
             assert not _backend._commensurate(om, step)
+
+
+# the dt of the nyquist norm-bound plan at norm_scale 7987.5 (period 15 975)
+NORM_BOUND_DT = 2 * math.pi / (2 * 7987.5)
+
+
+def _random_lines(n_lines, norm_scale, seed):
+    """n_lines sorted uniform random lines on [-norm_scale, norm_scale]
+    with normalized weights uniform on [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, n_lines)
+    omegas = np.sort(rng.uniform(-norm_scale, norm_scale, n_lines))
+    return omegas, weights / weights.sum()
+
+
+def _nufft_spectra():
+    """The three spectra of the NUFFT path's accuracy gate, (omegas, weights,
+    dt): 4 096 random lines under the norm-bound plan; 4 096 normal lines
+    around 20 (spread 22) with 4 096 midpoint lines of weight 1e-9 over the
+    norm-bound range; 4 096 random lines on [-1, 1] at dt 27.98."""
+    rng = np.random.default_rng(2027)
+    core = rng.normal(20.0, 22.0, 4096)
+    omegas = np.concatenate([core, midpoint_grid(4096, 7987.5)])
+    weights = np.concatenate([np.full(4096, 1 / 4096), np.full(4096, 1e-9)])
+    order = np.argsort(omegas)
+    unit = random_spectrum(14, n=4096, normalized=True)
+    return (
+        (*_random_lines(4096, 7987.5, 2026), NORM_BOUND_DT),
+        (omegas[order], weights[order], NORM_BOUND_DT),
+        (unit.eigenfrequencies, unit.weights, 27.98),
+    )
+
+
+# the first order of each of the first four NUFFT tiles
+TILE_STARTS = [_backend._BLOCK + t * _backend._NUFFT_TILE for t in range(4)]
+
+
+class TestNufftMoments:
+    """Many irregular lines over a wide phase range take the orders past
+    block 0 from tiles of _NUFFT_TILE orders of a type-1 NUFFT."""
+
+    S = _backend._NUFFT_TILE
+    STARTS = TILE_STARTS
+
+    def test_matches_direct_sum(self):
+        # the contract at every order near block 0, the tile edges and
+        # centers and the order 2 S, where the image of m_0 aliases onto the
+        # last orders of tile 1, and at a stride up to 42 371
+        near = [s + d for s in self.STARTS for d in (-1, 0, 1)]
+        centers = [s + self.S // 2 for s in self.STARTS[:3]]
+        orders = np.unique(np.r_[0:13, 120:136, near, centers,
+                                 2 * self.S - 3 : 2 * self.S + 4, 0:42372:97, 42371])
+        orders = orders[orders <= 42371]
+        for omegas, weights, dt in _nufft_spectra():
+            assert not _backend._commensurate(omegas, dt)
+            assert _backend._spreads(omegas, dt)
+            vals = phase_moment_sums(omegas, weights, dt, 42371)
+            _assert_direct_sum(vals, omegas, weights, dt, orders)
+
+    def test_one_line_error_keeps_a_tenfold_margin(self):
+        # the NUFFT is linear in the weights, so its error on any
+        # nonnegative weights is at most mu0 times the worst error of one
+        # line of weight 1. At 32 grid offsets, over three tiles, that stays
+        # a tenth of the contract taken at dt max|w| = _NUFFT_SCALE: the
+        # threshold keeps the margin at every order, the least (about 12x)
+        # at order _BLOCK, the lower edge of tile 0
+        ext = np.longdouble
+        n_max = self.STARTS[3] - 1
+        n = np.arange(n_max + 1)
+        rng = np.random.default_rng(7)
+        worst = np.zeros(n_max + 1)
+        offsets = np.r_[np.linspace(0.0, 1.0, 16, endpoint=False),
+                        rng.uniform(0.0, 1.0, 16)]
+        for frac in offsets:
+            omega = (rng.integers(-self.S, self.S) + frac) * math.pi / self.S
+            got = _backend._nufft_moments(np.array([omega]), np.ones(1), 1.0, n_max)
+            turn = n.astype(ext) * ext(omega)
+            turn -= _backend._TAU_EXT * np.round(turn / _backend._TAU_EXT)
+            exact = np.cos(turn).astype(float) - 1j * np.sin(turn).astype(float)
+            worst = np.maximum(worst, np.abs(got - exact))
+        past = n[_backend._BLOCK :]
+        bound = _contract(past, None, np.ones(1), 1.0, scale=_backend._NUFFT_SCALE)
+        assert np.all(10 * worst[_backend._BLOCK :] <= bound)
+        assert worst[: _backend._BLOCK].max() <= 1e-15
+
+    def test_rule_reads_the_lines_and_dt(self, monkeypatch):
+        # both sides of _NUFFT_LINES and of _NUFFT_SCALE, bitwise the path
+        # the rule picks; past block 0 the two paths differ in the last bits
+        omegas, weights = _random_lines(_backend._NUFFT_LINES, 1.0, 31)
+        top = np.abs(omegas).max()
+        at = _backend._NUFFT_SCALE / top
+        while at * top < _backend._NUFFT_SCALE:
+            at = np.nextafter(at, math.inf)
+        below = np.nextafter(at, 0.0)
+        fewer = (omegas[1:], weights[1:] / weights[1:].sum())
+        cases = (((omegas, weights), at, True), ((omegas, weights), below, False),
+                 (fewer, at, False), (fewer, 10 * at, False),
+                 ((omegas, weights), 10 * at, True))
+        n_max = _backend._BLOCK + 7
+        for (om, w), dt, spreads in cases:
+            assert _backend._spreads(om, dt) == spreads
+            got = phase_moment_sums(om, w, dt, n_max)
+            nufft = _backend._nufft_moments(om, w, dt, n_max)
+            direct = _backend._direct_moments(om, w, dt, n_max)
+            assert not np.array_equal(nufft, direct)
+            assert np.array_equal(got, nufft if spreads else direct)
+        monkeypatch.setattr(_backend, "_EXTENDED", False)
+        assert not _backend._spreads(omegas, at)
+        assert np.array_equal(phase_moment_sums(omegas, weights, at, n_max),
+                              _backend._direct_moments(omegas, weights, at, n_max))
+
+    def test_non_finite_inputs_stay_off_the_path(self):
+        omegas, _ = _random_lines(_backend._NUFFT_LINES, 1.0, 32)
+        for step in (math.nan, math.inf):
+            assert not _backend._spreads(omegas, step)
+        for value in (math.nan, math.inf, -math.inf):
+            bad = omegas.copy()
+            bad[3] = value
+            assert not _backend._spreads(bad, 27.98)
+
+    def test_n_max_independent_bitwise(self):
+        # across block 0's edge and each tile edge n_start + t S +- 1 and
+        # the tile centers, against a longer call
+        omegas, weights = _random_lines(1024, 7987.5, 33)
+        dt = NORM_BOUND_DT
+        assert _backend._spreads(omegas, dt)
+        long = phase_moment_sums(omegas, weights, dt, self.STARTS[3] + 7)
+        edges = [s + d for s in self.STARTS for d in (-1, 0, 1)]
+        centers = [s + self.S // 2 + d for s in self.STARTS[:3] for d in (-1, 0)]
+        for n_max in [*range(4), *edges, *centers, 42371]:
+            got = phase_moment_sums(omegas, weights, dt, n_max)
+            assert np.array_equal(got, long[: n_max + 1]), n_max
+
+    def test_memory_does_not_grow_with_n_max(self):
+        # the tiles reuse buffers of fixed size: past one tile, a call's
+        # tracemalloc peak grows by no more than its longer output and 4 KB
+        # of small Python objects. With 1 024 lines the tiles' buffers weigh
+        # about as much as block 0's low table, so one more grid of 2
+        # _NUFFT_TILE points (512 KB) per tile would show. A first call
+        # builds what a process keeps: the FFT's plan and _deconvolution
+        s = random_spectrum(13, n=1024, normalized=True)
+        assert _backend._spreads(s.eigenfrequencies, 27.98)
+        phase_moment_sums(s.eigenfrequencies, s.weights, 27.98, self.STARTS[1])
+        one_tile = self.STARTS[1] - 1
+        base = _moment_peak(s, 27.98, one_tile)
+        for n_max in (self.STARTS[1], self.STARTS[2], 42371, self.STARTS[3] + 5):
+            grown = _moment_peak(s, 27.98, n_max) - base
+            assert grown <= 16 * (n_max - one_tile) + 4096
+
+    def test_one_block_runs_no_fft(self, monkeypatch):
+        # below order _BLOCK the path is block 0 alone; past it, one FFT of
+        # 2 _NUFFT_TILE points per tile
+        sizes = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda a, **kw: sizes.append(a.size) or fft(a, **kw))
+        s = random_spectrum(13, n=4096, normalized=True)
+        om, w = s.eigenfrequencies, s.weights
+        got = phase_moment_sums(om, w, 27.98, _backend._BLOCK - 1)
+        direct = _backend._direct_moments(om, w, 27.98, _backend._BLOCK - 1)
+        assert np.array_equal(got, direct)
+        assert sizes == []
+        phase_moment_sums(om, w, 27.98, self.STARTS[1])
+        assert sizes == [2 * self.S] * 2
+
+    def test_deconvolution_table(self):
+        # h / psihat(r), r = -S/2 .. S/2 - 1: one read-only table of S
+        # floats per process, even in r, growing towards the tile edges
+        table = _backend._deconvolution()
+        assert _backend._deconvolution() is table
+        assert table.shape == (self.S,) and not table.flags.writeable
+        half = self.S // 2
+        assert np.array_equal(table[half + 1 :], table[half - 1 : 0 : -1])
+        assert np.all(np.diff(table[half:]) > 0) and table[half] > 0
+
+
+def _reflected(omegas, weights):
+    """The lines at -w, in increasing order, with their weights."""
+    return -omegas[::-1], weights[::-1]
+
+
+def test_reflection_conjugates_the_moments():
+    # omega -> -omega turns m_n into its conjugate; on each path the two
+    # calls agree with that to within the contract
+    omegas, weights, dt = _uniform_lines(512, 7987.5, 1)
+    unit = random_spectrum(0, n=16, normalized=True)
+    cases = (
+        ("direct", unit.eigenfrequencies, unit.weights, 5.7),
+        ("fft", omegas, weights, dt),
+        ("nufft", *_nufft_spectra()[0]),
+    )
+    orders = np.unique(np.r_[0:13, 120:136, 0:42372:61, 16510:16515, 42371])
+    for path, om, w, step in cases:
+        for lines in ((om, w), _reflected(om, w)):
+            assert bool(_backend._commensurate(lines[0], step)) == (path == "fft")
+            assert _backend._spreads(lines[0], step) == (path == "nufft")
+        m = phase_moment_sums(om, w, step, 42371)
+        r = phase_moment_sums(*_reflected(om, w), step, 42371)
+        gap = np.abs(r[orders] - np.conj(m[orders]))
+        assert np.all(gap <= _contract(orders, om, w, step)), path
 
 
 def _every_term(nus, omegas, weights, lam, period=None, wrap=0):
@@ -900,7 +1122,7 @@ class TestDispatch:
 
     def test_fft_loaded_only_on_the_uniform_path(self):
         # numpy imports numpy.fft lazily; a process whose moments never
-        # qualify for the FFT path does not pay for that import
+        # qualify for the FFT or the NUFFT path does not pay for that import
         code = (
             "import sys; from fouriergit import exact_moments, make_model; "
             "s = make_model('A'); exact_moments(s, 27.98, 25); "
@@ -914,3 +1136,24 @@ class TestDispatch:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["False", "True"]
+
+    def test_nufft_set_up_is_lazy(self):
+        # the NUFFT path imports numpy.fft and builds its deconvolution
+        # table only when a call reaches past block 0, once per process
+        code = (
+            "import sys, numpy as np; "
+            "from fouriergit import DiscreteSpectrum, _backend, exact_moments; "
+            "state = lambda: print('numpy.fft' in sys.modules, "
+            "_backend._deconvolution.cache_info().misses); "
+            "rng = np.random.default_rng(3); "
+            "s = DiscreteSpectrum(np.sort(rng.uniform(-1, 1, 1024)), np.ones(1024)); "
+            "state(); exact_moments(s, 27.98, 100); state(); "
+            "exact_moments(s, 27.98, 200); state(); "
+            "exact_moments(s, 27.98, 300); state()"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=package_env(),
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "0"] * 2 + ["True", "1"] * 2

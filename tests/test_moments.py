@@ -158,6 +158,26 @@ class TestExactMoments:
             for n in orders:
                 assert abs(ms.values[n] - mp_moment(s, dt, n)) <= 1e-10 * s.mu0
 
+    def test_nufft_against_high_precision(self):
+        # 4 096 random lines under the norm-bound plan take the NUFFT path
+        # past block 0, with phases in extended precision: within 1e-13 mu0
+        # of 40-digit sums at the first NUFFT orders, a tile center, both
+        # sides of a tile edge, the order 2 _NUFFT_TILE where the image of
+        # m_0 aliases, and the last orders, where the direct kernel's gate
+        # is 1e-10
+        h = 7987.5
+        kernel = KernelSpec.from_resolution(1.0, 0.01, h)
+        budget = ErrorBudget(0.01, 0.01, 0.05, 1.0)
+        dt = 2 * math.pi / chi_general(kernel, budget, mode="nyquist").period
+        s = random_spectrum(17, n=4096, norm_scale=h, normalized=True)
+        assert _backend._spreads(s.eigenfrequencies, dt)
+        start, tile = _backend._BLOCK, _backend._NUFFT_TILE
+        orders = (start, start + 1, start + tile // 2, start + tile - 1,
+                  start + tile, 2 * tile, 40_000, 42_371)
+        ms = exact_moments(s, dt, n_max=max(orders))
+        for n in orders:
+            assert abs(ms.values[n] - mp_moment(s, dt, n)) <= 1e-13 * s.mu0, n
+
     @pytest.mark.parametrize("norm_scale", [7987.5, 3.3])
     @pytest.mark.parametrize("turns", [1, 2, 3])
     def test_uniform_lines_against_high_precision(self, norm_scale, turns):
@@ -252,15 +272,27 @@ class TestExactMoments:
             block + tile * block + 1,
             2 * tile * block + 7,
         })
+        # 4 096 lines on [-1, 1] run the direct kernel at dt 2 and, since
+        # dt max|w| reaches _NUFFT_SCALE there, the NUFFT path at dt 27.98,
+        # whose tiles of _NUFFT_TILE orders start at _BLOCK + t _NUFFT_TILE
         wide = random_spectrum(11, n=4096, normalized=True)
-        for spectrum, n_long, shorts in (
-            (model_a, 20, (5,)),
-            (model_a, 3 * tile * block, edges),
-            (wide, 3 * tile * block, edges),
+        assert not _backend._spreads(wide.eigenfrequencies, 2.0)
+        assert _backend._spreads(wide.eigenfrequencies, 27.98)
+        nufft = _backend._NUFFT_TILE
+        tile_edges = sorted({
+            *range(8), block - 1, block, block + 1,
+            *(block + t * nufft + d for t in (1, 2) for d in (-1, 0, 1)),
+            block + nufft // 2, 2 * nufft,
+        })
+        for spectrum, dt, n_long, shorts in (
+            (model_a, 27.98, 20, (5,)),
+            (model_a, 27.98, 3 * tile * block, edges),
+            (wide, 2.0, 3 * tile * block, edges),
+            (wide, 27.98, block + 2 * nufft + 7, tile_edges),
         ):
-            long = exact_moments(spectrum, 27.98, n_max=n_long)
+            long = exact_moments(spectrum, dt, n_max=n_long)
             for n_short in shorts:
-                short = exact_moments(spectrum, 27.98, n_max=n_short)
+                short = exact_moments(spectrum, dt, n_max=n_short)
                 assert np.array_equal(short.values, long.values[: n_short + 1])
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -252,13 +253,19 @@ class TestChiWithVariance:
     def test_warns_when_no_saving(self, kernel001):
         budget = ErrorBudget(0.001, 0.01, 0.05, OMEGA_MODEL)
         wide = MomentSummary(mu0=1.0, mu1=0.0, sigma=0.99, central={2: 0.9801})
+        window = FrequencyWindow(-1.0, 1.0)
         with pytest.warns(NoSavingWarning) as record:
-            choice = chi_with_variance(
-                kernel001, budget, wide, FrequencyWindow(-1.0, 1.0)
-            )
+            line = sys._getframe().f_lineno + 1
+            choice = chi_with_variance(kernel001, budget, wide, window)
         assert choice.period > chi_general(kernel001, budget).period
-        # the warning names the line that asked for the period
-        assert record[0].filename == __file__
+        # the warning names the line that asked for the period, whether it
+        # called chi_with_variance or make_plan, not a line of the planner
+        assert (record[0].filename, record[0].lineno) == (__file__, line)
+        with pytest.warns(NoSavingWarning) as record:
+            line = sys._getframe().f_lineno + 1
+            plan = make_plan("variance", kernel001, budget, window, wide)
+        assert plan.period == choice.period
+        assert (record[0].filename, record[0].lineno) == (__file__, line)
 
     def test_narrow_spectrum_does_not_warn(
         self, kernel001, budget001, stats_a, window_model, recwarn

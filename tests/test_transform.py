@@ -22,6 +22,7 @@ from fouriergit import (
     sampled_moments,
     truncation_bound,
 )
+from fouriergit.transform import _curves
 
 from conftest import MemoContract, random_spectrum, same_bits
 
@@ -416,6 +417,104 @@ class TestReconstructMemo(MemoContract):
         wrapped = exact_transform(model_a, kernel001.lam, grid, periodic=params)
         eps_n = budget001.omega_scale * np.abs(curve.values - wrapped.values).max()
         assert report.eps_n_measured == eps_n
+
+
+@pytest.fixture()
+def plain_transforms(monkeypatch):
+    """Counts the plain Gaussian transforms behind exact_transform."""
+    from fouriergit import transform
+
+    calls = []
+    original = transform.gaussian_transform
+
+    def counting(*args):
+        if len(args) == 4:  # no period: the plain transform
+            calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(transform, "gaussian_transform", counting)
+    return calls
+
+
+def _plain(spectrum, lam, grid):
+    return exact_transform(spectrum, lam, grid)
+
+
+class TestPlainTransformMemo(MemoContract):
+    PARTS = ("lines", "weights", "lam", "grid", "grid_size")
+
+    @pytest.fixture()
+    def args(self):
+        return random_spectrum(8, n=40), 0.05, np.linspace(-1.0, 1.0, 41)
+
+    @pytest.fixture()
+    def computed(self, plain_transforms):
+        return plain_transforms
+
+    call = staticmethod(_plain)
+
+    @staticmethod
+    def fresh(spectrum, lam, grid):
+        return _backend.gaussian_transform(
+            np.asarray(grid, dtype=np.float64), spectrum.eigenfrequencies,
+            spectrum.weights, float(lam))
+
+    @staticmethod
+    def copies(spectrum, lam, grid):
+        equal = DiscreteSpectrum(spectrum.eigenfrequencies.copy(),
+                                 spectrum.weights.copy(), norm_scale=2.0)
+        return (equal, lam, grid.copy()), (spectrum, np.float64(lam), list(grid))
+
+    @staticmethod
+    def change(part, spectrum, lam, grid):
+        om, w = spectrum.eigenfrequencies.copy(), spectrum.weights.copy()
+        if part == "lines":  # one line one ulp up
+            om[7] = np.nextafter(om[7], 1.0)
+        elif part == "weights":
+            w[7] = np.nextafter(w[7], 1.0)
+        elif part == "lam":
+            lam = np.nextafter(lam, 1.0)
+        elif part == "grid":
+            grid = grid.copy()
+            grid[17] = np.nextafter(grid[17], 0.0)
+        else:
+            grid = grid[:-1]
+        return DiscreteSpectrum(om, w), lam, grid
+
+    @staticmethod
+    def array(result):
+        return result.values
+
+    def test_periodic_transform_is_never_held(self, args, kernel001,
+                                              plain_transforms):
+        spectrum, lam, grid = args
+        params = PeriodicKernelParams.from_period(0.3, kernel001)
+        plain = exact_transform(spectrum, lam, grid)
+        first = exact_transform(spectrum, lam, grid, periodic=params)
+        again = exact_transform(spectrum, lam, grid, periodic=params)
+        assert again is not first and same_bits(again.values, first.values)
+        assert first.kind == "exact_periodic"
+        # the periodic calls leave the plain entry in place
+        assert exact_transform(spectrum, lam, grid) is plain
+        assert len(plain_transforms) == 1
+
+    def test_plans_of_one_model_share_the_plain_transform(
+        self, model_a, kernel001, stats_a, window_model, plain_transforms
+    ):
+        # 12 variance plans of model A through error_report evaluate the
+        # plain transform once; each plan's plain curve is bitwise the fresh
+        # one, and each report meets its budget
+        grid = np.linspace(window_model.nu_min, window_model.nu_max, 1024)
+        fresh = self.fresh(model_a, kernel001.lam, grid)
+        for eps in np.logspace(-4.0, -1.0, 12):
+            budget = ErrorBudget(float(eps), float(eps), 0.05, 2.0 / 512, 0.05)
+            plan = make_plan("variance", kernel001, budget, window=window_model,
+                             moments=stats_a)
+            report = error_report(model_a, plan, kernel001, window_model, budget)
+            assert report.within_period_budget and report.within_truncation_budget
+            plain = _curves(model_a, plan, kernel001, grid)[0]
+            assert same_bits(plain.values, fresh)
+        assert len(plain_transforms) == 1
 
 
 class TestErrorReport:
