@@ -46,16 +46,13 @@ the plain exact_transform: a hit is an equal key, since every held array
 is _frozen.
 The direct moment kernel takes block 0 (orders below _BLOCK) from one
 matrix-vector product of the low-order table with the weights, the same
-product whatever n_max. Each later block is centered, at c = q _BLOCK +
-_BLOCK/2, so that exp(i(c +- r) phase) = exp(i c phase)(cos r phase +- i sin
-r phase): one real cos/sin table of _BLOCK + 2 rows, split in place from the
-low table, meets the complex rows w_k exp(i c phase_k) of _TILE blocks at a
-time, viewed as interleaved floats, in one real matrix product per tile, and
-each product entry serves the two orders c + r and c - r. That halves the
-real multiplies of a complex product per block. Every tile has the same
-shape and start, and every block the same center, whatever n_max, so BLAS
-sums each m_n in the same order and m_n is bitwise independent of n_max; a
-call below order _BLOCK builds no tile.
+product whatever n_max. The later orders come _TILE blocks at a time: the
+rows w_k exp(i j _BLOCK phase), j < _TILE, times the one fresh exponential
+row exp(i n0 phase) of the tile start n0, meet the low table in one complex
+product whose entry (j, r) is m_{n0 + j _BLOCK + r}. Every tile has the same
+shape and every start is fixed, whatever n_max, so BLAS sums each m_n in the
+same order and m_n is bitwise independent of n_max; a call below order
+_BLOCK builds no tile.
 One Gaussian-transform kernel serves the plain and the periodic transform.
 It works one grid chunk at a time, which bounds the temporary memory, on the
 lines within reach of the chunk only. Within a chunk it wraps each line to
@@ -77,7 +74,6 @@ import numpy as np
 _CHUNK = 256  # grid rows per numpy broadcast block; bounds temp memory
 _BLOCK = 128  # orders per phase-power block; fixed so m_n ignores n_max
 _TILE = 32  # blocks per moment matrix product; fixed so m_n ignores n_max
-_SPLIT_ROWS = 16  # complex rows per copy in the in-place cos/sin split
 _UNDERFLOW = 750.0  # exp(-x) is 0.0 in float64 beyond 745.2; margin for rounding
 _SPAN = 64  # grid rows per liveness decision in the Gaussian transform
 _RUNS = 16  # line slices per image and span in the Gaussian transform
@@ -225,87 +221,56 @@ def _direct_moments(omegas, weights, dt, n_max):
     """Phase moments of any weighted point spectrum, by blocked tables.
 
     Block 0, orders below _BLOCK, is the low table exp(-i r dt w_k), r <
-    _BLOCK, times the weights: one matrix-vector product. Block q >= 1 is
-    centered at c = q _BLOCK + H, H = _BLOCK // 2, and holds the orders c + r
-    (0 <= r < H) and c - r (1 <= r <= H). With a_k = w_k exp(-i c dt w_k),
+    _BLOCK, times the weights: one matrix-vector product (_block_zero). The
+    later orders come in tiles of _TILE blocks, the tiles starting at n0 =
+    _BLOCK + t _TILE _BLOCK. With the block rows b_{jk} = w_k exp(-i j
+    _BLOCK dt w_k), j < _TILE, and the low table's rows r < _BLOCK,
 
-        m_{c +- r} = sum_k a_k (cos r dt w_k -+ i sin r dt w_k) = U_r +- i V_r,
+        m_{n0 + j _BLOCK + r} = sum_k exp(-i r dt w_k) b_{jk} exp(-i n0 dt w_k),
 
-    where U_r = sum_k cos(r dt w_k) a_k and V_r = sum_k sin(-r dt w_k) a_k
-    have real table entries, so one real product against the complex a,
-    viewed as interleaved floats, gives both halves of a block. The real
-    table has 2H + 2 rows of L: rows 2r and 2r + 1 are the real and the
-    imaginary part of the low table's row r, r = 0..H, split in place in
-    the low table's memory (no new exponentials). The a rows are formed
-    _TILE blocks at a time in one complex (L, _TILE) tile buffer, as a table
-    of the rows w_k exp(-i j _BLOCK dt w_k), j < _TILE, times one fresh
-    exponential row per tile, the tiles starting at order _BLOCK + j _TILE
-    _BLOCK. Each tile is one real (2H + 2, L) @ (L, 2 _TILE) product, about
-    half the real multiplies of the complex (_TILE, L) @ (L, _BLOCK) product
-    of an uncentered block, and the (N/_BLOCK, L) matrix of all block rows
-    never exists. The tile buffer sits in the low table's rows past H, so
-    beyond the low table a call holds the block-row table and the output
-    only. A call with n_max < _BLOCK builds no block rows and no tile. All
-    phase tables are built by doubling: L lines up to order N cost 7 L
-    complex exponentials for the low table, at most 5 L for the block-row
-    table and L per tile, so at most (12 + ceil((N + 1 - _BLOCK)/(_TILE
-    _BLOCK))) L instead of N L, and at most 7 L below order _BLOCK; every
-    factor is a fresh exponential, so no phase roundoff accumulates along n.
+    so a tile is one complex (_TILE, L) @ (L, _BLOCK) product of the block
+    rows, times one fresh exponential row exp(-i n0 dt w_k), with the
+    transposed low table: 4 _TILE _BLOCK L real multiplies. The (N/_BLOCK,
+    L) matrix of all block rows never exists; beyond the low table a call
+    holds the (_TILE, L) block rows, one tile of them and the output. A
+    call with n_max < _BLOCK builds neither. All phase tables are built by
+    doubling: L lines up to order N cost 7 L complex exponentials for the
+    low table, 5 L for the block rows and L per tile, so (12 +
+    ceil((N + 1 - _BLOCK)/(_TILE _BLOCK))) L instead of N L, and at most
+    7 L below order _BLOCK; every factor is a fresh exponential, so no
+    phase roundoff accumulates along n.
 
     m_n is bitwise independent of n_max. Each table row is the same product
     of the same fresh exponentials, in the same order, whatever the row
-    count, and the block centers and tile starts do not depend on n_max
-    either. Block 0 is the same matrix-vector product whatever n_max:
-    (_BLOCK, L) @ (L,) from n_max = _BLOCK - 1 on, below that the same
-    product on fewer rows, which the BLAS sums row by row, each row against
-    the weights in an order set by L alone. Every tile has _TILE columns,
-    those of the last tile past n_max computed and dropped, so every tile
-    product has one shape whatever n_max, the BLAS sums each entry, one
-    table row against one tile column, in an order set by L alone, and
-    U +- i V is taken entry by entry (tests compare n_max = 0..7 and the
-    power-of-two edges of the low table, of _BLOCK orders, of the block
-    centers, of the block-row table and of the tiles against a longer n_max,
-    bitwise). The constants are fixed for that reason: a tile width or block
-    center that follows n_max, or one product over all blocks whose shape
-    grows with n_max, changes the BLAS summation order and with it the last
-    bits. m_0 is the plain weight sum: at n_max = 0 the one-row product
-    takes another BLAS code path and rounds differently.
+    count, and the tile starts do not depend on n_max either. Block 0 is
+    the same matrix-vector product whatever n_max: (_BLOCK, L) @ (L,) from
+    n_max = _BLOCK - 1 on, below that the same product on fewer rows, which
+    the BLAS sums row by row, each row against the weights in an order set
+    by L alone. The block rows always have _TILE rows, those of the last
+    tile past n_max computed and dropped, so every tile product has one
+    shape whatever n_max, and the BLAS sums each entry, one block row
+    against one low-table row, in an order set by L alone (tests compare
+    n_max = 0..7 and the edges of the low table's power-of-two rows, of the
+    blocks, of the block rows and of the tiles against a longer n_max,
+    bitwise). The constants are fixed for that reason: a tile width that
+    follows n_max, or one product over all blocks whose shape grows with
+    n_max, changes the BLAS summation order and with it the last bits. m_0
+    is the plain weight sum: at n_max = 0 the one-row product takes another
+    BLAS code path and rounds differently.
     """
     phase = -dt * omegas
-    n_blocks = -(-(n_max + 1) // _BLOCK)
-    if n_blocks > 1:
-        # in place and before the large low table, to keep the peak memory low
-        used = min(_TILE, n_blocks - 1)
-        rows = np.zeros((omegas.size, _TILE), dtype=np.complex128)
-        rows[:, :used] = _phase_table(_BLOCK * phase, used).T
-        rows[:, :used] *= weights[:, None]
+    if n_max >= _BLOCK:  # before the large low table, to keep the peak low
+        rows = _phase_table(_BLOCK * phase, _TILE)
+        rows *= weights
     low, head = _block_zero(phase, weights, n_max)
-    if n_blocks == 1:
+    if n_max < _BLOCK:
         return head
-    # from here on the low table's memory holds the real table, its complex
-    # row r <= half split in place into the rows 2r (cos) and 2r + 1 (sin)
-    # through a copy of at most _SPLIT_ROWS rows, and in the _TILE complex rows
-    # after those the tile buffer, so past block 0 a call allocates only the
-    # block-row table, the output and small temporaries
-    half = _BLOCK // 2
-    cs = low[: half + 1].view(np.float64).reshape(2 * half + 2, -1)
-    for a in range(0, half + 1, _SPLIT_ROWS):
-        z = low[a : min(a + _SPLIT_ROWS, half + 1)].copy()
-        cs[2 * a : 2 * (a + len(z)) : 2] = z.real
-        cs[2 * a + 1 : 2 * (a + len(z)) : 2] = z.imag
-    tile = low[half + 1 : half + 1 + _TILE].reshape(rows.shape)
     span = _TILE * _BLOCK
     out = np.empty(n_max + 1, dtype=np.complex128)
     out[:_BLOCK] = head
-    block = np.empty((_TILE, _BLOCK), dtype=np.complex128)
     for n0 in range(_BLOCK, n_max + 1, span):
-        np.multiply(rows, _expi((n0 + half) * phase)[:, None], out=tile)
-        prod = cs @ tile.view(np.float64)  # row 2r holds U_r, row 2r + 1 V_r
-        u = prod[0::2].view(np.complex128)
-        iv = 1j * prod[1::2].view(np.complex128)
-        np.add(u[:half], iv[:half], out=block[:, half:].T)
-        np.subtract(u[half:0:-1], iv[half:0:-1], out=block[:, :half].T)
-        out[n0 : n0 + span] = block.ravel()[: n_max + 1 - n0]
+        tile = (rows * _expi(n0 * phase)) @ low.T
+        out[n0 : n0 + span] = tile.ravel()[: n_max + 1 - n0]
     return out
 
 

@@ -237,6 +237,7 @@ def write_moments(path, moments: FourierMomentSet) -> None:
 
 
 def read_moments(path) -> FourierMomentSet:
+    """The moment set in a (n, re, im) CSV file; a refusal names path."""
     _, rows, metadata = _read_csv_with_metadata(
         path, (("n", int), ("re", float), ("im", float))
     )
@@ -244,14 +245,20 @@ def read_moments(path) -> FourierMomentSet:
     if order != list(range(len(order))):
         raise ValueError(f"{path}: moment orders must run 0..n_max contiguously")
     vals = np.array([complex(r[1], r[2]) for r in rows])
-    return FourierMomentSet(
-        dt=_metadata(metadata, path, "dt"),
-        values=vals,
-        provenance=_metadata(metadata, path, "provenance", str),
-        mu0=_metadata(metadata, path, "mu0"),
-        shots_per_part=metadata.get("shots_per_part"),
-        seed=metadata.get("seed"),
-    )
+    dt = _metadata(metadata, path, "dt")
+    provenance = _metadata(metadata, path, "provenance", str)
+    mu0 = _metadata(metadata, path, "mu0")
+    try:
+        return FourierMomentSet(
+            dt=dt,
+            values=vals,
+            provenance=provenance,
+            mu0=mu0,
+            shots_per_part=metadata.get("shots_per_part"),
+            seed=metadata.get("seed"),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_curves(path, curves, metadata: dict | None = None) -> None:
@@ -264,7 +271,8 @@ def write_curves(path, curves, metadata: dict | None = None) -> None:
 
 
 def read_curves(path):
-    """Returns (curves, metadata); rows are regrouped by kind in file order."""
+    """Returns (curves, metadata); rows are regrouped by kind in file order.
+    A refusal names path."""
     _, rows, metadata = _read_csv_with_metadata(
         path, (("nu", float), ("value", float), ("kind", str))
     )
@@ -278,7 +286,10 @@ def read_curves(path):
     curves = []
     for kind in order:
         pts = np.array(groups[kind])
-        curves.append(TransformCurve(pts[:, 0], pts[:, 1], kind))
+        try:
+            curves.append(TransformCurve(pts[:, 0], pts[:, 1], kind))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return curves, metadata
 
 

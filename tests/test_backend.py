@@ -34,8 +34,9 @@ from conftest import MemoContract, package_env, periodic_line, random_spectrum
 
 # orders spanning several phase-power blocks, with a partial last block
 N_MULTI = 3 * _backend._BLOCK + 7
-# orders spanning several tiles of blocks, through every power-of-two row of
-# the block-row table (the last, row 16, is block 17), with a partial last tile
+# orders spanning two tiles of _TILE blocks, the first tile through every
+# power-of-two block row (the last, row 16, holds orders 17 _BLOCK to 18
+# _BLOCK - 1), the second tile partial
 N_TILES = 2 * _backend._TILE * _backend._BLOCK + 7
 
 
@@ -91,8 +92,8 @@ class TestNumpyKernels:
 
     def test_block_zero_is_one_matrix_vector_product(self):
         # orders below _BLOCK of a multi-tile call are the low table times
-        # the weights, bitwise: neither the direct kernel's centered tiles
-        # (4 096 lines at dt 2) nor the NUFFT tiles (the spectra of its
+        # the weights, bitwise: neither the direct kernel's block-product
+        # tiles (4 096 lines at dt 2) nor the NUFFT tiles (the spectra of its
         # accuracy gate) touch block 0
         s = random_spectrum(14, n=4096, normalized=True)
         cases = ((s.eigenfrequencies, s.weights, 2.0), *_nufft_spectra())

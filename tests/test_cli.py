@@ -600,6 +600,23 @@ class TestReconstructCommand:
         with pytest.raises(ValueError, match=f"^{re.escape(str(out))}:{lineno}: "):
             serialize.read_curves(out)
 
+    def test_curves_kind_refusal_names_the_file(self, tmp_path, capsys,
+                                                 model_a_csv, plan_path):
+        # a row whose kind TransformCurve refuses names the file, as
+        # read_spectrum and read_plan do
+        out = tmp_path / "curves.csv"
+        code, _, _ = run_cli(
+            capsys, "reconstruct", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--grid-points", "5", "--out", str(out),
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",bogus"
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(out))}: kind must be one of "):
+            serialize.read_curves(out)
+
     def test_curves_and_report(self, tmp_path, capsys, model_a_csv, plan_path):
         out = tmp_path / "curves.csv"
         report_out = tmp_path / "report.txt"

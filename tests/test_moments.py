@@ -252,18 +252,22 @@ class TestExactMoments:
     def test_n_max_independent_bitwise(self, model_a):
         # m_n must not depend on n_max, bitwise, also across the edges of
         # the phase-power blocks (block 0 is a matrix-vector product of its
-        # own), of the block centers (each later block is two half blocks
-        # around its center), of the doubling phase tables (rows 2^j of the
-        # low table, block-row counts 2^j) and of the fixed-shape tiles
-        # (_TILE blocks from order _BLOCK on) of the moment kernel
+        # own, block q >= 1 the orders q _BLOCK to (q + 1) _BLOCK - 1 of a
+        # tile product), of the doubling phase tables (rows 2^j of the low
+        # table, block rows 2^j) and of the fixed-shape tiles (_TILE blocks
+        # from order _BLOCK on) of the moment kernel; the orders _BLOCK / 2
+        # past an edge check the middle of a block
         block, tile = _backend._BLOCK, _backend._TILE
         half = block // 2
         low_rows = [1 << j for j in range(8)]  # up to _BLOCK rows
         block_rows = [1 << j for j in range(6)]  # up to _TILE rows
+        # the first and the last block of each of the three tiles
+        tile_blocks = [1 + t * tile + j for t in range(3) for j in (0, tile - 1)]
         edges = sorted({
             *range(8),
             *(k + d for k in low_rows for d in (-1, 0, 1)),
             *(block * (1 + r) + d for r in block_rows for d in (-1, 0, 1)),
+            *(q * block + d for q in tile_blocks for d in (-1, 0)),
             3 * block + 7,
             block + half - 1, block + half, block + half + 1,
             tile * block + half - 1, tile * block + half + 1,
@@ -566,4 +570,25 @@ class TestMomentsCsv:
         ]
         path.write_text("\n".join(x for x in lines if x is not None) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*\\b{key}\\b"):
+            read_moments(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("# dt=-1.0", "dt must be positive and finite, got -1.0"),
+         ("# seed=", "sampled moments need shots_per_part and seed")],
+    )
+    def test_refused_record_names_the_file(self, tmp_path, model_a, line, message):
+        # a record the moment set refuses names the file, as read_spectrum
+        # and read_plan do
+        from fouriergit.serialize import read_moments, write_moments
+
+        path = tmp_path / "m.csv"
+        write_moments(path, sampled_moments(model_a, 27.98, 3, shots_per_part=9,
+                                            seed=4))
+        key = line.split("=")[0]
+        lines = [line if raw.startswith(key + "=") else raw
+                 for raw in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             read_moments(path)

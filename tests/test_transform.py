@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -20,6 +21,7 @@ from fouriergit import (
     make_plan,
     reconstruct,
     sampled_moments,
+    summarize,
     truncation_bound,
 )
 from fouriergit.transform import _curves
@@ -153,6 +155,46 @@ class TestReconstruct:
         assert err <= truncation_bound(plan.n_terms, plan.period, kernel001.lam)
         assert err * budget001.omega_scale <= budget001.eps_n
         assert rec.kind == "reconstructed"
+
+    @pytest.mark.parametrize("model", ["A", "B"])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-2])
+    def test_reflection_reflects_the_curves(self, model, eps, kernel001,
+                                            window_model, request):
+        # omega -> -omega, with the window and the grid reflected too: the
+        # variance plan is the same, and the plain and periodic transforms
+        # and the reconstruction at the reflected points are the original
+        # curves to within 8 eps max|curve| (measured: at most 1.8 eps).
+        # Model B at eps 1e-4 plans 143 terms, past the moment kernel's
+        # block 0; the other three plan 96, 25 and 31 terms
+        spectrum = request.getfixturevalue(f"model_{model.lower()}")
+        mirror = DiscreteSpectrum(-spectrum.eigenfrequencies[::-1],
+                                  spectrum.weights[::-1],
+                                  norm_scale=spectrum.norm_scale)
+        window = FrequencyWindow(-window_model.nu_max, -window_model.nu_min)
+        grid = np.linspace(window_model.nu_min, window_model.nu_max, 257)
+        budget = ErrorBudget(eps, eps, 0.05, 2.0 / 512, 0.05)
+        plans = [make_plan("variance", kernel001, budget, window=w,
+                           moments=summarize(s))
+                 for s, w in ((spectrum, window_model), (mirror, window))]
+        echo = plans[0].inputs_echo
+        assert plans[1] == dataclasses.replace(plans[0], inputs_echo={
+            **echo, "nu_min": window.nu_min, "nu_max": window.nu_max,
+            "mu1": -echo["mu1"]})
+        plan = plans[0]
+        if (model, eps) == ("B", 1e-4):
+            assert plan.n_terms > _backend._BLOCK
+        params = PeriodicKernelParams.from_period(plan.period, kernel001)
+        curves = []
+        for s, nus in ((spectrum, grid), (mirror, -grid[::-1])):
+            moments = exact_moments(s, params.dt, plan.n_terms)
+            curves.append((
+                exact_transform(s, kernel001.lam, nus),
+                exact_transform(s, kernel001.lam, nus, periodic=params),
+                reconstruct(moments, kernel001, params, plan.n_terms, nus),
+            ))
+        for a, b in zip(*curves):
+            bound = 8 * np.finfo(np.float64).eps * np.abs(a.values).max()
+            assert np.abs(b.values[::-1] - a.values).max() <= bound, a.kind
 
     def test_truncation_bound_holds_for_single_line(self, kernel001):
         # worst case for truncation: all weight in one line
