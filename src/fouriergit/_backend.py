@@ -30,20 +30,18 @@ bits j of k, so a table of K rows costs bit_length(K - 1) exponentials per
 phase, and row k carries at most bit_length(K - 1) products, not k
 accumulated steps.
 Both grid kernels cut the grid into the fewest chunks of about _CHUNK
-points (_chunk_step). The resummation keeps a series of fewer than _BLOCK
-terms as one block, one complex product per chunk. A longer series is cut
-into blocks centered at c = q _BLOCK, each exp(i c x) times a cos/sin
-series in r = 0.._BLOCK/2. Per chunk a real coefficient matrix, built
-once per call, contracts the longer of the block-phase and the cos/sin
-tables, split into real and imaginary rows, and the result meets the
-shorter table elementwise:
-2Q(_BLOCK + 2) real multiplies per grid point for Q blocks, where the
-complex block product takes 4Q _BLOCK. A grid that is one chunk keeps its
-table of the rows exp(i r x) in a one-entry memo (_held_table), so a later
-resummation on the same x and row count builds only the block phases, if
-any. _recall is the one memo rule, also of exact_moments, reconstruct and
-the plain exact_transform: a hit is an equal key, since every held array
-is _frozen.
+points (_chunk_step). The resummation cuts the orders into Q blocks of W
+= min(_BLOCK, n_terms + 1) and takes, per chunk, one complex (Q, W)
+product with the doubling table of the rows exp(i r x), met elementwise by
+that of the block phases exp(i q W x); below _BLOCK terms that is the one
+product g @ table. A long series on many points takes tiles of a type-2
+NUFFT instead, the adjoint of the moments' type-1 NUFFT, with its kernel
+points (_kernel_points) and _deconvolution. A grid that is one chunk keeps
+its table of the rows exp(i r x) in a one-entry memo (_held_table), so a
+later resummation on the same x and row count builds only the block
+phases. _recall is the one memo rule, also of exact_moments, reconstruct
+and the plain exact_transform: a hit is an equal key, since every held
+array is _frozen.
 The direct moment kernel takes block 0 (orders below _BLOCK) from one
 matrix-vector product of the low-order table with the weights, the same
 product whatever n_max. The later orders come _TILE blocks at a time: the
@@ -91,6 +89,7 @@ _NUFFT_WIDTH = 16  # grid points the NUFFT kernel spreads each line onto
 _NUFFT_BETA = 2.30 * _NUFFT_WIDTH  # the kernel's shape, for a grid of 2 tiles
 _NUFFT_LINES = 1024  # the fewest lines that take the NUFFT path
 _NUFFT_SCALE = 2.5  # the least dt max|w| that takes it: 10x margin at _BLOCK
+_SERIES_POINTS = 512  # the fewest grid points whose series takes the NUFFT
 
 
 def _as_f64(x):
@@ -198,8 +197,7 @@ def _fft_moments(omegas, weights, dt, n_max, j):
     bit_length(n_max) exponentials in all. Each m_n is an entry-by-entry
     product of values that do not depend on n_max, so it is bitwise
     independent of n_max; m_0 is the plain weight sum, as on the direct
-    path. numpy.fft is imported here only, so no call off this path pays
-    for it."""
+    path. numpy.fft is imported on the FFT and NUFFT paths only."""
     from numpy import fft
 
     L = omegas.size
@@ -314,33 +312,22 @@ def _nufft_moments(omegas, weights, dt, n_max):
     offsets theta_k / h and c theta_k mod 2 pi are taken in np.longdouble,
     as on the FFT path, so no float64 rounding of a phase of size n dt
     |w| enters: the error stays at the kernel's, whatever the order. The
-    kernel weights and grid points are built once per call; a tile costs
+    kernel points (_kernel_points) are built once per call; a tile costs
     L exponentials, 2 W L real products and sums and one FFT of M points.
     Every tile has the same center and shape whatever n_max, so m_n is
-    bitwise independent of n_max. numpy.fft is imported here only, past
-    block 0; the low table is dropped before the tiles, whose buffers do
-    not grow with n_max.
+    bitwise independent of n_max. numpy.fft is imported past block 0 only;
+    the low table is dropped before the tiles, whose buffers do not grow
+    with n_max.
     """
     head = _block_zero(-dt * omegas, weights, n_max)[1]  # drops the low table
     if n_max < _BLOCK:
         return head
     from numpy import fft
 
-    size, width, ext = 2 * _NUFFT_TILE, _NUFFT_WIDTH, np.longdouble
-    theta = ext(dt) * omegas.astype(ext)
-    theta -= _TAU_EXT * np.round(theta / _TAU_EXT)
-    u = theta * (size / _TAU_EXT)  # grid units
-    first = np.ceil(u - width // 2)  # the leftmost of the W grid points
-    x = (first - u).astype(np.float64)[:, None] + np.arange(width)
-    x *= 2.0 / width  # in [-1, 1): l - u over half the kernel width
-    x *= x
-    np.subtract(1.0, x, out=x)
-    np.sqrt(x, out=x)
-    x -= 1.0
-    x *= _NUFFT_BETA
-    spread = np.exp(x, out=x)
+    size, ext = 2 * _NUFFT_TILE, np.longdouble
+    theta = _wrapped(ext(dt) * omegas.astype(ext))
+    cells, spread = _kernel_points(theta)
     # the interleaved float index of each point's real and imaginary part
-    cells = (first.astype(np.int64)[:, None] + np.arange(width)) % size
     cells = ((2 * cells)[:, :, None] + np.arange(2)).ravel()
     scale = _deconvolution()
     half = _NUFFT_TILE // 2
@@ -351,8 +338,7 @@ def _nufft_moments(omegas, weights, dt, n_max):
     spectrum = np.empty(size, dtype=np.complex128)
     tile = np.empty(_NUFFT_TILE, dtype=np.complex128)
     for n0 in range(_BLOCK, n_max + 1, _NUFFT_TILE):
-        turn = ext(n0 + half) * theta
-        turn -= _TAU_EXT * np.round(turn / _TAU_EXT)
+        turn = _wrapped(ext(n0 + half) * theta)
         np.multiply((weights * _expi(-turn.astype(np.float64)))[:, None], spread,
                     out=terms)
         grid = np.bincount(cells, terms.view(np.float64).ravel(), 2 * size)
@@ -362,6 +348,35 @@ def _nufft_moments(omegas, weights, dt, n_max):
         np.multiply(spectrum[:half], scale[half:], out=tile[half:])
         out[n0 : n0 + _NUFFT_TILE] = tile[: n_max + 1 - n0]
     return out
+
+
+def _wrapped(turn):
+    """turn, an np.longdouble array, reduced in place to [-pi, pi] by whole
+    turns of _TAU_EXT."""
+    turn -= _TAU_EXT * np.round(turn / _TAU_EXT)
+    return turn
+
+
+def _kernel_points(theta):
+    """The W = _NUFFT_WIDTH points of the periodic NUFFT grid of M = 2
+    _NUFFT_TILE points over one turn nearest each phase theta
+    (np.longdouble, within a turn of 0), as grid indices mod M, and the
+    kernel's weights psi(l h - theta) there, both (theta.size, W). The grid
+    offsets are taken in np.longdouble; the kernel is even, so the same
+    weights spread a point onto the grid (type 1) and gather it back
+    (type 2)."""
+    size, width = 2 * _NUFFT_TILE, _NUFFT_WIDTH
+    u = theta * (size / _TAU_EXT)  # grid units
+    first = np.ceil(u - width // 2)  # the leftmost of the W grid points
+    x = (first - u).astype(np.float64)[:, None] + np.arange(width)
+    x *= 2.0 / width  # in [-1, 1): l - u over half the kernel width
+    x *= x
+    np.subtract(1.0, x, out=x)
+    np.sqrt(x, out=x)
+    x -= 1.0
+    x *= _NUFFT_BETA
+    cells = (first.astype(np.int64)[:, None] + np.arange(width)) % size
+    return cells, np.exp(x, out=x)
 
 
 @functools.cache
@@ -521,79 +536,94 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     """Evaluate the conjugate-symmetric truncated Fourier series on a grid.
 
     With x = dt nu and g_n = env_n m_n (g_0 = 0), the series is Re sum_n g_n
-    exp(i n x). The grid is cut into the fewest chunks of about _CHUNK
-    points, none a small remainder. Below _BLOCK terms the series is one
-    block: per chunk one doubling table of the n_terms + 1 orders,
-    bit_length(n_terms) exponentials per grid point, and one complex (1,
-    n_terms + 1) product.
-
-    From _BLOCK terms on, the orders form Q centered blocks (see
-    _centered_coefficients): block q, centered at c = q _BLOCK, holds the
-    orders c - H + 1 .. c + H, H = _BLOCK // 2, and sums to exp(i c x)
-    sum_{r=0..H} (a_r cos rx + i b_r sin rx). With the block phases U_q =
-    exp(i q _BLOCK x) the series is then
-
-        sum_r cos(rx) Re(sum_q a_{q,r} U_q) - sin(rx) Im(sum_q b_{q,r} U_q),
-
-    a real bilinear form in the 2Q real and imaginary parts of U and the
-    2H + 2 cos and sin rows, with a real (2Q, 2H + 2) coefficient matrix
-    built once per call. Per chunk of P points that is one doubling table
-    of the H + 1 rows exp(i r x) and one of the Q rows U_q, bit_length(H) +
-    bit_length(Q - 1) exponentials per grid point (16 at 42 371 terms); one
-    real matrix product that contracts the longer table, split into its
-    real and imaginary rows; one elementwise product with the rows of the
-    shorter; and one column sum. Either way that is
-    2Q(_BLOCK + 2)P real multiplies where a complex (Q, _BLOCK) @ (_BLOCK,
-    P) product takes 4Q _BLOCK P. The elementwise pass costs more per row
-    than the split, so the product contracts the block rows when Q > H + 1
-    (from 8 385 terms on) and the cos and sin rows below.
-
-    On a grid that is one chunk (fewer than 1.5 _CHUNK points), the table
-    of the rows exp(i r x), the n_terms + 1 orders or the H + 1 cos/sin
-    rows, comes from _held_table, so a later call on the same x that needs
-    as many rows reuses it; the U_q table is built on every call.
+    exp(i n x). At least _NUFFT_TILE terms (a full NUFFT tile) on at least
+    _SERIES_POINTS points, where np.longdouble is wider than float64, take
+    the NUFFT path (_nufft_series); every other call the block path, which
+    cuts the orders as n = q W + r with W = min(_BLOCK, n_terms + 1), so
+    that with the (Q, W) block matrix g[q, r] = g_{qW+r} the series is
+    Re sum_q exp(i q W x) sum_r g[q, r] exp(i r x). Per grid chunk
+    (_chunk_step) that is one doubling table of the W rows exp(i r x) and
+    one of the Q rows exp(i q W x), bit_length(W - 1) + bit_length(Q - 1)
+    exponentials per grid point, and one complex (Q, W) @ (W, P) product
+    met by the block rows elementwise. Below _BLOCK terms Q = 1, the row
+    exp(0) = 1 costs no exponential, and the result is bitwise the one
+    product g @ table. On a grid that is one chunk (fewer than 1.5 _CHUNK
+    points) the table of the rows exp(i r x) comes from _held_table, so a
+    later call on the same x and W reuses it.
     """
     nus = _as_f64(nus)
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    env = n * (-0.5 * (dt * lam) ** 2)  # exp(-(dt lam n)^2 / 2), in place
-    env *= n
-    np.exp(env, out=env)
+    if _EXTENDED and n_terms >= _NUFFT_TILE and nus.shape[0] >= _SERIES_POINTS:
+        return _nufft_series(nus, moment_values, dt, lam, period, n_terms)
+    width = min(_BLOCK, n_terms + 1)
+    n_blocks = -(-(n_terms + 1) // width)
+    g = np.zeros(n_blocks * width, dtype=np.complex128)
+    env = _envelope(np.arange(1.0, n_terms + 1), dt, lam)
+    g[1 : n_terms + 1] = env * moment_values[1 : n_terms + 1]
+    g = g.reshape(n_blocks, width)  # g[q, r] = g_{qW+r}
     out = np.empty(nus.shape[0])
     step = _chunk_step(nus.shape[0])
-    held = step >= nus.shape[0]  # one chunk: its x table is kept (_held_table)
-    if n_terms < _BLOCK:
-        g = np.zeros((1, n_terms + 1), dtype=np.complex128)
-        g[0, 1:] = env * moment_values[1 : n_terms + 1]
-        table = _held_table if held else _phase_table
-        for i in range(0, nus.shape[0], step):
-            x = dt * nus[i : i + step]
-            out[i : i + step] = (g @ table(x, n_terms + 1))[0].real
-        return (moment_values[0].real + 2.0 * out) / period
-    half = _BLOCK // 2
-    coef = _centered_coefficients(env, moment_values, n_terms)
-    n_blocks = len(coef) // 2
-    over_blocks = n_blocks > half + 1
-    # per-call buffers, which every chunk reuses while they are in cache
-    blocks = np.empty((n_blocks, step), dtype=np.complex128)
-    rows = None if held else np.empty((half + 1, step), dtype=np.complex128)
-    split = np.empty((2, max(n_blocks, half + 1), step))
+    table = _held_table if step >= nus.shape[0] else _phase_table
     for i in range(0, nus.shape[0], step):
         x = dt * nus[i : i + step]
-        k = x.size
-        u = _phase_table(_BLOCK * x, n_blocks, blocks[:, :k])
-        if held:
-            cs = _held_table(x, half + 1)
-        else:
-            cs = _phase_table(x, half + 1, rows[:, :k])
-        long, short, form = (u, cs, coef.T) if over_blocks else (cs, u, coef)
-        v = split[:, : len(long), :k]
-        v[0] = long.real
-        v[1] = long.imag
-        s = form @ v.reshape(-1, k)
-        s[: len(short)] *= short.real
-        s[len(short) :] *= short.imag
-        out[i : i + step] = s.sum(axis=0)
+        s = g @ table(x, width)
+        s *= _phase_table(width * x, n_blocks)
+        out[i : i + step] = s.sum(axis=0).real
     return (moment_values[0].real + 2.0 * out) / period
+
+
+def _envelope(n, dt, lam):
+    """exp(-(dt lam n)^2 / 2) for the float orders n, computed in place."""
+    env = n * (-0.5 * (dt * lam) ** 2)
+    env *= n
+    return np.exp(env, out=env)
+
+
+def _nufft_series(nus, moment_values, dt, lam, period, n_terms):
+    """The series by tiles of a type-2 NUFFT, the adjoint of the type-1
+    NUFFT of _nufft_moments (Dutt and Rokhlin, SIAM J. Sci. Comput. 14, 1993).
+
+    Tile t holds the orders n0 .. n0 + S - 1, S = _NUFFT_TILE, n0 = 1 + t S,
+    around c = n0 + S/2. With theta_j = x_j mod 2 pi, x = fl(dt nu) as on
+    the block path,
+
+        sum_r g_{c+r} exp(i (c + r) x_j)
+            = exp(i c theta_j) sum_r g_{c+r} exp(i r theta_j),  -S/2 <= r < S/2:
+
+    one inverse FFT of the M = 2S coefficients g_{c+r} scale_r
+    (_deconvolution) gives grid values whose sum over the W kernel points
+    nearest theta_j (_kernel_points), weighted as the type-1 NUFFT spreads,
+    is the inner sum. theta_j and c theta_j mod 2 pi are taken in
+    np.longdouble. A tile costs S exponentials for the envelope, one FFT of
+    M points and, per grid chunk (_chunk_step), W gathered values and one
+    exponential per point; beyond the output a call holds the kernel points
+    and one tile's buffers, whatever n_terms."""
+    from numpy import fft
+
+    size, half, ext = 2 * _NUFFT_TILE, _NUFFT_TILE // 2, np.longdouble
+    theta = _wrapped((dt * nus).astype(ext))
+    cells, spread = _kernel_points(theta)
+    scale = _deconvolution()
+    step = _chunk_step(nus.shape[0])
+    # buffers every tile reuses
+    g = np.empty(_NUFFT_TILE, dtype=np.complex128)  # g_{c+r}, r = -S/2..
+    coef = np.zeros(size, dtype=np.complex128)
+    grid = np.empty(size, dtype=np.complex128)
+    total = np.zeros(nus.shape[0], dtype=np.complex128)
+    for n0 in range(1, n_terms + 1, _NUFFT_TILE):
+        k = min(_NUFFT_TILE, n_terms + 1 - n0)
+        np.multiply(_envelope(np.arange(float(n0), n0 + k), dt, lam),
+                    moment_values[n0 : n0 + k], out=g[:k])
+        g[k:] = 0.0
+        np.multiply(g[:half], scale[:half], out=coef[-half:])  # r < 0
+        np.multiply(g[half:], scale[half:], out=coef[:half])
+        fft.ifft(coef, norm="forward", out=grid)
+        for i in range(0, nus.shape[0], step):
+            near = grid[cells[i : i + step]]
+            near *= spread[i : i + step]
+            turn = _wrapped(ext(n0 + half) * theta[i : i + step])
+            total[i : i + step] += near.sum(axis=1) * _expi(turn.astype(np.float64))
+        del near, turn  # before the next tile's envelope, to keep the peak
+    return (moment_values[0].real + 2.0 * total.real) / period
 
 
 def _held_table(x, count):
@@ -633,43 +663,6 @@ def _frozen(array):
     only a write through .base, which is not API, still reaches it."""
     array.setflags(write=False)
     return array.view()
-
-
-def _centered_coefficients(env, moment_values, n_terms):
-    """The real (2Q, 2H + 2) coefficient matrix of the centered blocks of
-    g_n = env_n m_n, n = 1..n_terms, H = _BLOCK // 2.
-
-    Block q, centered at c = q _BLOCK, holds the orders c - H + 1 .. c + H,
-    with g_n = 0 for n <= 0, and Q is the least count with (Q - 1) _BLOCK +
-    H >= n_terms. Since exp(i(c +- r)x) = exp(i c x)(cos rx +- i sin rx),
-    the block sums to exp(i c x) sum_{r=0..H} (a_r cos rx + i b_r sin rx),
-    with a_r = g_{c+r} + g_{c-r} and b_r = g_{c+r} - g_{c-r}, where g_{c-r}
-    counts only for 0 < r < H: a_0 = b_0 = g_c (b_0 meets sin 0 = 0) and
-    a_H = b_H = g_{c+H}, the order c - H belonging to the block before.
-    Rows q and Q + q multiply Re U_q and Im U_q, U_q = exp(i q _BLOCK x);
-    columns r and H + 1 + r give Re(sum_q a_{q,r} U_q) and -Im(sum_q
-    b_{q,r} U_q).
-    """
-    half = _BLOCK // 2
-    n_blocks = (n_terms - half - 1) // _BLOCK + 2
-    span = n_blocks * _BLOCK
-    pad = np.zeros(span + _BLOCK, dtype=np.complex128)  # pad[k] = g_{k - H}
-    np.multiply(
-        env, moment_values[1 : n_terms + 1], out=pad[half + 1 : half + n_terms + 1]
-    )
-    g = pad.view(np.float64).reshape(-1, 2).T  # rows Re g and Im g
-    # g_{c+r} and g_{c-r}, r = 0..H
-    plus = g[:, half : half + span].reshape(2, n_blocks, _BLOCK)[:, :, : half + 1]
-    minus = g[:, :span].reshape(2, n_blocks, _BLOCK)[:, :, half::-1]
-    coef = np.empty((2, n_blocks, 2, half + 1))
-    a = coef[:, :, 0]  # Re a, then -Im a
-    b = coef[::-1, :, 1]  # -Re b, then -Im b
-    np.add(plus, minus, out=a)
-    np.subtract(minus, plus, out=b)
-    a[:, :, ::half] = plus[:, :, ::half]  # a_0 = g_c, a_H = g_{c+H}
-    np.negative(plus[:, :, ::half], out=b[:, :, ::half])
-    a[1] *= -1.0
-    return coef.reshape(2 * n_blocks, 2 * half + 2)
 
 
 def active_backend():

@@ -25,7 +25,7 @@ def format_value(v) -> str:
     """Canonical text form: '' for None, 17 significant digits for floats."""
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))

@@ -231,6 +231,6 @@ def _measure(
         eps_p_target=budget.eps_p,
         eps_n_target=budget.eps_n,
         n_grid=plain.grid.size,
-        within_period_budget=eps_p <= budget.eps_p,
-        within_truncation_budget=eps_n <= budget.eps_n,
+        within_period_budget=bool(eps_p <= budget.eps_p),
+        within_truncation_budget=bool(eps_n <= budget.eps_n),
     )

@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -169,3 +170,36 @@ class MemoContract:
         assert self.call(*args) is first
         assert len(computed) == 1
         assert same_bits(self.array(first), self.fresh(*args))
+
+
+def normal_mixture_moments(components, dt, n_max):
+    """Closed-form phase moments of a mixture of normal densities given as
+    (mu0, mu, s) per component: m_n = sum mu0 exp(-i n dt mu - (n dt s)^2 / 2),
+    n = 0..n_max, each phase n dt mu reduced mod 2 pi in np.longdouble."""
+    from fouriergit._backend import _TAU_EXT
+
+    ext = np.longdouble
+    n = np.arange(n_max + 1)
+    total = np.zeros(n_max + 1, dtype=np.complex128)
+    for mu0, mu, s in components:
+        turn = n.astype(ext) * (ext(dt) * ext(mu))
+        turn -= _TAU_EXT * np.round(turn / _TAU_EXT)
+        phase = (np.cos(turn) - 1j * np.sin(turn)).astype(np.complex128)
+        total += mu0 * np.exp(-0.5 * (n * (dt * s)) ** 2) * phase
+    return total
+
+
+def wrapped_normal(components, lam, period, nus):
+    """The periodic transform of that mixture on nus: per component mu0
+    times the normal density of spread sqrt(s^2 + lam^2) around mu, summed
+    over every period image within 40 spreads of a grid point."""
+    nus = np.asarray(nus, dtype=np.float64)
+    out = np.zeros(nus.shape)
+    for mu0, mu, s in components:
+        spread = math.hypot(s, lam)
+        nearest = np.round((nus - mu) / period)
+        reach = math.ceil(40 * spread / period) + 1
+        for j in range(-reach, reach + 1):
+            z = (nus - mu - (nearest + j) * period) / spread
+            out += mu0 * np.exp(-0.5 * z * z) / (spread * math.sqrt(2 * math.pi))
+    return out

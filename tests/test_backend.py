@@ -165,22 +165,29 @@ class TestNumpyKernels:
             evaluated.clear()
             phase_moment_sums(omegas, weights, dt, n_max)
             assert sum(evaluated) == n_max.bit_length() == 16
-        # the resummation: bit_length(W - 1) + bit_length(Q - 1) per grid
-        # point, W = 128 orders per block and Q = 332 blocks. A grid of one
-        # chunk keeps its x table, so a second call builds only the Q rows,
-        # and below W terms nothing; a grid of several chunks keeps nothing
+        # the resummation's block path: bit_length(W - 1) + bit_length(Q -
+        # 1) per grid point, W = 128 orders per block and Q = 332 blocks. A
+        # grid of one chunk keeps its x table, so a second call builds only
+        # the Q rows, and below W terms nothing; a grid of several chunks
+        # keeps nothing. On the NUFFT path, from _SERIES_POINTS points on,
+        # one exponential per point and tile (three tiles), on every call
         moments = np.ones(n_max + 1, dtype=np.complex128)
-        for points, again in ((5, 9), (4 * _backend._CHUNK, 7 + 9)):
+        for points, again in ((5, 9), (_backend._SERIES_POINTS - 1, 7 + 9),
+                              (4 * _backend._CHUNK, 3)):
             nus = np.linspace(-1.0, 1.0, points)
-            for per_point in (7 + 9, again):
+            first = 3 if points >= _backend._SERIES_POINTS else 7 + 9
+            for per_point in (first, again):
                 evaluated.clear()
                 reconstruct_series(nus, moments, 27.98, 0.001, 0.22, n_max)
                 assert sum(evaluated) == per_point * nus.size
+        # a single block's table has exactly the n_terms + 1 orders, so 63
+        # terms cost 6 exponentials per point and 64 terms 7
         nus = np.linspace(-1.0, 1.0, _backend._CHUNK + 1)
-        for per_point in (5, 0):
-            evaluated.clear()
-            reconstruct_series(nus, moments, 27.98, 0.001, 0.22, 25)
-            assert sum(evaluated) == per_point * nus.size
+        for n_terms, bits in ((25, 5), (63, 6), (64, 7)):
+            for per_point in (bits, 0):
+                evaluated.clear()
+                reconstruct_series(nus, moments, 27.98, 0.001, 0.22, n_terms)
+                assert sum(evaluated) == per_point * nus.size
 
     def test_gaussian_transform_matches_broadcast(self):
         s = random_spectrum(1, n=32)
@@ -215,15 +222,12 @@ class TestNumpyKernels:
         # lam small enough that the envelope keeps every block: env_N ~ 0.37;
         # the long series takes a long period, because the explicit float64
         # reference rounds phases of size n dt |nu| too, and past a few
-        # hundred radians its own error exceeds the tolerance. The centered
-        # blocks of _BLOCK = 128 orders hold c - 63 .. c + 64 around c = 128
-        # q, so the series ending around orders 64, 128 and 192 end at block
-        # edges, and 127 terms are the last single block. 8 385 terms make
-        # 66 blocks, one more than the 65 cos and sin rows, so there the
-        # product contracts the block rows, and below the cos and sin rows.
-        # Both a single block and centered blocks take the grid of _CHUNK + 1
-        # points as one chunk, and that of 2.25 _CHUNK + 1 points as two
-        # chunks, the second one short
+        # hundred radians its own error exceeds the tolerance. The blocks of
+        # _BLOCK = 128 orders end around orders 128, 192 and 256, and 127
+        # terms are the last single block; 8 385 terms make 66 blocks. Both
+        # a single block and many blocks take the grid of _CHUNK + 1 points
+        # as one chunk, and that of 2.25 _CHUNK + 1 points as two chunks,
+        # the second one short
         edges = (127, 128, 129, 191, 192, 193, 255, 256, 257)
         grid = np.linspace(-1.0, 1.0, _backend._CHUNK + 1)
         two_chunks = np.linspace(-1, 1, 9 * _backend._CHUNK // 4 + 1)
@@ -274,23 +278,13 @@ class TestNumpyKernels:
             got = reconstruct_series(nus, moments, dt, lam, period, n_terms)
             assert np.array_equal(got, want)
 
-    def test_centered_blocks_are_the_fewest(self):
-        # Q is the least count with (Q - 1) _BLOCK + H >= n_terms; more
-        # blocks would only add zero coefficients at a cost
-        block, half = _backend._BLOCK, _backend._BLOCK // 2
-        for n_terms in (block, block + half - 1, block + half, block + half + 1, 42371):
-            coef = _backend._centered_coefficients(
-                np.ones(n_terms), np.ones(n_terms + 1, dtype=complex), n_terms)
-            q = coef.shape[0] // 2
-            assert coef.shape == (2 * q, 2 * half + 2)
-            assert (q - 1) * block + half >= n_terms > (q - 2) * block + half
-
     def test_series_chunks_follow_one_rule(self, monkeypatch):
-        # a single block and centered blocks cut the grid alike, into the
+        # a single block and many blocks cut the grid alike, into the
         # fewest chunks of about _CHUNK points: _CHUNK + 1 points are one
         # chunk, not a full one and a one-point remainder, and multiples of
         # _CHUNK keep chunks of _CHUNK points. The held x table is emptied
-        # before each call, so that every call builds both of its tables
+        # before each call, so that every call builds both of its tables,
+        # the block rows a single row of ones below _BLOCK terms
         sizes = []
         table = _backend._phase_table
 
@@ -301,7 +295,7 @@ class TestNumpyKernels:
         monkeypatch.setattr(_backend, "_phase_table", counting)
         moments = np.ones(200, dtype=np.complex128)
         chunk = _backend._CHUNK
-        for n_terms, tables in ((25, 1), (_backend._BLOCK - 1, 1), (186, 2)):
+        for n_terms, tables in ((25, 2), (_backend._BLOCK - 1, 2), (186, 2)):
             for points, chunks in ((chunk + 1, [chunk + 1]),
                                    (4 * chunk, [chunk] * 4),
                                    (9 * chunk // 4 + 1, [289, 288])):
@@ -767,6 +761,138 @@ class TestNufftMoments:
         half = self.S // 2
         assert np.array_equal(table[half + 1 :], table[half - 1 : 0 : -1])
         assert np.all(np.diff(table[half:]) > 0) and table[half] > 0
+
+
+def _norm_bound_series():
+    """The moments to order 42 371 of the 4 096 random lines of the NUFFT
+    gate, under the norm-bound plan, with that plan's (dt, lam, period,
+    n_terms)."""
+    kernel = KernelSpec.from_resolution(1.0, 0.01, 7987.5)
+    plan = make_plan("general", kernel, ErrorBudget(0.01, 0.01, 0.05, 1.0, 0.05),
+                     chi_mode="nyquist")
+    params = PeriodicKernelParams.from_period(plan.period, kernel)
+    omegas, weights, _ = _nufft_spectra()[0]
+    moments = phase_moment_sums(omegas, weights, params.dt, plan.n_terms)
+    return moments, (params.dt, kernel.lam, plan.period, plan.n_terms)
+
+
+def _long_double_series(nus, moments, dt, lam, period, n_terms):
+    """The series at x = fl(dt nu), every phase n x reduced and every term
+    summed in np.longdouble."""
+    ext = np.longdouble
+    n = np.arange(1, n_terms + 1)
+    g = np.exp(-0.5 * (dt * lam) ** 2 * n.astype(float) ** 2) * moments[1 : n_terms + 1]
+    out = []
+    for x in (dt * np.asarray(nus)).astype(ext):
+        turn = _backend._wrapped(n.astype(ext) * x)
+        out.append(np.sum(g.real.astype(ext) * np.cos(turn)
+                          - g.imag.astype(ext) * np.sin(turn)))
+    return (moments[0].real + 2 * np.array(out, dtype=np.float64)) / period
+
+
+def _series_peak(nus, moments, n_terms):
+    """The tracemalloc peak, in bytes, of one NUFFT resummation, after a
+    first call has built what a process keeps."""
+    args = (nus, moments, NORM_BOUND_DT, 0.33, 2 * 7987.5, n_terms)
+    _backend._nufft_series(*args)
+    tracemalloc.start()
+    try:
+        _backend._nufft_series(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNufftSeries:
+    """A series of at least _NUFFT_TILE terms on at least _SERIES_POINTS
+    points takes tiles of a type-2 NUFFT, the adjoint of the moments'."""
+
+    S = _backend._NUFFT_TILE
+
+    @pytest.fixture()
+    def nufft_calls(self, monkeypatch):
+        calls = []
+        series = _backend._nufft_series
+
+        def counting(nus, *args):
+            calls.append((nus.size, args[-1]))
+            return series(nus, *args)
+
+        monkeypatch.setattr(_backend, "_nufft_series", counting)
+        return calls
+
+    def test_rule_reads_terms_points_and_extended(self, nufft_calls, monkeypatch):
+        # both sides of _NUFFT_TILE terms and of _SERIES_POINTS points,
+        # bitwise the path the rule picks, and the block path wherever
+        # np.longdouble is float64; the two paths agree to within 1e-14
+        # max|f|. S + 1 terms take a second tile of one order
+        rng = np.random.default_rng(41)
+        moments = np.exp(1j * rng.uniform(-np.pi, np.pi, self.S + 2))
+        points = _backend._SERIES_POINTS
+        args = (NORM_BOUND_DT, 0.33, 2 * 7987.5)
+        for n_terms, size, nufft in ((self.S - 1, points, False),
+                                     (self.S, points - 1, False),
+                                     (self.S, points, True),
+                                     (self.S + 1, points, True)):
+            nus = np.linspace(0.0, 400.0, size)
+            nufft_calls.clear()
+            got = reconstruct_series(nus, moments, *args, n_terms)
+            assert nufft_calls == ([(size, n_terms)] if nufft else [])
+            with monkeypatch.context() as patch:
+                patch.setattr(_backend, "_EXTENDED", False)
+                block = reconstruct_series(nus, moments, *args, n_terms)
+            other = _backend._nufft_series(nus, moments, *args, n_terms)
+            assert np.array_equal(got, other if nufft else block)
+            assert not np.array_equal(block, other)
+            assert np.allclose(other, block, rtol=0.0, atol=1e-14 * np.abs(block).max())
+
+    def test_benchmark_shapes_land_on_their_sides(self, nufft_calls):
+        # the norm-bound plan's 42 371 terms on the 1 024-point grid of its
+        # pipeline take the NUFFT, on 257 points the block path; the bundled
+        # models' plans (at most 186 terms on up to 1 024 points) the block
+        moments, (dt, lam, period, n_terms) = _norm_bound_series()
+        assert n_terms == 42371
+        for size, calls in ((1024, [(1024, n_terms)]), (257, [])):
+            nufft_calls.clear()
+            reconstruct_series(np.linspace(0.0, 400.0, size), moments, dt, lam,
+                               period, n_terms)
+            assert nufft_calls == calls
+        nufft_calls.clear()
+        ones = np.ones(187, dtype=np.complex128)
+        for size in (257, 1024):
+            reconstruct_series(np.linspace(-1.0, -0.8, size), ones, 27.98, 0.0066,
+                               0.2245, 186)
+        assert nufft_calls == []
+
+    def test_matches_long_double_sum(self):
+        # within 2e-14 max|f| of the long-double sum at 42 371 terms on both
+        # sides of the rule, and over the whole period, where theta wraps
+        # around the NUFFT grid
+        moments, (dt, lam, period, n_terms) = _norm_bound_series()
+        for nus in (np.linspace(0.0, 400.0, 257), np.linspace(0.0, 400.0, 1024),
+                    np.linspace(-period / 2, period / 2, 1024)):
+            got = reconstruct_series(nus, moments, dt, lam, period, n_terms)
+            pick = np.r_[0 : nus.size : 16, nus.size - 1]
+            want = _long_double_series(nus[pick], moments, dt, lam, period, n_terms)
+            assert np.abs(got[pick] - want).max() <= 2e-14 * np.abs(got).max()
+
+    def test_memory_does_not_grow_with_n_terms(self):
+        # past one tile the peak grows by at most 16 KB of small Python
+        # objects (about 1 KB per tile under a line tracer): every tile
+        # reuses the same buffers, where one more chunk gather (64 KB),
+        # envelope (128 KB) or grid (512 KB) per tile would show. Per grid
+        # point it grows by the kernel points
+        # (W weights and W indices), the phase and the sum, and 32 B to
+        # spare; an unchunked gather would add 16 W B per point
+        rng = np.random.default_rng(43)
+        moments = np.exp(1j * rng.uniform(-np.pi, np.pi, 3 * self.S + 6))
+        nus = np.linspace(0.0, 400.0, 1024)
+        base = _series_peak(nus, moments, self.S)
+        for n_terms in (self.S + 1, 2 * self.S, 42371, 3 * self.S + 5):
+            assert _series_peak(nus, moments, n_terms) - base <= 16384
+        per_point = 2 * _backend._NUFFT_WIDTH * 8 + 16 + 16 + 32
+        wide = _series_peak(np.linspace(0.0, 400.0, 4096), moments, self.S)
+        assert wide - base <= per_point * (4096 - 1024)
 
 
 def _reflected(omegas, weights):

@@ -204,7 +204,7 @@ def test_measured_truncation_error_within_budget(n_grid, case):
 _MEMO_PERIOD = PeriodicKernelParams.from_period(0.5, KERNEL)
 # one resummation chunk, whose x table is held, and two chunks
 _MEMO_GRIDS = (np.linspace(-1.0, -0.5, 257), np.linspace(-1.0, 1.0, 520))
-_MEMO_ORDERS = (20, 140)  # one block and centered blocks
+_MEMO_ORDERS = (20, 140)  # one block and two blocks
 
 
 def _one_ulp(array, k):

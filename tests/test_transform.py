@@ -26,7 +26,13 @@ from fouriergit import (
 )
 from fouriergit.transform import _curves
 
-from conftest import MemoContract, random_spectrum, same_bits
+from conftest import (
+    MemoContract,
+    normal_mixture_moments,
+    random_spectrum,
+    same_bits,
+    wrapped_normal,
+)
 
 
 def mp_transform(spectrum, lam, nu, period=None, images=40):
@@ -559,6 +565,71 @@ class TestPlainTransformMemo(MemoContract):
         assert len(plain_transforms) == 1
 
 
+def _truncation_lam(n_terms, period, x=2.5):
+    """The lam at which erfc(sqrt(2) pi lam n_terms / period) = erfc(x), so
+    that the truncation bound bites at n_terms."""
+    return x * period / (math.sqrt(2) * math.pi * n_terms)
+
+
+# wide and nearly line-like components on a unit period: at the lam of
+# _truncation_lam the envelope, not the moments' decay, ends each series
+_UNIT_MIXTURE = ((0.5, -0.12, 2e-4), (0.3, 0.21, 1e-7), (0.2, 0.37, 1e-3))
+# the resonance and quasi-elastic responses with one nearly line-like
+# component, which keeps the series going to the norm-bound plan's end
+_WIDE_MIXTURE = ((0.5, 20.0, 22.0), (0.4, 85.1970181, 250.0), (0.1, 300.0, 0.01))
+
+
+class TestClosedFormReference:
+    """reconstruct against the closed-form moments and periodic transform of
+    a normal mixture: within Omega truncation_bound plus a rounding
+    allowance, on both resummation paths."""
+
+    @staticmethod
+    def _check(components, n_terms, period, lam, grid, omega=1.0):
+        kernel = KernelSpec(delta=10 * lam, sigma_leak=0.01, lam=lam)
+        params = PeriodicKernelParams.from_period(period, kernel)
+        values = normal_mixture_moments(components, params.dt, n_terms)
+        mu0 = sum(c[0] for c in components)
+        rec = reconstruct(FourierMomentSet(params.dt, values, "exact", mu0),
+                          kernel, params, n_terms, grid)
+        exact = wrapped_normal(components, lam, period, grid)
+        # every term n of the sum rounds its phase n x, x = fl(dt nu), by at
+        # most 8 eps (1 + n max|x|) through the two doubling tables or the
+        # long-double tile phase, and carries a fixed 1e-14 for its product,
+        # the sum and the NUFFT kernel; m_0 enters at 1e-14 too
+        n = np.arange(1, n_terms + 1)
+        g = np.abs(np.exp(-0.5 * (params.dt * lam * n) ** 2) * values[1:])
+        top = params.dt * np.abs(grid).max()
+        eps = np.finfo(np.float64).eps
+        rounding = (1e-14 * abs(values[0])
+                    + 2 * np.sum(g * (1e-14 + 8 * eps * n * top))) / period
+        measured = omega * np.abs(rec.values - exact).max()
+        allowed = omega * (truncation_bound(n_terms, period, lam, mu0) + rounding)
+        assert measured <= allowed
+        return measured / allowed
+
+    @pytest.mark.parametrize("n_terms", [4000, 9000, 20000])
+    @pytest.mark.parametrize("points", [257, 600, 1024])
+    def test_unit_period(self, n_terms, points):
+        # one-chunk (257) and multi-chunk grids, below and above 8 385
+        # terms on the block path, and 20 000 terms on 1 024 points on the
+        # NUFFT path
+        grid = np.linspace(-0.5, 0.5, points)
+        self._check(_UNIT_MIXTURE, n_terms, 1.0, _truncation_lam(n_terms, 1.0),
+                    grid, omega=2.0 / 512)
+
+    @pytest.mark.parametrize("points", [257, 1024])
+    def test_norm_bound_plan(self, points):
+        # 42 371 terms under the norm-bound plan, on the block path (257
+        # points) and the NUFFT path (1 024 points) of its window
+        kernel = KernelSpec.from_resolution(1.0, 0.01, 7987.5)
+        budget = ErrorBudget(0.01, 0.01, 0.05, 1.0, 0.05)
+        plan = make_plan("general", kernel, budget, chi_mode="nyquist")
+        assert plan.n_terms == 42371
+        self._check(_WIDE_MIXTURE, plan.n_terms, plan.period, kernel.lam,
+                    np.linspace(0.0, 400.0, points), omega=budget.omega_scale)
+
+
 class TestErrorReport:
     def test_variance_plan_within_budget(
         self, model_a, kernel001, budget001, stats_a, window_model
@@ -600,6 +671,29 @@ class TestErrorReport:
         assert (report.eps_p_measured, report.eps_n_measured,
                 report.eps_total_measured) == (0.25, 0.5, 0.75)
         assert report.within_period_budget and report.within_truncation_budget
+
+    def test_verdicts_are_bools_that_round_trip(self, tmp_path):
+        # a budget of numpy floats still gives Python bools, and a numpy
+        # bool is written as true/false, so the key=value file reads back
+        # a bool, not the string 'True'
+        from fouriergit.serialize import format_value, read_keyvalues, write_keyvalues
+        from fouriergit.transform import _measure
+
+        assert [format_value(np.bool_(v)) for v in (True, False)] == ["true", "false"]
+        grid = [0.0, 1.0]
+        report = _measure(
+            TransformCurve(grid, [0.0, 0.0], "exact_gaussian"),
+            TransformCurve(grid, [0.25, 0.0], "exact_periodic"),
+            TransformCurve(grid, [0.75, 0.0], "reconstructed"),
+            ErrorBudget(np.float64(0.25), np.float64(0.4), 0.05, np.float64(1.0)),
+        )
+        assert type(report.within_period_budget) is bool
+        assert type(report.within_truncation_budget) is bool
+        path = tmp_path / "report.txt"
+        write_keyvalues(path, dataclasses.asdict(report))
+        back = read_keyvalues(path)
+        assert back["within_period_budget"] is True
+        assert back["within_truncation_budget"] is False
 
     def test_general_plan_much_tighter(
         self, model_a, kernel001, budget001, window_model
