@@ -36,12 +36,14 @@ product with the doubling table of the rows exp(i r x), met elementwise by
 that of the block phases exp(i q W x); below _BLOCK terms that is the one
 product g @ table. A long series on many points takes tiles of a type-2
 NUFFT instead, the adjoint of the moments' type-1 NUFFT, with its kernel
-points (_kernel_points) and _deconvolution. A grid that is one chunk keeps
-its table of the rows exp(i r x) in a one-entry memo (_held_table), so a
-later resummation on the same x and row count builds only the block
-phases. _recall is the one memo rule, also of exact_moments, reconstruct
-and the plain exact_transform: a hit is an equal key, since every held
-array is _frozen.
+points (_kernel_points, whose grid cells are built in integers) and
+_deconvolution; it holds the kernel points of its x in a one-entry memo
+(_held_points). A grid that is one chunk keeps its table of the rows
+exp(i r x) in a one-entry memo (_held_table), so a later resummation on
+the same x and row count builds only the block phases. _recall is the one
+memo rule, also of exact_moments, reconstruct and the plain
+exact_transform: a hit is an equal key, since every held array is
+_frozen.
 The direct moment kernel takes block 0 (orders below _BLOCK) from one
 matrix-vector product of the low-order table with the weights, the same
 product whatever n_max. The later orders come _TILE blocks at a time: the
@@ -54,12 +56,23 @@ _BLOCK builds no tile.
 One Gaussian-transform kernel serves the plain and the periodic transform.
 It works one grid chunk at a time, which bounds the temporary memory, on the
 lines within reach of the chunk only. Within a chunk it wraps each line to
-its nearest image once per span of grid points, by one subtraction, where
-the nearest image is the same at both ends of the span, and rounds per pair
-only for the lines whose image changes inside it. For each image it skips
-the lines whose every term in the span is exactly 0.0, found from the exact
-range of their offsets; adding +0.0 to a nonnegative sum changes no bit, so
-the result is bitwise that of evaluating every term.
+its nearest image once per span of grid points (the spans cut as the
+chunks are), by one subtraction, where the nearest image is the same at
+both ends of the span, and rounds per pair only for the lines whose image
+changes inside it. For each image it skips the lines whose every term in
+the span is exactly 0.0, found from the exact range of their offsets;
+adding +0.0 to a nonnegative sum changes no bit. It also skips an image j
+!= 0 that is absorbed: the line's own term t_0 is normal (argument at or
+above -_NORMAL) and the image's argument is at least _ABSORBED below t_0's
+(c (s^2 - 2 s d) <= -_ABSORBED, s = j period), so the image's term is
+below exp(-40) t_0 < 2^-54 t_0, less than half an ulp of any sum that
+holds t_0. The images add in order j = -wrap..wrap, so an image right of
+0 rounds away alone; the images left of 0 come before t_0, and since image
+-j's excess argument is at most j times image -1's, they are skipped all
+together, when image -1 is absorbed, their sum then below 2^-54 t_0. The
+result is bitwise that of evaluating every term. alias_free proves from
+the same tests when a periodic transform is exactly the plain one, which
+exact_transform then reuses.
 """
 
 from __future__ import annotations
@@ -73,6 +86,8 @@ _CHUNK = 256  # grid rows per numpy broadcast block; bounds temp memory
 _BLOCK = 128  # orders per phase-power block; fixed so m_n ignores n_max
 _TILE = 32  # blocks per moment matrix product; fixed so m_n ignores n_max
 _UNDERFLOW = 750.0  # exp(-x) is 0.0 in float64 beyond 745.2; margin for rounding
+_NORMAL = 700.0  # exp(-x) is a normal float64 below 708.3; margin for rounding
+_ABSORBED = 40.0  # exp(-40) < 2^-54 by a factor of 13: margin for rounding
 _SPAN = 64  # grid rows per liveness decision in the Gaussian transform
 _RUNS = 16  # line slices per image and span in the Gaussian transform
 _exp = np.exp  # the Gaussian transform's exponential; tests count its elements
@@ -89,7 +104,8 @@ _NUFFT_WIDTH = 16  # grid points the NUFFT kernel spreads each line onto
 _NUFFT_BETA = 2.30 * _NUFFT_WIDTH  # the kernel's shape, for a grid of 2 tiles
 _NUFFT_LINES = 1024  # the fewest lines that take the NUFFT path
 _NUFFT_SCALE = 2.5  # the least dt max|w| that takes it: 10x margin at _BLOCK
-_SERIES_POINTS = 512  # the fewest grid points whose series takes the NUFFT
+_SERIES_POINTS = 384  # the fewest grid points per full tile that take the NUFFT
+assert _NUFFT_TILE & (_NUFFT_TILE - 1) == 0  # grid cells wrap by a bit mask
 
 
 def _as_f64(x):
@@ -326,9 +342,9 @@ def _nufft_moments(omegas, weights, dt, n_max):
 
     size, ext = 2 * _NUFFT_TILE, np.longdouble
     theta = _wrapped(ext(dt) * omegas.astype(ext))
-    cells, spread = _kernel_points(theta)
+    first, spread = _kernel_points(theta)
     # the interleaved float index of each point's real and imaginary part
-    cells = ((2 * cells)[:, :, None] + np.arange(2)).ravel()
+    cells = _cells(2 * first, 2 * _NUFFT_WIDTH, 2 * size).ravel()
     scale = _deconvolution()
     half = _NUFFT_TILE // 2
     out = np.empty(n_max + 1, dtype=np.complex128)
@@ -360,14 +376,19 @@ def _wrapped(turn):
 def _kernel_points(theta):
     """The W = _NUFFT_WIDTH points of the periodic NUFFT grid of M = 2
     _NUFFT_TILE points over one turn nearest each phase theta
-    (np.longdouble, within a turn of 0), as grid indices mod M, and the
-    kernel's weights psi(l h - theta) there, both (theta.size, W). The grid
+    (np.longdouble, within a turn of 0): the leftmost one's grid index, an
+    int64 not yet reduced mod M, and the kernel's weights psi(l h - theta)
+    at all W, (theta.size, W). The leftmost index is ceil(v), v the phase
+    in grid units less W/2, taken exactly in integers: the cast rounds
+    toward 0, and adding 1 where it fell below v rounds up. The grid
     offsets are taken in np.longdouble; the kernel is even, so the same
     weights spread a point onto the grid (type 1) and gather it back
     (type 2)."""
     size, width = 2 * _NUFFT_TILE, _NUFFT_WIDTH
     u = theta * (size / _TAU_EXT)  # grid units
-    first = np.ceil(u - width // 2)  # the leftmost of the W grid points
+    v = u - width // 2
+    first = v.astype(np.int64)  # the leftmost of the W grid points
+    first += first < v
     x = (first - u).astype(np.float64)[:, None] + np.arange(width)
     x *= 2.0 / width  # in [-1, 1): l - u over half the kernel width
     x *= x
@@ -375,8 +396,13 @@ def _kernel_points(theta):
     np.sqrt(x, out=x)
     x -= 1.0
     x *= _NUFFT_BETA
-    cells = (first.astype(np.int64)[:, None] + np.arange(width)) % size
-    return cells, np.exp(x, out=x)
+    return first, np.exp(x, out=x)
+
+
+def _cells(first, count, size):
+    """The count consecutive cells from first on, mod size, a power of two,
+    per row: (first.size, count) int64 indices."""
+    return (first[:, None] + np.arange(count)) & (size - 1)
 
 
 @functools.cache
@@ -408,11 +434,13 @@ def _deconvolution():
 # Gaussian transform on a grid: Phi(nu) = sum_k w_k G(nu - w_k)
 
 
-def _chunk_step(size):
-    """Points per grid chunk: the fewest chunks of about _CHUNK points (at
-    most 1.5 _CHUNK), so that no chunk is a small remainder that pays a
-    whole chunk's fixed costs; a multiple of _CHUNK keeps chunks of _CHUNK."""
-    return max(1, -(-size // max(1, round(size / _CHUNK))))
+def _chunk_step(size, target=_CHUNK):
+    """Points per grid chunk: the fewest chunks of about target points (at
+    most 1.5 target), so that no chunk is a small remainder that pays a
+    whole chunk's fixed costs; a multiple of target keeps chunks of target.
+    The Gaussian transform cuts its chunks into spans by the same rule,
+    with target _SPAN."""
+    return max(1, -(-size // max(1, round(size / target))))
 
 
 def _within_reach(chunk, omegas, lam, period=None):
@@ -456,23 +484,74 @@ def _offsets(span, omegas, period):
 
 def _live_runs(ends, shifts, c):
     """Per image shift s, the row slices (start, stop) that hold every line
-    with a term above exp(-_UNDERFLOW) for x = d - s, d in ends[0]..ends[1].
+    with a term that can change the sum, for x = d - s, d in
+    ends[0]..ends[1]; shifts are j period, j = -wrap..wrap, or the one
+    image 0.0.
 
     fl(fl(x c) x) is even in x and nonincreasing in |x|, so the largest term
     of a line is the one at its x nearest 0; below -_UNDERFLOW every term of
-    the line is exactly 0.0. A NaN keeps the line. An image with more than
-    _RUNS runs of live lines gets one slice over all of them instead, so
-    scattered lines cost some zeros rather than many slices."""
-    x = ends - np.array(shifts)[:, None, None]
+    the line is exactly 0.0. An image j != 0 is also left out where it is
+    absorbed: image 0's argument c d^2 stays at or above -_NORMAL, so its
+    term t_0 is a normal float, and the image's argument less image 0's,
+    c (s^2 - 2 s d), stays at or below -_ABSORBED, so its term is below
+    exp(-_ABSORBED) t_0 < 2^-54 t_0. Both are checked at the two ends, the
+    extremes of a concave and of a linear function of d. The images add in
+    order j = -wrap..wrap: an image right of 0 meets a sum of at least t_0,
+    to which it adds less than half an ulp, so the sum rounds back, and it
+    is left out alone. The images left of 0 are summed before t_0; since
+    image -j's excess argument is j times image -1's plus c j (j - 1) P^2
+    <= 0, all of them sum to below 2^-54 t_0 when image -1 is absorbed,
+    and adding t_0 rounds that away. They are left out together, by image
+    -1's test. A NaN keeps the line. An image with more than _RUNS runs of
+    live lines gets one slice over all of them instead, so scattered lines
+    cost some zeros rather than many slices."""
+    s = np.array(shifts)[:, None, None]
+    x = ends - s
     near = np.clip(0.0, x[:, 0], x[:, 1])
     near *= near * c
     live = np.zeros((len(shifts), ends.shape[1] + 2), dtype=bool)
     live[:, 1:-1] = ~(near < -_UNDERFLOW)
+    if len(shifts) > 1:
+        wrap = len(shifts) // 2
+        absorbed = ((s - 2.0 * ends) * (s * c) <= -_ABSORBED).all(axis=1)
+        absorbed[:wrap] = absorbed[wrap - 1]
+        absorbed &= ((ends * c) * ends >= -_NORMAL).all(axis=0)
+        live[:, 1:-1] &= ~absorbed
     image, edge = np.nonzero(live[:, 1:] != live[:, :-1])
     runs = [[] for _ in shifts]
     for i, start, stop in zip(image[0::2], edge[0::2], edge[1::2]):
         runs[i].append((start, stop))
     return [r if len(r) <= _RUNS else [(r[0][0], r[-1][1])] for r in runs]
+
+
+def alias_free(nus, omegas, lam, period, wrap_count):
+    """Whether the periodic Gaussian transform of these lines on this grid
+    is bitwise the plain one, proven from the kernel's own tests per grid
+    chunk (_chunk_step): the lines within reach are the same with and
+    without the period (_within_reach); each of them has the nearest-image
+    index 0 at the chunk's lowest and highest point, and so at every point,
+    since the index is monotone in nu, so no offset is wrapped; and no image
+    j != 0 of any of them is live over the chunk (_live_runs, one call on
+    the (line, chunk) pairs of all chunks), so every image term is 0.0 or
+    absorbed. The periodic sum of a line is then its plain term, in every
+    chunk. Every other input, a grid with a NaN point among them, returns
+    False; the cost is two O(lines) passes per chunk."""
+    nus = _as_f64(nus)
+    omegas = _as_f64(omegas)
+    size = _chunk_step(nus.shape[0])
+    ends = [np.empty((2, 0))]  # per chunk, each kept line's offset range
+    for i in range(0, nus.shape[0], size):
+        chunk = nus[i : i + size]
+        k = _within_reach(chunk, omegas, lam)
+        if not np.array_equal(k, _within_reach(chunk, omegas, lam, period)):
+            return False
+        ends.append(np.array([[chunk.min()], [chunk.max()]]) - omegas[k])
+    ends = np.concatenate(ends, axis=1)
+    if not (np.round(ends / period) == 0).all():
+        return False
+    shifts = [j * period for j in range(-wrap_count, wrap_count + 1)]
+    runs = _live_runs(ends, shifts, -0.5 / (lam * lam))
+    return not any(runs[:wrap_count] + runs[wrap_count + 1 :])
 
 
 def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
@@ -483,18 +562,21 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
     The grid is cut into the fewest chunks of about _CHUNK points
     (_chunk_step). Per chunk the lines within reach form the columns
     of one C-contiguous (points, lines) sum of kernel terms, which meets
-    the weights in one matrix-vector product. The sum is filled one span of
-    _SPAN points at a time (the whole chunk when it keeps fewer than _CHUNK
-    lines, where per-span overhead would outweigh the skipped work), in a
-    (lines, points) layout so that a run of lines is one contiguous block.
-    Per span each line is wrapped once to its nearest image (_offsets), and
-    per image j only the runs of lines with a term that can be nonzero are
-    evaluated (_live_runs), each term as exp((x c) x) with x = d - j period.
+    the weights in one matrix-vector product. The sum is filled one span at
+    a time, the chunk cut into the fewest spans of about _SPAN points
+    (_chunk_step; the whole chunk is one span when it keeps fewer than
+    _CHUNK lines, where per-span overhead would outweigh the skipped work),
+    in a (lines, points) layout so that a run of lines is one contiguous
+    block. Per span each line is wrapped once to its nearest image
+    (_offsets), and per image j only the runs of lines with a term that can
+    change the sum are evaluated (_live_runs), each term as exp((x c) x)
+    with x = d - j period.
 
     The output is bitwise that of evaluating every term. A line wrapped per
     span gets the same offsets as per-pair rounding; a skipped term is
     exactly +0.0, and adding +0.0 to a sum of nonnegative terms (or to a NaN)
-    changes no bit; the images are added in the same order; and the product
+    changes no bit, or it is an absorbed image term, which rounds away
+    (_live_runs); the images are added in the same order; and the product
     takes the same array and line order.
     """
     nus = _as_f64(nus)
@@ -508,7 +590,7 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
         chunk = nus[i : i + size]
         k = _within_reach(chunk, omegas, lam, period)
         om = omegas[k]
-        step = _SPAN if k.size >= _CHUNK else chunk.size
+        step = _chunk_step(chunk.size, _SPAN) if k.size >= _CHUNK else chunk.size
         acc = np.empty((chunk.size, k.size))
         for p in range(0, chunk.size, step):
             d, ends = _offsets(chunk[p : p + step], om, period)
@@ -536,9 +618,13 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     """Evaluate the conjugate-symmetric truncated Fourier series on a grid.
 
     With x = dt nu and g_n = env_n m_n (g_0 = 0), the series is Re sum_n g_n
-    exp(i n x). At least _NUFFT_TILE terms (a full NUFFT tile) on at least
-    _SERIES_POINTS points, where np.longdouble is wider than float64, take
-    the NUFFT path (_nufft_series); every other call the block path, which
+    exp(i n x). At least _NUFFT_TILE terms (a full NUFFT tile), where
+    np.longdouble is wider than float64, take the NUFFT path (_nufft_series)
+    when the grid has at least _SERIES_POINTS points per full tile: the
+    points times the filled share n_terms / (T _NUFFT_TILE) of the T tiles
+    the terms take, so a last tile of few orders does not pay a whole tile's
+    transform for a grid the block path serves faster. Every other call
+    takes the block path, which
     cuts the orders as n = q W + r with W = min(_BLOCK, n_terms + 1), so
     that with the (Q, W) block matrix g[q, r] = g_{qW+r} the series is
     Re sum_q exp(i q W x) sum_r g[q, r] exp(i r x). Per grid chunk
@@ -552,7 +638,9 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     later call on the same x and W reuses it.
     """
     nus = _as_f64(nus)
-    if _EXTENDED and n_terms >= _NUFFT_TILE and nus.shape[0] >= _SERIES_POINTS:
+    tiles = -(-n_terms // _NUFFT_TILE)
+    if (_EXTENDED and n_terms >= _NUFFT_TILE
+            and nus.shape[0] * n_terms >= _SERIES_POINTS * _NUFFT_TILE * tiles):
         return _nufft_series(nus, moment_values, dt, lam, period, n_terms)
     width = min(_BLOCK, n_terms + 1)
     n_blocks = -(-(n_terms + 1) // width)
@@ -595,13 +683,13 @@ def _nufft_series(nus, moment_values, dt, lam, period, n_terms):
     is the inner sum. theta_j and c theta_j mod 2 pi are taken in
     np.longdouble. A tile costs S exponentials for the envelope, one FFT of
     M points and, per grid chunk (_chunk_step), W gathered values and one
-    exponential per point; beyond the output a call holds the kernel points
-    and one tile's buffers, whatever n_terms."""
+    exponential per point. The kernel points come from _held_points, so a
+    later call on the same x builds none; beyond the output and them a call
+    holds one tile's buffers, whatever n_terms."""
     from numpy import fft
 
     size, half, ext = 2 * _NUFFT_TILE, _NUFFT_TILE // 2, np.longdouble
-    theta = _wrapped((dt * nus).astype(ext))
-    cells, spread = _kernel_points(theta)
+    theta, cells, spread = _held_points(dt * nus)
     scale = _deconvolution()
     step = _chunk_step(nus.shape[0])
     # buffers every tile reuses
@@ -624,6 +712,21 @@ def _nufft_series(nus, moment_values, dt, lam, period, n_terms):
             total[i : i + step] += near.sum(axis=1) * _expi(turn.astype(np.float64))
         del near, turn  # before the next tile's envelope, to keep the peak
     return (moment_values[0].real + 2.0 * total.real) / period
+
+
+def _held_points(x):
+    """theta = x mod 2 pi in np.longdouble, the grid cells of its W =
+    _NUFFT_WIDTH kernel points and their weights (_kernel_points), all
+    read-only, for the x = dt nus of a NUFFT resummation, held by _recall
+    under "series_points" and keyed on the bytes of x: 272 B per grid point
+    (W indices, W weights and theta)."""
+    def compute():
+        theta = _wrapped(x.astype(np.longdouble))
+        first, spread = _kernel_points(theta)
+        cells = _cells(first, _NUFFT_WIDTH, 2 * _NUFFT_TILE)
+        return _frozen(theta), _frozen(cells), _frozen(spread)
+
+    return _recall("series_points", x.tobytes(), compute)
 
 
 def _held_table(x, count):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import _frozen, _recall, gaussian_transform, reconstruct_series
+from ._backend import (_frozen, _recall, alias_free, gaussian_transform,
+                       reconstruct_series)
 from ._domain import POSITIVE, at_least, check
 from .kernel import KernelSpec, PeriodicKernelParams
 from .moments import FourierMomentSet, exact_moments
@@ -77,17 +78,32 @@ def exact_transform(
     A plain call with lines, weights and a grid of the same bytes as the
     plain call before, and an equal lam, returns that call's curve instead
     of evaluating again (_recall); its arrays cannot be made writable. The
-    periodic transform, which changes with every plan, is not held.
+    periodic transform, which changes with every plan, is not held, but
+    where no image reaches the grid it is the plain curve, relabelled: one
+    O(lines) pass per grid chunk (_backend.alias_free) proves that the
+    periodic kernel would evaluate exactly the plain kernel's terms, that is
+    the same lines within reach of every chunk, the nearest-image shift 0
+    for each of them over the chunk, and every image j != 0 of them with
+    only terms that are 0.0 or below half an ulp of the line's own term.
+    The plain curve then comes from the plain memo, bitwise what the
+    periodic kernel would return. The norm-bound plan's period 2 norm_scale
+    keeps every image far from a window inside the spectrum, so it takes
+    this path.
     """
     lam = float(check("lam", lam, POSITIVE))
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     om, w = spectrum.eigenfrequencies, spectrum.weights
+    if periodic is not None and not alias_free(grid, om, lam, periodic.period,
+                                               periodic.wrap_count):
+        vals = gaussian_transform(grid, om, w, lam, periodic.period,
+                                  periodic.wrap_count)
+        return TransformCurve(grid, vals, "exact_periodic")
+    key = (om.tobytes(), w.tobytes(), lam, grid.shape, grid.tobytes())
+    plain = _recall("plain_transform", key, lambda: TransformCurve(
+        grid, gaussian_transform(grid, om, w, lam), "exact_gaussian"))
     if periodic is None:
-        key = (om.tobytes(), w.tobytes(), lam, grid.shape, grid.tobytes())
-        return _recall("plain_transform", key, lambda: TransformCurve(
-            grid, gaussian_transform(grid, om, w, lam), "exact_gaussian"))
-    vals = gaussian_transform(grid, om, w, lam, periodic.period, periodic.wrap_count)
-    return TransformCurve(grid, vals, "exact_periodic")
+        return plain
+    return TransformCurve(plain.grid, plain.values, "exact_periodic")
 
 
 def reconstruct(

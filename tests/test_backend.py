@@ -169,13 +169,15 @@ class TestNumpyKernels:
         # 1) per grid point, W = 128 orders per block and Q = 332 blocks. A
         # grid of one chunk keeps its x table, so a second call builds only
         # the Q rows, and below W terms nothing; a grid of several chunks
-        # keeps nothing. On the NUFFT path, from _SERIES_POINTS points on,
-        # one exponential per point and tile (three tiles), on every call
+        # keeps nothing. On the NUFFT path, from _SERIES_POINTS points per
+        # full tile on (446 points at 42 371 terms, 86% of three tiles), one
+        # exponential per point and tile, on every call
         moments = np.ones(n_max + 1, dtype=np.complex128)
-        for points, again in ((5, 9), (_backend._SERIES_POINTS - 1, 7 + 9),
-                              (4 * _backend._CHUNK, 3)):
+        edge = -(-_backend._SERIES_POINTS * 3 * _backend._NUFFT_TILE // n_max)
+        assert edge == 446
+        for points, again in ((5, 9), (edge - 1, 7 + 9), (edge, 3)):
             nus = np.linspace(-1.0, 1.0, points)
-            first = 3 if points >= _backend._SERIES_POINTS else 7 + 9
+            first = 3 if points >= edge else 7 + 9
             for per_point in (first, again):
                 evaluated.clear()
                 reconstruct_series(nus, moments, 27.98, 0.001, 0.22, n_max)
@@ -329,6 +331,33 @@ class TestNumpyKernels:
                                    period, 0 if period is None else 1)
                 assert sizes == chunks
 
+    def test_spans_follow_the_chunk_rule(self, monkeypatch):
+        # a chunk that keeps at least _CHUNK lines is cut into spans as the
+        # grid is cut into chunks, the fewest of about _SPAN points: 257
+        # points are four spans of 65, 65, 65 and 62, not four of 64 and a
+        # one-point remainder; a chunk of fewer lines is one span. The
+        # output stays bitwise the every-term evaluation
+        sizes = []
+        offsets = _backend._offsets
+
+        def counting(span, *args):
+            sizes.append(span.size)
+            return offsets(span, *args)
+
+        monkeypatch.setattr(_backend, "_offsets", counting)
+        s = random_spectrum(25, n=600, norm_scale=1.0)
+        chunk = _backend._CHUNK
+        for points, lines, spans in ((chunk + 1, 600, [65, 65, 65, 62]),
+                                     (chunk, 600, [64] * 4),
+                                     (chunk + 1, chunk, [65, 65, 65, 62]),
+                                     (chunk + 1, chunk - 1, [chunk + 1])):
+            for period, wrap in ((None, 0), (1.7, 1)):
+                sizes.clear()
+                _assert_bitwise(np.linspace(-1.0, 1.0, points),
+                                s.eigenfrequencies[:lines], s.weights[:lines],
+                                0.5, period, wrap)
+                assert sizes == spans
+
     def test_moment_memory_stays_per_tile(self):
         # the block rows are built one fixed-shape tile at a time: the peak
         # of a long call exceeds that of a one-tile call by at most one
@@ -478,6 +507,70 @@ class TestHeldXTable(MemoContract):
             table[0, 0] = 2.0
         with pytest.raises(ValueError, match="WRITEABLE"):
             table.setflags(write=True)
+
+
+_KERNEL_POINTS = _backend._kernel_points  # whatever a test counts
+
+
+def _fresh_points(x):
+    """theta, the kernel points' cells, by the modulo, and their weights."""
+    theta = _backend._wrapped(x.astype(np.longdouble))
+    first, spread = _KERNEL_POINTS(theta)
+    cells = first[:, None] + np.arange(_backend._NUFFT_WIDTH)
+    return theta, cells % (2 * _backend._NUFFT_TILE), spread
+
+
+class TestHeldSeriesPoints(MemoContract):
+    """The one-entry memo of the NUFFT resummation's kernel points, keyed
+    on the bytes of x = dt nus."""
+
+    PARTS = ("x",)
+
+    @pytest.fixture()
+    def args(self):
+        return (NORM_BOUND_DT * np.linspace(0.0, 400.0, 1024),)
+
+    @pytest.fixture()
+    def computed(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(_backend, "_kernel_points",
+                            lambda theta: built.append(theta) or _KERNEL_POINTS(theta))
+        return built
+
+    call = staticmethod(_backend._held_points)
+
+    @staticmethod
+    def fresh(x):
+        return _fresh_points(x)[1]
+
+    @staticmethod
+    def copies(x):
+        return ((x.copy(),),)
+
+    @staticmethod
+    def change(part, x):
+        x = x.copy()
+        x[17] = np.nextafter(x[17], 0.0)
+        return (x,)
+
+    @staticmethod
+    def array(result):
+        return result[1]
+
+    def test_every_held_array_is_frozen_and_fresh(self):
+        # theta, the cells and their weights equal a cold build, the cells
+        # taken by the bit mask those of the modulo, and none can be
+        # written; a resummation on the grid takes the held points
+        nus = np.linspace(0.0, 400.0, 1024)
+        held = _backend._held_points(NORM_BOUND_DT * nus)
+        for got, want in zip(held, _fresh_points(NORM_BOUND_DT * nus)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                got.setflags(write=True)
+        moments = np.ones(_backend._NUFFT_TILE + 1, dtype=np.complex128)
+        reconstruct_series(nus, moments, NORM_BOUND_DT, 0.33, 2 * 7987.5,
+                           _backend._NUFFT_TILE)
+        assert _backend._memos["series_points"][1] is held
 
 
 def test_only_frozen_sets_writeable_flags():
@@ -752,6 +845,28 @@ class TestNufftMoments:
         phase_moment_sums(om, w, 27.98, self.STARTS[1])
         assert sizes == [2 * self.S] * 2
 
+    def test_kernel_points_take_the_long_double_ceil(self):
+        # the leftmost of the W cells is ceil(u - W/2), u the phase in grid
+        # units, taken in integers: equal to np.ceil in long double where
+        # u - W/2 is a whole number (theta = 0 and whole grid offsets) and
+        # one ulp beside it, and over random phases; the weights follow
+        M, W = 2 * self.S, _backend._NUFFT_WIDTH
+        step = _backend._TAU_EXT / M
+        whole = np.array([0.0, 1.0, -1.0, 5.0, -8.0, 8.0, M // 2 - 1.0])
+        theta = np.concatenate([
+            whole.astype(np.longdouble) * step,
+            np.nextafter(whole.astype(np.longdouble) * step, np.longdouble(9)),
+            np.nextafter(whole.astype(np.longdouble) * step, np.longdouble(-9)),
+            np.random.default_rng(44).uniform(-np.pi, np.pi, 64).astype(np.longdouble)])
+        u = theta * (M / _backend._TAU_EXT)
+        want = np.ceil(u - W // 2)
+        assert (want == u - W // 2).sum() >= 3  # whole numbers are reached
+        first, spread = _backend._kernel_points(theta)
+        assert first.dtype == np.int64 and np.array_equal(first, want)
+        x = ((want - u).astype(np.float64)[:, None] + np.arange(W)) * (2.0 / W)
+        psi = np.exp(_backend._NUFFT_BETA * (np.sqrt(1.0 - x * x) - 1.0))
+        assert np.array_equal(spread, psi)
+
     def test_deconvolution_table(self):
         # h / psihat(r), r = -S/2 .. S/2 - 1: one read-only table of S
         # floats per process, even in r, growing towards the tile edges
@@ -792,9 +907,11 @@ def _long_double_series(nus, moments, dt, lam, period, n_terms):
 
 def _series_peak(nus, moments, n_terms):
     """The tracemalloc peak, in bytes, of one NUFFT resummation, after a
-    first call has built what a process keeps."""
+    first call has built what a process keeps, less the held kernel points
+    of the grid, so that the peak includes building them."""
     args = (nus, moments, NORM_BOUND_DT, 0.33, 2 * 7987.5, n_terms)
     _backend._nufft_series(*args)
+    _backend._memos.pop("series_points")
     tracemalloc.start()
     try:
         _backend._nufft_series(*args)
@@ -805,7 +922,8 @@ def _series_peak(nus, moments, n_terms):
 
 class TestNufftSeries:
     """A series of at least _NUFFT_TILE terms on at least _SERIES_POINTS
-    points takes tiles of a type-2 NUFFT, the adjoint of the moments'."""
+    points per full tile takes tiles of a type-2 NUFFT, the adjoint of the
+    moments'."""
 
     S = _backend._NUFFT_TILE
 
@@ -822,10 +940,13 @@ class TestNufftSeries:
         return calls
 
     def test_rule_reads_terms_points_and_extended(self, nufft_calls, monkeypatch):
-        # both sides of _NUFFT_TILE terms and of _SERIES_POINTS points,
-        # bitwise the path the rule picks, and the block path wherever
-        # np.longdouble is float64; the two paths agree to within 1e-14
-        # max|f|. S + 1 terms take a second tile of one order
+        # both sides of _NUFFT_TILE terms and of _SERIES_POINTS points per
+        # full tile, bitwise the path the rule picks, and the block path
+        # wherever np.longdouble is float64; the two paths agree to within
+        # 1e-14 max|f|. S + 1 terms take a second tile of one order, half
+        # full on average, so they need twice the points: on 512 points,
+        # where the NUFFT paid two tiles for the block path's work, they
+        # take the block path
         rng = np.random.default_rng(41)
         moments = np.exp(1j * rng.uniform(-np.pi, np.pi, self.S + 2))
         points = _backend._SERIES_POINTS
@@ -833,7 +954,9 @@ class TestNufftSeries:
         for n_terms, size, nufft in ((self.S - 1, points, False),
                                      (self.S, points - 1, False),
                                      (self.S, points, True),
-                                     (self.S + 1, points, True)):
+                                     (self.S + 1, 512, False),
+                                     (self.S + 1, 2 * points - 1, False),
+                                     (self.S + 1, 2 * points, True)):
             nus = np.linspace(0.0, 400.0, size)
             nufft_calls.clear()
             got = reconstruct_series(nus, moments, *args, n_terms)
@@ -1096,11 +1219,28 @@ class TestPrunedTransforms:
 
     def test_nan_grid_point_stays_local(self):
         # a NaN has no distance to any line; the chunk keeps every line, so
-        # the NaN stays in its own row as in the dense sum
+        # the NaN stays in its own row as in the dense sum. The NaN fails
+        # the alias-free test, and in the series it stays in its own point
+        # on the block path and on the NUFFT path, whose kernel points cast
+        # it to an integer cell
         s = random_spectrum(6, n=200, norm_scale=5.0)
         nus = np.linspace(-5.0, 5.0, 300)
         nus[10] = np.nan
         for got in _check_both(nus, s.eigenfrequencies, s.weights, 0.05, 11.0, 1):
+            assert np.isnan(got[10]) and np.isfinite(np.delete(got, 10)).all()
+        clean = np.linspace(-5.0, 5.0, 300)
+        assert _backend.alias_free(clean, s.eigenfrequencies, 0.05, 1e6, 1)
+        assert not _backend.alias_free(nus, s.eigenfrequencies, 0.05, 1e6, 1)
+        S = _backend._NUFFT_TILE
+        rng = np.random.default_rng(6)
+        moments = np.exp(1j * rng.uniform(-np.pi, np.pi, S + 1))
+        args = (NORM_BOUND_DT, 0.33, 2 * 7987.5)
+        for size, n_terms, series in ((300, 100, reconstruct_series),
+                                      (1024, S, _backend._nufft_series)):
+            grid = np.linspace(0.0, 400.0, size)
+            grid[10] = np.nan
+            with np.errstate(invalid="ignore"):
+                got = series(grid, moments, *args, n_terms)
             assert np.isnan(got[10]) and np.isfinite(np.delete(got, 10)).all()
 
 
@@ -1203,8 +1343,9 @@ class TestTransformMatchesEveryTerm:
 
     def test_exponentials_counted_on_live_blocks(self, monkeypatch):
         # counts work, not time: the default sweep's periodic transforms
-        # evaluate 18 753 536 exponentials where the every-term evaluation
-        # takes 30 698 496; a regression to evaluating every term fails here
+        # evaluate 11 384 064 exponentials where the every-term evaluation
+        # takes 30 698 496; a regression to evaluating every term, or every
+        # absorbed image term, fails here
         evaluated = []
         exp = _backend._exp
 
@@ -1218,7 +1359,169 @@ class TestTransformMatchesEveryTerm:
             gaussian_transform(*args)
         every = sum(_every_term_count(g, om, lam, p, w) for g, om, _, lam, p, w in rows)
         assert every == 30_698_496
-        assert sum(evaluated) == 18_753_536
+        assert sum(evaluated) == 11_384_064
+
+
+def _runs(ds, shifts, c):
+    """_live_runs of lines that each sit at one offset d."""
+    ends = np.array([ds, ds], dtype=np.float64)
+    return _backend._live_runs(ends, shifts, c)
+
+
+class TestAbsorbedImages:
+    """An image j != 0 whose every term is below 2^-54 of the line's own
+    normal term is left out where adding it rounds back; images left of 0,
+    which are summed before the line's own term, only all together."""
+
+    def test_rule_at_the_cutoffs(self):
+        # c = -1/2, P = 8: image +1's excess argument c P (P - 2 d) is -40
+        # exactly at d = -1, where the image goes, and the line's own term
+        # is normal. At the offsets where the excess is the float next to
+        # -40 on either side, the image stays above it and goes below it
+        c, shifts = -0.5, [-8.0, 0.0, 8.0]
+        above, below = ((8.0 - np.nextafter(10.0, x)) / 2 for x in (0.0, 11.0))
+        assert ((8.0 - 2 * above) * (8.0 * c), (8.0 - 2 * below) * (8.0 * c)) == (
+            np.nextafter(-40.0, 0.0), np.nextafter(-40.0, -41.0))
+        assert _runs([above, -1.0, below], shifts, c) == [[(0, 3)], [(0, 3)], [(0, 1)]]
+        # c = -700/1024: the line's own argument at d = 32 is -700 exactly,
+        # so image +1 (P = 65, excess -44.4, argument -744.4: live) goes;
+        # one ulp further out the own argument is below -700 and it stays
+        c, shifts = -700.0 / 1024.0, [-65.0, 0.0, 65.0]
+        assert (32.0 * c) * 32.0 == -700.0
+        assert _runs([32.0, np.nextafter(32.0, 0.0)], shifts, c)[2] == []
+        assert _runs([np.nextafter(32.0, 33.0)], shifts, c)[2] == [(0, 1)]
+        # a NaN offset keeps every image
+        assert _runs([np.nan], shifts, c) == [[(0, 1)]] * 3
+
+    @pytest.mark.parametrize("wrap", [2, 3])
+    def test_left_images_go_together(self, wrap):
+        # c = -1/2, P = 8. At d = -3.875 image -2 is absorbed (excess -66)
+        # but image -1 is not (-1), so both left images stay; at d = -2
+        # (image -1: -16) likewise; at d = 2 image -1 is absorbed (-48) and
+        # every left image goes with it. Right of 0 each image goes alone:
+        # image +1 stays only at d = 2 (-16), image +2 and beyond go
+        shifts = [8.0 * j for j in range(-wrap, wrap + 1)]
+        runs = _runs([-3.875, -2.0, 2.0], shifts, -0.5)
+        assert runs[:wrap] == [[(0, 2)]] * wrap
+        assert runs[wrap:] == [[(0, 3)], [(2, 3)]] + [[]] * (wrap - 1)
+
+    @pytest.mark.parametrize("wrap", [1, 2, 3])
+    def test_bitwise_across_the_cutoffs(self, wrap):
+        # lines on a fine lattice of offsets through both cutoffs of each
+        # image, for lam = 1 and P = 8 (the excess -40 of image -1 at d =
+        # 1, of image +1 at d = -1) and for a lam and P that put the line's
+        # own argument at -700 where image +1 is absorbed and still live;
+        # spans of one point and of a whole chunk
+        for lam, period, edge in ((1.0, 8.0, 1.0), (0.85524, 65.0, 32.0)):
+            ds = edge + np.linspace(-1e-3, 1e-3, 41)
+            omegas = np.unique(np.concatenate([-ds, ds, np.linspace(-4.0, 4.0, 97)]))
+            for nus in (np.array([0.0]), np.linspace(-0.01, 0.01, 300)):
+                _assert_bitwise(nus, omegas, np.linspace(0.5, 1.5, omegas.size),
+                                lam, period, wrap)
+
+
+class TestAliasFree:
+    """Where the periodic kernel would evaluate exactly the plain kernel's
+    terms, alias_free says so and the plain transform is the periodic one,
+    bitwise; everywhere else it says False."""
+
+    @staticmethod
+    def _lines(period, extra=()):
+        rng = np.random.default_rng(30)
+        lines = rng.uniform(-period / 2, period / 2, 4096)
+        return np.unique(np.concatenate([lines, extra]))
+
+    @staticmethod
+    def _assert_answer(nus, omegas, lam, period, wrap, free):
+        weights = np.linspace(0.5, 1.5, omegas.size)
+        assert _backend.alias_free(nus, omegas, lam, period, wrap) == free
+        plain = gaussian_transform(nus, omegas, weights, lam)
+        wrapped = _assert_bitwise(nus, omegas, weights, lam, period, wrap)
+        if free:
+            assert np.array_equal(plain.view(np.int64), wrapped.view(np.int64))
+        return plain, wrapped
+
+    def test_norm_bound_plan(self):
+        # the norm-bound plan's period 2 norm_scale keeps every image of
+        # lines inside the period away from the window [0, 400]; lines
+        # where the nearest-image index turns at a grid end, P/2 - 400 and
+        # P/2 one ulp either side, are out of reach of every chunk
+        period, lam = 2 * 7987.5, 0.33
+        nus = np.linspace(0.0, 400.0, 1024)
+        turns = np.array([400.0 - period / 2, period / 2])
+        edges = np.concatenate([turns, np.nextafter(turns, -np.inf),
+                                np.nextafter(turns, np.inf)])
+        omegas = self._lines(period, edges)
+        for wrap in (1, 2):
+            self._assert_answer(nus, omegas, lam, period, wrap, True)
+            self._assert_answer(-nus[::-1], -omegas[::-1], lam, period, wrap, True)
+
+    def test_nearest_image_turns_within_reach(self):
+        # lines at +-(P/2 - g), one ulp either side, on the grid [-g, g]:
+        # at the far grid end their offset is +-P/2, where the nearest-image
+        # index turns. With lam = 1/2 their images are dead, so the answer
+        # follows the index, 0 up to +-P/2 and +-1 past it; with lam = 1 the
+        # image there is as near as the line itself, live and not absorbed
+        period, g = 40.0, 1.0
+        nus = np.linspace(-g, g, 257)
+        edge = period / 2 - g
+        for lines, narrow in ((np.array([-edge, np.nextafter(-edge, 0.0)]), True),
+                              (np.array([edge, np.nextafter(edge, 0.0)]), True),
+                              (np.array([np.nextafter(-edge, -99.0)]), False),
+                              (np.array([np.nextafter(edge, 99.0)]), False)):
+            for line in lines:
+                self._assert_answer(nus, np.array([-0.5, 0.5, line]), 0.5,
+                                    period, 1, narrow)
+            plain, wrapped = self._assert_answer(nus, lines, 1.0, period, 1, False)
+            assert not np.array_equal(plain, wrapped)
+        # on the grid [0, g] a line at 19.5 has offsets -19.5 to -18.5,
+        # index 0 and dead images; its mirror image through the grid's
+        # center would have index 1 at the far end
+        self._assert_answer(np.linspace(0.0, g, 129), np.array([19.5]), 0.5,
+                            period, 1, True)
+
+    def test_image_exactly_at_the_reach(self):
+        # a line far from the grid whose image w - P lies at the reach of
+        # the grid's one chunk: where _within_reach keeps it, the periodic
+        # line set differs from the plain one; one ulp further out neither
+        # keeps it. All of its terms are 0.0, so both answers are bitwise
+        lam, period = 0.02, 4.0
+        nus = np.linspace(-0.5, 0.5, 300)
+        kept = lambda w: _backend._within_reach(nus, np.array([w]), lam, period).size
+        w = period - (math.sqrt(2.0 * _backend._UNDERFLOW) * lam + 0.5)
+        while kept(w):
+            w = np.nextafter(w, -np.inf)
+        while not kept(np.nextafter(w, np.inf)):
+            w = np.nextafter(w, np.inf)
+        pair = np.array([w, np.nextafter(w, np.inf)])
+        assert not _backend._within_reach(nus, pair, lam).size
+        self._assert_answer(nus, np.array([0.0, np.nextafter(w, np.inf)]), lam,
+                            period, 1, False)
+        self._assert_answer(nus, np.array([0.0, w]), lam, period, 1, True)
+
+    def test_absorbed_images_count_as_plain(self):
+        # lam = 1, P = 30, lines on [-4, 4], grid [-1, 1]: image +-1 is live
+        # (argument above -600) but absorbed, so the transform is the plain one
+        rng = np.random.default_rng(31)
+        omegas = np.sort(rng.uniform(-4.0, 4.0, 300))
+        nus = np.linspace(-1.0, 1.0, 2 * _backend._CHUNK + 3)
+        self._assert_answer(nus, omegas, 1.0, 30.0, 1, True)
+        self._assert_answer(nus, omegas, 1.0, 30.0, 3, True)
+        # a period of 12 lets image +-1 reach past absorption
+        self._assert_answer(nus, omegas, 1.0, 12.0, 1, False)
+        # P = 66, a line at 31.9: at nu = -1 image -1 (x = 33.1, argument
+        # -548) is live and not absorbed (excess -6.6), though the line's
+        # own term is as small; the periodic sum differs in the last bits
+        plain, wrapped = self._assert_answer(nus, np.array([31.9]), 1.0, 66.0, 1, False)
+        assert not np.array_equal(plain, wrapped)
+
+    def test_reach_sets_differ(self):
+        # a line out of reach of the plain grid whose image comes within
+        # reach: the line sets differ, so the answer is False
+        lam, period = 0.02, 2.0
+        nus = np.linspace(0.9, 1.0, 300)
+        omegas = np.array([-0.95, 0.95])
+        self._assert_answer(nus, omegas, lam, period, 1, False)
 
 
 class TestDispatch:

@@ -546,6 +546,44 @@ class TestPlainTransformMemo(MemoContract):
         assert exact_transform(spectrum, lam, grid) is plain
         assert len(plain_transforms) == 1
 
+    def test_alias_free_periodic_transform_is_the_plain_curve(self, monkeypatch):
+        # under the norm-bound plan no image of lines inside the period
+        # reaches the window [0, 400]: the periodic call computes and holds
+        # the plain transform, runs no periodic kernel, and returns the plain
+        # values relabelled, bitwise what the periodic kernel gives; the
+        # plain call after it hits. A period of 2 runs the periodic kernel
+        from fouriergit import transform
+
+        kernels = []
+        original = transform.gaussian_transform
+
+        def counting(*args):
+            kernels.append(len(args))
+            return original(*args)
+
+        monkeypatch.setattr(transform, "gaussian_transform", counting)
+        h = 7987.5
+        rng = np.random.default_rng(32)
+        om = np.sort(rng.uniform(-h, h, 2048))
+        spectrum = DiscreteSpectrum(om, rng.uniform(0.5, 1.5, 2048), norm_scale=h)
+        kernel = KernelSpec.from_resolution(1.0, 0.01, h)
+        params = PeriodicKernelParams.from_period(2 * h, kernel)
+        grid = np.linspace(0.0, 400.0, 1024)
+        wrapped = exact_transform(spectrum, kernel.lam, grid, periodic=params)
+        plain = exact_transform(spectrum, kernel.lam, grid)
+        assert kernels == [4]
+        assert (wrapped.kind, plain.kind) == ("exact_periodic", "exact_gaussian")
+        fresh = _backend.gaussian_transform(grid, om, spectrum.weights, kernel.lam,
+                                            params.period, params.wrap_count)
+        assert same_bits(wrapped.values, fresh) and same_bits(plain.values, fresh)
+        short = PeriodicKernelParams.from_period(2.0, kernel)
+        exact_transform(spectrum, kernel.lam, grid, periodic=short)
+        assert kernels == [4, 6]
+        # an empty grid has no chunk to refuse, so it is alias-free too
+        for params in (params, short):
+            empty = exact_transform(spectrum, kernel.lam, [], periodic=params)
+            assert empty.kind == "exact_periodic" and empty.values.shape == (0,)
+
     def test_plans_of_one_model_share_the_plain_transform(
         self, model_a, kernel001, stats_a, window_model, plain_transforms
     ):
