@@ -70,9 +70,9 @@ holds t_0. The images add in order j = -wrap..wrap, so an image right of
 0 rounds away alone; the images left of 0 come before t_0, and since image
 -j's excess argument is at most j times image -1's, they are skipped all
 together, when image -1 is absorbed, their sum then below 2^-54 t_0. The
-result is bitwise that of evaluating every term. alias_free proves from
-the same tests when a periodic transform is exactly the plain one, which
-exact_transform then reuses.
+result is bitwise that of evaluating every term. alias_free decides from
+the extents of the grid and the lines alone when a periodic transform is
+exactly the plain one, which exact_transform then reuses.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ _CHUNK = 256  # grid rows per numpy broadcast block; bounds temp memory
 _BLOCK = 128  # orders per phase-power block; fixed so m_n ignores n_max
 _TILE = 32  # blocks per moment matrix product; fixed so m_n ignores n_max
 _UNDERFLOW = 750.0  # exp(-x) is 0.0 in float64 beyond 745.2; margin for rounding
+_REACH = math.sqrt(2.0 * _UNDERFLOW)  # in units of lam: every term beyond is 0.0
 _NORMAL = 700.0  # exp(-x) is a normal float64 below 708.3; margin for rounding
 _ABSORBED = 40.0  # exp(-40) < 2^-54 by a factor of 13: margin for rounding
 _SPAN = 64  # grid rows per liveness decision in the Gaussian transform
@@ -119,9 +120,8 @@ def _expi(phase):
     return np.exp(z, out=z)
 
 
-def _phase_table(phase, count, out=None):
-    """exp(i k phase) for k < count, shape (count,) + phase.shape, written
-    into out when given.
+def _phase_table(phase, count):
+    """exp(i k phase) for k < count, shape (count,) + phase.shape.
 
     Built by doubling in one output array: row 0 is 1, and rows 2^j to
     2^(j+1) - 1 are rows 0 to 2^j - 1 times the fresh exponential
@@ -130,9 +130,7 @@ def _phase_table(phase, count, out=None):
     is, and row 2^j equals _expi(2^j phase); the table costs bit_length(count
     - 1) exponentials per phase.
     """
-    table = out
-    if table is None:
-        table = np.empty((count,) + phase.shape, dtype=np.complex128)
+    table = np.empty((count,) + phase.shape, dtype=np.complex128)
     table[:1] = 1.0
     top = 1
     while top < count:
@@ -445,13 +443,13 @@ def _chunk_step(size, target=_CHUNK):
 
 def _within_reach(chunk, omegas, lam, period=None):
     """Indices, in line order, of the lines whose nearest image (per period, if
-    given) may come within sqrt(2 _UNDERFLOW) lam of a chunk point; every term
-    of the others is 0.0. Any chunk order works; a NaN keeps every line."""
+    given) may come within _REACH lam of a chunk point; every term of the
+    others is 0.0. Any chunk order works; a NaN keeps every line."""
     lo, hi = chunk.min(), chunk.max()
     d = 0.5 * (lo + hi) - omegas
     if period is not None:
         d -= period * np.round(d / period)
-    reach = math.sqrt(2.0 * _UNDERFLOW) * lam + 0.5 * (hi - lo)
+    reach = _REACH * lam + 0.5 * (hi - lo)
     return np.flatnonzero(~(np.abs(d) > reach))
 
 
@@ -524,34 +522,25 @@ def _live_runs(ends, shifts, c):
     return [r if len(r) <= _RUNS else [(r[0][0], r[-1][1])] for r in runs]
 
 
-def alias_free(nus, omegas, lam, period, wrap_count):
-    """Whether the periodic Gaussian transform of these lines on this grid
-    is bitwise the plain one, proven from the kernel's own tests per grid
-    chunk (_chunk_step): the lines within reach are the same with and
-    without the period (_within_reach); each of them has the nearest-image
-    index 0 at the chunk's lowest and highest point, and so at every point,
-    since the index is monotone in nu, so no offset is wrapped; and no image
-    j != 0 of any of them is live over the chunk (_live_runs, one call on
-    the (line, chunk) pairs of all chunks), so every image term is 0.0 or
-    absorbed. The periodic sum of a line is then its plain term, in every
-    chunk. Every other input, a grid with a NaN point among them, returns
-    False; the cost is two O(lines) passes per chunk."""
+def alias_free(nus, omegas, lam, period):
+    """Whether the periodic Gaussian transform is bitwise the plain one,
+    from the extents [lo, hi] of the grid and [a, b] of the lines, with m =
+    _REACH lam + 8 eps S, S the largest of |lo|, |hi|, |a|, |b| and P:
+    hi - lo + m < P/2 keeps the nearest image of every line within reach
+    its own, so no offset is wrapped; a + P - hi > m and lo - (b - P) > m
+    put every image j != 0 beyond reach of the grid, so each chunk keeps the
+    same lines and every image term is 0.0. 8 eps S bounds the rounding of
+    these tests (2.5 eps S each) and of the kernel's chunk centre, offsets,
+    reach and d / P (4 eps S). A NaN grid point fails the first test; an
+    empty grid is True."""
     nus = _as_f64(nus)
     omegas = _as_f64(omegas)
-    size = _chunk_step(nus.shape[0])
-    ends = [np.empty((2, 0))]  # per chunk, each kept line's offset range
-    for i in range(0, nus.shape[0], size):
-        chunk = nus[i : i + size]
-        k = _within_reach(chunk, omegas, lam)
-        if not np.array_equal(k, _within_reach(chunk, omegas, lam, period)):
-            return False
-        ends.append(np.array([[chunk.min()], [chunk.max()]]) - omegas[k])
-    ends = np.concatenate(ends, axis=1)
-    if not (np.round(ends / period) == 0).all():
-        return False
-    shifts = [j * period for j in range(-wrap_count, wrap_count + 1)]
-    runs = _live_runs(ends, shifts, -0.5 / (lam * lam))
-    return not any(runs[:wrap_count] + runs[wrap_count + 1 :])
+    if not nus.size:
+        return True
+    lo, hi, a, b = nus.min(), nus.max(), omegas.min(), omegas.max()
+    m = _REACH * lam + 8 * _EPS * max(abs(lo), abs(hi), abs(a), abs(b), period)
+    return bool(hi - lo + m < period / 2 and a + period - hi > m
+                and lo - (b - period) > m)
 
 
 def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):

@@ -466,7 +466,8 @@ def n_terms(
              (sqrt(2 pi) lam eps_n)))).
 
     Raises FormulaValidityError when the log argument is <= 1 (the budget
-    is loose enough that the bound formula degenerates).
+    is loose enough that the bound formula degenerates), and ValueError
+    when the count is not a finite float.
     """
     if mode not in _N_MODES:
         raise ValueError(f"unknown n_terms mode {mode!r}")
@@ -486,7 +487,10 @@ def n_terms(
             f"truncation budget eps_n={budget.eps_n} is too loose for the "
             f"{mode} harmonic-count formula (log argument {arg} <= 1)"
         )
-    return int(math.ceil(pref * math.sqrt(math.log(arg))))
+    count = pref * math.sqrt(math.log(arg))
+    if not math.isfinite(count):
+        raise ValueError(f"the harmonic count is not a finite float ({mode} mode)")
+    return int(math.ceil(count))
 
 
 def truncation_bound(
@@ -517,7 +521,8 @@ def shots_value(
     mode='conservative' bounds every moment's variance by its worst case;
     'uncorrelated' assumes independent per-moment errors accumulate in
     quadrature; 'chebyshev' replaces the Hoeffding tail with a Chebyshev
-    one (no exponential concentration, different delta scaling).
+    one (no exponential concentration, different delta scaling). A total
+    that is not a finite float, past the float range, raises ValueError.
     """
     if mode not in _SHOTS_MODES:
         raise ValueError(f"unknown shots mode {mode!r}")
@@ -527,15 +532,21 @@ def shots_value(
     lam = kernel.lam
     omega = budget.omega_scale
     eps = budget.eps_s
-    log_conf = math.log(2.0 / budget.confidence_delta)
-    if mode == "conservative":
-        return n_terms * omega**2 * mu0**2 / (lam**2 * eps**2) * log_conf
-    if mode == "uncorrelated":
-        return (
-            n_terms * omega**2 * mu0**2
-            / (chi * kernel.norm_scale * lam * eps**2) * log_conf
-        )
-    return 2.0 * n_terms * omega**2 / (lam**2 * eps**2) * log_conf
+    try:
+        log_conf = math.log(2.0 / budget.confidence_delta)
+        if mode == "conservative":
+            total = n_terms * omega**2 * mu0**2 / (lam**2 * eps**2) * log_conf
+        elif mode == "uncorrelated":
+            total = (n_terms * omega**2 * mu0**2
+                     / (chi * kernel.norm_scale * lam * eps**2) * log_conf)
+        else:
+            total = 2.0 * n_terms * omega**2 / (lam**2 * eps**2) * log_conf
+    except (OverflowError, ZeroDivisionError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(
+            f"the planned total shot count is not a finite float ({mode} shots)")
+    return total
 
 
 def _plan_inputs(

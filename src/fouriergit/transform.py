@@ -78,23 +78,19 @@ def exact_transform(
     A plain call with lines, weights and a grid of the same bytes as the
     plain call before, and an equal lam, returns that call's curve instead
     of evaluating again (_recall); its arrays cannot be made writable. The
-    periodic transform, which changes with every plan, is not held, but
-    where no image reaches the grid it is the plain curve, relabelled: one
-    O(lines) pass per grid chunk (_backend.alias_free) proves that the
-    periodic kernel would evaluate exactly the plain kernel's terms, that is
-    the same lines within reach of every chunk, the nearest-image shift 0
-    for each of them over the chunk, and every image j != 0 of them with
-    only terms that are 0.0 or below half an ulp of the line's own term.
-    The plain curve then comes from the plain memo, bitwise what the
-    periodic kernel would return. The norm-bound plan's period 2 norm_scale
-    keeps every image far from a window inside the spectrum, so it takes
-    this path.
+    periodic transform, which changes with every plan, is not held, but it
+    is the plain curve from the plain memo, relabelled, where the extents
+    of the grid [lo, hi] and of the lines [a, b] prove it bitwise equal
+    (_backend.alias_free): with m the kernel's reach plus a rounding
+    allowance, hi - lo + m < P/2 keeps every line's nearest image its own
+    over the grid, and a + P - hi > m and lo - (b - P) > m put every other
+    image beyond reach. The norm-bound plan's period 2 norm_scale does so
+    for a window inside the spectrum.
     """
     lam = float(check("lam", lam, POSITIVE))
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     om, w = spectrum.eigenfrequencies, spectrum.weights
-    if periodic is not None and not alias_free(grid, om, lam, periodic.period,
-                                               periodic.wrap_count):
+    if periodic is not None and not alias_free(grid, om, lam, periodic.period):
         vals = gaussian_transform(grid, om, w, lam, periodic.period,
                                   periodic.wrap_count)
         return TransformCurve(grid, vals, "exact_periodic")

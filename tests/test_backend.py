@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from fouriergit import (
+    DiscreteSpectrum,
     ErrorBudget,
     FourierMomentSet,
     FrequencyWindow,
     KernelSpec,
     PeriodicKernelParams,
     _backend,
+    exact_transform,
     make_model,
     make_plan,
     midpoint_grid,
@@ -30,7 +32,8 @@ from fouriergit._backend import (
     reconstruct_series,
 )
 
-from conftest import MemoContract, package_env, periodic_line, random_spectrum
+from conftest import (MemoContract, package_env, periodic_line, random_spectrum,
+                      same_bits)
 
 # orders spanning several phase-power blocks, with a partial last block
 N_MULTI = 3 * _backend._BLOCK + 7
@@ -290,9 +293,9 @@ class TestNumpyKernels:
         sizes = []
         table = _backend._phase_table
 
-        def counting(phase, count, out=None):
+        def counting(phase, count):
             sizes.append(phase.size)
-            return table(phase, count, out)
+            return table(phase, count)
 
         monkeypatch.setattr(_backend, "_phase_table", counting)
         moments = np.ones(200, dtype=np.complex128)
@@ -1044,6 +1047,38 @@ def test_reflection_conjugates_the_moments():
         assert np.all(gap <= _contract(orders, om, w, step)), path
 
 
+def test_shift_turns_the_moments_by_a_phase(model_a):
+    # omega -> omega + c, c = 0.37, turns m_n into exp(-i n dt c) m_n. As
+    # for the reflection, each path keeps that within the contract; on top
+    # come the rounding of the shifted lines, fl(w + c) off by at most u
+    # |w + c|, which turns m_n by at most u n dt max|w + c| mu0, and that of
+    # the factor exp(-i n dt c), at most 2 eps (1 + n dt c) |m_n|. Model A
+    # runs the direct path at its variance plan's dt, the others the FFT
+    # and NUFFT paths at the norm-bound plan's
+    c, eps = 0.37, np.finfo(np.float64).eps
+    kernel = KernelSpec.from_resolution(0.02, 0.01, 1.0)
+    plan = make_plan("variance", kernel, ErrorBudget(0.01, 0.01, 0.05, 2.0 / 512),
+                     window=FrequencyWindow(-1.0, -0.8), moments=summarize(model_a))
+    omegas, weights, dt = _uniform_lines(512, 7987.5, 1)
+    cases = (
+        ("direct", model_a.eigenfrequencies, model_a.weights, 2 * math.pi / plan.period),
+        ("fft", omegas, weights, dt),
+        ("nufft", *_nufft_spectra()[0]),
+    )
+    orders = np.unique(np.r_[0:13, 120:136, 0:42372:61, 16510:16515, 42371])
+    for path, om, w, step in cases:
+        for lines in (om, om + c):
+            assert bool(_backend._commensurate(lines, step)) == (path == "fft")
+            assert _backend._spreads(lines, step) == (path == "nufft")
+        m = phase_moment_sums(om, w, step, 42371)[orders]
+        moved = phase_moment_sums(om + c, w, step, 42371)[orders]
+        gap = np.abs(moved - np.exp(-1j * orders * step * c) * m)
+        tol = (_contract(orders, om + c, w, step)
+               + eps / 2 * orders * step * np.abs(om + c).max() * w.sum()
+               + 2 * eps * (1 + orders * step * c) * np.abs(m))
+        assert np.all(gap <= tol), path
+
+
 def _every_term(nus, omegas, weights, lam, period=None, wrap=0):
     """The transform with every term of every within-reach line evaluated:
     the kernel's chunks and line sets, per-pair nearest-image rounding,
@@ -1229,8 +1264,8 @@ class TestPrunedTransforms:
         for got in _check_both(nus, s.eigenfrequencies, s.weights, 0.05, 11.0, 1):
             assert np.isnan(got[10]) and np.isfinite(np.delete(got, 10)).all()
         clean = np.linspace(-5.0, 5.0, 300)
-        assert _backend.alias_free(clean, s.eigenfrequencies, 0.05, 1e6, 1)
-        assert not _backend.alias_free(nus, s.eigenfrequencies, 0.05, 1e6, 1)
+        assert _backend.alias_free(clean, s.eigenfrequencies, 0.05, 1e6)
+        assert not _backend.alias_free(nus, s.eigenfrequencies, 0.05, 1e6)
         S = _backend._NUFFT_TILE
         rng = np.random.default_rng(6)
         moments = np.exp(1j * rng.uniform(-np.pi, np.pi, S + 1))
@@ -1421,9 +1456,11 @@ class TestAbsorbedImages:
 
 
 class TestAliasFree:
-    """Where the periodic kernel would evaluate exactly the plain kernel's
-    terms, alias_free says so and the plain transform is the periodic one,
-    bitwise; everywhere else it says False."""
+    """alias_free is True only where the grid's extent [lo, hi] and the
+    lines' [a, b] give hi - lo + m < P/2, a + P - hi > m and lo - (b - P) >
+    m, with m the kernel's reach plus 8 eps S. On every input exact_transform
+    with a period is bitwise the periodic kernel, and where alias_free is
+    True that is bitwise the plain curve."""
 
     @staticmethod
     def _lines(period, extra=()):
@@ -1433,19 +1470,24 @@ class TestAliasFree:
 
     @staticmethod
     def _assert_answer(nus, omegas, lam, period, wrap, free):
+        omegas = np.sort(omegas)
         weights = np.linspace(0.5, 1.5, omegas.size)
-        assert _backend.alias_free(nus, omegas, lam, period, wrap) == free
+        assert _backend.alias_free(nus, omegas, lam, period) == free
         plain = gaussian_transform(nus, omegas, weights, lam)
         wrapped = _assert_bitwise(nus, omegas, weights, lam, period, wrap)
+        spectrum = DiscreteSpectrum(omegas, weights, norm_scale=np.abs(omegas).max())
+        params = PeriodicKernelParams(period, 1.0, 2 * math.pi / period, wrap)
+        curve = exact_transform(spectrum, lam, nus, periodic=params)
+        assert curve.kind == "exact_periodic" and same_bits(curve.values, wrapped)
         if free:
-            assert np.array_equal(plain.view(np.int64), wrapped.view(np.int64))
+            assert same_bits(plain, wrapped)
         return plain, wrapped
 
     def test_norm_bound_plan(self):
         # the norm-bound plan's period 2 norm_scale keeps every image of
         # lines inside the period away from the window [0, 400]; lines
         # where the nearest-image index turns at a grid end, P/2 - 400 and
-        # P/2 one ulp either side, are out of reach of every chunk
+        # P/2 one ulp either side, are out of reach of the grid
         period, lam = 2 * 7987.5, 0.33
         nus = np.linspace(0.0, 400.0, 1024)
         turns = np.array([400.0 - period / 2, period / 2])
@@ -1456,12 +1498,31 @@ class TestAliasFree:
             self._assert_answer(nus, omegas, lam, period, wrap, True)
             self._assert_answer(-nus[::-1], -omegas[::-1], lam, period, wrap, True)
 
+    def test_norm_bound_line_sets(self):
+        # both line sets of the norm-bound benchmark, 4 096 midpoint lines
+        # and 4 096 seeded random ones on [-h, h], on the window [0, 400]
+        # and reflected
+        h = 7987.5
+        kernel = KernelSpec.from_resolution(1.0, 0.01, h)
+        plan = make_plan("general", kernel, ErrorBudget(0.01, 0.01, 0.05, 1.0, 0.05),
+                         chi_mode="nyquist")
+        params = PeriodicKernelParams.from_period(plan.period, kernel)
+        assert (plan.period, params.wrap_count) == (2 * h, 1)
+        nus = np.linspace(0.0, 400.0, 1024)
+        random = np.unique(np.random.default_rng(2525).uniform(-h, h, 4096))
+        for omegas in (midpoint_grid(4096, h), random):
+            self._assert_answer(nus, omegas, kernel.lam, plan.period, 1, True)
+            self._assert_answer(-nus[::-1], -omegas[::-1], kernel.lam,
+                                plan.period, 1, True)
+
     def test_nearest_image_turns_within_reach(self):
         # lines at +-(P/2 - g), one ulp either side, on the grid [-g, g]:
         # at the far grid end their offset is +-P/2, where the nearest-image
-        # index turns. With lam = 1/2 their images are dead, so the answer
-        # follows the index, 0 up to +-P/2 and +-1 past it; with lam = 1 the
-        # image there is as near as the line itself, live and not absorbed
+        # index turns. hi - lo + m = 2 g + m exceeds P/2, so the extent rule
+        # refuses them all. With lam = 1/2 their images are dead, and where
+        # the index stays 0 the kernel is still the plain curve; with lam = 1
+        # the image there is as near as the line itself, live and not
+        # absorbed
         period, g = 40.0, 1.0
         nus = np.linspace(-g, g, 257)
         edge = period / 2 - g
@@ -1470,43 +1531,50 @@ class TestAliasFree:
                               (np.array([np.nextafter(-edge, -99.0)]), False),
                               (np.array([np.nextafter(edge, 99.0)]), False)):
             for line in lines:
-                self._assert_answer(nus, np.array([-0.5, 0.5, line]), 0.5,
-                                    period, 1, narrow)
+                plain, wrapped = self._assert_answer(
+                    nus, np.array([-0.5, 0.5, line]), 0.5, period, 1, False)
+                assert same_bits(plain, wrapped) or not narrow
             plain, wrapped = self._assert_answer(nus, lines, 1.0, period, 1, False)
             assert not np.array_equal(plain, wrapped)
         # on the grid [0, g] a line at 19.5 has offsets -19.5 to -18.5,
-        # index 0 and dead images; its mirror image through the grid's
-        # center would have index 1 at the far end
-        self._assert_answer(np.linspace(0.0, g, 129), np.array([19.5]), 0.5,
-                            period, 1, True)
+        # index 0 and dead images, but g + m exceeds P/2: refused, and the
+        # kernel gives the plain curve
+        plain, wrapped = self._assert_answer(np.linspace(0.0, g, 129), np.array([19.5]),
+                                             0.5, period, 1, False)
+        assert same_bits(plain, wrapped)
 
     def test_image_exactly_at_the_reach(self):
         # a line far from the grid whose image w - P lies at the reach of
         # the grid's one chunk: where _within_reach keeps it, the periodic
         # line set differs from the plain one; one ulp further out neither
-        # keeps it. All of its terms are 0.0, so both answers are bitwise
+        # keeps it. Either way the image lies within m of the grid, so the
+        # extent rule refuses both; all of its terms are 0.0, so the kernel
+        # gives the plain curve on both
         lam, period = 0.02, 4.0
         nus = np.linspace(-0.5, 0.5, 300)
         kept = lambda w: _backend._within_reach(nus, np.array([w]), lam, period).size
-        w = period - (math.sqrt(2.0 * _backend._UNDERFLOW) * lam + 0.5)
+        w = period - (_backend._REACH * lam + 0.5)
         while kept(w):
             w = np.nextafter(w, -np.inf)
         while not kept(np.nextafter(w, np.inf)):
             w = np.nextafter(w, np.inf)
         pair = np.array([w, np.nextafter(w, np.inf)])
         assert not _backend._within_reach(nus, pair, lam).size
-        self._assert_answer(nus, np.array([0.0, np.nextafter(w, np.inf)]), lam,
-                            period, 1, False)
-        self._assert_answer(nus, np.array([0.0, w]), lam, period, 1, True)
+        for line in pair:
+            plain, wrapped = self._assert_answer(nus, np.array([0.0, line]), lam,
+                                                 period, 1, False)
+            assert same_bits(plain, wrapped)
 
     def test_absorbed_images_count_as_plain(self):
         # lam = 1, P = 30, lines on [-4, 4], grid [-1, 1]: image +-1 is live
-        # (argument above -600) but absorbed, so the transform is the plain one
+        # (argument above -600) but absorbed, so the kernel gives the plain
+        # curve; the reach, 38.7, exceeds P/2, so the extent rule refuses
         rng = np.random.default_rng(31)
         omegas = np.sort(rng.uniform(-4.0, 4.0, 300))
         nus = np.linspace(-1.0, 1.0, 2 * _backend._CHUNK + 3)
-        self._assert_answer(nus, omegas, 1.0, 30.0, 1, True)
-        self._assert_answer(nus, omegas, 1.0, 30.0, 3, True)
+        for wrap in (1, 3):
+            plain, wrapped = self._assert_answer(nus, omegas, 1.0, 30.0, wrap, False)
+            assert same_bits(plain, wrapped)
         # a period of 12 lets image +-1 reach past absorption
         self._assert_answer(nus, omegas, 1.0, 12.0, 1, False)
         # P = 66, a line at 31.9: at nu = -1 image -1 (x = 33.1, argument
@@ -1522,6 +1590,107 @@ class TestAliasFree:
         nus = np.linspace(0.9, 1.0, 300)
         omegas = np.array([-0.95, 0.95])
         self._assert_answer(nus, omegas, lam, period, 1, False)
+
+    def test_each_inequality_one_ulp_either_side(self):
+        # P = 64 is the largest extent, and lam is set so that m = R + 8
+        # eps 64 is exactly 2. Each case holds two tests with room to spare
+        # and moves one grid end so that the third test's left side, in the
+        # rule's float arithmetic, is the float below m (P/2 for the first
+        # test), m itself or the float above it: alias_free is True only
+        # where that test holds strictly. On each input exact_transform is
+        # the periodic kernel and, where alias_free says so, the plain one
+        period, u = 64.0, 2.0**-52
+        lam = 2.0 / _backend._REACH
+        margin = lambda lam: _backend._REACH * lam + 8 * np.finfo(np.float64).eps * period
+        while margin(lam) > 2.0:
+            lam = np.nextafter(lam, 0.0)
+        m = margin(lam)
+        assert m == 2.0
+        near = np.array([-0.99 * _backend._REACH * lam, 0.5])
+        below, above = np.nextafter(m, 0.0), np.nextafter(m, 4.0)
+        # hi - lo + m < P/2 on the grid [0, hi], a line just inside the
+        # reach left of it, whose offset at hi nears P/2
+        for hi, side, free in ((30.0 - 16 * u, np.nextafter(32.0, 0.0), True),
+                               (30.0, 32.0, False),
+                               (30.0 + 32 * u, np.nextafter(32.0, 64.0), False)):
+            assert hi - 0.0 + m == side
+            self._assert_answer(np.linspace(0.0, hi, 300), near, lam, period, 1, free)
+        # a + P - hi > m: the image a + P of the line a = -61 nears the grid
+        # [-1, hi]; lo - (b - P) > m: the image b - P of b = 61 nears [lo, 1]
+        for end, side, free in ((u, above, True), (0.0, m, False), (-u / 2, below, False)):
+            hi, lo = 1.0 - 2 * end, -1.0 + 2 * end
+            assert (-61.0 + period - hi, lo - (61.0 - period)) == (side, side)
+            self._assert_answer(np.linspace(-1.0, hi, 300), np.array([-61.0, -0.3, 0.5]),
+                                lam, period, 1, free)
+            self._assert_answer(np.linspace(lo, 1.0, 300), np.array([-0.5, 0.3, 61.0]),
+                                lam, period, 1, free)
+
+    def test_rounding_allowance(self):
+        # a reach of eps/2 (lam = eps / (2 _REACH)), P = 3, the grid [1, 1]
+        # and a line a at the float next to -2 toward 0: in the rule's
+        # arithmetic its image a + P lies eps beyond the grid, beyond the
+        # reach, but the kernel rounds the offset 1 - a to 3, which puts
+        # that image on the grid point: a term of 1, at weight 0.5. Without
+        # the allowance 8 eps S the rule would call this alias-free; with
+        # it, it refuses
+        lam, period = np.finfo(np.float64).eps / (2 * _backend._REACH), 3.0
+        nus, line = np.array([1.0]), np.nextafter(-2.0, 0.0)
+        assert line + period - 1.0 > _backend._REACH * lam
+        plain, wrapped = self._assert_answer(nus, np.array([line]), lam, period, 1,
+                                             False)
+        assert plain[0] == 0.0 and wrapped[0] == 0.5 / (math.sqrt(2 * math.pi) * lam)
+
+    def test_nan_and_empty_grids(self):
+        # a NaN grid point, wherever it sits, fails the rule; the kernel
+        # then runs and keeps the NaN in its own point. An empty grid is
+        # alias-free, and the periodic call returns an empty curve
+        omegas = np.linspace(-3.0, 3.0, 50)
+        nus = np.linspace(-1.0, 1.0, 300)
+        assert _backend.alias_free(nus, omegas, 0.05, 100.0)
+        for at in (0, 150, 299):
+            grid = nus.copy()
+            grid[at] = np.nan
+            _, wrapped = self._assert_answer(grid, omegas, 0.05, 100.0, 1, False)
+            assert np.isnan(wrapped[at]) and np.isfinite(np.delete(wrapped, at)).all()
+        assert not _backend.alias_free(np.full(3, np.nan), omegas, 0.05, 100.0)
+        for period in (100.0, 0.5):
+            _, wrapped = self._assert_answer(np.empty(0), omegas, 0.05, period, 1, True)
+            assert wrapped.shape == (0,)
+
+    def test_random_inputs(self):
+        # 2 400 seeded inputs around the rule's edges: periods over four
+        # decades, reaches from about a hundredth of the period to twice
+        # it, grids up to P/2 wide, extreme lines whose images come within
+        # half a reach to three reaches of the grid, lines near the reach
+        # and near P/2 from the grid ends, wrap counts 1 to 3.
+        # Wherever alias_free is True the periodic kernel is bitwise the
+        # plain one; the rule says True in about a third of them
+        rng = np.random.default_rng(2031)
+        free = 0
+        for _ in range(2400):
+            period = 10.0 ** rng.uniform(-1.0, 3.0)
+            lam = period * 10.0 ** rng.uniform(-3.5, -1.3)
+            reach = _backend._REACH * lam
+            lo = period * rng.uniform(-2.0, 2.0)
+            hi = lo + period * rng.uniform(0.0, 0.5)
+            nus = np.linspace(lo, hi, rng.integers(1, 300))
+            if rng.random() < 0.3:
+                nus = rng.permutation(nus)
+            a = hi - period + reach * rng.uniform(0.5, 3.0)
+            b = lo + period - reach * rng.uniform(0.5, 3.0)
+            a, b = min(a, b), max(a, b)
+            near = np.concatenate([[lo - reach, hi + reach, lo + period / 2,
+                                    hi - period / 2]
+                                   + reach * rng.uniform(-0.2, 0.2, 4),
+                                   rng.uniform(a, b, rng.integers(0, 40))])
+            omegas = np.unique(np.concatenate([[a, b], near[(near >= a) & (near <= b)]]))
+            weights = rng.uniform(0.5, 1.5, omegas.size)
+            if _backend.alias_free(nus, omegas, lam, period):
+                free += 1
+                wrapped = gaussian_transform(nus, omegas, weights, lam, period,
+                                             rng.integers(1, 4))
+                assert same_bits(wrapped, gaussian_transform(nus, omegas, weights, lam))
+        assert 600 <= free <= 1800
 
 
 class TestDispatch:

@@ -223,6 +223,27 @@ class TestPlanCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--eps-s", "1e-200"),
+        ("plan", "--lam", "1e-200", "--delta", "1"),
+        ("plan", "--omega-scale", "1e160"),
+        ("plan", "--mu0", "1e200"),
+        ("plan", "--norm-scale", "1e300"),
+        ("plan", "--lam", "1e-160", "--delta", "1"),
+        ("plan", "--confidence-delta", "1e-320"),
+        ("shots-demo", "--eps-s", "1e-200", "--seeds", "1"),
+        ("plan", "--eps-n", "1e-320"),
+    ])
+    def test_count_past_the_float_range(self, capsys, argv):
+        # these budgets used to end in a ZeroDivisionError or OverflowError
+        # traceback; each is now one error line naming the shot or
+        # harmonic count
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert re.match(r"error: the (planned total shot|harmonic) count is not a "
+                        r"finite float \(", err)
+        assert err.count("\n") == 1
+
     def test_simplified_validity_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "plan", "--method", "variance", "--mu1", "-0.9",

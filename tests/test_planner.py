@@ -503,6 +503,14 @@ class TestNTerms:
         n3 = n_terms(3.0, kernel001, budget001)
         assert n3 == pytest.approx(3 * n1, abs=2)
 
+    @pytest.mark.parametrize("mode", ["main", "appendix"])
+    def test_count_that_is_not_a_finite_float_refused(self, kernel001, mode):
+        # eps_n lam underflows to 0, so the log argument is infinite; this
+        # used to end in an OverflowError from int(inf)
+        budget = ErrorBudget(0.01, 1e-320, 0.05, OMEGA_MODEL)
+        with pytest.raises(ValueError, match="^the harmonic count is not a finite"):
+            n_terms(2.0, kernel001, budget, mode=mode)
+
     def test_loose_budget_raises(self, kernel001):
         loose = ErrorBudget(0.01, 0.5, 0.05, OMEGA_MODEL)
         with pytest.raises(FormulaValidityError):
@@ -638,6 +646,43 @@ class TestShots:
             shots_value(218, 2.0, kernel001, budget001, mu0=bad)
         with pytest.raises(ValueError, match="^chi must be positive and finite"):
             shots_value(218, bad, kernel001, budget001, mode="uncorrelated")
+
+
+    @pytest.mark.parametrize("lam_args, budget_args, mu0", [
+        # lam^2 eps_s^2 underflows to 0
+        ({}, {"eps_s": 1e-200}, 1.0),
+        ({"delta": 1.0, "lam": 1e-200}, {}, 1.0),
+        # a square overflows
+        ({}, {"omega_scale": 1e160}, 1.0),
+        ({}, {}, 1e200),
+        # the total is infinite
+        ({"delta": 1.0, "lam": 1e-160}, {}, 1.0),
+        ({}, {"confidence_delta": 1e-320}, 1.0),
+    ])
+    @pytest.mark.parametrize("mode", ["conservative", "uncorrelated", "chebyshev"])
+    def test_total_that_is_not_a_finite_float_refused(self, lam_args, budget_args,
+                                                      mu0, mode):
+        # extreme but in-domain budgets used to end in ZeroDivisionError or
+        # OverflowError; shots_value and make_plan raise ValueError instead
+        kernel = KernelSpec(**{"delta": 0.02, "sigma_leak": 0.01,
+                               "lam": 0.006590102289822608, **lam_args})
+        budget = ErrorBudget(**{"eps_p": 0.01, "eps_n": 0.01, "eps_s": 0.05,
+                                "omega_scale": OMEGA_MODEL, **budget_args})
+        if mode == "chebyshev" and mu0 != 1.0:
+            return  # the chebyshev total does not read mu0
+        match = "^the planned total shot count is not a finite float"
+        if mode != "uncorrelated" or "lam" not in lam_args:  # lam, not lam^2
+            with pytest.raises(ValueError, match=match):
+                shots_value(218, 2.0, kernel, budget, mu0=mu0, mode=mode)
+        # make_plan's term count grows as 1/lam, past the float range
+        with pytest.raises(ValueError, match=match):
+            make_plan("general", kernel, budget, moments=MomentSummary(mu0=mu0),
+                      shots_mode=mode)
+
+    def test_huge_term_count_refused(self, kernel001, budget001):
+        # a term count past the float range cannot enter the product
+        with pytest.raises(ValueError, match="^the planned total shot count"):
+            shots_value(10**400, 2.0, kernel001, budget001)
 
 
 class TestPeriodChoice:
@@ -872,6 +917,31 @@ class TestMakePlan:
         b_heavy = math.sqrt(math.log(gauss * 3.0 / (0.01 * heavy["lam"])))
         assert heavy["alpha_spread"] == pytest.approx(
             math.sqrt(2.0) * heavy["lam"] * b_heavy, rel=1e-15)
+
+    @pytest.mark.parametrize("method", ["variance", "central"])
+    def test_shift_relation(self, model_a, method):
+        # every energy and the window plus c = 0.37, under a norm_scale of 2
+        # that covers the shift: model A's variance and central(4) plans
+        # keep n_terms and shots, and the period to within 16 eps relative,
+        # the rounding of the shifted lines, mean and window edges (measured:
+        # at most 4.2 eps over ten budgets)
+        c = 0.37
+        kernel = KernelSpec.from_resolution(0.02, 0.01, 2.0)
+
+        def plan(shift, budget):
+            lines = DiscreteSpectrum(model_a.eigenfrequencies + shift,
+                                     model_a.weights, norm_scale=2.0)
+            return make_plan(method, kernel, budget,
+                             window=FrequencyWindow(-1.0 + shift, -0.8 + shift),
+                             moments=summarize(lines, orders=(2, 4)), central_order=4)
+
+        for eps in np.logspace(-4.0, -1.0, 10):
+            budget = ErrorBudget(float(eps), float(eps), 0.05, OMEGA_MODEL)
+            base, shifted = plan(0.0, budget), plan(c, budget)
+            assert (shifted.n_terms, shifted.shots_per_moment, shifted.total_shots) == (
+                base.n_terms, base.shots_per_moment, base.total_shots)
+            assert shifted.period == pytest.approx(
+                base.period, rel=16 * np.finfo(np.float64).eps, abs=0.0)
 
     def test_per_part_times_parts_covers_total(
         self, kernel001, budget001, stats_a, window_model

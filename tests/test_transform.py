@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -35,7 +36,9 @@ from conftest import (
 )
 
 
-def mp_transform(spectrum, lam, nu, period=None, images=40):
+def mp_transform(spectrum, lam, nu, period=None, images=40, reach=math.inf):
+    """The transform at nu in 40-digit arithmetic, over the images -images..
+    images of each line, leaving out the terms more than reach lam away."""
     with mp.workdps(40):
         total = mp.mpf(0)
         lam_mp = mp.mpf(lam)
@@ -45,7 +48,8 @@ def mp_transform(spectrum, lam, nu, period=None, images=40):
             for j in js:
                 shift = j * mp.mpf(period) if period is not None else 0
                 z = (mp.mpf(nu) - mp.mpf(om) + shift) / lam_mp
-                total += mp.mpf(w) * mp.exp(-z * z / 2)
+                if abs(z) <= reach:
+                    total += mp.mpf(w) * mp.exp(-z * z / 2)
         return float(pref * total)
 
 
@@ -201,6 +205,38 @@ class TestReconstruct:
         for a, b in zip(*curves):
             bound = 8 * np.finfo(np.float64).eps * np.abs(a.values).max()
             assert np.abs(b.values[::-1] - a.values).max() <= bound, a.kind
+
+    @pytest.mark.parametrize("method", ["variance", "central"])
+    def test_shift_moves_the_curves(self, model_a, method):
+        # omega -> omega + c, c = 0.37, with the grid moved by c too: under
+        # one plan the reconstruction at fl(nu + c) is the original one at
+        # nu. The two series differ by (2/P) Re sum_n env_n exp(i n x) (exp(i
+        # n dt c) m'_n - m_n), whose size is the measured moment gap (the
+        # factor rounding 2 eps (1 + n dt c) |m_n|), plus each evaluation's
+        # rounding, 1e-14 + 8 eps n max|x| of each term as in the closed-form
+        # check, plus fl(nu + c)'s own, u n max|x'|
+        c, eps = 0.37, np.finfo(np.float64).eps
+        kernel = KernelSpec.from_resolution(0.02, 0.01, 2.0)
+        budget = ErrorBudget(0.01, 0.01, 0.05, 2.0 / 512)
+        plan = make_plan(method, kernel, budget, window=FrequencyWindow(-1.0, -0.8),
+                         moments=summarize(model_a, orders=(2, 4)), central_order=4)
+        params = PeriodicKernelParams.from_period(plan.period, kernel)
+        moved = DiscreteSpectrum(model_a.eigenfrequencies + c, model_a.weights,
+                                 norm_scale=2.0)
+        grid = np.linspace(-1.0, -0.8, 257)
+        n, dt = np.arange(plan.n_terms + 1), params.dt
+        m, m_moved = (exact_moments(s, dt, plan.n_terms) for s in (model_a, moved))
+        curves = [reconstruct(mo, kernel, params, plan.n_terms, g).values
+                  for mo, g in ((m, grid), (m_moved, grid + c))]
+        env = np.exp(-0.5 * (dt * kernel.lam * n) ** 2)
+        size = np.abs(m.values)
+        gap = np.abs(np.exp(1j * n * dt * c) * m_moved.values - m.values)
+        top = dt * max(np.abs(grid).max(), np.abs(grid + c).max())
+        term = (gap + 2 * eps * (1 + n * dt * c) * size
+                + size * (2e-14 + 16 * eps * n * top + eps / 2 * n * top))
+        assert m_moved.values[0] == m.values[0]
+        tol = 2 * np.sum(env[1:] * term[1:]) / plan.period
+        assert np.abs(curves[1] - curves[0]).max() <= tol
 
     def test_truncation_bound_holds_for_single_line(self, kernel001):
         # worst case for truncation: all weight in one line
@@ -579,7 +615,7 @@ class TestPlainTransformMemo(MemoContract):
         short = PeriodicKernelParams.from_period(2.0, kernel)
         exact_transform(spectrum, kernel.lam, grid, periodic=short)
         assert kernels == [4, 6]
-        # an empty grid has no chunk to refuse, so it is alias-free too
+        # an empty grid is alias-free whatever the period
         for params in (params, short):
             empty = exact_transform(spectrum, kernel.lam, [], periodic=params)
             assert empty.kind == "exact_periodic" and empty.values.shape == (0,)
@@ -666,6 +702,137 @@ class TestClosedFormReference:
         assert plan.n_terms == 42371
         self._check(_WIDE_MIXTURE, plan.n_terms, plan.period, kernel.lam,
                     np.linspace(0.0, 400.0, points), omega=budget.omega_scale)
+
+
+def _reference(spectrum, lam, nu, period=None):
+    """The transform at nu from mp_transform, over the lines with an image
+    within _REACH lam of nu and only those terms: every other term is below
+    exp(-750). Every image within reach of such a line is summed."""
+    omegas = spectrum.eigenfrequencies
+    d = nu - omegas
+    if period is not None:
+        d = d - period * np.round(d / period)
+    near = np.abs(d) <= (1 + 1e-9) * _backend._REACH * lam
+    lines = SimpleNamespace(eigenfrequencies=omegas[near],
+                            weights=spectrum.weights[near])
+    far = np.abs(nu - lines.eigenfrequencies).max(initial=0.0)
+    images = 0 if period is None else math.ceil((far + _backend._REACH * lam) / period)
+    return mp_transform(lines, lam, nu, period, images, reach=_backend._REACH)
+
+
+def _kernel_tolerance(spectrum, lam, nu, period=None, wrap=0):
+    """A bound on |exact_transform - reference| at nu, from the kernel's
+    arithmetic, u = eps/2:
+    - the offset x = nu - w - (n + j) P, n the nearest image, takes at most
+      three roundings, each of at most u X, X the largest of |nu - w|,
+      |n P|, |j P| and |x|; c = -1/(2 lam^2) and (x c) x round by 4 u, so
+      the argument is off by at most 4 u |arg| + 3 u X |x| / lam^2, and exp
+      adds 2 u;
+    - the 2 wrap image sums, the products with the weights, the BLAS sum of
+      at most L lines and the division by sqrt(2 pi) lam add (L + 2 wrap +
+      5) u of the sum, and the reference's rounding to a float u more;
+    - a term below 2^-1074, an underflow or one left out beyond the reach,
+      is off by less than 2^-1074 per line and image (at most 81), and the
+      images beyond wrap of the nearest sum to below twice the first,
+      exp(-((wrap + 1/2) P)^2 / (2 lam^2)), per side."""
+    u = np.finfo(np.float64).eps / 2
+    omegas, weights = spectrum.eigenfrequencies, spectrum.weights
+    d = (nu - omegas)[:, None]
+    if period is None:
+        x, size, tail = d, np.abs(d), 0.0
+    else:
+        n = np.round(d / period) * period
+        j = np.arange(-wrap, wrap + 1) * period
+        x = d - n - j
+        size = np.maximum(np.maximum(np.abs(d), np.abs(n)), np.maximum(np.abs(j), np.abs(x)))
+        tail = 4 * math.exp(-((wrap + 0.5) * period) ** 2 / (2 * lam * lam))
+    arg = -0.5 * (x / lam) ** 2
+    slip = 4 * u * np.abs(arg) + 3 * u * size * np.abs(x) / (lam * lam)
+    terms = weights[:, None] * np.exp(arg)
+    bound = ((terms * (np.expm1(slip) + 2 * u * np.exp(slip))).sum()
+             + (omegas.size + 2 * wrap + 6) * u * terms.sum()
+             + weights.sum() * (81 * 2.0**-1074 + tail))
+    return bound / (math.sqrt(2 * math.pi) * lam)
+
+
+class TestExactEpsP:
+    """exact_transform, plain and periodic, against 40-digit sums at a few
+    grid points, each within a bound derived from the kernel's arithmetic,
+    and error_report's eps_p against the reference's, at scale."""
+
+    @staticmethod
+    def _check(spectrum, lam, grid, params, points):
+        """The plain and periodic curves on grid, each checked against the
+        reference at the points; the references and bounds per point."""
+        curves = (exact_transform(spectrum, lam, grid),
+                  exact_transform(spectrum, lam, grid, periodic=params))
+        found = {}
+        for i in points:
+            found[i] = []
+            for curve, period, wrap in zip(curves, (None, params.period),
+                                           (0, params.wrap_count)):
+                ref = _reference(spectrum, lam, grid[i], period)
+                tol = _kernel_tolerance(spectrum, lam, grid[i], period, wrap)
+                assert abs(curve.values[i] - ref) <= tol, (i, period)
+                found[i].append((ref, tol))
+        return curves, found
+
+    def test_norm_bound_plan(self):
+        # 4 096 random lines under the norm-bound plan on [0, 400]: the
+        # extent rule holds, so the periodic curve is the plain one; every
+        # image j != 0 lies at least d from the window, so the reference's
+        # periodic - plain is below 4 mu0 exp(-d^2 / (2 lam^2)) / (sqrt(2
+        # pi) lam) per point, positive in 40 digits and 0.0 as a float:
+        # exactly the measured eps_p
+        h = 7987.5
+        kernel = KernelSpec.from_resolution(1.0, 0.01, h)
+        budget = ErrorBudget(0.01, 0.01, 0.05, 1.0, 0.05)
+        plan = make_plan("general", kernel, budget, chi_mode="nyquist")
+        params = PeriodicKernelParams.from_period(plan.period, kernel)
+        rng = np.random.default_rng(2525)
+        omegas = np.unique(rng.uniform(-h, h, 4096))
+        weights = rng.uniform(0.5, 1.5, omegas.size)
+        spectrum = DiscreteSpectrum(omegas, weights / weights.sum(), norm_scale=h)
+        window = FrequencyWindow(0.0, 400.0)
+        grid = np.linspace(window.nu_min, window.nu_max, 1024)
+        lam = kernel.lam
+        assert omegas.size == 4096 and _backend.alias_free(grid, omegas, lam, plan.period)
+        (plain, wrapped), _ = self._check(spectrum, lam, grid, params, (0, 300, 777, 1023))
+        assert same_bits(plain.values, wrapped.values)
+        report = error_report(spectrum, plan, kernel, window, budget)
+        d = min(omegas[0] + plan.period - window.nu_max,
+                window.nu_min - (omegas[-1] - plan.period))
+        with mp.workdps(40):
+            gap = (budget.omega_scale * 4 * spectrum.mu0
+                   * mp.exp(-mp.mpf(d) ** 2 / (2 * mp.mpf(lam) ** 2))
+                   / (mp.sqrt(2 * mp.pi) * lam))
+        assert d > 7000 and gap > 0
+        assert float(gap) == 0.0 == report.eps_p_measured
+
+    def test_model_a_variance_plan(self, model_a, kernel001, budget001, stats_a,
+                                   window_model):
+        # model A's variance plan runs the periodic kernel: at the grid
+        # point of the largest |periodic - plain| error_report's eps_p is
+        # Omega |reference periodic - reference plain|, within Omega times
+        # the two points' bounds and the rounding of both differences
+        plan = make_plan("variance", kernel001, budget001, window=window_model,
+                         moments=stats_a)
+        params = PeriodicKernelParams.from_period(plan.period, kernel001)
+        grid = np.linspace(window_model.nu_min, window_model.nu_max, 1024)
+        lam = kernel001.lam
+        assert not _backend.alias_free(grid, model_a.eigenfrequencies, lam, plan.period)
+        plain = exact_transform(model_a, lam, grid)
+        wrapped = exact_transform(model_a, lam, grid, periodic=params)
+        top = int(np.argmax(np.abs(wrapped.values - plain.values)))
+        _, found = self._check(model_a, lam, grid, params, (0, top, 511, 1023))
+        (ref_plain, tol_plain), (ref_wrapped, tol_wrapped) = found[top]
+        report = error_report(model_a, plan, kernel001, window_model, budget001)
+        omega, u = budget001.omega_scale, np.finfo(np.float64).eps / 2
+        measured = omega * abs(ref_wrapped - ref_plain)
+        tol = (omega * (tol_plain + tol_wrapped + u * (ref_plain + ref_wrapped))
+               + 2 * u * (report.eps_p_measured + measured))
+        assert report.eps_p_measured > 0
+        assert abs(report.eps_p_measured - measured) <= tol
 
 
 class TestErrorReport:
