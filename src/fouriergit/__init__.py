@@ -13,7 +13,6 @@ from .kernel import (
     fourier_coefficient,
     gaussian_kernel,
     lambda_from_resolution,
-    replica_wrap_count,
 )
 from .moments import (
     FourierMomentSet,
@@ -94,7 +93,6 @@ __all__ = [
     "midpoint_grid",
     "n_terms",
     "reconstruct",
-    "replica_wrap_count",
     "sampled_moments",
     "shots_value",
     "summarize",

@@ -85,6 +85,7 @@ import numpy as np
 _CHUNK = 256  # grid rows per numpy broadcast block; bounds temp memory
 _BLOCK = 128  # orders per phase-power block; fixed so m_n ignores n_max
 _TILE = 32  # blocks per moment matrix product; fixed so m_n ignores n_max
+_ZERO = 745.2  # exp(-x) is 0.0 in float64 for x above 745.134 (2^-1075)
 _UNDERFLOW = 750.0  # exp(-x) is 0.0 in float64 beyond 745.2; margin for rounding
 _REACH = math.sqrt(2.0 * _UNDERFLOW)  # in units of lam: every term beyond is 0.0
 _NORMAL = 700.0  # exp(-x) is a normal float64 below 708.3; margin for rounding
@@ -541,6 +542,23 @@ def alias_free(nus, omegas, lam, period):
     m = _REACH * lam + 8 * _EPS * max(abs(lo), abs(hi), abs(a), abs(b), period)
     return bool(hi - lo + m < period / 2 and a + period - hi > m
                 and lo - (b - period) > m)
+
+
+def image_count(lam, period):
+    """Images summed on each side of a line's nearest one: the least k >= 0
+    with (k + 1/2) P >= R (1 + 4 eps), R = sqrt(2 _ZERO) lam. Image j, |j| >
+    k, lies at |x| >= (k + 1/2) P less the rounding of fl(j P) and fl(d - j
+    P), at most 2 eps (k + 1/2) P, so |x| >= R and each of its terms,
+    exp(fl(fl(x c) x)) with an argument below -745.14, is 0.0; the gap from
+    745.134 to _ZERO covers the rounding of the wrap for lines within 1e10 R
+    of the grid. The rule is tested in floats either side of ceil(R/P - 1/2)."""
+    reach = math.sqrt(2.0 * _ZERO) * lam * (1.0 + 4 * _EPS)
+    k = math.ceil(reach / period - 0.5)  # >= ceil(-0.5) = 0
+    if (k + 0.5) * period < reach:
+        k += 1
+    elif (k - 0.5) * period >= reach:
+        k -= 1
+    return k
 
 
 def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):

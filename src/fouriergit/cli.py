@@ -30,7 +30,7 @@ import numpy as np
 from ._backend import active_backend
 from ._domain import FINITE, NONNEGATIVE, POSITIVE, UNIT, at_least, check
 from .kernel import KernelSpec, PeriodicKernelParams
-from .moments import exact_moments, sampled_moments
+from .moments import _MAX_SHOTS, exact_moments, sampled_moments
 from .planner import (
     _CHI_MODES,
     _METHODS,
@@ -235,11 +235,12 @@ _PLAN_SCHEMA = {
     "central_order": (int, None, {"domain": at_least(3)}),
     "central_value": (float, None, {"domain": NONNEGATIVE}),
     "window": (_pair_opt, None, {"domain": FINITE}),
-    "chi_mode": (str, "main", {"choices": _CHI_MODES}),
+    "chi_mode": (str, None, {"choices": _CHI_MODES, "help": "default: main"}),
     "n_mode": (str, "main", {"choices": _N_MODES}),
     "shots_mode": (str, "conservative", {"choices": _SHOTS_MODES}),
-    "window_term": (str, "max", {"choices": _WINDOW_TERM_MODES}),
-    "simplified": (_bool_opt, False),
+    "window_term": (str, None, {"choices": _WINDOW_TERM_MODES,
+                                "help": "default: max"}),
+    "simplified": (_bool_opt, None),
     "out": (str, None, {"help": "write the plan to this key=value file"}),
 }
 
@@ -263,11 +264,18 @@ def _build_kernel(eff) -> KernelSpec:
 
 
 # The moment flags each method reads besides --mu0 (default 1), in the
-# order plan names a missing one; plan refuses the others.
+# order plan names a missing one, and the mode flags it reads; plan
+# refuses the others, and --window-term with --simplified, whose short
+# form has no window term. An unset mode takes make_plan's default.
 _METHOD_READS = {
     "general": (),
     "variance": ("sigma", "mu1"),
     "central": ("central_order", "mu1", "central_value"),
+}
+_METHOD_MODES = {
+    "general": ("chi_mode",),
+    "variance": ("window_term", "simplified"),
+    "central": ("window_term", "simplified"),
 }
 
 
@@ -292,9 +300,13 @@ def cmd_plan(args) -> int:
         # the spectrum gives the moments; the order still picks one
         reads = ("central_order",) if method == "central" else ()
     _require(eff, *reads, *(("window",) if method != "general" else ()))
-    for key in ("mu1", "sigma", "central_order", "central_value"):
-        if eff[key] is not None and key not in _METHOD_READS[method]:
+    known = _METHOD_READS[method] + _METHOD_MODES[method]
+    for key in ("mu1", "sigma", "central_order", "central_value", "chi_mode",
+                "window_term", "simplified"):
+        if eff[key] is not None and key not in known:
             raise CliError(f"--method {method} does not read {_flag(key)}")
+    if eff["simplified"] and eff["window_term"] is not None:
+        raise CliError("--simplified does not read --window-term")
     moments = None
     if eff["spectrum"] is not None:
         spectrum = serialize.read_spectrum(eff["spectrum"])
@@ -311,11 +323,11 @@ def cmd_plan(args) -> int:
     window = None if eff["window"] is None else FrequencyWindow(*eff["window"])
     if moments is None:
         moments = _flag_moments(eff)
+    modes = {key: eff[key] for key in _METHOD_MODES[method] if eff[key] is not None}
     plan = make_plan(
         method, kernel, budget, window=window, moments=moments,
-        central_order=eff["central_order"], chi_mode=eff["chi_mode"],
-        n_mode=eff["n_mode"], shots_mode=eff["shots_mode"],
-        window_term=eff["window_term"], simplified=eff["simplified"],
+        central_order=eff["central_order"], n_mode=eff["n_mode"],
+        shots_mode=eff["shots_mode"], **modes,
     )
     text = serialize.plan_to_text(plan)
     sys.stdout.write(text)
@@ -582,13 +594,20 @@ def cmd_shots_demo(args) -> int:
         "variance", kernel, budget, window=window,
         moments=summarize(spectrum), shots_mode=eff["shots_mode"],
     )
+    counts = []
+    for scale in eff["scales"]:
+        shots = plan.shots_per_moment * scale
+        if not shots <= _MAX_SHOTS:
+            raise CliError(
+                f"--scales {scale!r} gives {shots:.6g} shots "
+                f"per moment part; the sampler takes at most {_MAX_SHOTS}")
+        counts.append(math.ceil(shots))  # >= 1: shots_per_moment >= 1, scale > 0
     periodic = PeriodicKernelParams.from_period(plan.period, kernel)
     grid = np.linspace(window.nu_min, window.nu_max, eff["grid_points"])
     exact = exact_moments(spectrum, periodic.dt, plan.n_terms)
     baseline = reconstruct(exact, kernel, periodic, plan.n_terms, grid)
     rows = []
-    for scale in eff["scales"]:
-        shots = max(1, int(math.ceil(plan.shots_per_moment * scale)))
+    for scale, shots in zip(eff["scales"], counts):
         within = 0
         for i in range(eff["seeds"]):
             sampled = sampled_moments(spectrum, periodic.dt, plan.n_terms,

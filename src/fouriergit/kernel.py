@@ -9,9 +9,8 @@ mass lies outside [-delta, delta]; the widest admissible Gaussian has
 computed by :func:`lambda_from_resolution`. Periodizing the kernel with
 period P makes it an exact Fourier series in n/P with Gaussian-damped
 coefficients; :func:`fourier_coefficient` evaluates them, and
-:class:`PeriodicKernelParams` holds the period, the conjugate time step and
-the image count with which transform.exact_transform sums the periodic
-kernel directly.
+:class:`PeriodicKernelParams` holds the period and the image count with
+which transform.exact_transform sums the periodic kernel directly.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._backend import image_count
 from ._domain import POSITIVE, UNIT, at_least, check, check_fields
 
 _TWO_PI = 2.0 * math.pi
@@ -39,7 +39,9 @@ def lambda_from_resolution(delta: float, sigma_leak: float) -> float:
     """
     delta = check("delta", delta, POSITIVE)
     sigma_leak = check("sigma_leak", sigma_leak, UNIT)
-    return delta / math.sqrt(2.0 * math.log(1.0 / sigma_leak))
+    inverse = 1.0 / sigma_leak  # inf below 5.6e-309, where -log(sigma_leak) holds
+    log_inverse = math.log(inverse) if inverse < math.inf else -math.log(sigma_leak)
+    return delta / math.sqrt(2.0 * log_inverse)
 
 
 @dataclass(frozen=True)
@@ -91,53 +93,29 @@ def gaussian_kernel(nu, omega, lam: float):
     return val if val.ndim else float(val)
 
 
-def replica_wrap_count(lam: float, period: float) -> int:
-    """Images needed on each side of the nearest replica so the omitted
-    periodic-sum tail is below 1e-16 of the retained part.
-
-    Solves k(k+1) >= 2 lam^2 log(4e16) / period^2 for the smallest k >= 1;
-    the bound comes from comparing the first omitted Gaussian image against
-    the central one at worst-case offset period/2.
-    """
-    lam = check("lam", lam, POSITIVE)
-    period = check("period", period, POSITIVE)
-    c = 2.0 * (lam / period) ** 2 * math.log(4e16)
-    k = (-1.0 + math.sqrt(1.0 + 4.0 * c)) / 2.0
-    return max(1, int(math.ceil(k)))
-
-
 @dataclass(frozen=True)
 class PeriodicKernelParams:
-    """Periodic extension of a Gaussian kernel.
-
-    period is the extension period P (energy units), chi the dimensionless
-    ratio P / norm_scale, dt = 2 pi / P the conjugate time step, and
-    wrap_count the number of Gaussian images summed on each side of the
-    nearest replica when the periodic kernel is evaluated directly.
-    """
+    """Periodic extension of a Gaussian kernel: the period P (energy units)
+    and wrap_count, the Gaussian images summed on each side of the nearest
+    replica when the periodic kernel is evaluated directly."""
 
     period: float
-    chi: float
-    dt: float
     wrap_count: int
 
     def __post_init__(self):
-        check_fields(self, period=POSITIVE, chi=POSITIVE, wrap_count=at_least(1))
-        if not abs(self.dt * self.period - _TWO_PI) <= 1e-9 * _TWO_PI:
-            raise ValueError(
-                f"dt * period = {self.dt * self.period} must equal 2 pi"
-            )
+        check_fields(self, period=POSITIVE, wrap_count=at_least(0))
+
+    @property
+    def dt(self) -> float:
+        """Conjugate time step 2 pi / period."""
+        return _TWO_PI / self.period
 
     @classmethod
     def from_period(cls, period: float, kernel: KernelSpec) -> "PeriodicKernelParams":
-        """Extension parameters for a given period and kernel."""
+        """The extension of kernel with the given period, summing every image
+        with a term that is not exactly 0.0 (_backend.image_count)."""
         period = check("period", period, POSITIVE)
-        return cls(
-            period=period,
-            chi=period / kernel.norm_scale,
-            dt=_TWO_PI / period,
-            wrap_count=replica_wrap_count(kernel.lam, period),
-        )
+        return cls(period, image_count(kernel.lam, period))
 
 
 def fourier_coefficient(n, nu, lam: float, params: PeriodicKernelParams):

@@ -55,6 +55,20 @@ def _sqrt_log(arg: float) -> float:
     return math.sqrt(math.log(arg)) if arg > 1.0 else 0.0
 
 
+def _sqrt_log_over(arg, eps: float) -> float:
+    """_sqrt_log(arg(eps)) for an expression arg in which the budget eps
+    enters only as a divisor. Where a tiny eps makes arg(eps) overflow, or
+    divide by zero, the log is log(arg(1)) - log(eps), so that every
+    positive eps plans."""
+    try:
+        value = arg(eps)
+    except ZeroDivisionError:
+        value = math.inf
+    if value < math.inf:
+        return _sqrt_log(value)
+    return math.sqrt(math.log(arg(1.0)) - math.log(eps))
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """Dimensionless error targets for one reconstruction.
@@ -212,20 +226,17 @@ def chi_general(
     if mode == "nyquist":
         return PeriodChoice(2.0 * h, 2.0, "general", {"mode": "nyquist"})
     if mode == "main":
-        corr = (math.sqrt(2.0) * lam / h) * _sqrt_log(
-            2.0 * omega / (budget.eps_p * lam)
+        corr = (math.sqrt(2.0) * lam / h) * _sqrt_log_over(
+            lambda e: 2.0 * omega / (e * lam), budget.eps_p
         )
         chi = 2.0 + corr
         return PeriodChoice(chi * h, chi, "general", {"mode": "main"})
     if window is None:
         raise ValueError("chi_general mode='full' requires a window")
-    arg = (
-        math.sqrt(2.0 / math.pi)
-        * (mu0 / budget.eps_p)
-        * (omega / lam)
-        * (1.0 + math.sqrt(math.pi / 2.0) * lam / h)
+    eta = (math.sqrt(2.0) * lam / h) * _sqrt_log_over(
+        lambda e: math.sqrt(2.0 / math.pi) * (mu0 / e) * (omega / lam)
+        * (1.0 + math.sqrt(math.pi / 2.0) * lam / h), budget.eps_p
     )
-    eta = (math.sqrt(2.0) * lam / h) * _sqrt_log(arg)
     wterm = max(abs(window.nu_min), window.nu_max)
     period = (1.0 + eta) * h + wterm
     return PeriodChoice(
@@ -240,13 +251,10 @@ def _eta_spread(kernel: KernelSpec, budget: ErrorBudget, mu0: float) -> float:
     """eta * alpha * spread for the moment-anchored planners; bounds the
     kernel-replica aliasing at the window edge."""
     lam = kernel.lam
-    arg = (
-        math.sqrt(8.0 / math.pi)
-        * (mu0 / budget.eps_p)
-        * (budget.omega_scale / lam)
-        * (1.0 + math.sqrt(math.pi / 2.0))
+    return math.sqrt(2.0) * lam * _sqrt_log_over(
+        lambda e: math.sqrt(8.0 / math.pi) * (mu0 / e) * (budget.omega_scale / lam)
+        * (1.0 + math.sqrt(math.pi / 2.0)), budget.eps_p
     )
-    return math.sqrt(2.0) * lam * _sqrt_log(arg)
 
 
 def _edge_distances(mu1: float, window: FrequencyWindow) -> tuple[float, float]:
@@ -353,7 +361,7 @@ def chi_with_variance(
         )
         window_term, wterm, spreads = "span", window.span, {}
     else:
-        b_gauss = _sqrt_log(3.6 * mu0 * omega / (budget.eps_p * lam))
+        b_gauss = _sqrt_log_over(lambda e: 3.6 * mu0 * omega / (e * lam), budget.eps_p)
         b_cheb = (
             sigma ** (2.0 / 3.0) * omega ** (1.0 / 3.0) / lam
         ) * 0.9 / budget.eps_p ** (1.0 / 3.0)
@@ -427,8 +435,8 @@ def chi_with_central_moment(
         )
         window_term, wterm, spreads = "span", window.span, {}
     else:
-        b_gauss = math.sqrt(2.0) * lam * _sqrt_log(
-            4.0 * mu0 * omega / (budget.eps_p * lam)
+        b_gauss = math.sqrt(2.0) * lam * _sqrt_log_over(
+            lambda e: 4.0 * mu0 * omega / (e * lam), budget.eps_p
         )
         b_cheb = (
             math.sqrt(2.0)

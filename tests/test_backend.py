@@ -28,6 +28,7 @@ from fouriergit import (
 from fouriergit._backend import (
     active_backend,
     gaussian_transform,
+    image_count,
     phase_moment_sums,
     reconstruct_series,
 )
@@ -1143,6 +1144,30 @@ def _default_sweep():
     return plain, rows
 
 
+@functools.lru_cache(maxsize=None)
+def _coverage_rows():
+    """Arguments of the 24 periodic transforms of the coverage_sweep
+    benchmark: models A and B, variance and central order-4 plans, 6
+    targets from 1e-4 to 0.1, on the window [-1, -0.8] at 257 points."""
+    kernel = KernelSpec.from_resolution(0.02, 0.01, 1.0)
+    window = FrequencyWindow(-1.0, -0.8)
+    grid = np.linspace(-1.0, -0.8, 257)
+    rows = []
+    for kind in "AB":
+        s = make_model(kind)
+        moments = summarize(s, orders=(2, 4))
+        for method in ("variance", "central"):
+            for eps in np.logspace(-4.0, -1.0, 6):
+                budget = ErrorBudget(float(eps), float(eps), 0.05, 2.0 / 512, 0.05)
+                plan = make_plan(method, kernel, budget, window=window,
+                                 moments=moments,
+                                 central_order=4 if method == "central" else None)
+                params = PeriodicKernelParams.from_period(plan.period, kernel)
+                rows.append((grid, s.eigenfrequencies, s.weights, kernel.lam,
+                             params.period, params.wrap_count))
+    return rows
+
+
 # Dense references: every (grid point, line[, image]) term with the
 # kernels' own per-term arithmetic, so only the summation order can differ.
 
@@ -1286,7 +1311,7 @@ class TestTransformMatchesEveryTerm:
 
     def test_default_sweep_rows(self):
         plain, rows = _default_sweep()
-        assert len(rows) == 20 and {r[5] for r in rows} == {1}
+        assert len(rows) == 20 and {r[5] for r in rows} == {0, 1}
         for args in plain + rows:
             _assert_bitwise(*args)
 
@@ -1379,7 +1404,7 @@ class TestTransformMatchesEveryTerm:
     def test_exponentials_counted_on_live_blocks(self, monkeypatch):
         # counts work, not time: the default sweep's periodic transforms
         # evaluate 11 384 064 exponentials where the every-term evaluation
-        # takes 30 698 496; a regression to evaluating every term, or every
+        # takes 27 010 048; a regression to evaluating every term, or every
         # absorbed image term, fails here
         evaluated = []
         exp = _backend._exp
@@ -1393,8 +1418,90 @@ class TestTransformMatchesEveryTerm:
         for args in rows:
             gaussian_transform(*args)
         every = sum(_every_term_count(g, om, lam, p, w) for g, om, _, lam, p, w in rows)
+        assert every == 27_010_048
+        assert sum(evaluated) == 11_384_064
+        # one image on each side, as on every row before the count followed
+        # the underflow reach: more every-term work, the same live terms
+        evaluated.clear()
+        for args in rows:
+            gaussian_transform(*args[:5], 1)
+        every = sum(_every_term_count(g, om, lam, p, 1) for g, om, _, lam, p, _ in rows)
         assert every == 30_698_496
         assert sum(evaluated) == 11_384_064
+
+
+class TestImageCount:
+    """image_count is the least k >= 0 with (k + 1/2) P >= R (1 + 4 eps), R
+    = sqrt(2 * 745.2) lam: every image it leaves out has only terms that are
+    exactly 0.0, so the kernel at that count is bitwise the kernel at any
+    larger one."""
+
+    @staticmethod
+    def _reach(lam):
+        return math.sqrt(2.0 * 745.2) * lam * (1.0 + 4 * float(np.finfo(float).eps))
+
+    @pytest.mark.parametrize("lam", [0.0065901, 0.05, 0.33, 1.0, 3.7e-4])
+    def test_least_count_whose_first_left_out_image_vanishes(self, lam):
+        # one ulp either side of each boundary, the least float P with
+        # fl((k + 1/2) P) >= R; the first image left out, at (k + 1/2) P,
+        # has a term of exactly 0.0, while one count fewer misses the rule,
+        # and its first left-out image moved 1e-4 nearer has a nonzero
+        # term: the count is tight to within the underflow margin
+        reach = self._reach(lam)
+        for k in range(6):
+            edge = reach / (k + 0.5)
+            while (k + 0.5) * edge < reach:
+                edge = np.nextafter(edge, np.inf)
+            while (k + 0.5) * np.nextafter(edge, 0.0) >= reach:
+                edge = np.nextafter(edge, 0.0)
+            below, above = np.nextafter(edge, 0.0), edge
+            assert (image_count(lam, below), image_count(lam, above)) == (k + 1, k)
+            for period in (below, edge, np.nextafter(edge, np.inf)):
+                n = image_count(lam, period)
+                assert type(n) is int
+                assert math.exp(-((n + 0.5) * period) ** 2 / (2 * lam**2)) == 0.0
+                if n:
+                    assert (n - 0.5) * period < reach
+                    near = (n - 0.5) * period * (1 - 1e-4)
+                    assert math.exp(-near**2 / (2 * lam**2)) > 0.0
+
+    def test_no_image_beyond_twice_the_reach(self):
+        for lam in (0.0065901, 0.33, 2.0):
+            r0 = math.sqrt(2.0 * 745.2) * lam
+            for period in (2 * r0 * (1 + 1e-12), 10 * r0, 2 * 7987.5, 1e300):
+                assert image_count(lam, period) == 0
+            assert image_count(lam, 2 * r0 * (1 - 1e-12)) == 1
+
+    def test_model_a_loosest_sweep_row(self):
+        # the eps_p = 0.1 row of model A's sweep: 1.5 P lies 0.19% beyond
+        # the reach, so one image on each side
+        row = _default_sweep()[1][9]
+        reach = self._reach(row[3])
+        assert row[5] == 1 and reach < 1.5 * row[4] < 1.002 * reach
+
+    def test_kernel_at_the_count_is_the_kernel_at_more_images(self):
+        # seeded random lines, lam / P up to 1 (39 images on each side)
+        nus = np.linspace(-2.5, 2.5, 300)
+        for seed, (lam, period) in enumerate(
+            ((0.01, 0.3), (0.05, 0.9), (0.2, 0.9), (0.5, 0.6), (0.9, 0.9))
+        ):
+            s = random_spectrum(40 + seed, n=120, norm_scale=2.0)
+            args = (nus, s.eigenfrequencies, s.weights, lam, period)
+            k = image_count(lam, period)
+            got = gaussian_transform(*args, k)
+            for more in (1, 4):
+                assert same_bits(got, gaussian_transform(*args, k + more))
+
+    def test_benchmark_transforms_match_one_image(self):
+        # the 20 periodic transforms of the default sweep and the 24 of
+        # coverage_sweep, whose plans summed one image on each side before
+        # the count followed the underflow reach: 11 now sum none
+        rows = _default_sweep()[1] + _coverage_rows()
+        assert len(rows) == 44 and sorted(r[5] for r in rows).count(0) == 11
+        for *args, k in rows:
+            assert k <= 1
+            assert same_bits(gaussian_transform(*args, k),
+                             gaussian_transform(*args, 1))
 
 
 def _runs(ds, shifts, c):
@@ -1476,7 +1583,7 @@ class TestAliasFree:
         plain = gaussian_transform(nus, omegas, weights, lam)
         wrapped = _assert_bitwise(nus, omegas, weights, lam, period, wrap)
         spectrum = DiscreteSpectrum(omegas, weights, norm_scale=np.abs(omegas).max())
-        params = PeriodicKernelParams(period, 1.0, 2 * math.pi / period, wrap)
+        params = PeriodicKernelParams(period, wrap)
         curve = exact_transform(spectrum, lam, nus, periodic=params)
         assert curve.kind == "exact_periodic" and same_bits(curve.values, wrapped)
         if free:
@@ -1507,7 +1614,7 @@ class TestAliasFree:
         plan = make_plan("general", kernel, ErrorBudget(0.01, 0.01, 0.05, 1.0, 0.05),
                          chi_mode="nyquist")
         params = PeriodicKernelParams.from_period(plan.period, kernel)
-        assert (plan.period, params.wrap_count) == (2 * h, 1)
+        assert (plan.period, params.wrap_count) == (2 * h, 0)
         nus = np.linspace(0.0, 400.0, 1024)
         random = np.unique(np.random.default_rng(2525).uniform(-h, h, 4096))
         for omegas in (midpoint_grid(4096, h), random):

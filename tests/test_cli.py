@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fouriergit import (
     ErrorBudget,
     FrequencyWindow,
     KernelSpec,
+    NoSavingWarning,
     PeriodicKernelParams,
     cli,
     error_report,
@@ -244,6 +246,28 @@ class TestPlanCommand:
                         r"finite float \(", err)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("--eps-p", "1e-320"),
+        ("--eps-p", "5e-324"),
+        ("--sigma-leak", "1e-320"),
+        ("--sigma-leak", "5e-324"),
+        ("--chi-mode", "full", "--window", "-1", "-0.8", "--eps-p", "1e-320"),
+        ("--method", "variance", "--mu1", "-0.9", "--sigma", "0.03",
+         "--window", "-1", "-0.8", "--eps-p", "1e-320"),
+    ])
+    def test_subnormal_budget_plans(self, capsys, argv):
+        # eps_p lam used to underflow, and 1 / sigma_leak to overflow:
+        # "error: period must be positive and finite, got inf" and "error:
+        # lam must be positive and finite, got 0.0", or a ZeroDivisionError
+        # traceback at eps_p = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NoSavingWarning)
+            code, text, err = run_cli(capsys, "plan", *argv)
+        assert (code, err) == (0, "")
+        fields = kv(text)
+        assert 0.0 < float(fields["period"]) < math.inf
+        assert 0.0 < float(fields["lam"]) < math.inf
+
     def test_simplified_validity_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "plan", "--method", "variance", "--mu1", "-0.9",
@@ -314,6 +338,49 @@ class TestPlanCommand:
         self, tmp_path, capsys, monkeypatch, model_a_csv, argv, message
     ):
         # the first two used to exit 0, the value dropped
+        self._assert_refused_unread(tmp_path, capsys, monkeypatch, model_a_csv,
+                                    argv, message)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--method", "variance", "--spectrum", "SPECTRUM",
+              "--chi-mode", "full"),
+             "--method variance does not read --chi-mode"),
+            (("--method", "central", "--central-order", "4", "--mu1", "-0.9",
+              "--central-value", "1e-6", "--chi-mode", "main"),
+             "--method central does not read --chi-mode"),
+            (("--method", "general", "--window-term", "min"),
+             "--method general does not read --window-term"),
+            (("--method", "general", "--simplified"),
+             "--method general does not read --simplified"),
+            (("--method", "variance", "--mu1", "-0.9", "--sigma", "0.03",
+              "--simplified", "--window-term", "min"),
+             "--simplified does not read --window-term"),
+            (("--method", "variance", "--spectrum", "SPECTRUM",
+              "--config", "chi_mode=main"),
+             "--method variance does not read --chi-mode"),
+            (("--method", "general", "--config", "window_term=max"),
+             "--method general does not read --window-term"),
+            (("--method", "general", "--config", "simplified=false"),
+             "--method general does not read --simplified"),
+            (("--method", "central", "--spectrum", "SPECTRUM",
+              "--central-order", "4", "--simplified", "--config",
+              "window_term=max"),
+             "--simplified does not read --window-term"),
+        ],
+    )
+    def test_unread_mode_flag_refused(
+        self, tmp_path, capsys, monkeypatch, model_a_csv, argv, message
+    ):
+        # each used to print the plan of the same command without the flag,
+        # and --simplified --window-term min echoed window_term_mode=span
+        self._assert_refused_unread(tmp_path, capsys, monkeypatch, model_a_csv,
+                                    argv, message)
+
+    @staticmethod
+    def _assert_refused_unread(tmp_path, capsys, monkeypatch, model_a_csv,
+                               argv, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("spectrum read before the refusal")
 
@@ -1009,6 +1076,7 @@ class TestShotsDemoCommand:
         assert code == 0
         _, rows, _ = serialize._read_csv_with_metadata(out)
         assert float(rows[0][4]) >= float(rows[1][4])
+        assert int(rows[1][1]) == 1  # 260 x 0.002 = 0.52 rounds up
 
 
 class TestCountValidation:
@@ -1211,6 +1279,21 @@ class TestCountValidation:
         assert out == ""
         assert err.startswith(f"error: {flag} must be")
 
+    @pytest.mark.parametrize("scales", [["1e308"], ["1e20"], ["1.0", "1e20"]])
+    def test_scale_past_the_sampler_refused(self, tmp_path, capsys, scales):
+        # 1e308 used to end in an OverflowError traceback, and 1e20 in
+        # "error: shots_per_part must be <= ...", after the first row
+        out = tmp_path / "o.csv"
+        code, text, err = run_cli(
+            capsys, "shots-demo", "--seeds", "1", "--scales", *scales,
+            "--out", str(out),
+        )
+        assert (code, text) == (1, "")
+        assert err.startswith(f"error: --scales {scales[-1].replace('e', 'e+')} gives ")
+        assert err.endswith("the sampler takes at most 9223372036854775807\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("scales", [["inf"], ["1.0", "inf"], ["nan"]])
     def test_non_finite_scale_refused(self, tmp_path, capsys, scales):
         out = tmp_path / "o.csv"
@@ -1329,7 +1412,7 @@ class TestUndrawableShots:
             capsys, "shots-demo", "--seeds", "1", "--grid-points", "17",
             "--scales", "1e300",
         )
-        assert "shots_per_part" in err
+        assert err.startswith("error: --scales 1e+300 gives 2.6e+302 shots")
 
     def test_shots_demo_infinite_scale(self, capsys):
         err = self._refused(

@@ -114,9 +114,7 @@ INTEGER_SITES = {
     "n_terms": _reconstruct,
     "shots_value": lambda v: fg.shots_value(v, 2.0, _kernel(), _budget()),
     "truncation_bound": lambda v: fg.truncation_bound(v, 1.0, 0.01),
-    "wrap_count": lambda v: fg.PeriodicKernelParams(
-        period=1.0, chi=1.0, dt=2 * math.pi, wrap_count=v
-    ),
+    "wrap_count": lambda v: fg.PeriodicKernelParams(period=1.0, wrap_count=v),
     "energy_moment": lambda v: fg.energy_moment(fg.make_model("A"), v),
     "central_moment": lambda v: fg.central_moment(fg.make_model("A"), v),
     "summarize": lambda v: fg.summarize(fg.make_model("A"), orders=(v,)),

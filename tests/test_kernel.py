@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,6 @@ from fouriergit import (
     fourier_coefficient,
     gaussian_kernel,
     lambda_from_resolution,
-    replica_wrap_count,
 )
 
 from conftest import periodic_line
@@ -59,6 +59,19 @@ class TestLambda:
         base = lambda_from_resolution(0.02, 0.01)
         assert lambda_from_resolution(0.04, 0.01) > base
         assert lambda_from_resolution(0.02, 0.001) < base
+
+    def test_leak_below_the_inverse_range(self):
+        # 1 / sigma_leak overflows below 5.6e-309, which used to give lam =
+        # 0.0; there log(1 / s) is -log(s), against 50 digits. Above, lam is
+        # log(1 / s) bit for bit, to the smallest normal s
+        with mp.workdps(50):
+            for sig in (1e-320, 5e-324, 5.5e-309):
+                want = float(mp.mpf(0.02) / mp.sqrt(-2 * mp.log(mp.mpf(sig))))
+                assert lambda_from_resolution(0.02, sig) == pytest.approx(
+                    want, rel=1e-14)
+        for sig in (5.6e-309, 2.2250738585072014e-308, 1e-300, 0.01, 0.5):
+            assert lambda_from_resolution(0.02, sig) == 0.02 / math.sqrt(
+                2.0 * math.log(1.0 / sig))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -152,38 +165,6 @@ class TestGaussianKernel:
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
-class TestReplicaWrapCount:
-    def test_known_regimes(self):
-        # very narrow kernel relative to period needs a single image
-        assert replica_wrap_count(0.0066, 2.0) == 1
-        # wide kernel needs many images
-        assert replica_wrap_count(1.0, 0.5) >= 10
-
-    def test_tail_below_target(self):
-        # the nearest neglected image sits at distance >= (k + 1/2) * period
-        # from any evaluation point and must fall below double precision
-        for lam, period in ((0.0066, 0.25), (0.3, 2.1), (1.0, 3.0), (0.05, 0.4)):
-            k = replica_wrap_count(lam, period)
-            assert k >= 1
-            worst = math.exp(-(((k + 0.5) * period) ** 2) / (2 * lam**2))
-            assert worst < 1e-15
-
-    def test_least_count_meeting_the_bound(self):
-        # the smallest k >= 1 with k (k + 1) >= 2 (lam / period)^2 log(4e16)
-        # c = 1.99 leaves k = 1 just enough room, c = 2.01 needs k = 2
-        below, above = (math.sqrt(c / (2.0 * math.log(4e16))) for c in (1.99, 2.01))
-        for lam, period in ((0.0066, 2.0), (0.3, 2.1), (1.0, 0.5), (2.0, 0.1),
-                            (below, 1.0), (above, 1.0)):
-            k = replica_wrap_count(lam, period)
-            c = 2.0 * (lam / period) ** 2 * math.log(4e16)
-            assert k * (k + 1) >= c
-            assert k == 1 or (k - 1) * k < c
-
-    def test_monotone_in_width(self):
-        counts = [replica_wrap_count(lam, 1.0) for lam in (0.01, 0.1, 0.5, 1.0, 2.0)]
-        assert counts == sorted(counts)
-
-
 class TestPeriodicKernel:
     def test_against_replica_sum(self):
         lam, period = 0.05, 0.4
@@ -218,24 +199,19 @@ class TestPeriodicKernel:
         assert np.all(vals > 0)
 
     def test_derived_fields(self):
-        params = PeriodicKernelParams.from_period(0.5, spec_with_width(0.05, 2.0))
-        assert params.dt == pytest.approx(2 * math.pi / 0.5, rel=1e-15)
-        assert params.chi == pytest.approx(0.25, rel=1e-15)
-        assert params.wrap_count >= 1
+        # the two fields, and dt derived from the period, bit for bit
+        for period in (0.5, 0.16993, 2 * 7987.5, 1e-300, 1e300):
+            params = PeriodicKernelParams.from_period(
+                period, spec_with_width(0.05, 2.0))
+            assert params.dt == 2 * math.pi / period
+            assert params.wrap_count >= 0
+        assert [f.name for f in fields(PeriodicKernelParams)] == [
+            "period", "wrap_count"]
 
     def test_param_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            PeriodicKernelParams(period=0.5, chi=0.5, dt=1.0, wrap_count=1)
-        # dt * period may miss 2 pi by 1e-9 relative
-        dt = 2 * math.pi / 0.5
-        PeriodicKernelParams(period=0.5, chi=0.5, dt=dt * (1 + 0.8e-9), wrap_count=1)
-        with pytest.raises(ValueError, match="must equal 2 pi"):
-            PeriodicKernelParams(period=0.5, chi=0.5, dt=dt * (1 + 1.2e-9),
-                                 wrap_count=1)
-        with pytest.raises(ValueError):
-            PeriodicKernelParams(
-                period=0.5, chi=0.5, dt=2 * math.pi / 0.5, wrap_count=0
-            )
+        PeriodicKernelParams(period=0.5, wrap_count=0)
+        with pytest.raises(ValueError, match="^wrap_count must be >= 0"):
+            PeriodicKernelParams(period=0.5, wrap_count=-1)
         with pytest.raises(ValueError):
             PeriodicKernelParams.from_period(0.0, spec_with_width(0.05))
 
@@ -247,13 +223,7 @@ class TestPeriodicKernel:
         with pytest.raises(ValueError, match=match):
             PeriodicKernelParams.from_period(bad, spec_with_width(0.05))
         with pytest.raises(ValueError, match=match):
-            PeriodicKernelParams(period=bad, chi=1.0, dt=0.0, wrap_count=1)
-        with pytest.raises(ValueError, match="^chi must be positive and finite"):
-            PeriodicKernelParams(
-                period=0.5, chi=bad, dt=2 * math.pi / 0.5, wrap_count=1
-            )
-        with pytest.raises(ValueError, match="must equal 2 pi"):
-            PeriodicKernelParams(period=0.5, chi=0.5, dt=bad, wrap_count=1)
+            PeriodicKernelParams(period=bad, wrap_count=1)
 
 
 class TestFourierCoefficient:

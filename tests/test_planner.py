@@ -137,6 +137,30 @@ class TestChiGeneral:
             assert scaled.details[key] == pytest.approx(
                 8.0 * base.details[key], rel=tol, abs=0.0)
 
+    @pytest.mark.parametrize("mode", ["main", "full"])
+    def test_subnormal_eps_p_plans(self, kernel001, window_model, mode):
+        # eps_p lam underflows and the log argument overflows below about
+        # eps_p = 6.5e-306; there the period takes the log as a sum of
+        # logs. Against 40 digits on both sides of that edge and down to
+        # the least subnormal, where period and chi used to come out inf
+        # and eps_p = 5e-324 divided by zero
+        omega, lam, h = 2.0 / 512.0, kernel001.lam, kernel001.norm_scale
+        edge = 1e-306
+        while math.isfinite(2.0 * omega / (edge * lam)):
+            edge /= 2.0
+        for eps in (2.0 * edge, edge, 1e-320, 5e-324):
+            budget = ErrorBudget(eps, 0.01, 0.05, omega)
+            got = chi_general(kernel001, budget, mode=mode, window=window_model)
+            with mp.workdps(40):
+                e, w, r = mp.mpf(eps), mp.mpf(omega), mp.sqrt(2) * mp.mpf(lam) / h
+                if mode == "main":
+                    want = (2 + r * mp.sqrt(mp.log(2 * w / (e * lam)))) * h
+                else:  # plus the window term max(|nu_min|, nu_max) = 1
+                    arg = (mp.sqrt(2 / mp.pi) / e * w / lam
+                           * (1 + mp.sqrt(mp.pi / 2) * lam / h))
+                    want = (1 + r * mp.sqrt(mp.log(arg))) * h + 1
+            assert got.period == pytest.approx(float(want), rel=1e-14)
+
     def test_scales_with_norm(self, budget001):
         big = KernelSpec.from_resolution(1.0, 0.01, 7987.5)
         nb = ErrorBudget(0.01, 0.01, 0.05, 1.0)

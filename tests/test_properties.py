@@ -3,7 +3,7 @@ spectra.
 
 Hypothesis draws what the planners may be told about a spectrum: mu0 from
 1e-3 to 1e4, a mean inside the window, a spread, central orders 3 to 8,
-both window terms and every shots mode. It also draws normalized spectra
+every shots mode and the mode flags each method reads. It also draws normalized spectra
 whose plans are measured: two lines at the window edges, and quantile grids
 of a normal. A last test interleaves memoized calls on such inputs. The
 runs are derandomized, so every run checks the same examples.
@@ -37,7 +37,7 @@ from fouriergit import (
     summarize,
 )
 from fouriergit.cli import main
-from fouriergit.planner import _SHOTS_MODES, _WINDOW_TERM_MODES
+from fouriergit.planner import _CHI_MODES, _SHOTS_MODES, _WINDOW_TERM_MODES
 
 from conftest import random_spectrum, same_bits
 
@@ -76,19 +76,27 @@ def _requests(draw):
         "central": MomentSummary(mu0=mu0, mu1=mu1, central={
             order: mu0 * draw(_log_uniform(1e-3, 1.0)) ** order}),
     }[method]
-    options = {
-        "window_term": draw(st.sampled_from(_WINDOW_TERM_MODES)),
-        "shots_mode": draw(st.sampled_from(_SHOTS_MODES)),
-        "simplified": method != "general" and draw(st.booleans()),
-    }
+    # only the mode flags the method reads, each unset (the library's
+    # default) or set; --window-term only without --simplified
+    options = {"shots_mode": draw(st.sampled_from(_SHOTS_MODES))}
+    if method == "general":
+        options["chi_mode"] = draw(st.sampled_from((None, *_CHI_MODES)))
+    else:
+        options["simplified"] = draw(st.sampled_from((None, False, True)))
+        if not options["simplified"]:
+            options["window_term"] = draw(
+                st.sampled_from((None, *_WINDOW_TERM_MODES)))
+    options = {k: v for k, v in options.items() if v is not None}
     return method, moments, order, window, options
 
 
 def _flags(method, moments, order, window, options):
     argv = ["plan", "--method", method, f"--mu0={moments.mu0!r}",
             "--window", repr(window.nu_min), repr(window.nu_max),
-            "--window-term", options["window_term"],
             "--shots-mode", options["shots_mode"]]
+    for key in ("chi_mode", "window_term"):
+        if key in options:
+            argv += ["--" + key.replace("_", "-"), options[key]]
     if method != "general":
         argv.append(f"--mu1={moments.mu1!r}")
     if method == "variance":
@@ -96,7 +104,7 @@ def _flags(method, moments, order, window, options):
     if method == "central":
         argv += ["--central-order", str(order),
                  f"--central-value={moments.central[order]!r}"]
-    if options["simplified"]:
+    if options.get("simplified"):
         argv.append("--simplified")
     return argv
 

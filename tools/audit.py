@@ -8,10 +8,10 @@
 coverage runs tier-1 in one process under sys.settrace (child processes
 are not traced) and lists the statements of src/fouriergit that never run.
 mutate makes one mutant per comparison, arithmetic and numeric-constant
-site of the library modules (MODULES): a comparison moves its boundary or
-is negated, an arithmetic operator becomes its inverse (** becomes *, //
-and % become /), a unary minus is dropped, an integer grows by one and a
-float by half (0.0 becomes 1.0). Each mutant runs its module's tests and,
+site of the library modules and cli.py (MODULES): a comparison moves its
+boundary or is negated, an arithmetic operator becomes its inverse (**
+becomes *, // and % become /), a unary minus is dropped, an integer grows
+by one and a float by half (0.0 becomes 1.0). Each mutant runs its module's tests and,
 if they pass, all of tier-1; a failure or a timeout kills it. Mutants run
 in an order shuffled with a fixed seed, so a run cut short still samples
 every module. Both commands work in a temporary copy of the repository,
@@ -38,6 +38,7 @@ PACKAGE = Path("src", "fouriergit")
 MODULES = {
     "_backend.py": "tests/test_backend.py",
     "_domain.py": "tests/test_domain.py",
+    "cli.py": "tests/test_cli.py",
     "kernel.py": "tests/test_kernel.py",
     "moments.py": "tests/test_moments.py",
     "planner.py": "tests/test_planner.py",
