@@ -59,20 +59,20 @@ lines within reach of the chunk only. Within a chunk it wraps each line to
 its nearest image once per span of grid points (the spans cut as the
 chunks are), by one subtraction, where the nearest image is the same at
 both ends of the span, and rounds per pair only for the lines whose image
-changes inside it. For each image it skips the lines whose every term in
-the span is exactly 0.0, found from the exact range of their offsets;
-adding +0.0 to a nonnegative sum changes no bit. It also skips an image j
-!= 0 that is absorbed: the line's own term t_0 is normal (argument at or
-above -_NORMAL) and the image's argument is at least _ABSORBED below t_0's
-(c (s^2 - 2 s d) <= -_ABSORBED, s = j period), so the image's term is
-below exp(-40) t_0 < 2^-54 t_0, less than half an ulp of any sum that
-holds t_0. The images add in order j = -wrap..wrap, so an image right of
-0 rounds away alone; the images left of 0 come before t_0, and since image
--j's excess argument is at most j times image -1's, they are skipped all
-together, when image -1 is absorbed, their sum then below 2^-54 t_0. The
-result is bitwise that of evaluating every term. alias_free decides from
-the extents of the grid and the lines alone when a periodic transform is
-exactly the plain one, which exact_transform then reuses.
+changes inside it. It adds each line's own image first, then the images
+in order j = -1, +1, -2, +2, ..., and per image it evaluates only the
+lines whose terms can change the sum, one index set gathered at once
+(_live_lines). It skips a line whose every term in the span is exactly
+0.0, found from the exact range of its offsets; adding +0.0 to a
+nonnegative sum changes no bit. It also skips an image j != 0 that is
+absorbed: its argument is at least _ABSORBED below the own term t_0's (c
+(s^2 - 2 s d) <= -_ABSORBED, s = j period). A normal t_0 is then more
+than 2^57 times the image's term, and every sum the image meets holds
+t_0, so the term rounds away alone; a subnormal or zero t_0 leaves the
+image's argument below -748, where its term is exactly 0.0. The result is
+bitwise that of evaluating every term in that order. alias_free decides
+from the extents of the grid and the lines alone when a periodic transform
+is exactly the plain one, which exact_transform then reuses.
 """
 
 from __future__ import annotations
@@ -88,10 +88,8 @@ _TILE = 32  # blocks per moment matrix product; fixed so m_n ignores n_max
 _ZERO = 745.2  # exp(-x) is 0.0 in float64 for x above 745.134 (2^-1075)
 _UNDERFLOW = 750.0  # exp(-x) is 0.0 in float64 beyond 745.2; margin for rounding
 _REACH = math.sqrt(2.0 * _UNDERFLOW)  # in units of lam: every term beyond is 0.0
-_NORMAL = 700.0  # exp(-x) is a normal float64 below 708.3; margin for rounding
-_ABSORBED = 40.0  # exp(-40) < 2^-54 by a factor of 13: margin for rounding
+_ABSORBED = 40.0  # exp(-40) < 2^-57, an eighth of half an ulp: margin for rounding
 _SPAN = 64  # grid rows per liveness decision in the Gaussian transform
-_RUNS = 16  # line slices per image and span in the Gaussian transform
 _exp = np.exp  # the Gaussian transform's exponential; tests count its elements
 _EPS = np.finfo(np.float64).eps
 _TURN_EPS = 8  # eps j that dt h L / (2 pi) may miss j by on the FFT path
@@ -481,46 +479,30 @@ def _offsets(span, omegas, period):
     return d, ends
 
 
-def _live_runs(ends, shifts, c):
-    """Per image shift s, the row slices (start, stop) that hold every line
-    with a term that can change the sum, for x = d - s, d in
-    ends[0]..ends[1]; shifts are j period, j = -wrap..wrap, or the one
-    image 0.0.
+def _live_lines(ends, shifts, c):
+    """Per image shift s, the indices of the lines with a term that can
+    change the sum, for x = d - s, d in ends[0]..ends[1]; shifts are 0.0,
+    the line's own image, then -P, +P, -2 P, +2 P, ... or nothing more.
 
     fl(fl(x c) x) is even in x and nonincreasing in |x|, so the largest term
     of a line is the one at its x nearest 0; below -_UNDERFLOW every term of
-    the line is exactly 0.0. An image j != 0 is also left out where it is
-    absorbed: image 0's argument c d^2 stays at or above -_NORMAL, so its
-    term t_0 is a normal float, and the image's argument less image 0's,
-    c (s^2 - 2 s d), stays at or below -_ABSORBED, so its term is below
-    exp(-_ABSORBED) t_0 < 2^-54 t_0. Both are checked at the two ends, the
-    extremes of a concave and of a linear function of d. The images add in
-    order j = -wrap..wrap: an image right of 0 meets a sum of at least t_0,
-    to which it adds less than half an ulp, so the sum rounds back, and it
-    is left out alone. The images left of 0 are summed before t_0; since
-    image -j's excess argument is j times image -1's plus c j (j - 1) P^2
-    <= 0, all of them sum to below 2^-54 t_0 when image -1 is absorbed,
-    and adding t_0 rounds that away. They are left out together, by image
-    -1's test. A NaN keeps the line. An image with more than _RUNS runs of
-    live lines gets one slice over all of them instead, so scattered lines
-    cost some zeros rather than many slices."""
+    the line is exactly 0.0. An image after the first is also left out
+    where it is absorbed: its argument less the own image's, c (s^2 - 2 s
+    d), is at most -_ABSORBED at both ends, the extremes of a linear
+    function of d, so its argument is at least 40 below the own term t_0's,
+    up to about 1e-12 of rounding. If t_0 is normal the image's term is
+    below e^-40 t_0 < 2^-57 t_0; the own image is added first, so every sum
+    the image meets holds t_0, and the term is under half an ulp of it and
+    rounds away alone. If t_0 is subnormal or 0.0 its argument is below
+    -708.39, the image's below -748, and exp returns exactly 0.0. A NaN
+    keeps the line."""
     s = np.array(shifts)[:, None, None]
     x = ends - s
     near = np.clip(0.0, x[:, 0], x[:, 1])
     near *= near * c
-    live = np.zeros((len(shifts), ends.shape[1] + 2), dtype=bool)
-    live[:, 1:-1] = ~(near < -_UNDERFLOW)
-    if len(shifts) > 1:
-        wrap = len(shifts) // 2
-        absorbed = ((s - 2.0 * ends) * (s * c) <= -_ABSORBED).all(axis=1)
-        absorbed[:wrap] = absorbed[wrap - 1]
-        absorbed &= ((ends * c) * ends >= -_NORMAL).all(axis=0)
-        live[:, 1:-1] &= ~absorbed
-    image, edge = np.nonzero(live[:, 1:] != live[:, :-1])
-    runs = [[] for _ in shifts]
-    for i, start, stop in zip(image[0::2], edge[0::2], edge[1::2]):
-        runs[i].append((start, stop))
-    return [r if len(r) <= _RUNS else [(r[0][0], r[-1][1])] for r in runs]
+    live = ~(near < -_UNDERFLOW)
+    live[1:] &= ~((s[1:] - 2.0 * ends) * (s[1:] * c) <= -_ABSORBED).all(axis=1)
+    return [np.flatnonzero(row) for row in live]
 
 
 def alias_free(nus, omegas, lam, period):
@@ -564,7 +546,8 @@ def image_count(lam, period):
 def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
     """Gaussian-kernel transform of a point spectrum on a nu grid; given a
     period, each line enters through its nearest image and wrap_count
-    images on each side, summed in order j = -wrap_count..wrap_count.
+    images on each side, summed own image first, then j = -1, +1, -2, +2,
+    ... up to wrap_count.
 
     The grid is cut into the fewest chunks of about _CHUNK points
     (_chunk_step). Per chunk the lines within reach form the columns
@@ -573,24 +556,24 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
     a time, the chunk cut into the fewest spans of about _SPAN points
     (_chunk_step; the whole chunk is one span when it keeps fewer than
     _CHUNK lines, where per-span overhead would outweigh the skipped work),
-    in a (lines, points) layout so that a run of lines is one contiguous
-    block. Per span each line is wrapped once to its nearest image
-    (_offsets), and per image j only the runs of lines with a term that can
-    change the sum are evaluated (_live_runs), each term as exp((x c) x)
-    with x = d - j period.
+    in a (lines, points) layout so that a line's span is one contiguous
+    row. Per span each line is wrapped once to its nearest image
+    (_offsets), and per image j only the rows of the lines with a term that
+    can change the sum are gathered and evaluated (_live_lines), each term
+    as exp((x c) x) with x = d - j period.
 
     The output is bitwise that of evaluating every term. A line wrapped per
     span gets the same offsets as per-pair rounding; a skipped term is
     exactly +0.0, and adding +0.0 to a sum of nonnegative terms (or to a NaN)
     changes no bit, or it is an absorbed image term, which rounds away
-    (_live_runs); the images are added in the same order; and the product
+    (_live_lines); the images are added in the same order; and the product
     takes the same array and line order.
     """
     nus = _as_f64(nus)
     omegas = _as_f64(omegas)
     weights = _as_f64(weights)
     c = -0.5 / (lam * lam)
-    shifts = [j * period if j else 0.0 for j in range(-wrap_count, wrap_count + 1)]
+    shifts = [0.0] + [j * period for k in range(1, wrap_count + 1) for j in (-k, k)]
     out = np.empty(nus.shape[0])
     size = _chunk_step(nus.shape[0])
     for i in range(0, nus.shape[0], size):
@@ -604,13 +587,14 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
             span = np.zeros_like(d)
             x = np.empty_like(d)  # buffers reused by every image
             term = np.empty_like(d)
-            for s, runs in zip(shifts, _live_runs(ends, shifts, c)):
-                for a, b in runs:
-                    xs = np.subtract(d[a:b], s, out=x[a:b]) if s else d[a:b]
-                    t = term[a:b]
-                    np.multiply(xs, c, out=t)
+            for s, rows in zip(shifts, _live_lines(ends, shifts, c)):
+                if rows.size:  # rows are in range; "clip" spares take a copy of out
+                    xs = np.take(d, rows, axis=0, out=x[: rows.size], mode="clip")
+                    if s:
+                        xs -= s
+                    t = np.multiply(xs, c, out=term[: rows.size])
                     t *= xs
-                    span[a:b] += _exp(t, out=t)
+                    span[rows] += _exp(t, out=t)
             acc[p : p + step] = span.T
         out[i : i + size] = acc @ weights[k]
     return out / (math.sqrt(2.0 * math.pi) * lam)

@@ -358,18 +358,23 @@ def _sampled_shots(eff: dict, plan) -> int | None:
 
     --sampled or --shots turns sampling on, and eff's sampled then records
     the decision for the echo. The count is --shots, else the plan's
-    shots_per_moment; --clamp without sampling is refused.
+    shots_per_moment; --clamp without sampling is refused, and so is a
+    count past the sampler, under the flag or plan file that gave it.
     """
     eff["sampled"] = eff["sampled"] or eff["shots"] is not None
     if not eff["sampled"]:
         if eff["clamp"]:
             raise CliError("--clamp needs sampled moments (--sampled or --shots)")
         return None
-    shots = eff["shots"]
+    shots, source = eff["shots"], f"--shots {eff['shots']}"
     if shots is None and plan is not None:
         shots = plan.shots_per_moment
+        source = f"plan file {eff['plan']}: shots_per_moment {shots}"
     if shots is None:
         raise CliError("--shots is required for sampled moments")
+    if shots > _MAX_SHOTS:
+        raise CliError(f"{source} is more shots per moment part than the "
+                       f"sampler takes, at most {_MAX_SHOTS}")
     return shots
 
 

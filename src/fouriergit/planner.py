@@ -69,6 +69,15 @@ def _sqrt_log_over(arg, eps: float) -> float:
     return math.sqrt(math.log(arg(1.0)) - math.log(eps))
 
 
+def _power_over(x: float, eps: float, p: float) -> float:
+    """(x / eps) ** p for a budget eps. Where a tiny eps makes x / eps
+    overflow, exp(p (log x - log eps)), so that every positive eps plans."""
+    ratio = x / eps
+    if ratio < math.inf:
+        return ratio ** p
+    return math.exp(p * (math.log(x) - math.log(eps)))
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """Dimensionless error targets for one reconstruction.
@@ -356,7 +365,7 @@ def chi_with_variance(
                 f"(lam={lam}, sigma={sigma}); use simplified=False"
             )
         period = (
-            2.7 * (omega * sigma * sigma / budget.eps_p) ** (1.0 / 3.0)
+            2.7 * _power_over(omega * sigma * sigma, budget.eps_p, 1.0 / 3.0)
             + window.span
         )
         window_term, wterm, spreads = "span", window.span, {}
@@ -430,7 +439,7 @@ def chi_with_central_moment(
                 f"(spread={spread}, lam={lam}); use simplified=False"
             )
         period = (
-            2.7 * (omega * central_value / budget.eps_p) ** (1.0 / (order + 1))
+            2.7 * _power_over(omega * central_value, budget.eps_p, 1.0 / (order + 1))
             + window.span
         )
         window_term, wterm, spreads = "span", window.span, {}
@@ -441,7 +450,7 @@ def chi_with_central_moment(
         b_cheb = (
             math.sqrt(2.0)
             * 0.9
-            * (central_value * omega / budget.eps_p) ** (1.0 / (order + 1))
+            * _power_over(central_value * omega, budget.eps_p, 1.0 / (order + 1))
         )
         alpha_spread = max(b_gauss, b_cheb)
         eta_spread = _eta_spread(kernel, budget, mu0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import (_frozen, _recall, alias_free, gaussian_transform,
-                       reconstruct_series)
+                       image_count, reconstruct_series)
 from ._domain import POSITIVE, at_least, check
 from .kernel import KernelSpec, PeriodicKernelParams
 from .moments import FourierMomentSet, exact_moments
@@ -73,7 +73,10 @@ def exact_transform(
     periodic : PeriodicKernelParams, optional
         When given, every eigenfrequency contributes through all its
         period-P images (kind 'exact_periodic'); otherwise the plain
-        kernel is used (kind 'exact_gaussian').
+        kernel is used (kind 'exact_gaussian'). Its wrap_count must be at
+        least image_count(lam, period), the images with a term that is
+        not exactly 0.0 at this lam; a count made for a narrower kernel
+        raises ValueError. More images are accepted: their terms are 0.0.
 
     A plain call with lines, weights and a grid of the same bytes as the
     plain call before, and an equal lam, returns that call's curve instead
@@ -90,6 +93,12 @@ def exact_transform(
     lam = float(check("lam", lam, POSITIVE))
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     om, w = spectrum.eigenfrequencies, spectrum.weights
+    if periodic is not None:
+        need = image_count(lam, periodic.period)
+        if periodic.wrap_count < need:
+            raise ValueError(
+                f"the extension sums {periodic.wrap_count} images on each side; "
+                f"lam={lam} at period {periodic.period} needs {need}")
     if periodic is not None and not alias_free(grid, om, lam, periodic.period):
         vals = gaussian_transform(grid, om, w, lam, periodic.period,
                                   periodic.wrap_count)

@@ -1083,8 +1083,9 @@ def test_shift_turns_the_moments_by_a_phase(model_a):
 def _every_term(nus, omegas, weights, lam, period=None, wrap=0):
     """The transform with every term of every within-reach line evaluated:
     the kernel's chunks and line sets, per-pair nearest-image rounding,
-    per-term arithmetic exp((x c) x), image order and per-chunk product on a
-    C-contiguous grid x lines array, with nothing skipped."""
+    per-term arithmetic exp((x c) x), image order (own image first, then
+    -1, +1, -2, +2, ...) and per-chunk product on a C-contiguous grid x
+    lines array, with nothing skipped."""
     nus, omegas, weights = (np.asarray(a, dtype=np.float64) for a in (nus, omegas, weights))
     c = -0.5 / (lam * lam)
     out = np.empty(nus.size)
@@ -1096,7 +1097,7 @@ def _every_term(nus, omegas, weights, lam, period=None, wrap=0):
         if period is not None:
             d -= period * np.round(d / period)
         acc = np.zeros_like(d)
-        for j in range(-wrap, wrap + 1):
+        for j in [0] + [j for i in range(1, wrap + 1) for j in (-i, i)]:
             x = d - j * period if j else d
             acc += np.exp((x * c) * x)
         out[i : i + step] = acc @ weights[k]
@@ -1371,13 +1372,12 @@ class TestTransformMatchesEveryTerm:
         _assert_bitwise(nus, om, w, 0.03)
         for wrap in (0, 1, 3):
             _assert_bitwise(nus, om, w, 0.03, 1.3, wrap)
-        # scattered lines give more live runs than a span takes
+        # scattered lines: each span's live lines are far from contiguous
         _assert_bitwise(np.sort(nus), om, w, 0.03, 0.2, 1)
 
-    def test_many_live_runs_become_one_slice(self):
+    def test_scattered_live_lines(self):
         # shuffled lines over a sorted grid: each span of _SPAN points sees
-        # about 70 runs of live lines, more than _RUNS, which become one
-        # slice from the first run's start to the last run's stop
+        # its live lines scattered over about 70 runs, gathered by index
         rng = np.random.default_rng(24)
         omegas = rng.permutation(np.linspace(0.0, 1.0, 300))
         nus = np.linspace(0.0, 1.0, _backend._CHUNK)
@@ -1504,55 +1504,68 @@ class TestImageCount:
                              gaussian_transform(*args, 1))
 
 
-def _runs(ds, shifts, c):
-    """_live_runs of lines that each sit at one offset d."""
+def _live(ds, shifts, c):
+    """_live_lines of lines that each sit at one offset d, as lists."""
     ends = np.array([ds, ds], dtype=np.float64)
-    return _backend._live_runs(ends, shifts, c)
+    return [rows.tolist() for rows in _backend._live_lines(ends, shifts, c)]
 
 
 class TestAbsorbedImages:
-    """An image j != 0 whose every term is below 2^-54 of the line's own
-    normal term is left out where adding it rounds back; images left of 0,
-    which are summed before the line's own term, only all together."""
+    """An image j != 0 whose argument is at least 40 below the line's own
+    term's is left out: the own image is added first, so the image's term
+    rounds away alone, or it is exactly 0.0 where the own term is
+    subnormal or 0.0. Each image, left or right of 0, goes by its own
+    test."""
 
     def test_rule_at_the_cutoffs(self):
         # c = -1/2, P = 8: image +1's excess argument c P (P - 2 d) is -40
-        # exactly at d = -1, where the image goes, and the line's own term
-        # is normal. At the offsets where the excess is the float next to
-        # -40 on either side, the image stays above it and goes below it
-        c, shifts = -0.5, [-8.0, 0.0, 8.0]
+        # exactly at d = -1, where the image goes, and image -1's at d = 1.
+        # At the offsets where the excess is the float next to -40 on
+        # either side, the image stays above it and goes below it
+        c, shifts = -0.5, [0.0, -8.0, 8.0]
         above, below = ((8.0 - np.nextafter(10.0, x)) / 2 for x in (0.0, 11.0))
         assert ((8.0 - 2 * above) * (8.0 * c), (8.0 - 2 * below) * (8.0 * c)) == (
             np.nextafter(-40.0, 0.0), np.nextafter(-40.0, -41.0))
-        assert _runs([above, -1.0, below], shifts, c) == [[(0, 3)], [(0, 3)], [(0, 1)]]
-        # c = -700/1024: the line's own argument at d = 32 is -700 exactly,
-        # so image +1 (P = 65, excess -44.4, argument -744.4: live) goes;
-        # one ulp further out the own argument is below -700 and it stays
-        c, shifts = -700.0 / 1024.0, [-65.0, 0.0, 65.0]
-        assert (32.0 * c) * 32.0 == -700.0
-        assert _runs([32.0, np.nextafter(32.0, 0.0)], shifts, c)[2] == []
-        assert _runs([np.nextafter(32.0, 33.0)], shifts, c)[2] == [(0, 1)]
+        assert _live([above, -1.0, below], shifts, c) == [[0, 1, 2], [0, 1, 2], [0]]
+        assert _live([-above, 1.0, -below], shifts, c) == [[0, 1, 2], [0], [0, 1, 2]]
         # a NaN offset keeps every image
-        assert _runs([np.nan], shifts, c) == [[(0, 1)]] * 3
+        assert _live([np.nan], shifts, c) == [[0]] * 3
+
+    @pytest.mark.parametrize("lo", [-37.7, -39.0])
+    def test_subnormal_or_zero_own_term_at_a_span_end(self, lo):
+        # lam = 1, P = 74, one line at 0 and one span of grid points from lo
+        # to 36. Image +1 is absorbed at both ends (excess -74 at nu = 36)
+        # and live there (argument -722, a subnormal term), while the own
+        # term at nu = lo is subnormal (-710.6) or 0.0 (-760.5). The image
+        # is left out and every point stays bitwise the every-term sum
+        c, period = -0.5, 74.0
+        own = math.exp((lo * c) * lo)
+        assert own == 0.0 if lo < -38.6 else 0.0 < own < np.finfo(float).tiny
+        ends = np.array([[lo], [36.0]])
+        live = _backend._live_lines(ends, [0.0, -period, period], c)
+        assert [rows.tolist() for rows in live] == [[0], [0], []]
+        nus = np.linspace(lo, 36.0, 257)
+        assert _backend._chunk_step(nus.size) == nus.size
+        for wrap in (1, 2):
+            _assert_bitwise(nus, [0.0], [1.0], 1.0, period, wrap)
 
     @pytest.mark.parametrize("wrap", [2, 3])
-    def test_left_images_go_together(self, wrap):
-        # c = -1/2, P = 8. At d = -3.875 image -2 is absorbed (excess -66)
-        # but image -1 is not (-1), so both left images stay; at d = -2
-        # (image -1: -16) likewise; at d = 2 image -1 is absorbed (-48) and
-        # every left image goes with it. Right of 0 each image goes alone:
-        # image +1 stays only at d = 2 (-16), image +2 and beyond go
-        shifts = [8.0 * j for j in range(-wrap, wrap + 1)]
-        runs = _runs([-3.875, -2.0, 2.0], shifts, -0.5)
-        assert runs[:wrap] == [[(0, 2)]] * wrap
-        assert runs[wrap:] == [[(0, 3)], [(2, 3)]] + [[]] * (wrap - 1)
+    def test_each_image_goes_alone(self, wrap):
+        # c = -1/2, P = 8, lines at d = -3.875, -2, 2. Image -1 stays at
+        # -3.875 (excess -1) and -2 (-16) and goes at 2 (-48); image -2
+        # goes at -3.875 (-66) though image -1 stays. Image +1 stays only
+        # at 2 (-16); image +2 and beyond go everywhere
+        shifts = [0.0] + [8.0 * j for i in range(1, wrap + 1) for j in (-i, i)]
+        ds = [-3.875, -2.0, 2.0]
+        assert _live(ds, shifts, -0.5) == [[0, 1, 2], [0, 1], [2]] + [[]] * (2 * wrap - 2)
+        _assert_bitwise(np.array([0.0]), -np.array(ds), [0.5, 1.0, 1.5], 1.0, 8.0, wrap)
 
     @pytest.mark.parametrize("wrap", [1, 2, 3])
     def test_bitwise_across_the_cutoffs(self, wrap):
         # lines on a fine lattice of offsets through both cutoffs of each
         # image, for lam = 1 and P = 8 (the excess -40 of image -1 at d =
         # 1, of image +1 at d = -1) and for a lam and P that put the line's
-        # own argument at -700 where image +1 is absorbed and still live;
+        # own argument near -700 where image +1 is absorbed and still live;
         # spans of one point and of a whole chunk
         for lam, period, edge in ((1.0, 8.0, 1.0), (0.85524, 65.0, 32.0)):
             ds = edge + np.linspace(-1e-3, 1e-3, 41)
@@ -1683,7 +1696,7 @@ class TestAliasFree:
             plain, wrapped = self._assert_answer(nus, omegas, 1.0, 30.0, wrap, False)
             assert same_bits(plain, wrapped)
         # a period of 12 lets image +-1 reach past absorption
-        self._assert_answer(nus, omegas, 1.0, 12.0, 1, False)
+        self._assert_answer(nus, omegas, 1.0, 12.0, 3, False)
         # P = 66, a line at 31.9: at nu = -1 image -1 (x = 33.1, argument
         # -548) is live and not absorbed (excess -6.6), though the line's
         # own term is as small; the periodic sum differs in the last bits
@@ -1760,8 +1773,8 @@ class TestAliasFree:
             _, wrapped = self._assert_answer(grid, omegas, 0.05, 100.0, 1, False)
             assert np.isnan(wrapped[at]) and np.isfinite(np.delete(wrapped, at)).all()
         assert not _backend.alias_free(np.full(3, np.nan), omegas, 0.05, 100.0)
-        for period in (100.0, 0.5):
-            _, wrapped = self._assert_answer(np.empty(0), omegas, 0.05, period, 1, True)
+        for period, wrap in ((100.0, 1), (0.5, 4)):
+            _, wrapped = self._assert_answer(np.empty(0), omegas, 0.05, period, wrap, True)
             assert wrapped.shape == (0,)
 
     def test_random_inputs(self):

@@ -254,12 +254,19 @@ class TestPlanCommand:
         ("--chi-mode", "full", "--window", "-1", "-0.8", "--eps-p", "1e-320"),
         ("--method", "variance", "--mu1", "-0.9", "--sigma", "0.03",
          "--window", "-1", "-0.8", "--eps-p", "1e-320"),
+        ("--method", "variance", "--mu1", "-0.9", "--sigma", "0.03",
+         "--window", "-1", "-0.8", "--eps-p", "1e-320", "--simplified"),
+        ("--method", "central", "--mu1", "-0.9", "--central-order", "4",
+         "--central-value", "1e-6", "--window", "-1", "-0.8", "--eps-p", "1e-320"),
+        ("--method", "central", "--mu1", "-0.9", "--central-order", "4",
+         "--central-value", "1e-6", "--window", "-1", "-0.8", "--eps-p", "1e-320",
+         "--simplified"),
     ])
     def test_subnormal_budget_plans(self, capsys, argv):
-        # eps_p lam used to underflow, and 1 / sigma_leak to overflow:
-        # "error: period must be positive and finite, got inf" and "error:
-        # lam must be positive and finite, got 0.0", or a ZeroDivisionError
-        # traceback at eps_p = 5e-324
+        # eps_p lam used to underflow, 1 / sigma_leak and the power forms
+        # (X / eps_p) ** p to overflow: "error: period must be positive and
+        # finite, got inf" and "error: lam must be positive and finite, got
+        # 0.0", or a ZeroDivisionError traceback at eps_p = 5e-324
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NoSavingWarning)
             code, text, err = run_cli(capsys, "plan", *argv)
@@ -1394,7 +1401,8 @@ class TestUndrawableShots:
             "--plan", str(plan_path), "--grid-points", "17", "--sampled",
             "--shots", str(10**22), "--out", str(out),
         )
-        assert "shots_per_part" in err
+        assert err == (f"error: --shots {10**22} is more shots per moment part "
+                       "than the sampler takes, at most 9223372036854775807\n")
         assert not out.exists()
 
     def test_moments(self, tmp_path, capsys, model_a_csv, plan_path):
@@ -1404,8 +1412,40 @@ class TestUndrawableShots:
             "--plan", str(plan_path), "--shots", str(10**23),
             "--out", str(out),
         )
-        assert "shots_per_part" in err
+        assert err == (f"error: --shots {10**23} is more shots per moment part "
+                       "than the sampler takes, at most 9223372036854775807\n")
         assert not out.exists()
+        # the sampler's own limit, 2^63 - 1 shots, still samples
+        code, _, _ = run_cli(
+            capsys, "moments", "--spectrum", str(model_a_csv),
+            "--plan", str(plan_path), "--shots", str(2**63 - 1),
+            "--out", str(out),
+        )
+        assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("command", ["moments", "reconstruct"])
+    def test_plan_shots(self, tmp_path, capsys, model_a_csv, command):
+        # eps_s = 1e-10 plans 64 803 763 129 385 082 880 shots per moment
+        # part, past 2^63 - 1: --sampled names the plan file and its count,
+        # while --shots still samples under it
+        path = tmp_path / "plan.txt"
+        code, out, _ = run_cli(
+            capsys, "plan", "--method", "variance", "--spectrum",
+            str(model_a_csv), "--window", "-1.0", "-0.8", "--eps-s", "1e-10",
+            "--out", str(path),
+        )
+        assert code == 0 and "shots_per_moment=64803763129385082880" in out
+        argv = [command, "--spectrum", str(model_a_csv), "--plan", str(path),
+                "--out", str(tmp_path / "o.csv")]
+        if command == "reconstruct":
+            argv[-2:-2] = ["--grid-points", "17"]
+        err = self._refused(capsys, *argv, "--sampled")
+        assert err == (f"error: plan file {path}: shots_per_moment "
+                       "64803763129385082880 is more shots per moment part "
+                       "than the sampler takes, at most 9223372036854775807\n")
+        assert not (tmp_path / "o.csv").exists()
+        code, _, _ = run_cli(capsys, *argv, "--sampled", "--shots", "10")
+        assert code == 0
 
     def test_shots_demo_huge_scale(self, capsys):
         err = self._refused(

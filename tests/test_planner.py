@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -495,6 +496,72 @@ class TestChiWithCentralMoment:
         ):
             chi_with_central_moment(4, kernel001, budget001, moments,
                                     window_model)
+
+
+class TestSubnormalEpsPPowerForms:
+    """The three power forms (X / eps_p) ** p of the period, the central
+    Chebyshev term and the simplified central and variance periods, plan
+    for every positive eps_p: where X / eps_p overflows, as (X / eps_p) **
+    p = exp(p (log X - log eps_p)), against 40 digits; where it does not,
+    bit for bit as before."""
+
+    @staticmethod
+    def _edge(x):
+        # the largest power of two eps for which x / eps overflows
+        eps = 1e-300
+        while x / eps < math.inf:
+            eps /= 2.0
+        return eps
+
+    @staticmethod
+    def _choices(kernel, window, eps):
+        budget = ErrorBudget(eps, 0.01, 0.05, OMEGA_MODEL)
+        central = MomentSummary(mu0=1.0, mu1=-0.9, central={4: 1e-6})
+        normal = MomentSummary(mu0=1.0, mu1=-0.9, sigma=0.03)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NoSavingWarning)
+            return (
+                chi_with_central_moment(4, kernel, budget, central, window),
+                chi_with_central_moment(4, kernel, budget, central, window,
+                                        simplified=True),
+                chi_with_variance(kernel, budget, normal, window, simplified=True),
+            )
+
+    def test_against_40_digits(self, kernel001, window_model):
+        # at and below each form's overflow edge, down to the least
+        # subnormal, where the periods used to come out inf
+        omega, lam, span = OMEGA_MODEL, kernel001.lam, window_model.span
+        for eps in (self._edge(omega * 0.03 * 0.03), self._edge(1e-6 * omega),
+                    1e-320, 5e-324):
+            cheb, simple, var = self._choices(kernel001, window_model, eps)
+            with mp.workdps(40):
+                e, w, lm = mp.mpf(eps), mp.mpf(omega), mp.mpf(lam)
+                gauss = mp.sqrt(2) * lm * mp.sqrt(mp.log(4 * w / (e * lm)))
+                power = (mp.mpf(1e-6) * w / e) ** (mp.mpf(1) / 5)
+                eta = mp.sqrt(2) * lm * mp.sqrt(mp.log(
+                    mp.sqrt(8 / mp.pi) / e * w / lm * (1 + mp.sqrt(mp.pi / 2))))
+                wterm = mp.mpf(cheb.details["window_term"])
+                want = (max(gauss, mp.sqrt(2) * mp.mpf(0.9) * power) + eta + wterm,
+                        mp.mpf(2.7) * power + mp.mpf(span),
+                        mp.mpf(2.7) * (w * mp.mpf(0.03) ** 2 / e) ** (mp.mpf(1) / 3)
+                        + mp.mpf(span))
+            for choice, period in zip((cheb, simple, var), want):
+                assert 0.0 < choice.period < math.inf
+                assert choice.period == pytest.approx(float(period), rel=1e-13)
+
+    def test_bit_for_bit_where_the_ratio_is_finite(self, kernel001, window_model):
+        # the least power of two above each edge, where the ratio is
+        # finite: the variance ratio overflows at the first one
+        omega, span = OMEGA_MODEL, window_model.span
+        cheb_edge, var_edge = self._edge(1e-6 * omega), self._edge(omega * 0.03 * 0.03)
+        for eps in (2 * cheb_edge, 2 * var_edge, 1e-300, 1e-3):
+            cheb, simple, var = self._choices(kernel001, window_model, eps)
+            power = (1e-6 * omega / eps) ** (1.0 / 5)
+            assert cheb.details["alpha_spread"] == math.sqrt(2.0) * 0.9 * power
+            assert simple.period == 2.7 * (omega * 1e-6 / eps) ** (1.0 / 5) + span
+            if eps > var_edge:
+                assert var.period == (2.7 * (omega * 0.03 * 0.03 / eps) ** (1.0 / 3.0)
+                                      + span)
 
 
 class TestNTerms:

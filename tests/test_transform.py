@@ -137,6 +137,26 @@ class TestExactTransform:
         wrapped = exact_transform(model_a, kernel001.lam, grid, periodic=params)
         assert np.all(wrapped.values >= plain.values - 1e-13)
 
+    def test_too_few_images_refused(self, model_a):
+        # an extension made for a narrower kernel sums no image, while lam
+        # = 0.2 at period 0.6 needs 13 on each side: summed with 0 the
+        # transform is off by 5.5% of its maximum, so it is refused. More
+        # images than needed give the same bits
+        narrow = PeriodicKernelParams.from_period(
+            0.6, KernelSpec.from_resolution(0.02, 0.01, 1.0))
+        assert narrow.wrap_count == 0 and _backend.image_count(0.2, 0.6) == 13
+        grid = np.linspace(-1.0, -0.8, 257)
+        with pytest.raises(ValueError, match=r"sums 0 images on each side; "
+                           r"lam=0.2 at period 0.6 needs 13$"):
+            exact_transform(model_a, 0.2, grid, periodic=narrow)
+        least, more = (exact_transform(model_a, 0.2, grid,
+                                       periodic=PeriodicKernelParams(0.6, k))
+                       for k in (13, 14))
+        assert same_bits(least.values, more.values)
+        none = _backend.gaussian_transform(grid, model_a.eigenfrequencies,
+                                           model_a.weights, 0.2, 0.6, 0)
+        assert np.abs(none - least.values).max() > 0.05 * least.values.max()
+
     def test_lam_validation(self, model_a):
         with pytest.raises(ValueError):
             exact_transform(model_a, 0.0, [0.0])
@@ -569,10 +589,9 @@ class TestPlainTransformMemo(MemoContract):
     def array(result):
         return result.values
 
-    def test_periodic_transform_is_never_held(self, args, kernel001,
-                                              plain_transforms):
+    def test_periodic_transform_is_never_held(self, args, plain_transforms):
         spectrum, lam, grid = args
-        params = PeriodicKernelParams.from_period(0.3, kernel001)
+        params = PeriodicKernelParams(0.3, _backend.image_count(lam, 0.3))
         plain = exact_transform(spectrum, lam, grid)
         first = exact_transform(spectrum, lam, grid, periodic=params)
         again = exact_transform(spectrum, lam, grid, periodic=params)
