@@ -59,12 +59,12 @@ lines within reach of the chunk only. Within a chunk it wraps each line to
 its nearest image once per span of grid points (the spans cut as the
 chunks are), by one subtraction, where the nearest image is the same at
 both ends of the span, and rounds per pair only for the lines whose image
-changes inside it. It adds each line's own image first, then the images
-in order j = -1, +1, -2, +2, ..., and per image it evaluates only the
-lines whose terms can change the sum, one index set gathered at once
-(_live_lines). It skips a line whose every term in the span is exactly
-0.0, found from the exact range of its offsets; adding +0.0 to a
-nonnegative sum changes no bit. It also skips an image j != 0 that is
+changes inside it. It evaluates every line's own image in one dense pass,
+which starts the sum, then adds the images in order j = -1, +1, -2, +2,
+..., each for only the lines whose terms can change the sum, one index set
+at once (_live_lines). It skips a line whose every term of the image in
+the span is exactly 0.0, found from the exact range of its offsets; adding
++0.0 to a nonnegative sum changes no bit. It also skips an image that is
 absorbed: its argument is at least _ABSORBED below the own term t_0's (c
 (s^2 - 2 s d) <= -_ABSORBED, s = j period). A normal t_0 is then more
 than 2^57 times the image's term, and every sum the image meets holds
@@ -480,29 +480,27 @@ def _offsets(span, omegas, period):
 
 
 def _live_lines(ends, shifts, c):
-    """Per image shift s, the indices of the lines with a term that can
-    change the sum, for x = d - s, d in ends[0]..ends[1]; shifts are 0.0,
-    the line's own image, then -P, +P, -2 P, +2 P, ... or nothing more.
+    """Per image shift s of -P, +P, -2 P, +2 P, ..., the indices of the lines
+    with a term that can change the sum, for x = d - s, d in
+    ends[0]..ends[1].
 
     fl(fl(x c) x) is even in x and nonincreasing in |x|, so the largest term
     of a line is the one at its x nearest 0; below -_UNDERFLOW every term of
-    the line is exactly 0.0. An image after the first is also left out
-    where it is absorbed: its argument less the own image's, c (s^2 - 2 s
-    d), is at most -_ABSORBED at both ends, the extremes of a linear
-    function of d, so its argument is at least 40 below the own term t_0's,
-    up to about 1e-12 of rounding. If t_0 is normal the image's term is
-    below e^-40 t_0 < 2^-57 t_0; the own image is added first, so every sum
-    the image meets holds t_0, and the term is under half an ulp of it and
-    rounds away alone. If t_0 is subnormal or 0.0 its argument is below
-    -708.39, the image's below -748, and exp returns exactly 0.0. A NaN
-    keeps the line."""
+    the line is exactly 0.0. An image is also left out where it is
+    absorbed: its argument less the own image's, c (s^2 - 2 s d), is at
+    most -_ABSORBED at both ends, the extremes of a linear function of d,
+    so its argument is at least 40 below the own term t_0's, up to about
+    1e-12 of rounding. If t_0 is normal the image's term is below e^-40 t_0
+    < 2^-57 t_0; the own image is added first, so every sum the image meets
+    holds t_0, and the term is under half an ulp of it and rounds away
+    alone. If t_0 is subnormal or 0.0 its argument is below -708.39, the
+    image's below -748, and exp returns exactly 0.0. A NaN keeps the line."""
     s = np.array(shifts)[:, None, None]
     x = ends - s
     near = np.clip(0.0, x[:, 0], x[:, 1])
     near *= near * c
-    live = ~(near < -_UNDERFLOW)
-    live[1:] &= ~((s[1:] - 2.0 * ends) * (s[1:] * c) <= -_ABSORBED).all(axis=1)
-    return [np.flatnonzero(row) for row in live]
+    absorbed = ((s - 2.0 * ends) * (s * c) <= -_ABSORBED).all(axis=1)
+    return [np.flatnonzero(row) for row in ~((near < -_UNDERFLOW) | absorbed)]
 
 
 def alias_free(nus, omegas, lam, period):
@@ -547,7 +545,8 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
     """Gaussian-kernel transform of a point spectrum on a nu grid; given a
     period, each line enters through its nearest image and wrap_count
     images on each side, summed own image first, then j = -1, +1, -2, +2,
-    ... up to wrap_count.
+    ... up to wrap_count. A lam whose -1/(2 lam^2) is not finite (lam
+    below about 5.3e-155) raises ValueError.
 
     The grid is cut into the fewest chunks of about _CHUNK points
     (_chunk_step). Per chunk the lines within reach form the columns
@@ -558,22 +557,26 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
     _CHUNK lines, where per-span overhead would outweigh the skipped work),
     in a (lines, points) layout so that a line's span is one contiguous
     row. Per span each line is wrapped once to its nearest image
-    (_offsets), and per image j only the rows of the lines with a term that
+    (_offsets), the own image of every line is evaluated in one dense
+    pass, and per image j != 0 only the rows of the lines with a term that
     can change the sum are gathered and evaluated (_live_lines), each term
     as exp((x c) x) with x = d - j period.
 
     The output is bitwise that of evaluating every term. A line wrapped per
-    span gets the same offsets as per-pair rounding; a skipped term is
-    exactly +0.0, and adding +0.0 to a sum of nonnegative terms (or to a NaN)
-    changes no bit, or it is an absorbed image term, which rounds away
-    (_live_lines); the images are added in the same order; and the product
-    takes the same array and line order.
+    span gets the same offsets as per-pair rounding; the own term t starts
+    the sum, as 0.0 + t does; a skipped image term is exactly +0.0, and
+    adding +0.0 to a sum of nonnegative terms (or to a NaN) changes no bit,
+    or it is absorbed, and rounds away against the own term (_live_lines);
+    the images are added in the same order; and the product takes the same
+    array and line order.
     """
+    c = -0.5 / (lam * lam) if lam * lam else -math.inf
+    if not math.isfinite(c):
+        raise ValueError(f"lam={lam} is too small: -1/(2 lam^2) is {c}")
     nus = _as_f64(nus)
     omegas = _as_f64(omegas)
     weights = _as_f64(weights)
-    c = -0.5 / (lam * lam)
-    shifts = [0.0] + [j * period for k in range(1, wrap_count + 1) for j in (-k, k)]
+    shifts = [j * period for k in range(1, wrap_count + 1) for j in (-k, k)]
     out = np.empty(nus.shape[0])
     size = _chunk_step(nus.shape[0])
     for i in range(0, nus.shape[0], size):
@@ -584,17 +587,12 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
         acc = np.empty((chunk.size, k.size))
         for p in range(0, chunk.size, step):
             d, ends = _offsets(chunk[p : p + step], om, period)
-            span = np.zeros_like(d)
-            x = np.empty_like(d)  # buffers reused by every image
-            term = np.empty_like(d)
-            for s, rows in zip(shifts, _live_lines(ends, shifts, c)):
-                if rows.size:  # rows are in range; "clip" spares take a copy of out
-                    xs = np.take(d, rows, axis=0, out=x[: rows.size], mode="clip")
-                    if s:
-                        xs -= s
-                    t = np.multiply(xs, c, out=term[: rows.size])
-                    t *= xs
-                    span[rows] += _exp(t, out=t)
+            span = d * c
+            span *= d
+            _exp(span, out=span)
+            for s, rows in zip(shifts, _live_lines(ends, shifts, c) if shifts else ()):
+                x = d[rows] - s
+                span[rows] += _exp((x * c) * x)
             acc[p : p + step] = span.T
         out[i : i + size] = acc @ weights[k]
     return out / (math.sqrt(2.0 * math.pi) * lam)

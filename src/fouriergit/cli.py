@@ -33,6 +33,7 @@ from .kernel import KernelSpec, PeriodicKernelParams
 from .moments import _MAX_SHOTS, exact_moments, sampled_moments
 from .planner import (
     _CHI_MODES,
+    _METHOD_MODES,
     _METHODS,
     _N_MODES,
     _SHOTS_MODES,
@@ -264,18 +265,14 @@ def _build_kernel(eff) -> KernelSpec:
 
 
 # The moment flags each method reads besides --mu0 (default 1), in the
-# order plan names a missing one, and the mode flags it reads; plan
-# refuses the others, and --window-term with --simplified, whose short
-# form has no window term. An unset mode takes make_plan's default.
+# order plan names a missing one; with the mode flags it reads
+# (planner._METHOD_MODES), plan refuses the others, and --window-term with
+# --simplified, whose short form has no window term. An unset mode takes
+# make_plan's default.
 _METHOD_READS = {
     "general": (),
     "variance": ("sigma", "mu1"),
     "central": ("central_order", "mu1", "central_value"),
-}
-_METHOD_MODES = {
-    "general": ("chi_mode",),
-    "variance": ("window_term", "simplified"),
-    "central": ("window_term", "simplified"),
 }
 
 

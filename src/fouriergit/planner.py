@@ -35,7 +35,13 @@ from .spectrum import MomentSummary
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # The vocabulary of each planning option, in the order the CLI lists it.
-_METHODS = ("general", "variance", "central")
+# Each method reads its own modes; make_plan refuses the others.
+_METHOD_MODES = {
+    "general": ("chi_mode",),
+    "variance": ("window_term", "simplified"),
+    "central": ("window_term", "simplified"),
+}
+_METHODS = tuple(_METHOD_MODES)
 _CHI_MODES = ("main", "nyquist", "full")
 _N_MODES = ("main", "appendix")
 _SHOTS_MODES = ("conservative", "uncorrelated", "chebyshev")
@@ -621,11 +627,11 @@ def make_plan(
     window: FrequencyWindow | None = None,
     moments: MomentSummary | None = None,
     central_order: int | None = None,
-    chi_mode: str = "main",
+    chi_mode: str | None = None,
     n_mode: str = "main",
     shots_mode: str = "conservative",
-    window_term: str = "max",
-    simplified: bool = False,
+    window_term: str | None = None,
+    simplified: bool | None = None,
 ) -> ExtensionPlan:
     """Build a complete extension plan for one reconstruction.
 
@@ -635,10 +641,21 @@ def make_plan(
     'central' its mu0, mu1 and central[central_order], an order of at
     least 3. 'variance' and 'central' require moments and a window, and
     'central' a central_order. The window, when given, must lie within
-    [-norm_scale, norm_scale].
+    [-norm_scale, norm_scale]. 'general' reads the mode chi_mode (default
+    'main'), 'variance' and 'central' window_term ('max') and simplified
+    (False), whose short form reads no window_term (_METHOD_MODES); a mode
+    left None takes its default, and a set mode the method does not read
+    raises ValueError.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown planning method {method!r}")
+    modes = dict(chi_mode=chi_mode, window_term=window_term, simplified=simplified)
+    modes = {key: value for key, value in modes.items() if value is not None}
+    for key in modes:
+        if key not in _METHOD_MODES[method]:
+            raise ValueError(f"{method} planning does not read {key}")
+    if modes.get("simplified") and "window_term" in modes:
+        raise ValueError("simplified planning does not read window_term")
     if window is not None:
         h = kernel.norm_scale
         if window.nu_min < -h or window.nu_max > h:
@@ -648,19 +665,16 @@ def make_plan(
             )
     mu0 = 1.0 if moments is None else moments.mu0
     if method == "general":
+        chi_mode = modes.get("chi_mode", "main")
         choice = chi_general(kernel, budget, mu0=mu0, mode=chi_mode, window=window)
     elif moments is None or window is None:
         raise ValueError(f"{method} planning requires moments and a window")
     elif method == "variance":
-        choice = chi_with_variance(
-            kernel, budget, moments, window,
-            window_term=window_term, simplified=simplified,
-        )
+        choice = chi_with_variance(kernel, budget, moments, window, **modes)
     else:
         choice = chi_with_central_moment(
             check("central_order", central_order, at_least(3)), kernel,
-            budget, moments, window, window_term=window_term,
-            simplified=simplified,
+            budget, moments, window, **modes,
         )
 
     n = n_terms(choice.chi, kernel, budget, mu0=mu0, mode=n_mode)

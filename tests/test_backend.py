@@ -1403,9 +1403,11 @@ class TestTransformMatchesEveryTerm:
 
     def test_exponentials_counted_on_live_blocks(self, monkeypatch):
         # counts work, not time: the default sweep's periodic transforms
-        # evaluate 11 384 064 exponentials where the every-term evaluation
+        # evaluate 11 476 480 exponentials where the every-term evaluation
         # takes 27 010 048; a regression to evaluating every term, or every
-        # absorbed image term, fails here
+        # absorbed image term, fails here. The own image is evaluated
+        # densely, its rows whose every term is 0.0 too: 92 416 more terms
+        # than a liveness test on the own image would evaluate
         evaluated = []
         exp = _backend._exp
 
@@ -1419,7 +1421,7 @@ class TestTransformMatchesEveryTerm:
             gaussian_transform(*args)
         every = sum(_every_term_count(g, om, lam, p, w) for g, om, _, lam, p, w in rows)
         assert every == 27_010_048
-        assert sum(evaluated) == 11_384_064
+        assert sum(evaluated) == 11_476_480
         # one image on each side, as on every row before the count followed
         # the underflow reach: more every-term work, the same live terms
         evaluated.clear()
@@ -1427,7 +1429,93 @@ class TestTransformMatchesEveryTerm:
             gaussian_transform(*args[:5], 1)
         every = sum(_every_term_count(g, om, lam, p, 1) for g, om, _, lam, p, _ in rows)
         assert every == 30_698_496
-        assert sum(evaluated) == 11_384_064
+        assert sum(evaluated) == 11_476_480
+
+
+def _dead_own_rows(nus, omegas, lam, period=None):
+    """The largest own-image argument fl(fl(d c) d) of each (span, line)
+    whose own terms are all exactly 0.0, over the kernel's chunks and spans
+    (_chunk_step, _within_reach, _offsets)."""
+    c = -0.5 / (lam * lam)
+    dead = []
+    size = _backend._chunk_step(nus.size)
+    for i in range(0, nus.size, size):
+        chunk = nus[i : i + size]
+        om = omegas[_backend._within_reach(chunk, omegas, lam, period)]
+        step = chunk.size
+        if om.size >= _backend._CHUNK:
+            step = _backend._chunk_step(chunk.size, _backend._SPAN)
+        for p in range(0, chunk.size, step):
+            d, _ = _backend._offsets(chunk[p : p + step], om, period)
+            top = ((d * c) * d).max(axis=1)
+            dead.extend(top[np.exp(top) == 0.0])
+    return np.array(dead)
+
+
+class TestDeadOwnRows:
+    """Every line's own image is evaluated in one dense pass, so a row whose
+    own terms are all exactly +0.0 adds them, where the every-term sum adds
+    0.0 + 0.0: the output keeps its bits."""
+
+    @pytest.mark.parametrize("lam, period, wrap", [
+        (0.01, None, 0), (0.001, None, 0), (0.01, 3.0, 1), (0.001, 0.7, 1),
+        (0.001, 0.7, 2)])
+    def test_rows_across_the_underflow_band(self, lam, period, wrap):
+        # one chunk of 256 points with about 600 lines within its reach, so
+        # cut into spans of 64: per span the lines beside the other spans
+        # are dead, at own arguments from -745 to -3 200 at lam = 0.01 and,
+        # at lam = 0.001, down to -3.1e5 (plain) or -2.6e4 (P = 0.7, whose
+        # wrapped offsets stay within P/2)
+        nus = np.linspace(0.0, 1.0, _backend._CHUNK)
+        omegas = np.linspace(-0.05, 1.05, 600)
+        weights = np.linspace(0.5, 1.5, 600)
+        dead = _dead_own_rows(nus, omegas, lam, period)
+        assert ((dead > -5000.0) & (dead < -745.2)).sum() > 100
+        assert (dead < -5000.0).any() == (lam < 0.01)
+        if lam < 0.01:
+            assert dead.min() < -20_000.0
+        _assert_bitwise(nus, omegas, weights, lam, period, wrap)
+
+    @pytest.mark.parametrize("size", [1, 100])
+    def test_rows_at_the_reach(self, size):
+        # a span of one point or of a whole chunk (fewer than _CHUNK lines)
+        # keeps the lines within _REACH lam of its points, so a dead own row
+        # sits at the cut-off: lines within a few ulp of the reach either
+        # side of the span, where fl(fl(d c) d) falls below -_UNDERFLOW
+        lam = 0.01
+        nus = np.linspace(0.0, 1.0, size) if size > 1 else np.array([0.0])
+        reach = _backend._REACH * lam * (1.0 + np.arange(-8, 9) * _backend._EPS)
+        omegas = np.concatenate([nus[0] - reach, nus[-1] + reach, [0.5]])
+        weights = np.linspace(0.5, 1.5, omegas.size)
+        assert (_dead_own_rows(nus, omegas, lam) < -_backend._UNDERFLOW).any()
+        assert (_dead_own_rows(nus, omegas, lam, 10.0) < -_backend._UNDERFLOW).any()
+        _assert_bitwise(nus, omegas, weights, lam)
+        for wrap in (0, 1):
+            _assert_bitwise(nus, omegas, weights, lam, 10.0, wrap)
+
+
+class TestTinyLam:
+    """gaussian_transform refuses a lam whose exponent scale c = -1/(2
+    lam^2) is not finite: below about 1.5e-162 lam^2 is 0.0 and the scale
+    divided by zero, and up to about 5.3e-155 it is -inf, which made a grid
+    point on a line NaN."""
+
+    def test_refused_below_the_least_finite_scale(self):
+        # lam^2 is nondecreasing in lam; at sqrt(2^-1025) it rounds to at
+        # most 2^-1025, whose -0.5 / lam^2 overflows
+        least = math.sqrt(2.0**-1025)
+        while not math.isfinite(-0.5 / (least * least)):
+            least = float(np.nextafter(least, 1.0))
+        assert 5.27e-155 < least < 5.28e-155
+        args = ([0.0, 0.25], [0.0, 0.5], [1.0, 1.0])
+        for lam in (float(np.nextafter(least, 0.0)), 1e-156, 1.5e-162, 1e-300, 5e-324):
+            for periodic in ((), (2.0, 1)):
+                with pytest.raises(ValueError, match="^" + re.escape(f"lam={lam} is too small")):
+                    gaussian_transform(*args, lam, *periodic)
+        for periodic in ((), (2.0, 1)):
+            with np.errstate(over="ignore"):  # x c is -inf beyond |x| = 1
+                got = gaussian_transform(*args, least, *periodic)
+            assert got.tolist() == [1.0 / (math.sqrt(2.0 * math.pi) * least), 0.0]
 
 
 class TestImageCount:
@@ -1505,7 +1593,8 @@ class TestImageCount:
 
 
 def _live(ds, shifts, c):
-    """_live_lines of lines that each sit at one offset d, as lists."""
+    """_live_lines of lines that each sit at one offset d, as lists; shifts
+    are those of the images j != 0."""
     ends = np.array([ds, ds], dtype=np.float64)
     return [rows.tolist() for rows in _backend._live_lines(ends, shifts, c)]
 
@@ -1522,14 +1611,26 @@ class TestAbsorbedImages:
         # exactly at d = -1, where the image goes, and image -1's at d = 1.
         # At the offsets where the excess is the float next to -40 on
         # either side, the image stays above it and goes below it
-        c, shifts = -0.5, [0.0, -8.0, 8.0]
+        c, shifts = -0.5, [-8.0, 8.0]
         above, below = ((8.0 - np.nextafter(10.0, x)) / 2 for x in (0.0, 11.0))
         assert ((8.0 - 2 * above) * (8.0 * c), (8.0 - 2 * below) * (8.0 * c)) == (
             np.nextafter(-40.0, 0.0), np.nextafter(-40.0, -41.0))
-        assert _live([above, -1.0, below], shifts, c) == [[0, 1, 2], [0, 1, 2], [0]]
-        assert _live([-above, 1.0, -below], shifts, c) == [[0, 1, 2], [0], [0, 1, 2]]
+        assert _live([above, -1.0, below], shifts, c) == [[0, 1, 2], [0]]
+        assert _live([-above, 1.0, -below], shifts, c) == [[0], [0, 1, 2]]
         # a NaN offset keeps every image
-        assert _live([np.nan], shifts, c) == [[0]] * 3
+        assert _live([np.nan], shifts, c) == [[0]] * 2
+
+    def test_zero_test_on_an_image_that_is_not_absorbed(self):
+        # c = -1/2, P = 1, a line at d = 39 (own argument -760.5): image -1
+        # (x = 40, argument -800) is not absorbed (excess -39.5) but every
+        # term is 0.0; image +1 (x = 38, argument -722) stays. Lines whose
+        # image -1 sits at arguments just above and below -_UNDERFLOW
+        # stay and go with it
+        assert _live([39.0], [-1.0, 1.0], -0.5) == [[], [0]]
+        edge = math.sqrt(2.0 * _backend._UNDERFLOW) - 1.0
+        ds = [edge - 1e-9, edge + 1e-9]
+        assert [(d + 1.0) * -0.5 * (d + 1.0) < -750.0 for d in ds] == [False, True]
+        assert _live(ds, [-1.0, 1.0], -0.5) == [[0], [0, 1]]
 
     @pytest.mark.parametrize("lo", [-37.7, -39.0])
     def test_subnormal_or_zero_own_term_at_a_span_end(self, lo):
@@ -1542,8 +1643,8 @@ class TestAbsorbedImages:
         own = math.exp((lo * c) * lo)
         assert own == 0.0 if lo < -38.6 else 0.0 < own < np.finfo(float).tiny
         ends = np.array([[lo], [36.0]])
-        live = _backend._live_lines(ends, [0.0, -period, period], c)
-        assert [rows.tolist() for rows in live] == [[0], [0], []]
+        live = _backend._live_lines(ends, [-period, period], c)
+        assert [rows.tolist() for rows in live] == [[0], []]
         nus = np.linspace(lo, 36.0, 257)
         assert _backend._chunk_step(nus.size) == nus.size
         for wrap in (1, 2):
@@ -1555,9 +1656,9 @@ class TestAbsorbedImages:
         # -3.875 (excess -1) and -2 (-16) and goes at 2 (-48); image -2
         # goes at -3.875 (-66) though image -1 stays. Image +1 stays only
         # at 2 (-16); image +2 and beyond go everywhere
-        shifts = [0.0] + [8.0 * j for i in range(1, wrap + 1) for j in (-i, i)]
+        shifts = [8.0 * j for i in range(1, wrap + 1) for j in (-i, i)]
         ds = [-3.875, -2.0, 2.0]
-        assert _live(ds, shifts, -0.5) == [[0, 1, 2], [0, 1], [2]] + [[]] * (2 * wrap - 2)
+        assert _live(ds, shifts, -0.5) == [[0, 1], [2]] + [[]] * (2 * wrap - 2)
         _assert_bitwise(np.array([0.0]), -np.array(ds), [0.5, 1.0, 1.5], 1.0, 8.0, wrap)
 
     @pytest.mark.parametrize("wrap", [1, 2, 3])

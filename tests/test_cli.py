@@ -1042,6 +1042,16 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--points", "2")
         assert code == 1
 
+    def test_kernel_narrower_than_float64_refused(self, tmp_path, capsys):
+        # --delta 1e-300 gives lam = 3.3e-301, whose plain transform ended
+        # in a ZeroDivisionError traceback before any plan
+        out = tmp_path / "sweep.csv"
+        code, text, err = run_cli(capsys, "sweep", "--delta", "1e-300", "--points", "1",
+                                  "--grid-points", "2", "--out", str(out))
+        assert (code, text) == (1, "")
+        assert re.fullmatch(r"error: lam=\S+ is too small: -1/\(2 lam\^2\) is -inf\n", err)
+        assert not out.exists()
+
     def test_empty_model_list_refused(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code, text, err = run_cli(capsys, "sweep", "--models", ",", "--out", str(out))

@@ -886,6 +886,42 @@ class TestMakePlan:
         assert plan.n_terms == 24
         assert ExtensionPlan.from_dict(plan.to_dict()) == plan
 
+    @pytest.mark.parametrize("method, mode", [
+        ("variance", {"chi_mode": "nyquist"}), ("central", {"chi_mode": "main"}),
+        ("general", {"window_term": "min"}), ("general", {"simplified": True}),
+        ("general", {"simplified": False})])
+    def test_mode_the_method_does_not_read_refused(
+        self, kernel001, budget001, stats_a, window_model, method, mode
+    ):
+        # each of these planned before, as if the mode were not given
+        (key,) = mode
+        order = {"central_order": 4} if method == "central" else {}
+        with pytest.raises(ValueError, match=f"^{method} planning does not read {key}$"):
+            make_plan(method, kernel001, budget001, window=window_model,
+                      moments=stats_a, **order, **mode)
+
+    @pytest.mark.parametrize("method", ["variance", "central"])
+    def test_window_term_beside_simplified_refused(
+        self, kernel001, budget001, stats_a, window_model, method
+    ):
+        order = {"central_order": 4} if method == "central" else {}
+        args = (method, kernel001, budget001, window_model, stats_a)
+        with pytest.raises(ValueError, match="^simplified planning does not read window_term$"):
+            make_plan(*args, **order, window_term="max", simplified=True)
+        assert (make_plan(*args, **order, window_term="min", simplified=False)
+                == make_plan(*args, **order, window_term="min"))
+
+    def test_unset_modes_take_their_defaults(
+        self, kernel001, budget001, stats_a, window_model
+    ):
+        assert (make_plan("general", kernel001, budget001, chi_mode=None)
+                == make_plan("general", kernel001, budget001, chi_mode="main"))
+        for method, order in (("variance", {}), ("central", {"central_order": 4})):
+            args = (method, kernel001, budget001, window_model, stats_a)
+            plain = make_plan(*args, **order)
+            assert plain == make_plan(*args, **order, window_term=None, simplified=None)
+            assert plain == make_plan(*args, **order, window_term="max", simplified=False)
+
     def test_variance_beats_general_for_narrow_models(
         self, kernel001, budget001, stats_a, stats_b, window_model
     ):

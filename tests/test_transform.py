@@ -161,6 +161,15 @@ class TestExactTransform:
         with pytest.raises(ValueError):
             exact_transform(model_a, 0.0, [0.0])
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e-156])
+    def test_lam_too_small_for_the_exponent_refused(self, lam):
+        # -1/(2 lam^2) divided by zero at 1e-300; at 1e-156 it was -inf and
+        # the grid point on the line at 0 read NaN for about 4e155
+        s = DiscreteSpectrum([0.0, 0.5], [1.0, 1.0])
+        for periodic in (None, PeriodicKernelParams(2.0, 0)):
+            with pytest.raises(ValueError, match=rf"^lam={lam} is too small"):
+                exact_transform(s, lam, [0.0, 0.25], periodic=periodic)
+
     @pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf])
     def test_non_finite_lam_refused(self, model_a, kernel001, lam):
         # an infinite width used to return a curve of zeros
