@@ -8,20 +8,21 @@ never from n_max:
   offsets, to first order in those offsets; every midpoint-grid spectrum
   under the nyquist norm-bound plan (period 2 norm_scale = L h) qualifies.
 - nufft: other lines, at least _NUFFT_LINES of them with a finite dt
-  max|w| of at least _NUFFT_SCALE, where np.longdouble is wider than
-  float64, take block 0 from the direct kernel and every later order from
-  tiles of a type-1 NUFFT (exponential-of-semicircle kernel of
-  _NUFFT_WIDTH points, grid of 2 _NUFFT_TILE points, phases in
-  np.longdouble). Its error does not grow with the order: one line of
-  weight 1 is off by at most 3.2e-14 over three tiles (64 grid offsets),
-  which _NUFFT_SCALE keeps at a tenth of the contract below at order
-  _BLOCK; against 40-digit sums on 4 096 random lines under the norm-bound
-  plan it is within 1.2e-14 mu0 up to order 42 371, the direct kernel
-  within 1.1e-13.
+  max|w| of at least _NUFFT_SCALE, take block 0 from the direct kernel and
+  every later order from tiles of a type-1 NUFFT (exponential-of-semicircle
+  kernel of _NUFFT_WIDTH points, grid of 2 _NUFFT_TILE points). Its error
+  does not grow with the order: one line of weight 1 is off by at most
+  3.2e-14 over three tiles (64 grid offsets), which _NUFFT_SCALE keeps at a
+  tenth of the contract below at order _BLOCK; against 40-digit sums on
+  4 096 random lines under the norm-bound plan it is within 1.2e-14 mu0 up
+  to order 42 371, the direct kernel within 1.1e-13.
 - direct: every other input runs the blocked direct kernel.
 All three meet one accuracy contract against the direct sum, 1e-14 mu0
 through order 12 and 4 eps (1 + n dt max|w|) mu0 beyond, and on each m_n
 is bitwise independent of n_max.
+The FFT and NUFFT paths take their phases in float64 pairs (_two_prod,
+_two_sum, _turns), within about 4e-27 at c theta mod 2 pi, c ~ 4e4, with
+the same float64 operations on every platform.
 Every other job has one numpy implementation. The direct phase-moment sums
 and the truncated Fourier reconstruction are blocked kernels built from
 doubling complex exponential tables and BLAS products: table row exp(i k
@@ -95,10 +96,12 @@ _EPS = np.finfo(np.float64).eps
 _TURN_EPS = 8  # eps j that dt h L / (2 pi) may miss j by on the FFT path
 _SPACING_ULPS = 8  # ulp of max|w| that a line may miss w_0 + k h by there
 _MAX_TURNS = 2**20  # bounds j, and with it the offsets the FFT path admits
-# an extended float type for the FFT path's per-line offsets, and 2 pi in it:
-# fl(2 pi) plus its rounding residual 2 sin(fl(pi))
-_EXTENDED = np.finfo(np.longdouble).eps < _EPS
-_TAU_EXT = np.longdouble(math.tau) + 2 * np.longdouble(math.sin(math.pi))
+# 2 pi in three parts (Cody and Waite 1980), within 6e-33: C1, C2 of at most
+# 26 bits, so k C1 and k C2 are exact for |k| < 2^27; 1 / (2 pi) as a pair
+_TAU = tuple(map(float.fromhex, ("0x1.921fb58p+2", "-0x1.dde974p-25",
+                                 "0x1.1a62633145c07p-52")))
+_INV_TAU = tuple(map(float.fromhex, ("0x1.45f306dc9c883p-3", "-0x1.6b01ec5417056p-57")))
+_SPLIT_MAX = 2.0**996  # Dekker's split overflows above it
 _NUFFT_TILE = 16384  # orders per NUFFT tile; fixed so m_n ignores n_max
 _NUFFT_WIDTH = 16  # grid points the NUFFT kernel spreads each line onto
 _NUFFT_BETA = 2.30 * _NUFFT_WIDTH  # the kernel's shape, for a grid of 2 tiles
@@ -139,6 +142,40 @@ def _phase_table(phase, count):
     return table
 
 
+def _two_sum(a, b):
+    """fl(a + b) and its rounding error, exactly (Knuth's TwoSum): with
+    _two_prod, the error-free transformations of the float64 pairs hi + lo
+    (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """fl(a b) and its rounding error, exactly for factors below _SPLIT_MAX
+    (Dekker, Numer. Math. 18, 1971): each factor splits, by 2^27 + 1, into
+    two halves of 26 bits, whose four products are exact."""
+    p, ta, tb = a * b, 134217729.0 * a, 134217729.0 * b
+    ah, bh = ta - (ta - a), tb - (tb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _times(c, hi, lo):
+    """c (hi + lo) as a pair, for a float c."""
+    p, e = _two_prod(c, hi)
+    return p, e + c * lo
+
+
+def _turns(hi, lo):
+    """hi + lo less its nearest whole number k of turns, a pair in [-pi,
+    pi]: hi - k C1 is exact (Sterbenz) and k C2 too, so for |k| < 2^27 it is
+    off by (|k| + 1) 2^-100 at most, beyond by the rounding of k C1."""
+    k = np.round(hi / _TAU[0])
+    s, e = _two_sum(hi - k * _TAU[0], -k * _TAU[1])
+    return _two_sum(s, e + (lo - k * _TAU[2]))
+
+
 # ---------------------------------------------------------------------------
 # phase moment sums: m_n = sum_k w_k exp(-i n dt w_k), n = 0..n_max
 
@@ -171,10 +208,10 @@ def _commensurate(omegas, dt):
     The scalar screen comes first: with h = (w[L-1] - w[0]) / (L - 1),
     dt h L / (2 pi) must lie below _MAX_TURNS and within _TURN_EPS eps j of
     j. Only then does one O(L) pass check that every line lies within
-    _SPACING_ULPS ulp of max|w| of w[0] + k h. Without an extended float
-    type to take the per-line offsets in, no input qualifies."""
+    _SPACING_ULPS ulp of max|w| of w[0] + k h, and that dt and max|w| lie
+    below _SPLIT_MAX, where the per-line offsets are taken in pairs."""
     L = omegas.size
-    if L < 2 or not _EXTENDED:
+    if L < 2:
         return 0
     h = (omegas[-1] - omegas[0]) / (L - 1)
     turns = dt * h * L / math.tau
@@ -184,9 +221,9 @@ def _commensurate(omegas, dt):
     if not abs(turns - j) <= _TURN_EPS * _EPS * j:
         return 0
     grid = omegas[0] + np.arange(L) * h
-    if not np.abs(omegas - grid).max() <= _SPACING_ULPS * np.spacing(
-        np.abs(omegas).max()
-    ):
+    top = np.abs(omegas).max()
+    if not (np.abs(omegas - grid).max() <= _SPACING_ULPS * np.spacing(top)
+            and max(dt, top) < _SPLIT_MAX):
         return 0
     return j
 
@@ -196,8 +233,8 @@ def _fft_moments(omegas, weights, dt, n_max, j):
     2 pi j k / L, from one FFT call on two rows of length L.
 
     With phase = fl(-dt w_0) and the per-line offsets eps_k = dt w_k + phase
-    - 2 pi j k / L, taken in np.longdouble so that they are exact to well
-    below float64 rounding,
+    - 2 pi j k / L, taken in float64 pairs to about 2^-100 (the exact dt w_k
+    + phase reduced mod 2 pi, times L, reduced again: L eps_k),
 
         m_n = exp(i n phase) sum_k w_k exp(-2 pi i q k / L) exp(-i n eps_k)
             = exp(i n phase) [F0 - i n F1][q] + O((n eps_k)^2),  q = n j mod L,
@@ -215,10 +252,10 @@ def _fft_moments(omegas, weights, dt, n_max, j):
 
     L = omegas.size
     phase = -dt * omegas[0]
-    ext = np.longdouble
-    offsets = ext(dt) * omegas.astype(ext) + ext(phase)
-    offsets -= _TAU_EXT * (j * np.arange(L)) / L
-    spectra = fft.fft(np.stack((weights, (weights * offsets).astype(np.float64))))
+    p, e = _two_prod(dt, omegas)
+    s, f = _two_sum(p, phase)
+    offsets = _turns(*_times(L, *_turns(s, e + f)))[0] / L
+    spectra = fft.fft(np.stack((weights, weights * offsets)))
     n = np.arange(n_max + 1)
     f0, f1 = np.take(spectra, n * j, axis=1, mode="wrap")  # bins q = n j mod L
     f0.real += n * f1.imag
@@ -296,10 +333,10 @@ def _block_zero(phase, weights, n_max):
 
 def _spreads(omegas, dt):
     """Whether lines that are not commensurate take the NUFFT path: at least
-    _NUFFT_LINES of them, an extended float type for their phases, and a
-    finite dt max|w| of at least _NUFFT_SCALE."""
-    return (_EXTENDED and omegas.size >= _NUFFT_LINES
-            and _NUFFT_SCALE <= dt * np.abs(omegas).max() < math.inf)
+    _NUFFT_LINES of them, a finite dt max|w| of at least _NUFFT_SCALE, and
+    dt and max|w| below _SPLIT_MAX, where their phases are taken in pairs."""
+    top = np.abs(omegas).max() if omegas.size >= _NUFFT_LINES else math.nan
+    return _NUFFT_SCALE <= dt * top < math.inf and max(dt, top) < _SPLIT_MAX
 
 
 def _nufft_moments(omegas, weights, dt, n_max):
@@ -321,12 +358,13 @@ def _nufft_moments(omegas, weights, dt, n_max):
     (sqrt(1 - (2x / W h)^2) - 1)), beta = _NUFFT_BETA; one numpy.fft.fft of
     the grid gives sum_k a_k exp(-i r theta_k) psihat(r) / h, up to aliasing
     that the kernel keeps small for |r| <= M/4, and dividing by
-    psihat(r) / h (_deconvolution) leaves the moments. theta_k, the grid
-    offsets theta_k / h and c theta_k mod 2 pi are taken in np.longdouble,
-    as on the FFT path, so no float64 rounding of a phase of size n dt
-    |w| enters: the error stays at the kernel's, whatever the order. The
-    kernel points (_kernel_points) are built once per call; a tile costs
-    L exponentials, 2 W L real products and sums and one FFT of M points.
+    psihat(r) / h (_deconvolution) leaves the moments. theta_k, from the
+    exact product dt w_k, its grid offsets (_kernel_points) and c theta_k
+    mod 2 pi are taken in float64 pairs, as on the FFT path, so no float64
+    rounding of a phase of size n dt |w| enters: the error stays at the
+    kernel's, whatever the order. The kernel points are built once per
+    call; a tile costs L exponentials, 2 W L real products and sums and one
+    FFT of M points.
     Every tile has the same center and shape whatever n_max, so m_n is
     bitwise independent of n_max. numpy.fft is imported past block 0 only;
     the low table is dropped before the tiles, whose buffers do not grow
@@ -337,8 +375,8 @@ def _nufft_moments(omegas, weights, dt, n_max):
         return head
     from numpy import fft
 
-    size, ext = 2 * _NUFFT_TILE, np.longdouble
-    theta = _wrapped(ext(dt) * omegas.astype(ext))
+    size = 2 * _NUFFT_TILE
+    theta = _turns(*_two_prod(dt, omegas))
     first, spread = _kernel_points(theta)
     # the interleaved float index of each point's real and imaginary part
     cells = _cells(2 * first, 2 * _NUFFT_WIDTH, 2 * size).ravel()
@@ -351,9 +389,8 @@ def _nufft_moments(omegas, weights, dt, n_max):
     spectrum = np.empty(size, dtype=np.complex128)
     tile = np.empty(_NUFFT_TILE, dtype=np.complex128)
     for n0 in range(_BLOCK, n_max + 1, _NUFFT_TILE):
-        turn = _wrapped(ext(n0 + half) * theta)
-        np.multiply((weights * _expi(-turn.astype(np.float64)))[:, None], spread,
-                    out=terms)
+        turn = _turns(*_times(n0 + half, *theta))[0]
+        np.multiply((weights * _expi(-turn))[:, None], spread, out=terms)
         grid = np.bincount(cells, terms.view(np.float64).ravel(), 2 * size)
         fft.fft(grid.view(np.complex128), out=spectrum)
         del grid
@@ -363,37 +400,30 @@ def _nufft_moments(omegas, weights, dt, n_max):
     return out
 
 
-def _wrapped(turn):
-    """turn, an np.longdouble array, reduced in place to [-pi, pi] by whole
-    turns of _TAU_EXT."""
-    turn -= _TAU_EXT * np.round(turn / _TAU_EXT)
-    return turn
-
-
 def _kernel_points(theta):
     """The W = _NUFFT_WIDTH points of the periodic NUFFT grid of M = 2
-    _NUFFT_TILE points over one turn nearest each phase theta
-    (np.longdouble, within a turn of 0): the leftmost one's grid index, an
+    _NUFFT_TILE points over one turn nearest each phase theta (a float64
+    pair, (2, n), within a turn of 0): the leftmost one's grid index, an
     int64 not yet reduced mod M, and the kernel's weights psi(l h - theta)
-    at all W, (theta.size, W). The leftmost index is ceil(v), v the phase
-    in grid units less W/2, taken exactly in integers: the cast rounds
-    toward 0, and adding 1 where it fell below v rounds up. The grid
-    offsets are taken in np.longdouble; the kernel is even, so the same
-    weights spread a point onto the grid (type 1) and gather it back
-    (type 2)."""
+    at all W, (n, W). The phase in grid units, u = theta M / (2 pi), is the
+    pair hi + lo, taken with 1 / (2 pi) as a pair to within about 2^-100
+    |u|; the leftmost index is ceil(u) - W/2, where ceil(u) is ceil(hi),
+    one more where hi is whole and lo positive. The offsets ceil(u) - u
+    are taken from the pair; the kernel is even, so the same weights spread
+    a point onto the grid (type 1) and gather it back (type 2)."""
     size, width = 2 * _NUFFT_TILE, _NUFFT_WIDTH
-    u = theta * (size / _TAU_EXT)  # grid units
-    v = u - width // 2
-    first = v.astype(np.int64)  # the leftmost of the W grid points
-    first += first < v
-    x = (first - u).astype(np.float64)[:, None] + np.arange(width)
+    hi, lo = _times(size * _INV_TAU[0], *theta)  # grid units u = hi + lo
+    hi, lo = _two_sum(hi, lo + theta[0] * (size * _INV_TAU[1]))
+    ceil = np.ceil(hi)
+    ceil += (ceil == hi) & (lo > 0)
+    x = ((ceil - hi) - lo)[:, None] + (np.arange(width) - width // 2)
     x *= 2.0 / width  # in [-1, 1): l - u over half the kernel width
     x *= x
     np.subtract(1.0, x, out=x)
     np.sqrt(x, out=x)
     x -= 1.0
     x *= _NUFFT_BETA
-    return first, np.exp(x, out=x)
+    return ceil.astype(np.int64) - width // 2, np.exp(x, out=x)
 
 
 def _cells(first, count, size):
@@ -577,6 +607,7 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
     omegas = _as_f64(omegas)
     weights = _as_f64(weights)
     shifts = [j * period for k in range(1, wrap_count + 1) for j in (-k, k)]
+    reach = _REACH * lam  # every term beyond is 0.0; clipped there, (d c) d is finite
     out = np.empty(nus.shape[0])
     size = _chunk_step(nus.shape[0])
     for i in range(0, nus.shape[0], size):
@@ -587,8 +618,8 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
         acc = np.empty((chunk.size, k.size))
         for p in range(0, chunk.size, step):
             d, ends = _offsets(chunk[p : p + step], om, period)
-            span = d * c
-            span *= d
+            span = np.clip(d, -reach, reach)
+            span *= span * c
             _exp(span, out=span)
             for s, rows in zip(shifts, _live_lines(ends, shifts, c) if shifts else ()):
                 x = d[rows] - s
@@ -607,14 +638,13 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     """Evaluate the conjugate-symmetric truncated Fourier series on a grid.
 
     With x = dt nu and g_n = env_n m_n (g_0 = 0), the series is Re sum_n g_n
-    exp(i n x). At least _NUFFT_TILE terms (a full NUFFT tile), where
-    np.longdouble is wider than float64, take the NUFFT path (_nufft_series)
-    when the grid has at least _SERIES_POINTS points per full tile: the
-    points times the filled share n_terms / (T _NUFFT_TILE) of the T tiles
-    the terms take, so a last tile of few orders does not pay a whole tile's
-    transform for a grid the block path serves faster. Every other call
-    takes the block path, which
-    cuts the orders as n = q W + r with W = min(_BLOCK, n_terms + 1), so
+    exp(i n x). At least _NUFFT_TILE terms (a full NUFFT tile) take the
+    NUFFT path (_nufft_series) when the grid has at least _SERIES_POINTS
+    points per full tile: the points times the filled share n_terms / (T
+    _NUFFT_TILE) of the T tiles the terms take, so a last tile of few orders
+    does not pay a whole tile's transform for a grid the block path serves
+    faster. Every other call takes the block path, which cuts the orders as
+    n = q W + r with W = min(_BLOCK, n_terms + 1), so
     that with the (Q, W) block matrix g[q, r] = g_{qW+r} the series is
     Re sum_q exp(i q W x) sum_r g[q, r] exp(i r x). Per grid chunk
     (_chunk_step) that is one doubling table of the W rows exp(i r x) and
@@ -628,7 +658,7 @@ def reconstruct_series(nus, moment_values, dt, lam, period, n_terms):
     """
     nus = _as_f64(nus)
     tiles = -(-n_terms // _NUFFT_TILE)
-    if (_EXTENDED and n_terms >= _NUFFT_TILE
+    if (n_terms >= _NUFFT_TILE
             and nus.shape[0] * n_terms >= _SERIES_POINTS * _NUFFT_TILE * tiles):
         return _nufft_series(nus, moment_values, dt, lam, period, n_terms)
     width = min(_BLOCK, n_terms + 1)
@@ -669,15 +699,15 @@ def _nufft_series(nus, moment_values, dt, lam, period, n_terms):
     one inverse FFT of the M = 2S coefficients g_{c+r} scale_r
     (_deconvolution) gives grid values whose sum over the W kernel points
     nearest theta_j (_kernel_points), weighted as the type-1 NUFFT spreads,
-    is the inner sum. theta_j and c theta_j mod 2 pi are taken in
-    np.longdouble. A tile costs S exponentials for the envelope, one FFT of
+    is the inner sum. theta_j and c theta_j mod 2 pi are taken in float64
+    pairs (_turns). A tile costs S exponentials for the envelope, one FFT of
     M points and, per grid chunk (_chunk_step), W gathered values and one
     exponential per point. The kernel points come from _held_points, so a
     later call on the same x builds none; beyond the output and them a call
     holds one tile's buffers, whatever n_terms."""
     from numpy import fft
 
-    size, half, ext = 2 * _NUFFT_TILE, _NUFFT_TILE // 2, np.longdouble
+    size, half = 2 * _NUFFT_TILE, _NUFFT_TILE // 2
     theta, cells, spread = _held_points(dt * nus)
     scale = _deconvolution()
     step = _chunk_step(nus.shape[0])
@@ -697,20 +727,20 @@ def _nufft_series(nus, moment_values, dt, lam, period, n_terms):
         for i in range(0, nus.shape[0], step):
             near = grid[cells[i : i + step]]
             near *= spread[i : i + step]
-            turn = _wrapped(ext(n0 + half) * theta[i : i + step])
-            total[i : i + step] += near.sum(axis=1) * _expi(turn.astype(np.float64))
+            turn = _turns(*_times(n0 + half, *theta[:, i : i + step]))[0]
+            total[i : i + step] += near.sum(axis=1) * _expi(turn)
         del near, turn  # before the next tile's envelope, to keep the peak
     return (moment_values[0].real + 2.0 * total.real) / period
 
 
 def _held_points(x):
-    """theta = x mod 2 pi in np.longdouble, the grid cells of its W =
+    """theta = x mod 2 pi as a float64 pair, the grid cells of its W =
     _NUFFT_WIDTH kernel points and their weights (_kernel_points), all
     read-only, for the x = dt nus of a NUFFT resummation, held by _recall
     under "series_points" and keyed on the bytes of x: 272 B per grid point
-    (W indices, W weights and theta)."""
+    (W indices, W weights and the pair theta)."""
     def compute():
-        theta = _wrapped(x.astype(np.longdouble))
+        theta = np.array(_turns(x, 0.0))
         first, spread = _kernel_points(theta)
         cells = _cells(first, _NUFFT_WIDTH, 2 * _NUFFT_TILE)
         return _frozen(theta), _frozen(cells), _frozen(spread)

@@ -644,8 +644,8 @@ def make_plan(
     [-norm_scale, norm_scale]. 'general' reads the mode chi_mode (default
     'main'), 'variance' and 'central' window_term ('max') and simplified
     (False), whose short form reads no window_term (_METHOD_MODES); a mode
-    left None takes its default, and a set mode the method does not read
-    raises ValueError.
+    left None takes its default, and a set mode the method does not read,
+    or a central_order given to 'general' or 'variance', raises ValueError.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown planning method {method!r}")
@@ -654,6 +654,8 @@ def make_plan(
     for key in modes:
         if key not in _METHOD_MODES[method]:
             raise ValueError(f"{method} planning does not read {key}")
+    if central_order is not None and method != "central":
+        raise ValueError(f"{method} planning does not read central_order")
     if modes.get("simplified") and "window_term" in modes:
         raise ValueError("simplified planning does not read window_term")
     if window is not None:

@@ -175,16 +175,15 @@ class MemoContract:
 def normal_mixture_moments(components, dt, n_max):
     """Closed-form phase moments of a mixture of normal densities given as
     (mu0, mu, s) per component: m_n = sum mu0 exp(-i n dt mu - (n dt s)^2 / 2),
-    n = 0..n_max, each phase n dt mu reduced mod 2 pi in np.longdouble."""
-    from fouriergit._backend import _TAU_EXT
+    n = 0..n_max, each phase n dt mu reduced mod 2 pi from the exact product
+    dt mu in float64 pairs."""
+    from fouriergit._backend import _times, _turns, _two_prod
 
-    ext = np.longdouble
     n = np.arange(n_max + 1)
     total = np.zeros(n_max + 1, dtype=np.complex128)
     for mu0, mu, s in components:
-        turn = n.astype(ext) * (ext(dt) * ext(mu))
-        turn -= _TAU_EXT * np.round(turn / _TAU_EXT)
-        phase = (np.cos(turn) - 1j * np.sin(turn)).astype(np.complex128)
+        turn = _turns(*_times(n.astype(float), *_two_prod(dt, mu)))[0]
+        phase = np.cos(turn) - 1j * np.sin(turn)
         total += mu0 * np.exp(-0.5 * (n * (dt * s)) ** 2) * phase
     return total
 

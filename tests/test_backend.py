@@ -1,12 +1,16 @@
 import ast
 import functools
 import math
+import operator
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -518,7 +522,7 @@ _KERNEL_POINTS = _backend._kernel_points  # whatever a test counts
 
 def _fresh_points(x):
     """theta, the kernel points' cells, by the modulo, and their weights."""
-    theta = _backend._wrapped(x.astype(np.longdouble))
+    theta = np.array(_backend._turns(x, 0.0))
     first, spread = _KERNEL_POINTS(theta)
     cells = first[:, None] + np.arange(_backend._NUFFT_WIDTH)
     return theta, cells % (2 * _backend._NUFFT_TILE), spread
@@ -750,7 +754,6 @@ class TestNufftMoments:
         # a tenth of the contract taken at dt max|w| = _NUFFT_SCALE: the
         # threshold keeps the margin at every order, the least (about 12x)
         # at order _BLOCK, the lower edge of tile 0
-        ext = np.longdouble
         n_max = self.STARTS[3] - 1
         n = np.arange(n_max + 1)
         rng = np.random.default_rng(7)
@@ -760,16 +763,15 @@ class TestNufftMoments:
         for frac in offsets:
             omega = (rng.integers(-self.S, self.S) + frac) * math.pi / self.S
             got = _backend._nufft_moments(np.array([omega]), np.ones(1), 1.0, n_max)
-            turn = n.astype(ext) * ext(omega)
-            turn -= _backend._TAU_EXT * np.round(turn / _backend._TAU_EXT)
-            exact = np.cos(turn).astype(float) - 1j * np.sin(turn).astype(float)
+            turn = _backend._turns(*_backend._two_prod(n.astype(float), omega))[0]
+            exact = np.cos(turn) - 1j * np.sin(turn)
             worst = np.maximum(worst, np.abs(got - exact))
         past = n[_backend._BLOCK :]
         bound = _contract(past, None, np.ones(1), 1.0, scale=_backend._NUFFT_SCALE)
         assert np.all(10 * worst[_backend._BLOCK :] <= bound)
         assert worst[: _backend._BLOCK].max() <= 1e-15
 
-    def test_rule_reads_the_lines_and_dt(self, monkeypatch):
+    def test_rule_reads_the_lines_and_dt(self):
         # both sides of _NUFFT_LINES and of _NUFFT_SCALE, bitwise the path
         # the rule picks; past block 0 the two paths differ in the last bits
         omegas, weights = _random_lines(_backend._NUFFT_LINES, 1.0, 31)
@@ -790,19 +792,45 @@ class TestNufftMoments:
             direct = _backend._direct_moments(om, w, dt, n_max)
             assert not np.array_equal(nufft, direct)
             assert np.array_equal(got, nufft if spreads else direct)
-        monkeypatch.setattr(_backend, "_EXTENDED", False)
-        assert not _backend._spreads(omegas, at)
-        assert np.array_equal(phase_moment_sums(omegas, weights, at, n_max),
-                              _backend._direct_moments(omegas, weights, at, n_max))
 
     def test_non_finite_inputs_stay_off_the_path(self):
         omegas, _ = _random_lines(_backend._NUFFT_LINES, 1.0, 32)
         for step in (math.nan, math.inf):
             assert not _backend._spreads(omegas, step)
+        # dt max|w| overflows, though dt and max|w| are below _SPLIT_MAX
+        with np.errstate(over="ignore"):
+            assert not _backend._spreads(omegas * 2.0**990, 2.0**990)
         for value in (math.nan, math.inf, -math.inf):
             bad = omegas.copy()
             bad[3] = value
             assert not _backend._spreads(bad, 27.98)
+
+    def test_lines_beyond_the_split_run_the_direct_kernel(self):
+        # Dekker's split overflows a factor above about 2^997, and the pair
+        # paths then return NaN; lines, or a dt, above _SPLIT_MAX = 2^996
+        # stay off them and run the direct kernel. Just below it the NUFFT
+        # path takes them, and equally spaced lines the FFT path
+        omegas, weights = _random_lines(_backend._NUFFT_LINES, 1.0, 34)
+        uniform, _, _ = _uniform_lines(_backend._NUFFT_LINES, 1.0, 1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.isnan(_backend._nufft_moments(
+                omegas * 2.0**1000, weights, 2.0**-1000, _backend._BLOCK)).any()
+        for scale, pairs in ((2.0**1000, False), (1.999 * 2.0**996, False),
+                             (0.999 * 2.0**996, True)):
+            for lines, dt, fft in ((omegas * scale, 27.98 / scale, False),  # lines
+                                   (omegas * (27.98 / scale), scale, False),  # dt
+                                   (uniform * scale, math.pi / scale, pairs)):
+                assert _backend._spreads(lines, dt) == pairs
+                assert bool(_backend._commensurate(lines, dt)) == fft
+                got = phase_moment_sums(lines, weights, dt, _backend._BLOCK + 7)
+                direct = _backend._direct_moments(lines, weights, dt, _backend._BLOCK + 7)
+                assert np.array_equal(got, direct) != pairs
+                assert np.all(np.isfinite(got))
+        # a dt of exactly _SPLIT_MAX is not below it; half of it is
+        edge = _backend._SPLIT_MAX
+        for dt, turns in ((edge, 0), (edge / 2, 1)):
+            assert _backend._commensurate(uniform * (math.pi / dt), dt) == turns
+            assert _backend._spreads(omegas * (27.98 / dt), dt) == bool(turns)
 
     def test_n_max_independent_bitwise(self):
         # across block 0's edge and each tile edge n_start + t S +- 1 and
@@ -849,27 +877,40 @@ class TestNufftMoments:
         phase_moment_sums(om, w, 27.98, self.STARTS[1])
         assert sizes == [2 * self.S] * 2
 
-    def test_kernel_points_take_the_long_double_ceil(self):
-        # the leftmost of the W cells is ceil(u - W/2), u the phase in grid
-        # units, taken in integers: equal to np.ceil in long double where
-        # u - W/2 is a whole number (theta = 0 and whole grid offsets) and
-        # one ulp beside it, and over random phases; the weights follow
+    def test_kernel_points_take_the_pair_ceil(self):
+        # the leftmost of the W cells is ceil(u - W/2), u = (theta_hi +
+        # theta_lo) M / (2 pi) the phase in grid units, taken in pairs
+        # within about 2^-100 |u|: exactly at theta = 0 and 1e-300 beside
+        # it, one ulp of theta_hi beside the pairs nearest whole grid units
+        # l h, and over random phases. The pairs nearest l h, and one ulp of
+        # theta_lo beside them, lie within 1e-32 M of l, and either side of it
+        # is a right ceil there. The weights are psi at the offsets from
+        # the cells taken
         M, W = 2 * self.S, _backend._NUFFT_WIDTH
-        step = _backend._TAU_EXT / M
-        whole = np.array([0.0, 1.0, -1.0, 5.0, -8.0, 8.0, M // 2 - 1.0])
-        theta = np.concatenate([
-            whole.astype(np.longdouble) * step,
-            np.nextafter(whole.astype(np.longdouble) * step, np.longdouble(9)),
-            np.nextafter(whole.astype(np.longdouble) * step, np.longdouble(-9)),
-            np.random.default_rng(44).uniform(-np.pi, np.pi, 64).astype(np.longdouble)])
-        u = theta * (M / _backend._TAU_EXT)
-        want = np.ceil(u - W // 2)
-        assert (want == u - W // 2).sum() >= 3  # whole numbers are reached
-        first, spread = _backend._kernel_points(theta)
-        assert first.dtype == np.int64 and np.array_equal(first, want)
-        x = ((want - u).astype(np.float64)[:, None] + np.arange(W)) * (2.0 / W)
+        pairs, near = [(0.0, 0.0), (0.0, 1e-300), (0.0, -1e-300)], []
+        with mpmath.workdps(50):
+            tau = 2 * mpmath.pi
+            for l in (1, -1, 5, -8, 8, M // 2 - 1):
+                hi = float(l * tau / M)
+                lo = float(l * tau / M - hi)
+                pairs += [(np.nextafter(hi, 9.0), lo), (np.nextafter(hi, -9.0), lo)]
+                near += [(hi, lo), (hi, np.nextafter(lo, 1.0)), (hi, np.nextafter(lo, -1.0))]
+            rng = np.random.default_rng(44)
+            pairs += [(t, 0.0) for t in rng.uniform(-np.pi, np.pi, 64)]
+            theta = np.array(pairs + near).T
+            u = [(mpmath.mpf(a) + mpmath.mpf(b)) * M / tau for a, b in theta.T]
+            first, spread = _backend._kernel_points(theta)
+            x = np.array([[float((f + l - v) * 2 / W) for l in range(W)]
+                          for f, v in zip(first.tolist(), u)])
+            ceil = [int(mpmath.ceil(v)) - W // 2 for v in u]
+            whole = [int(mpmath.nint(v)) - W // 2 for v in u]
+        assert first.dtype == np.int64
+        assert first[: len(pairs)].tolist() == ceil[: len(pairs)]
+        for f, v, w in zip(first[len(pairs) :], u[len(pairs) :], whole[len(pairs) :]):
+            assert abs(v - mpmath.nint(v)) < 1e-32 * M and f in (w, w + 1)
+        assert ceil[:3] == [-8, -7, -8]  # u = 0 is whole: its ceil is 0
         psi = np.exp(_backend._NUFFT_BETA * (np.sqrt(1.0 - x * x) - 1.0))
-        assert np.array_equal(spread, psi)
+        assert np.allclose(spread, psi, rtol=1e-13, atol=0.0)
 
     def test_deconvolution_table(self):
         # h / psihat(r), r = -S/2 .. S/2 - 1: one read-only table of S
@@ -895,18 +936,17 @@ def _norm_bound_series():
     return moments, (params.dt, kernel.lam, plan.period, plan.n_terms)
 
 
-def _long_double_series(nus, moments, dt, lam, period, n_terms):
-    """The series at x = fl(dt nu), every phase n x reduced and every term
-    summed in np.longdouble."""
-    ext = np.longdouble
-    n = np.arange(1, n_terms + 1)
-    g = np.exp(-0.5 * (dt * lam) ** 2 * n.astype(float) ** 2) * moments[1 : n_terms + 1]
+def _pair_phase_series(nus, moments, dt, lam, period, n_terms):
+    """The series at x = fl(dt nu), every phase n x reduced mod 2 pi from
+    the exact product n x in float64 pairs, and every rounded term summed
+    exactly (math.fsum)."""
+    n = np.arange(1.0, n_terms + 1)
+    g = np.exp(-0.5 * (dt * lam) ** 2 * n ** 2) * moments[1 : n_terms + 1]
     out = []
-    for x in (dt * np.asarray(nus)).astype(ext):
-        turn = _backend._wrapped(n.astype(ext) * x)
-        out.append(np.sum(g.real.astype(ext) * np.cos(turn)
-                          - g.imag.astype(ext) * np.sin(turn)))
-    return (moments[0].real + 2 * np.array(out, dtype=np.float64)) / period
+    for x in dt * np.asarray(nus):
+        turn = _backend._turns(*_backend._two_prod(n, x))[0]
+        out.append(math.fsum(g.real * np.cos(turn) - g.imag * np.sin(turn)))
+    return (moments[0].real + 2 * np.array(out)) / period
 
 
 def _series_peak(nus, moments, n_terms):
@@ -943,14 +983,14 @@ class TestNufftSeries:
         monkeypatch.setattr(_backend, "_nufft_series", counting)
         return calls
 
-    def test_rule_reads_terms_points_and_extended(self, nufft_calls, monkeypatch):
+    def test_rule_reads_terms_and_points(self, nufft_calls):
         # both sides of _NUFFT_TILE terms and of _SERIES_POINTS points per
-        # full tile, bitwise the path the rule picks, and the block path
-        # wherever np.longdouble is float64; the two paths agree to within
-        # 1e-14 max|f|. S + 1 terms take a second tile of one order, half
-        # full on average, so they need twice the points: on 512 points,
-        # where the NUFFT paid two tiles for the block path's work, they
-        # take the block path
+        # full tile, bitwise the path the rule picks; the NUFFT agrees with
+        # the block path, taken on pieces of the grid too small for the
+        # NUFFT, to within 1e-14 max|f|, in other bits. S + 1 terms take a
+        # second tile of one order, half full on average, so they need
+        # twice the points: on 512 points, where the NUFFT paid two tiles
+        # for the block path's work, they take the block path
         rng = np.random.default_rng(41)
         moments = np.exp(1j * rng.uniform(-np.pi, np.pi, self.S + 2))
         points = _backend._SERIES_POINTS
@@ -964,12 +1004,12 @@ class TestNufftSeries:
             nus = np.linspace(0.0, 400.0, size)
             nufft_calls.clear()
             got = reconstruct_series(nus, moments, *args, n_terms)
+            block = np.concatenate([reconstruct_series(nus[i : i + 256], moments,
+                                                       *args, n_terms)
+                                    for i in range(0, size, 256)])
             assert nufft_calls == ([(size, n_terms)] if nufft else [])
-            with monkeypatch.context() as patch:
-                patch.setattr(_backend, "_EXTENDED", False)
-                block = reconstruct_series(nus, moments, *args, n_terms)
             other = _backend._nufft_series(nus, moments, *args, n_terms)
-            assert np.array_equal(got, other if nufft else block)
+            assert np.array_equal(got, other) == nufft
             assert not np.array_equal(block, other)
             assert np.allclose(other, block, rtol=0.0, atol=1e-14 * np.abs(block).max())
 
@@ -991,8 +1031,9 @@ class TestNufftSeries:
                                0.2245, 186)
         assert nufft_calls == []
 
-    def test_matches_long_double_sum(self):
-        # within 2e-14 max|f| of the long-double sum at 42 371 terms on both
+    def test_matches_pair_phase_sum(self):
+        # within 2e-14 max|f| of the sum with phases reduced in pairs (the
+        # sum's own rounding is below 1e-19 max|f|) at 42 371 terms on both
         # sides of the rule, and over the whole period, where theta wraps
         # around the NUFFT grid
         moments, (dt, lam, period, n_terms) = _norm_bound_series()
@@ -1000,7 +1041,7 @@ class TestNufftSeries:
                     np.linspace(-period / 2, period / 2, 1024)):
             got = reconstruct_series(nus, moments, dt, lam, period, n_terms)
             pick = np.r_[0 : nus.size : 16, nus.size - 1]
-            want = _long_double_series(nus[pick], moments, dt, lam, period, n_terms)
+            want = _pair_phase_series(nus[pick], moments, dt, lam, period, n_terms)
             assert np.abs(got[pick] - want).max() <= 2e-14 * np.abs(got).max()
 
     def test_memory_does_not_grow_with_n_terms(self):
@@ -1025,6 +1066,159 @@ class TestNufftSeries:
 def _reflected(omegas, weights):
     """The lines at -w, in increasing order, with their weights."""
     return -omegas[::-1], weights[::-1]
+
+
+def _norm_bound_inputs(seed=1):
+    """The inputs of the norm_bound benchmark: 4 096 midpoint lines and
+    4 096 seeded random lines on [-7 987.5, 7 987.5], the 1 024-point grid
+    on [0, 400] and the dt of the norm-bound plan."""
+    h = 7987.5
+    rng = np.random.default_rng(seed)
+    irregular = np.unique(rng.uniform(-h, h, 4096))
+    while irregular.size < 4096:
+        extra = rng.uniform(-h, h, 4096 - irregular.size)
+        irregular = np.unique(np.concatenate([irregular, extra]))
+    dt = _norm_bound_series()[1][0]
+    return midpoint_grid(4096, h), irregular, np.linspace(0.0, 400.0, 1024), dt
+
+
+def test_norm_bound_paths_read_no_platform(monkeypatch):
+    # fft on the midpoint lines, nufft on the seeded random lines and the
+    # NUFFT series on the 1 024-point grid, with the norm-bound plan's 42 371
+    # terms. No choice reads the platform: _backend names no extended float
+    # type, no platform, sys or os module, and takes np.finfo of float64 only
+    src = Path(__file__).resolve().parents[1] / "src" / "fouriergit"
+    tree = ast.parse((src / "_backend.py").read_text())
+    names = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(tree)} | {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not names & {"longdouble", "clongdouble", "float128", "float96",
+                        "platform", "sys", "os"}
+    assert [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "np.finfo"] == ["np.finfo(np.float64)"]
+    uniform, irregular, grid, dt = _norm_bound_inputs()
+    calls = []
+    for name in ("_fft_moments", "_nufft_moments", "_direct_moments", "_nufft_series"):
+        kernel = getattr(_backend, name)
+        monkeypatch.setattr(_backend, name, lambda *a, _k=kernel, _n=name:
+                            calls.append(_n) or _k(*a))
+    weights = np.full(4096, 1 / 4096)
+    assert _backend._commensurate(uniform, dt) == 1
+    assert not _backend._commensurate(irregular, dt) and _backend._spreads(irregular, dt)
+    for lines in (uniform, irregular):
+        m = phase_moment_sums(lines, weights, dt, 42371)
+        reconstruct_series(grid, m, dt, 1.0 / 3, 2 * 7987.5, 42371)
+    assert calls == ["_fft_moments", "_nufft_series", "_nufft_moments", "_nufft_series"]
+
+
+def test_pair_helpers_are_error_free():
+    # TwoSum and Dekker's product return fl(a + b) and fl(a b) with their
+    # rounding errors, exactly: on random factors over 120 binades, and on
+    # factors up to _SPLIT_MAX; _times(c, hi, lo) is c (hi + lo) to within
+    # the two roundings of its low part, fl(e + fl(c lo))
+    rng = np.random.default_rng(45)
+    a = rng.uniform(-1.0, 1.0, 2000) * 2.0 ** rng.integers(-60, 60, 2000)
+    b = rng.uniform(-1.0, 1.0, 2000) * 2.0 ** rng.integers(-60, 60, 2000)
+    a[:100] = rng.uniform(0.5, 1.0, 100) * _backend._SPLIT_MAX
+    b[:100] = rng.uniform(-1.0, 1.0, 100) * 2.0**-990
+    for (hi, lo), op in ((_backend._two_sum(a, b), operator.add),
+                         (_backend._two_prod(a, b), operator.mul)):
+        assert np.array_equal(hi, op(a, b))
+        assert all(Fraction(h) + Fraction(l) == op(Fraction(x), Fraction(y))
+                   for h, l, x, y in zip(hi, lo, a, b))
+    c, lo = 41088.0, b * 2.0**-60
+    hi, low = _backend._times(c, a[100:], lo[100:])
+    for h, l, x, y in zip(hi, low, a[100:], lo[100:]):
+        exact = Fraction(c) * (Fraction(x) + Fraction(y))
+        assert abs(Fraction(h) + Fraction(l) - exact) <= (abs(l) + abs(c * y)) * 2.0**-53
+
+
+def test_pair_reduction_of_a_tile_phase():
+    # theta = dt w mod 2 pi from the exact product, and c theta mod 2 pi at
+    # the center c = 41 088 of the third NUFFT tile, on the 4 096 random
+    # lines of the norm_bound benchmark, within 1e-24 of 40-digit values
+    # mod 2 pi (a value at +-pi may take either end); each pair is
+    # normalized
+    _, lines, _, dt = _norm_bound_inputs()
+    c = _backend._BLOCK + 2 * _backend._NUFFT_TILE + _backend._NUFFT_TILE // 2
+    assert c == 41088
+    theta = _backend._turns(*_backend._two_prod(dt, lines))
+    turn = _backend._turns(*_backend._times(c, *theta))
+    for hi, lo in (theta, turn):
+        assert np.all(np.abs(hi) <= math.pi) and np.array_equal(hi + lo, hi)
+    worst = [0, 0]
+    with mpmath.workdps(40):
+        tau = 2 * mpmath.pi
+        for k in range(lines.size):
+            for i, scale in enumerate((1, c)):
+                pair = (theta, turn)[i]
+                gap = (mpmath.mpf(pair[0][k]) + mpmath.mpf(pair[1][k])
+                       - mpmath.mpf(dt) * mpmath.mpf(lines[k]) * scale)
+                worst[i] = max(worst[i], abs(gap - tau * mpmath.nint(gap / tau)))
+    assert worst[0] <= 1e-28 and worst[1] <= 1e-24, worst
+
+
+class TestWeightsScale:
+    """weights x a: every path is linear in the weights with phases that
+    read only the lines and dt, so m_n(a w) = a m_n(w), and a series of the
+    moments a m_n is a times the series."""
+
+    @staticmethod
+    def _cases():
+        unit = random_spectrum(0, n=16, normalized=True)
+        return (("direct", unit.eigenfrequencies, unit.weights, 5.7),
+                ("fft", *_uniform_lines(4096, 7987.5, 1)),
+                ("nufft", *_nufft_spectra()[0]))
+
+    @pytest.mark.parametrize("a", [2.0**-3, 2.0**7])
+    def test_power_of_two_scales_bitwise(self, a):
+        # a power of two scales every rounded product and sum exactly, on
+        # each moment path and on the block and NUFFT series paths
+        for path, om, w, dt in self._cases():
+            fft = bool(_backend._commensurate(om, dt))
+            assert (fft, not fft and _backend._spreads(om, dt)) == (
+                path == "fft", path == "nufft")
+            m = phase_moment_sums(om, w, dt, 42371)
+            assert np.array_equal(phase_moment_sums(om, a * w, dt, 42371), a * m), path
+        moments, (dt, lam, period, n_terms) = _norm_bound_series()
+        for size in (257, 1024):  # the block path, the NUFFT
+            nus = np.linspace(0.0, 400.0, size)
+            f = reconstruct_series(nus, moments, dt, lam, period, n_terms)
+            fa = reconstruct_series(nus, a * moments, dt, lam, period, n_terms)
+            assert np.array_equal(fa, a * f), size
+
+    @pytest.mark.parametrize("a", [0.37, 3.0])
+    def test_other_factors_within_a_derived_bound(self, a):
+        # Both calls share the phase tables z, which read only the lines and
+        # dt, and the BLAS order. On the direct path a computed m_n is the
+        # sum over L lines of w_k z_k, each term through at most three
+        # complex products (weight, tile row, low table) and the sum of L
+        # terms, so it is within sqrt(2) gamma_{L+8} sum_k w_k |z_k| of the
+        # exact sum over the same z_k, gamma_j = j u / (1 - j u) (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2002, 3.1 and
+        # 3.6), and |z_k| <= 1 + gamma_16; fl(a w_k) adds u a w_k. On the
+        # block series of N < _BLOCK terms a point sums N + 1 terms env_n
+        # m_n z_n through two products each, then adds m_0, doubles and
+        # divides by P: the same bound with L = N and mu0 replaced by
+        # (|m_0| + 2 sum env_n |m_n|) / P
+        u = np.finfo(np.float64).eps / 2
+        gamma = lambda j: j * u / (1 - j * u)
+        grow = (1 + gamma(16)) ** 2
+        unit = random_spectrum(0, n=16, normalized=True)
+        om, w = unit.eigenfrequencies, unit.weights
+        m = phase_moment_sums(om, w, 5.7, 42371)
+        gap = np.abs(phase_moment_sums(om, a * w, 5.7, 42371) - a * m)
+        bound = (2 * math.sqrt(2) * gamma(om.size + 8) + u) * grow * a * w.sum()
+        assert gap.max() <= bound
+        n_terms, dt, lam, period = 100, 5.7, 0.05, 2 * math.pi / 5.7
+        env = np.exp(-0.5 * (dt * lam * np.arange(1, n_terms + 1)) ** 2)
+        nus = np.linspace(-1.0, 1.0, 257)
+        f = reconstruct_series(nus, m, dt, lam, period, n_terms)
+        fa = reconstruct_series(nus, a * m, dt, lam, period, n_terms)
+        scale = (abs(m[0]) + 2 * np.sum(env * np.abs(m[1 : n_terms + 1]))) / period
+        bound = (2 * math.sqrt(2) * gamma(n_terms + 8) + u) * grow * a * scale
+        assert np.abs(fa - a * f).max() <= bound
 
 
 def test_reflection_conjugates_the_moments():
@@ -1516,6 +1710,23 @@ class TestTinyLam:
             with np.errstate(over="ignore"):  # x c is -inf beyond |x| = 1
                 got = gaussian_transform(*args, least, *periodic)
             assert got.tolist() == [1.0 / (math.sqrt(2.0 * math.pi) * least), 0.0]
+
+    def test_narrow_kernel_overflows_nothing(self):
+        # at lam = 1e-154, c is about -5e307, and (d c) d overflowed to -inf
+        # for |d| above about 1.3, whose exp is 0.0. The own image's offsets
+        # are clipped to the reach _REACH lam, beyond which every term is
+        # 0.0, so no product overflows and every value keeps its bits: the
+        # plain and the periodic transform equal every term evaluated with
+        # the overflow let through
+        nus, omegas, weights = np.array([0.0, 3.0]), np.array([0.0, 0.5]), np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exact_transform(DiscreteSpectrum(omegas, weights), 1e-154, nus).values
+            periodic = gaussian_transform(nus, omegas, weights, 1e-154, 8.0, 0)
+        with np.errstate(over="ignore"):
+            assert same_bits(got, _every_term(nus, omegas, weights, 1e-154))
+            assert same_bits(periodic, _every_term(nus, omegas, weights, 1e-154, 8.0))
+        assert got.tolist() == [1.0 / (math.sqrt(2.0 * math.pi) * 1e-154), 0.0]
 
 
 class TestImageCount:

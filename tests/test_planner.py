@@ -900,6 +900,16 @@ class TestMakePlan:
             make_plan(method, kernel001, budget001, window=window_model,
                       moments=stats_a, **order, **mode)
 
+    @pytest.mark.parametrize("method, order", [("variance", 4), ("general", 7)])
+    def test_central_order_the_method_does_not_read_refused(
+        self, kernel001, budget001, stats_a, window_model, method, order
+    ):
+        # each of these returned the plan made without the order
+        with pytest.raises(ValueError,
+                           match=f"^{method} planning does not read central_order$"):
+            make_plan(method, kernel001, budget001, window=window_model,
+                      moments=stats_a, central_order=order)
+
     @pytest.mark.parametrize("method", ["variance", "central"])
     def test_window_term_beside_simplified_refused(
         self, kernel001, budget001, stats_a, window_model, method
@@ -990,10 +1000,11 @@ class TestMakePlan:
                                      central={4: stats.central[4]}),
         }
         for method, moments in known.items():
+            order = {"central_order": 4} if method == "central" else {}
             full = make_plan(method, kernel001, budget001, window=window_model,
-                             moments=stats, central_order=4)
+                             moments=stats, **order)
             part = make_plan(method, kernel001, budget001, window=window_model,
-                             moments=moments, central_order=4)
+                             moments=moments, **order)
             assert part == full
         with pytest.raises(ValueError, match="^sigma must be a number, got None"):
             make_plan("variance", kernel001, budget001, window=window_model,
@@ -1018,8 +1029,8 @@ class TestMakePlan:
                 method, KernelSpec.from_resolution(0.02 * s, 0.01, s),
                 ErrorBudget(0.01, 0.01, 0.05, s),
                 window=FrequencyWindow(-s, -0.8 * s),
-                moments=summarize(lines, orders=(2, 4)), central_order=4,
-                **modes,
+                moments=summarize(lines, orders=(2, 4)),
+                central_order=4 if method == "central" else None, **modes,
             )
 
         for n_mode in ("main", "appendix"):
@@ -1060,7 +1071,8 @@ class TestMakePlan:
                                      model_a.weights, norm_scale=2.0)
             return make_plan(method, kernel, budget,
                              window=FrequencyWindow(-1.0 + shift, -0.8 + shift),
-                             moments=summarize(lines, orders=(2, 4)), central_order=4)
+                             moments=summarize(lines, orders=(2, 4)),
+                             central_order=4 if method == "central" else None)
 
         for eps in np.logspace(-4.0, -1.0, 10):
             budget = ErrorBudget(float(eps), float(eps), 0.05, OMEGA_MODEL)

@@ -248,7 +248,8 @@ class TestReconstruct:
         kernel = KernelSpec.from_resolution(0.02, 0.01, 2.0)
         budget = ErrorBudget(0.01, 0.01, 0.05, 2.0 / 512)
         plan = make_plan(method, kernel, budget, window=FrequencyWindow(-1.0, -0.8),
-                         moments=summarize(model_a, orders=(2, 4)), central_order=4)
+                         moments=summarize(model_a, orders=(2, 4)),
+                         central_order=4 if method == "central" else None)
         params = PeriodicKernelParams.from_period(plan.period, kernel)
         moved = DiscreteSpectrum(model_a.eigenfrequencies + c, model_a.weights,
                                  norm_scale=2.0)
