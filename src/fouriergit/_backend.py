@@ -607,25 +607,25 @@ def gaussian_transform(nus, omegas, weights, lam, period=None, wrap_count=0):
     omegas = _as_f64(omegas)
     weights = _as_f64(weights)
     shifts = [j * period for k in range(1, wrap_count + 1) for j in (-k, k)]
-    reach = _REACH * lam  # every term beyond is 0.0; clipped there, (d c) d is finite
     out = np.empty(nus.shape[0])
     size = _chunk_step(nus.shape[0])
-    for i in range(0, nus.shape[0], size):
-        chunk = nus[i : i + size]
-        k = _within_reach(chunk, omegas, lam, period)
-        om = omegas[k]
-        step = _chunk_step(chunk.size, _SPAN) if k.size >= _CHUNK else chunk.size
-        acc = np.empty((chunk.size, k.size))
-        for p in range(0, chunk.size, step):
-            d, ends = _offsets(chunk[p : p + step], om, period)
-            span = np.clip(d, -reach, reach)
-            span *= span * c
-            _exp(span, out=span)
-            for s, rows in zip(shifts, _live_lines(ends, shifts, c) if shifts else ()):
-                x = d[rows] - s
-                span[rows] += _exp((x * c) * x)
-            acc[p : p + step] = span.T
-        out[i : i + size] = acc @ weights[k]
+    with np.errstate(over="ignore"):  # lam near 1e-154: -inf exps to 0.0
+        for i in range(0, nus.shape[0], size):
+            chunk = nus[i : i + size]
+            k = _within_reach(chunk, omegas, lam, period)
+            om = omegas[k]
+            step = _chunk_step(chunk.size, _SPAN) if k.size >= _CHUNK else chunk.size
+            acc = np.empty((chunk.size, k.size))
+            for p in range(0, chunk.size, step):
+                d, ends = _offsets(chunk[p : p + step], om, period)
+                span = d * c
+                span *= d
+                _exp(span, out=span)
+                for s, rows in zip(shifts, _live_lines(ends, shifts, c) if shifts else ()):
+                    x = d[rows] - s
+                    span[rows] += _exp((x * c) * x)
+                acc[p : p + step] = span.T
+            out[i : i + size] = acc @ weights[k]
     return out / (math.sqrt(2.0 * math.pi) * lam)
 
 

@@ -1712,20 +1712,22 @@ class TestTinyLam:
             assert got.tolist() == [1.0 / (math.sqrt(2.0 * math.pi) * least), 0.0]
 
     def test_narrow_kernel_overflows_nothing(self):
-        # at lam = 1e-154, c is about -5e307, and (d c) d overflowed to -inf
-        # for |d| above about 1.3, whose exp is 0.0. The own image's offsets
-        # are clipped to the reach _REACH lam, beyond which every term is
-        # 0.0, so no product overflows and every value keeps its bits: the
-        # plain and the periodic transform equal every term evaluated with
-        # the overflow let through
+        # at lam = 1e-154, c is about -5e307, and (d c) d overflows to -inf
+        # for |d| above about 1.3, as do _live_lines' bounds of an image
+        # shift, whose exp is 0.0 and which decide right. The overflow warns
+        # nowhere, and every value keeps its bits: the plain and the
+        # periodic transform, with and without images, equal every term
+        # evaluated with the overflow let through
         nus, omegas, weights = np.array([0.0, 3.0]), np.array([0.0, 0.5]), np.ones(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = exact_transform(DiscreteSpectrum(omegas, weights), 1e-154, nus).values
             periodic = gaussian_transform(nus, omegas, weights, 1e-154, 8.0, 0)
+            images = gaussian_transform(nus, omegas, weights, 1e-154, 2.0, 1)
         with np.errstate(over="ignore"):
             assert same_bits(got, _every_term(nus, omegas, weights, 1e-154))
             assert same_bits(periodic, _every_term(nus, omegas, weights, 1e-154, 8.0))
+            assert same_bits(images, _every_term(nus, omegas, weights, 1e-154, 2.0, 1))
         assert got.tolist() == [1.0 / (math.sqrt(2.0 * math.pi) * 1e-154), 0.0]
 
 

@@ -19,21 +19,26 @@ def test_pairs_alternate_and_summarize(monkeypatch, tmp_path):
     # 11.5, and its peak_rss_mb 20% above, beyond the bound of 0.1
     base, head = tmp_path / "base", tmp_path / "head"
     head.mkdir()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec["run_seconds"] = 7  # every run takes the spec's run length
+    (head / "BENCHMARK.json").write_text(json.dumps(spec))
     walls = {base: iter([10.0, 11.0, 12.0, 13.0]), head: iter([9.0, 12.0, 10.0, 9.0])}
     calls = []
 
-    def run(checkout, workload, args):
+    def run(checkout, workload, seconds):
         calls.append(checkout)
+        assert seconds == 7
         metrics = {"setup_s": 1.0, "wall_s": next(walls[checkout]), "op_p50_ms": 2.0,
                    "peak_rss_mb": 50.0 if checkout == base else 60.0}
         return {"metrics": {k: {"value": v} for k, v in metrics.items()},
                 "failed": 0, "attempted": 7, "meta": {"openblas_threads": 2}}
 
     monkeypatch.setattr(bench_pairs, "_run", run)
-    monkeypatch.setattr(bench_pairs, "ROOT", ROOT)
-    bench_pairs.main(["--base", str(base), "--head", str(head), "--label", "t",
-                      "--pairs", "norm_bound=4"])
-    out = json.loads((head / "BENCH_t.json").read_text())["workloads"]["norm_bound"]
+    monkeypatch.setattr(bench_pairs, "ROOT", head)
+    bench_pairs.main(["--base", str(base), "--label", "t", "--pairs", "norm_bound=4"])
+    out = json.loads((head / "BENCH_t.json").read_text())
+    assert (out["seed"], out["seconds"]) == (1, 7)
+    out = out["workloads"]["norm_bound"]
     assert calls == [base, head, head, base, base, head, head, base]
     assert out["first_side"] == ["base", "head", "base", "head"]
     wall = out["metrics"]["wall_s"]

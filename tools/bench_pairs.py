@@ -4,10 +4,11 @@
     python tools/bench_pairs.py --base ../base --label mychange \\
         --pairs norm_bound=10 cli_paper=3 coverage_sweep=3
 
-Each pair runs the unchanged `perfbench/run.py --trace 0` of the base
-checkout and of this one (the head), one after the other, the side that runs
-first alternating from pair to pair. Every run writes its
-.bench_work/<workload>-seed<seed>-trace0/result.json in its own checkout;
+Each pair runs the unchanged `perfbench/run.py --seed 1 --trace 0`, for the
+run length BENCHMARK.json fixes, in the base checkout and in this one (the
+head), one after the other, the side that runs first alternating from pair
+to pair. Every run writes its .bench_work/<workload>-seed1-trace0/result.json
+in its own checkout;
 the script reads it after the run. Per workload and per end-to-end metric
 of BENCHMARK.json, BENCH_<label>.json holds each side's values, median and
 quartiles, the number of pairs the head won, and the change of the median
@@ -26,29 +27,27 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 1
 
 
 def _parse(argv):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", type=Path, required=True, help="the base checkout")
-    p.add_argument("--head", type=Path, default=ROOT, help="the changed checkout")
     p.add_argument("--label", required=True, help="names BENCH_<label>.json")
     p.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     args.pairs = {w: int(n) for w, n in (item.split("=") for item in args.pairs)}
     return args, spec
 
 
-def _run(checkout, workload, args):
+def _run(checkout, workload, seconds):
     """One benchmark run in checkout; its result.json."""
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                    "--seed", str(args.seed), "--seconds", str(args.seconds),
+                    "--seed", str(SEED), "--seconds", str(seconds),
                     "--trace", "0"], cwd=checkout, check=True,
                    stdout=subprocess.DEVNULL)
-    result = checkout / ".bench_work" / f"{workload}-seed{args.seed}-trace0" / "result.json"
+    result = checkout / ".bench_work" / f"{workload}-seed{SEED}-trace0" / "result.json"
     return json.loads(result.read_text())
 
 
@@ -57,12 +56,12 @@ def _summary(values):
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def _workload(workload, n_pairs, args, spec):
+def _workload(workload, n_pairs, checkouts, spec):
     runs = {"base": [], "head": []}
     for i in range(n_pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for side in order:
-            runs[side].append(_run(getattr(args, side), workload, args))
+            runs[side].append(_run(checkouts[side], workload, spec["run_seconds"]))
             print(f"{workload} pair {i + 1}/{n_pairs}: {side} done", file=sys.stderr)
     metrics = {}
     for decl in spec["end_to_end"]:
@@ -87,12 +86,12 @@ def _workload(workload, n_pairs, args, spec):
 
 def main(argv=None) -> int:
     args, spec = _parse(argv)
-    args.base, args.head = args.base.resolve(), args.head.resolve()
-    out = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
+    checkouts = {"base": args.base.resolve(), "head": ROOT}
+    out = {"label": args.label, "seed": SEED, "seconds": spec["run_seconds"],
            "command": "perfbench/run.py --trace 0", "workloads": {}}
     for workload, n_pairs in args.pairs.items():
-        out["workloads"][workload] = _workload(workload, n_pairs, args, spec)
-    path = args.head / f"BENCH_{args.label}.json"
+        out["workloads"][workload] = _workload(workload, n_pairs, checkouts, spec)
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)
     return 0
